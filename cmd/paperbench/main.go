@@ -40,7 +40,7 @@ func main() {
 	maps := flag.Bool("maps", false, "print ASCII thermal maps where available")
 	out := flag.String("outdir", "", "directory for SVG/CSV map artifacts (optional)")
 	reportPath := flag.String("report", "", "write a markdown reproduction report of the -exp selection to this file and exit")
-	solverFlag := flag.String("solver", "cg", "thermal linear solver for every experiment: cg|mgpcg|mg|mgpcg32|mgpcg-cheb")
+	solverFlag := flag.String("solver", "cg", "thermal linear solver for every experiment: cg|mgpcg")
 	faultFlag := flag.String("fault", "", "cooling-fault scenario, e.g. pump:0.5 or pump:0.4,fouling:0.3:loop0 (the faults experiment adds it to its sweep)")
 	workers := flag.Int("workers", 0, "parallel sweep workers (0 = auto; unset cores from the GOMAXPROCS budget flow to -threads)")
 	threads := flag.Int("threads", 0, "intra-solve threads per solve session (0 = auto-split GOMAXPROCS with -workers; set both to 1 for a fully serial run)")

@@ -67,7 +67,7 @@ func main() {
 	var o options
 	flag.StringVar(&o.Addr, "addr", ":8080", "listen address (use :0 for an ephemeral port)")
 	flag.StringVar(&o.Resolution, "res", "coarse", "default thermal resolution: coarse|medium|full")
-	flag.StringVar(&o.Solver, "solver", "cg", "default linear solver: cg|mgpcg|mg|mgpcg32|mgpcg-cheb")
+	flag.StringVar(&o.Solver, "solver", "cg", "default linear solver: cg|mgpcg")
 	flag.IntVar(&o.Workers, "workers", 0, "max concurrent solves (0 = auto split of GOMAXPROCS)")
 	flag.IntVar(&o.Threads, "threads", 0, "threads per solve session (0 = auto split)")
 	flag.IntVar(&o.Queue, "queue", 0, "admission queue depth before 429 (0 = 2×workers)")

@@ -80,7 +80,7 @@ func TestSessionEscalationsSurfaced(t *testing.T) {
 	op := thermosyphon.DefaultOperating()
 	st := fullLoadState(2.2)
 
-	ses := sys.NewSession(WithSolver(thermal.SolverMGPCG32))
+	ses := sys.NewSession(WithSolver(thermal.SolverMGPCG))
 	ses.ws.InjectMGFault(true)
 	if _, err := ses.SolveSteady(nil, st, op); err != nil {
 		t.Fatalf("ladder did not rescue the poisoned session solve: %v", err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/power"
 	"repro/internal/thermal"
@@ -48,6 +49,10 @@ type Session struct {
 	q, qNew    []float64
 	layerPower [][]float64 // dense die-layer injection table (index 0)
 	bp         map[string]float64
+
+	// closeMu serializes Close, the one method that may run concurrently
+	// (see Close).
+	closeMu sync.Mutex
 }
 
 // SessionOption configures a Session at construction.
@@ -102,6 +107,8 @@ func WithThreads(n int) SessionOption {
 // same cached session, and the loser of that race must not corrupt the
 // worker team the winner already tore down.
 func (ses *Session) Close() error {
+	ses.closeMu.Lock()
+	defer ses.closeMu.Unlock()
 	ses.ws.Close()
 	return nil
 }

@@ -169,57 +169,3 @@ func (mg *Multigrid) Apply(r, z Vector) {
 // fraction that is not itemized). CG folds this into CGResult.Applies so
 // MG-PCG's reported work includes the cycles it spends.
 func (mg *Multigrid) ApplyCost() int { return mg.Pre + mg.Post + 1 }
-
-// MGOptions configures the standalone multigrid solver.
-type MGOptions struct {
-	// Tol is the relative residual tolerance ‖r‖/‖b‖. Default 1e-9.
-	Tol float64
-	// MaxCycles caps V-cycles. Default 200.
-	MaxCycles int
-}
-
-// MGSolve iterates V-cycles until the finest-level relative residual drops
-// below the tolerance. x is the initial guess, updated in place.
-// CGResult.Iterations counts V-cycles; Applies charges each cycle with its
-// fine-level work (Pre+Post sweeps plus two residual evaluations — the one
-// inside the cycle and the convergence check), so solver comparisons by
-// Applies are conservative against multigrid.
-func MGSolve(mg *Multigrid, b, x Vector, opt MGOptions) (CGResult, error) {
-	if opt.Tol <= 0 {
-		opt.Tol = 1e-9
-	}
-	if opt.MaxCycles <= 0 {
-		opt.MaxCycles = 200
-	}
-	bNorm := b.Norm2()
-	if bNorm == 0 {
-		x.Fill(0)
-		return CGResult{}, nil
-	}
-	a := mg.levels[0].A
-	r := mg.r[0]
-	var res CGResult
-	a.Residual(b, x, r)
-	res.Applies = 1
-	res.Residual = r.Norm2() / bNorm
-	if badFloat(res.Residual) {
-		return res, failure("mg", CauseNaN, res)
-	}
-	if res.Residual < opt.Tol {
-		return res, nil
-	}
-	for k := 0; k < opt.MaxCycles; k++ {
-		mg.Cycle(b, x)
-		a.Residual(b, x, r)
-		res.Iterations = k + 1
-		res.Applies += mg.Pre + mg.Post + 2
-		res.Residual = r.Norm2() / bNorm
-		if badFloat(res.Residual) {
-			return res, failure("mg", CauseNaN, res)
-		}
-		if res.Residual < opt.Tol {
-			return res, nil
-		}
-	}
-	return res, failure("mg", CauseMaxIter, res)
-}

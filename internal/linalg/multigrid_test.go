@@ -136,43 +136,6 @@ func buildLap1DMG(t testing.TB, n int) *Multigrid {
 	return mg
 }
 
-// TestMGSolvePoisson: V-cycles alone must solve the 1-D Poisson problem
-// to tight tolerance in a resolution-independent number of cycles: the
-// count must not grow as the grid refines 16× (unlike CG or SOR, whose
-// iteration counts scale with a power of n).
-func TestMGSolvePoisson(t *testing.T) {
-	cycles := map[int]int{}
-	for _, n := range []int{64, 256, 1024} {
-		want := make(Vector, n)
-		for i := range want {
-			want[i] = math.Sin(float64(i)*0.05) + 0.3*math.Cos(float64(i)*0.011)
-		}
-		b := poissonRHS(n, want)
-		mg := buildLap1DMG(t, n)
-		mg.Pre, mg.Post = 2, 2
-		x := make(Vector, n)
-		res, err := MGSolve(mg, b, x, MGOptions{Tol: 1e-11})
-		if err != nil {
-			t.Fatalf("n=%d: MGSolve failed after %d cycles, res %g: %v", n, res.Iterations, res.Residual, err)
-		}
-		cycles[n] = res.Iterations
-		if res.Iterations > 40 {
-			t.Fatalf("n=%d: %d cycles — V-cycle convergence has degraded", n, res.Iterations)
-		}
-		for i := range want {
-			if !almostEqual(x[i], want[i], 1e-6) {
-				t.Fatalf("n=%d: x[%d]=%v want %v", n, i, x[i], want[i])
-			}
-		}
-	}
-	// 16× refinement may cost a few extra cycles (boundary interpolation
-	// is only first-order at the Dirichlet walls) but nothing like the
-	// 16× more iterations an unpreconditioned Krylov solver would need.
-	if cycles[1024] > cycles[64]+10 {
-		t.Fatalf("cycle count grows with resolution: %v", cycles)
-	}
-}
-
 // TestMGPreconditionedCG: with a V-cycle as preconditioner, CG must
 // converge in far fewer iterations than with Jacobi alone, and reach the
 // same answer.

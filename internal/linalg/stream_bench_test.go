@@ -9,11 +9,9 @@ const streamN = 1 << 21
 
 // BenchmarkStreamTriad is the STREAM triad (a[i] = b[i] + s·c[i]) on this
 // host — the canonical memory-bandwidth ceiling every stencil and smoother
-// kernel is judged against. scripts/bench_json.py lifts this benchmark's
-// MB/s into the document-level `stream_triad_mb_s` and derives each
-// kernel bench's `fraction_of_peak` from it, so BENCH_*.json reads as
-// "kernel X at Y% of measured memory bandwidth" instead of a bare ns/op.
-// Bytes per element follow the STREAM convention: 8 B read from b, 8 B
+// kernel is judged against: dividing a kernel bench's MB/s by this one's
+// reads as "kernel X at Y% of measured memory bandwidth" instead of a bare
+// ns/op. Bytes per element follow the STREAM convention: 8 B read from b, 8 B
 // read from c, 8 B written to a (write-allocate traffic not counted), so
 // fractions computed against it are conservative.
 func BenchmarkStreamTriad(b *testing.B) {

@@ -72,7 +72,8 @@ func BenchmarkServeSteady(b *testing.B) {
 // BenchmarkServeLoad drives the deterministic open-loop client against a
 // live server over a real socket and reports service-level percentiles,
 // sustained throughput, and warm-cache hit rate — uniform vs Zipf-skewed
-// key popularity. These rows are the BENCH_8.json load table.
+// key popularity. EXPERIMENTS.md records one run; the gated service
+// benchmark is `bash bench/run.sh` (see bench/README.md).
 func BenchmarkServeLoad(b *testing.B) {
 	for _, tc := range []struct {
 		name string

@@ -142,6 +142,7 @@ func TestSteadyRejectsBadRequests(t *testing.T) {
 		{"core range", `{"benchmark":"x264","cores":1,"threads":1,"active_cores":[9]}`},
 		{"bad fault", `{"benchmark":"x264","fault":"gremlin:0.5"}`},
 		{"bad solver", `{"benchmark":"x264","solver":"gauss"}`},
+		{"removed solver", `{"benchmark":"x264","solver":"mgpcg32"}`},
 		{"bad resolution", `{"benchmark":"x264","resolution":"ultra"}`},
 		{"unknown field", `{"benchmark":"x264","turbo":true}`},
 		{"bad water", `{"benchmark":"x264","water_c":-5,"water_flow_kgh":7}`},

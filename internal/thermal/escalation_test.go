@@ -3,6 +3,7 @@ package thermal
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/floorplan"
@@ -16,15 +17,34 @@ func escalationFixture(t testing.TB) (*Model, map[int][]float64, TopBoundary) {
 	return xvalModel(t, floorplan.XeonE5Package(), 38, 30)
 }
 
+// TestParseSolverRoundTrip: every solver parses back from its flag
+// spelling, and the spellings of deleted modes are refused with an error
+// that lists the valid ones.
+func TestParseSolverRoundTrip(t *testing.T) {
+	for _, s := range []Solver{SolverCG, SolverMGPCG} {
+		got, err := ParseSolver(s.String())
+		if err != nil || got != s {
+			t.Errorf("ParseSolver(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	for _, name := range []string{"mg", "mgpcg32", "mgpcg-cheb"} {
+		_, err := ParseSolver(name)
+		if err == nil {
+			t.Errorf("ParseSolver(%q) accepted a removed solver", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "cg|mgpcg)") {
+			t.Errorf("ParseSolver(%q) error %q does not list cg|mgpcg", name, err)
+		}
+	}
+}
+
 func TestNextRung(t *testing.T) {
 	cases := []struct {
 		from Solver
 		to   Solver
 		ok   bool
 	}{
-		{SolverMGPCG32, SolverMGPCG, true},
-		{SolverMGPCGCheb, SolverMGPCG, true},
-		{SolverMG, SolverMGPCG, true},
 		{SolverMGPCG, SolverCG, true},
 		{SolverCG, SolverCG, false}, // terminal rung
 	}
@@ -37,9 +57,9 @@ func TestNextRung(t *testing.T) {
 }
 
 // TestInjectedMGFaultEscalatesToCG is the PR's acceptance gate: with the
-// MG preconditioner NaN-poisoned, a mgpcg32 steady solve must descend the
-// ladder (mgpcg32 → mgpcg → cg), succeed on the terminal Jacobi-CG rung,
-// and agree with a direct Jacobi-CG solve.
+// MG preconditioner NaN-poisoned, a mgpcg steady solve must descend the
+// ladder (mgpcg → cg), succeed on the terminal Jacobi-CG rung, and agree
+// with a direct Jacobi-CG solve.
 func TestInjectedMGFaultEscalatesToCG(t *testing.T) {
 	m, power, bc := escalationFixture(t)
 
@@ -52,7 +72,7 @@ func TestInjectedMGFaultEscalatesToCG(t *testing.T) {
 	}
 
 	w := m.NewWorkspace()
-	w.SetSolver(SolverMGPCG32)
+	w.SetSolver(SolverMGPCG)
 	w.InjectMGFault(true)
 	got := w.FieldA()
 	if err := w.SteadySolveInto(got, nil, power, bc); err != nil {
@@ -60,19 +80,19 @@ func TestInjectedMGFaultEscalatesToCG(t *testing.T) {
 	}
 
 	esc := w.Escalations()
-	if len(esc) != 2 {
-		t.Fatalf("escalations = %v, want mgpcg32→mgpcg→cg (2 descents)", esc)
+	if len(esc) != 1 {
+		t.Fatalf("escalations = %v, want mgpcg→cg (1 descent)", esc)
 	}
-	if esc[0].From != SolverMGPCG32 || esc[0].To != SolverMGPCG || esc[0].Cause != "nan" {
-		t.Errorf("first descent = %v, want mgpcg32→mgpcg (nan)", esc[0])
+	if esc[0].From != SolverMGPCG || esc[0].To != SolverCG || esc[0].Cause != "nan" {
+		t.Errorf("descent = %v, want mgpcg→cg (nan)", esc[0])
 	}
-	if esc[1].From != SolverMGPCG || esc[1].To != SolverCG || esc[1].Cause != "nan" {
-		t.Errorf("second descent = %v, want mgpcg→cg (nan)", esc[1])
+	if got := esc[0].String(); got != "mgpcg→cg (nan)" {
+		t.Errorf("descent renders as %q, want %q", got, "mgpcg→cg (nan)")
 	}
-	if w.Stats().Escalations != 2 {
-		t.Errorf("Stats().Escalations = %d, want 2", w.Stats().Escalations)
+	if w.Stats().Escalations != 1 {
+		t.Errorf("Stats().Escalations = %d, want 1", w.Stats().Escalations)
 	}
-	if w.Solver() != SolverMGPCG32 {
+	if w.Solver() != SolverMGPCG {
 		t.Errorf("configured solver drifted to %v — ladder must not rewrite it", w.Solver())
 	}
 
@@ -131,7 +151,7 @@ func TestEscalationByteIdenticalAcrossThreads(t *testing.T) {
 	solve := func(threads int) linalg.Vector {
 		w := m.NewWorkspace()
 		defer w.Close()
-		w.SetSolver(SolverMGPCG32)
+		w.SetSolver(SolverMGPCG)
 		w.InjectMGFault(true)
 		if threads > 1 {
 			w.SetThreads(threads)
@@ -140,7 +160,7 @@ func TestEscalationByteIdenticalAcrossThreads(t *testing.T) {
 		if err := w.SteadySolveInto(f, nil, power, bc); err != nil {
 			t.Fatal(err)
 		}
-		if len(w.Escalations()) != 2 {
+		if len(w.Escalations()) != 1 {
 			t.Fatalf("threads=%d: escalations = %v", threads, w.Escalations())
 		}
 		return append(linalg.Vector(nil), f.T...)
@@ -186,7 +206,7 @@ func TestEscalationDisabled(t *testing.T) {
 func TestEscalationObservesContext(t *testing.T) {
 	m, power, bc := escalationFixture(t)
 	w := m.NewWorkspace()
-	w.SetSolver(SolverMGPCG32)
+	w.SetSolver(SolverMGPCG)
 	w.InjectMGFault(true)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -55,9 +55,9 @@ func solveWithTol(t testing.TB, m *Model, s Solver, power map[int][]float64, bc 
 	return x, w.Stats()
 }
 
-// TestSolverCrossValidation: Jacobi-CG, MG-PCG and standalone MG must
-// agree on the steady field to 1e-7 max-abs on both the Broadwell (Xeon
-// E5) package and the generic scaled package.
+// TestSolverCrossValidation: Jacobi-CG and MG-PCG must agree on the
+// steady field to 1e-7 max-abs on both the Broadwell (Xeon E5) package
+// and the generic scaled package.
 func TestSolverCrossValidation(t *testing.T) {
 	spec := floorplan.DefaultGridSpec(4, 4)
 	fp, err := floorplan.Generic(spec)
@@ -76,17 +76,15 @@ func TestSolverCrossValidation(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			m, power, bc := xvalModel(t, c.pg, c.nx, c.ny)
 			ref, _ := solveWithTol(t, m, SolverCG, power, bc, 1e-12)
-			for _, s := range []Solver{SolverMGPCG, SolverMG, SolverMGPCG32, SolverMGPCGCheb} {
-				got, _ := solveWithTol(t, m, s, power, bc, 1e-12)
-				var maxAbs float64
-				for i := range ref {
-					if d := math.Abs(got[i] - ref[i]); d > maxAbs {
-						maxAbs = d
-					}
+			got, _ := solveWithTol(t, m, SolverMGPCG, power, bc, 1e-12)
+			var maxAbs float64
+			for i := range ref {
+				if d := math.Abs(got[i] - ref[i]); d > maxAbs {
+					maxAbs = d
 				}
-				if maxAbs > 1e-7 {
-					t.Errorf("%v deviates from cg by %.3g °C max-abs (want ≤ 1e-7)", s, maxAbs)
-				}
+			}
+			if maxAbs > 1e-7 {
+				t.Errorf("mgpcg deviates from cg by %.3g °C max-abs (want ≤ 1e-7)", maxAbs)
 			}
 		})
 	}
@@ -132,12 +130,12 @@ func TestMGPCGAppliesAdvantage(t *testing.T) {
 		float64(cgStats.Applies)/float64(mgStats.Applies))
 }
 
-// TestMGSolversDeterministic: for a fixed solver selection, repeated
-// solves on fresh workspaces must be byte-identical — the property the
+// TestMGSolversDeterministic: for each solver, repeated solves on fresh
+// workspaces must be byte-identical — the property the
 // pooled sweeps rely on.
 func TestMGSolversDeterministic(t *testing.T) {
 	m, power, bc := xvalModel(t, floorplan.XeonE5Package(), 38, 30)
-	for _, s := range []Solver{SolverMGPCG, SolverMG, SolverMGPCG32, SolverMGPCGCheb} {
+	for _, s := range []Solver{SolverCG, SolverMGPCG} {
 		a, _ := solveWithTol(t, m, s, power, bc, 1e-10)
 		b, _ := solveWithTol(t, m, s, power, bc, 1e-10)
 		for i := range a {
@@ -149,37 +147,35 @@ func TestMGSolversDeterministic(t *testing.T) {
 }
 
 // TestWorkspaceMGZeroAllocs: the warm V-cycle path (hierarchy built,
-// buffers sized) must perform zero heap allocations, for both the MG-PCG
-// and standalone-MG solvers, steady and transient.
+// buffers sized) must perform zero heap allocations, steady and transient.
 func TestWorkspaceMGZeroAllocs(t *testing.T) {
-	for _, s := range []Solver{SolverMGPCG, SolverMG, SolverMGPCG32, SolverMGPCGCheb} {
-		t.Run(s.String(), func(t *testing.T) {
-			m, power, bc := workspaceFixture(t)
-			w := m.NewWorkspace()
-			w.SetSolver(s)
-			f := w.FieldA()
-			if err := w.SteadySolveInto(f, nil, power, bc); err != nil { // warm-up
+	s := SolverMGPCG
+	t.Run(s.String(), func(t *testing.T) {
+		m, power, bc := workspaceFixture(t)
+		w := m.NewWorkspace()
+		w.SetSolver(s)
+		f := w.FieldA()
+		if err := w.SteadySolveInto(f, nil, power, bc); err != nil { // warm-up
+			t.Fatal(err)
+		}
+		solve := func() {
+			if err := w.SteadySolveInto(f, f, power, bc); err != nil {
 				t.Fatal(err)
 			}
-			solve := func() {
-				if err := w.SteadySolveInto(f, f, power, bc); err != nil {
-					t.Fatal(err)
-				}
+		}
+		if allocs := testing.AllocsPerRun(20, solve); allocs != 0 {
+			t.Fatalf("warm %v steady solve allocated %.1f times per run, want 0", s, allocs)
+		}
+		step := func() {
+			if err := w.StepTransientInto(f, f, 0.25, power, bc); err != nil {
+				t.Fatal(err)
 			}
-			if allocs := testing.AllocsPerRun(20, solve); allocs != 0 {
-				t.Fatalf("warm %v steady solve allocated %.1f times per run, want 0", s, allocs)
-			}
-			step := func() {
-				if err := w.StepTransientInto(f, f, 0.25, power, bc); err != nil {
-					t.Fatal(err)
-				}
-			}
-			step() // warm transient (same hierarchy, capacitive diagonal)
-			if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
-				t.Fatalf("warm %v transient step allocated %.1f times per run, want 0", s, allocs)
-			}
-		})
-	}
+		}
+		step() // warm transient (same hierarchy, capacitive diagonal)
+		if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+			t.Fatalf("warm %v transient step allocated %.1f times per run, want 0", s, allocs)
+		}
+	})
 }
 
 // TestHierarchyCoarseOperatorConsistency: on a uniform two-layer copper

@@ -60,9 +60,9 @@ func vecsEqual(t *testing.T, what string, got, want linalg.Vector) {
 	}
 }
 
-// TestStencilKernelsByteIdenticalAcrossThreads checks Apply, Residual and
-// both red-black smoothing directions at several team widths against the
-// serial sweep.
+// TestStencilKernelsByteIdenticalAcrossThreads checks Apply, Residual,
+// both red-black smoothing directions and the fused smooth+residual pass
+// at several team widths against the serial sweep.
 func TestStencilKernelsByteIdenticalAcrossThreads(t *testing.T) {
 	m, power, bc := parModel(t)
 	ref := m.NewWorkspace()
@@ -84,8 +84,6 @@ func TestStencilKernelsByteIdenticalAcrossThreads(t *testing.T) {
 	wantSRx := x.Clone()
 	wantSRr := make(linalg.Vector, m.n)
 	ref.op.SmoothResidual(b, wantSRx, wantSRr)
-	wantJac := make(linalg.Vector, m.n)
-	ref.op.JacobiStep(b, x, wantJac, 0.7)
 
 	for _, threads := range []int{2, 3, 8} {
 		w := m.NewWorkspace()
@@ -108,11 +106,36 @@ func TestStencilKernelsByteIdenticalAcrossThreads(t *testing.T) {
 		w.op.SmoothResidual(b, srx, srr)
 		vecsEqual(t, "SmoothResidual iterate", srx, wantSRx)
 		vecsEqual(t, "SmoothResidual residual", srr, wantSRr)
-		jac := make(linalg.Vector, m.n)
-		w.op.JacobiStep(b, x, jac, 0.7)
-		vecsEqual(t, "JacobiStep", jac, wantJac)
 		w.Close()
 	}
+}
+
+// TestFusedSmoothResidualMatchesUnfused is the FusedSmoother contract:
+// SmoothResidual must produce exactly the bytes of Smooth(b, x, false)
+// followed by Residual(b, x, r) — serial and at several team widths.
+func TestFusedSmoothResidualMatchesUnfused(t *testing.T) {
+	m, power, bc := parModel(t)
+	w := m.NewWorkspace()
+	m.fillOperator(&w.op, bc, 0)
+	b, err := m.rhs(power, bc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x0 := parField(m.n)
+	wantX := x0.Clone()
+	w.op.Smooth(b, wantX, false)
+	wantR := make(linalg.Vector, m.n)
+	w.op.Residual(b, wantX, wantR)
+
+	for _, threads := range []int{1, 3, 8} {
+		w.SetThreads(threads)
+		x := x0.Clone()
+		r := make(linalg.Vector, m.n)
+		w.op.SmoothResidual(b, x, r)
+		vecsEqual(t, "fused iterate", x, wantX)
+		vecsEqual(t, "fused residual", r, wantR)
+	}
+	w.Close()
 }
 
 // TestSolvesByteIdenticalAcrossThreads runs the steady and transient
@@ -122,7 +145,7 @@ func TestStencilKernelsByteIdenticalAcrossThreads(t *testing.T) {
 // stencil and the layer-slab multigrid transfers together.
 func TestSolvesByteIdenticalAcrossThreads(t *testing.T) {
 	m, power, bc := parModel(t)
-	for _, solver := range []Solver{SolverCG, SolverMGPCG, SolverMG, SolverMGPCG32, SolverMGPCGCheb} {
+	for _, solver := range []Solver{SolverCG, SolverMGPCG} {
 		ref := m.NewWorkspace()
 		ref.SetSolver(solver)
 		steady := ref.FieldA()
@@ -244,11 +267,11 @@ func TestSetThreadsLifecycle(t *testing.T) {
 // TestThreadScalingSpeedup asserts the PR's wall-clock acceptance
 // criterion — ≥2.5× on the 256×256 steady solve at 8 threads vs serial —
 // where it is physically meaningful: the test skips on hardware with
-// fewer than 8 ways (including the 1-CPU dev container and the 2-core
-// CI runners), so the assertion runs exactly on the machines the
-// criterion describes. Best-of-5 timing per configuration resists
-// scheduler noise; BENCH_5.json records the same ratio for every run of
-// scripts/bench.sh regardless of width.
+// fewer than 8 ways (including 2-core CI runners), so the assertion runs
+// exactly on the machines the criterion describes. Best-of-5 timing per
+// configuration resists scheduler noise. BenchmarkSteadySolveSize
+// measures the same ratio at any width; the end-to-end benchmark that
+// gates changes is `bash bench/run.sh` (see bench/README.md).
 func TestThreadScalingSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")

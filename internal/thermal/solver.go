@@ -18,23 +18,6 @@ const (
 	// iteration counts (O(n) work) with CG's robustness. The default
 	// choice for fine grids.
 	SolverMGPCG
-	// SolverMG iterates V-cycles alone. Cheapest per digit on smooth
-	// problems, but without the Krylov wrapper it is less forgiving of
-	// strong coefficient jumps.
-	SolverMG
-	// SolverMGPCG32 is SolverMGPCG with the V-cycle preconditioner run
-	// entirely in float32: the CG outer loop (residuals, dot products,
-	// convergence test) stays float64, so the answer converges to the same
-	// tolerance, while the preconditioner — the dominant memory traffic of
-	// an MG-PCG iteration — moves half the bytes. The fastest mode on
-	// bandwidth-bound grids.
-	SolverMGPCG32
-	// SolverMGPCGCheb is SolverMGPCG with Chebyshev polynomial smoothing
-	// on the V-cycle levels instead of red-black Gauss-Seidel: each
-	// smoothing step is one fused Jacobi pass (one barrier) instead of two
-	// color phases (two barriers), trading a per-solve eigenvalue estimate
-	// for half the synchronization points per sweep.
-	SolverMGPCGCheb
 )
 
 // String names the solver the way the -solver command-line flags spell it.
@@ -44,12 +27,6 @@ func (s Solver) String() string {
 		return "cg"
 	case SolverMGPCG:
 		return "mgpcg"
-	case SolverMG:
-		return "mg"
-	case SolverMGPCG32:
-		return "mgpcg32"
-	case SolverMGPCGCheb:
-		return "mgpcg-cheb"
 	default:
 		return fmt.Sprintf("solver(%d)", int(s))
 	}
@@ -62,37 +39,23 @@ func ParseSolver(s string) (Solver, error) {
 		return SolverCG, nil
 	case "mgpcg":
 		return SolverMGPCG, nil
-	case "mg":
-		return SolverMG, nil
-	case "mgpcg32":
-		return SolverMGPCG32, nil
-	case "mgpcg-cheb":
-		return SolverMGPCGCheb, nil
 	default:
-		return SolverCG, fmt.Errorf("thermal: unknown solver %q (want cg|mgpcg|mg|mgpcg32|mgpcg-cheb)", s)
+		return SolverCG, fmt.Errorf("thermal: unknown solver %q (want cg|mgpcg)", s)
 	}
 }
 
 // nextRung returns the solver the escalation ladder falls back to after s
-// fails, and whether a rung below s exists. The ladder funnels every mode
-// toward the terminal Jacobi-CG rung — the solver with the least numerical
-// machinery (no float32 mirror, no V-cycle, no eigenvalue estimates) and
-// hence the least that can break:
+// fails, and whether a rung below s exists. The ladder ends on the
+// terminal Jacobi-CG rung — the solver with the least numerical machinery
+// (no V-cycle) and hence the least that can break:
 //
-//	mgpcg32    → mgpcg → cg
-//	mgpcg-cheb → mgpcg → cg
-//	mg         → mgpcg → cg
-//	mgpcg      → cg
-//	cg         (terminal)
+//	mgpcg → cg
+//	cg    (terminal)
 func nextRung(s Solver) (Solver, bool) {
-	switch s {
-	case SolverMGPCG32, SolverMGPCGCheb, SolverMG:
-		return SolverMGPCG, true
-	case SolverMGPCG:
+	if s == SolverMGPCG {
 		return SolverCG, true
-	default:
-		return s, false
 	}
+	return s, false
 }
 
 // Escalation records one rung descent of the solver escalation ladder: the
@@ -106,7 +69,7 @@ type Escalation struct {
 	Cause string
 }
 
-// String renders the descent, e.g. "mgpcg32→mgpcg (breakdown)".
+// String renders the descent, e.g. "mgpcg→cg (breakdown)".
 func (e Escalation) String() string {
 	return fmt.Sprintf("%s→%s (%s)", e.From, e.To, e.Cause)
 }
@@ -116,7 +79,7 @@ func (e Escalation) String() string {
 type SolveStats struct {
 	// Solves counts linear solves (steady solves and transient steps).
 	Solves int
-	// Iterations counts CG iterations or V-cycles across all solves.
+	// Iterations counts CG iterations across all solves.
 	Iterations int
 	// Applies counts fine-grid operator applications as reported by the
 	// linalg drivers (see linalg.CGResult.Applies).

@@ -60,7 +60,6 @@ type stencilJob struct {
 	mode    int
 	b, x, y linalg.Vector
 	color   int
-	omega   float64
 }
 
 const (
@@ -69,7 +68,6 @@ const (
 	jobSmooth
 	jobSmoothResidual
 	jobResidualColor
-	jobJacobiStep
 )
 
 // Do implements linalg.Task.
@@ -86,17 +84,12 @@ func (j *stencilJob) Do(worker, workers int) {
 		j.s.smoothResidualRows(j.b, j.x, j.y, j.color, lo, hi)
 	case jobResidualColor:
 		j.s.residualColorRows(j.b, j.x, j.y, j.color, lo, hi)
-	case jobJacobiStep:
-		j.s.jacobiStepRows(j.b, j.x, j.y, j.omega, lo, hi)
 	}
 }
 
-// The stencil provides the fused and polynomial smoothing kernels the
-// V-cycle drivers dispatch on when available.
-var (
-	_ linalg.FusedSmoother = (*stencil)(nil)
-	_ linalg.JacobiStepper = (*stencil)(nil)
-)
+// The stencil provides the fused smoothing kernel the V-cycle driver
+// dispatches on when available.
+var _ linalg.FusedSmoother = (*stencil)(nil)
 
 // Size returns the dimension of the operator.
 func (s *stencil) Size() int { return s.n }
@@ -439,60 +432,6 @@ func (s *stencil) residualColorRows(b, x, r linalg.Vector, color, rowLo, rowHi i
 				}
 			}
 			r[i] = b[i] - v
-		}
-	}
-}
-
-// JacobiStep implements linalg.JacobiStepper for the Chebyshev smoother:
-// y = x + ω·D⁻¹(b − A·x) in one gather pass — residual, diagonal scale
-// and update fused, one barrier per polynomial degree (a red-black sweep
-// costs two). x is read-only for the pass and y is written once per cell,
-// so banding the rows across the team is deterministic by construction.
-func (s *stencil) JacobiStep(b, x, y linalg.Vector, omega float64) {
-	if s.parallel() {
-		s.job = stencilJob{s: s, mode: jobJacobiStep, b: b, x: x, y: y, omega: omega}
-		s.team.Run(&s.job)
-		return
-	}
-	s.jacobiStepRows(b, x, y, omega, 0, s.nl*s.ny)
-}
-
-// jacobiStepRows is the fused damped-Jacobi gather kernel over a row band.
-func (s *stencil) jacobiStepRows(b, x, y linalg.Vector, omega float64, rowLo, rowHi int) {
-	nx, ny, cells := s.nx, s.ny, s.cells
-	for g := rowLo; g < rowHi; g++ {
-		l, iy := g/ny, g%ny
-		i := l*cells + iy*nx
-		for ix := 0; ix < nx; ix++ {
-			v := s.diag[i] * x[i]
-			if l > 0 {
-				if gz := s.gz[i-cells]; gz != 0 {
-					v -= gz * x[i-cells]
-				}
-			}
-			if iy > 0 {
-				if gy := s.gy[i-nx]; gy != 0 {
-					v -= gy * x[i-nx]
-				}
-			}
-			if ix > 0 {
-				if gx := s.gx[i-1]; gx != 0 {
-					v -= gx * x[i-1]
-				}
-			}
-			if gx := s.gx[i]; gx != 0 {
-				v -= gx * x[i+1]
-			}
-			if gy := s.gy[i]; gy != 0 {
-				v -= gy * x[i+nx]
-			}
-			if l < s.nl-1 {
-				if gz := s.gz[i]; gz != 0 {
-					v -= gz * x[i+cells]
-				}
-			}
-			y[i] = x[i] + omega*s.invDiag[i]*(b[i]-v)
-			i++
 		}
 	}
 }

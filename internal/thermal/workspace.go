@@ -29,22 +29,10 @@ type Workspace struct {
 	cg  linalg.CGWorkspace
 
 	// solver selects the linear solver; hier is the multigrid ladder the
-	// MG and MG-PCG solvers use, built lazily on their first solve (the
-	// default CG path never pays for it). hier32 mirrors it in float32 for
-	// SolverMGPCG32; mgCheb/chebs are the Chebyshev-smoothed V-cycle of
-	// SolverMGPCGCheb over the same float64 ladder.
+	// MG-PCG solver uses, built lazily on its first solve (the default CG
+	// path never pays for it).
 	solver Solver
 	hier   *hierarchy
-	hier32 *hierarchy32
-	mgCheb *linalg.Multigrid
-	chebs  []*linalg.ChebySmoother
-	// chebDt is the capacitive regime (0 = steady, else the transient dt)
-	// the Chebyshev eigenvalue estimates were made in; solveDt is the
-	// current solve's regime. When they differ the estimates are reset —
-	// the capacitive diagonal term C/dt shifts the spectrum of D⁻¹A enough
-	// that an interval fitted to one regime can exclude the other's λmax.
-	chebDt  float64
-	solveDt float64
 
 	// team is the intra-solve worker team SetThreads owns; threads is the
 	// configured width (0 = never set, serial).
@@ -62,7 +50,7 @@ type Workspace struct {
 	// = enabled); esc accumulates the descents taken; seed snapshots the
 	// transient warm start so a retry can discard the poisoned iterate;
 	// ctx, when set, is observed between ladder rungs; poisonMG arms the
-	// fault-injection wrapper around multigrid preconditioners.
+	// fault-injection wrapper around the multigrid preconditioner.
 	noEscalate bool
 	esc        []Escalation
 	seed       linalg.Vector
@@ -90,9 +78,9 @@ func (m *Model) NewWorkspace() *Workspace {
 func (w *Workspace) Model() *Model { return w.m }
 
 // SetSolver selects the linear solver for subsequent solves. The zero
-// value SolverCG is the historical Jacobi-CG path; SolverMGPCG and
-// SolverMG route through the geometric multigrid hierarchy, which is
-// built once on first use and reused (allocation-free) afterwards.
+// value SolverCG is the historical Jacobi-CG path; SolverMGPCG routes
+// through the geometric multigrid hierarchy, which is built once on first
+// use and reused (allocation-free) afterwards.
 func (w *Workspace) SetSolver(s Solver) { w.solver = s }
 
 // Solver returns the workspace's selected linear solver.
@@ -144,9 +132,6 @@ func (w *Workspace) wireTeam() {
 	if w.hier != nil {
 		w.hier.setTeam(w.team)
 	}
-	if w.hier32 != nil {
-		w.hier32.setTeam(w.team)
-	}
 }
 
 // Stats returns cumulative linear-solver effort since the workspace was
@@ -154,7 +139,7 @@ func (w *Workspace) wireTeam() {
 func (w *Workspace) Stats() SolveStats { return w.stats }
 
 // LastSolve returns the convergence report of the most recent linear
-// solve (iterations are V-cycles for SolverMG).
+// solve.
 func (w *Workspace) LastSolve() linalg.CGResult { return w.last }
 
 // ensureHierarchy lazily builds the multigrid ladder over the
@@ -172,73 +157,18 @@ func (w *Workspace) ensureHierarchy() error {
 	return nil
 }
 
-// ensureHierarchy32 lazily mirrors the multigrid ladder in float32.
-func (w *Workspace) ensureHierarchy32() error {
-	if w.hier32 != nil {
-		return nil
-	}
-	if err := w.ensureHierarchy(); err != nil {
-		return err
-	}
-	h32, err := newHierarchy32(w.hier)
-	if err != nil {
-		return err
-	}
-	h32.setTeam(w.team)
-	w.hier32 = h32
-	return nil
-}
-
-// ensureCheb lazily builds the Chebyshev-smoothed V-cycle over the
-// float64 ladder: every level but the coarsest swaps red-black
-// Gauss-Seidel for a degree-2 Chebyshev polynomial smoother wrapping the
-// same stencil (the smoothers alias the stencils' inverse diagonals, so
-// per-solve refreshes flow through). The coarsest level keeps plain
-// Gauss-Seidel — there the V-cycle runs an exhaustive symmetric solve,
-// not smoothing, and GS converges faster per sweep.
-func (w *Workspace) ensureCheb() error {
-	if w.mgCheb != nil {
-		return nil
-	}
-	if err := w.ensureHierarchy(); err != nil {
-		return err
-	}
-	mls := make([]linalg.MGLevel, len(w.hier.levels))
-	for i, lv := range w.hier.levels {
-		if lv.down != nil {
-			c := linalg.NewChebySmoother(lv.st, lv.st.invDiag, 2)
-			w.chebs = append(w.chebs, c)
-			mls[i] = linalg.MGLevel{A: c, Down: lv.down}
-		} else {
-			mls[i] = linalg.MGLevel{A: lv.st}
-		}
-	}
-	mg, err := linalg.NewMultigrid(mls)
-	if err != nil {
-		return err
-	}
-	w.mgCheb = mg
-	w.chebDt = -1 // force eigenvalue setup on the first solve
-	return nil
-}
-
 // poisonPrecond is the fault-injection wrapper InjectMGFault arms: it
-// forwards to the wrapped preconditioner, then writes a NaN into the
-// output — the numerical signature of an SPD preconditioner gone bad —
-// so the escalation ladder can be exercised deterministically.
-type poisonPrecond struct{ inner linalg.Preconditioner }
+// forwards to the V-cycle, then writes a NaN into the output — the
+// numerical signature of an SPD preconditioner gone bad — so the
+// escalation ladder can be exercised deterministically.
+type poisonPrecond struct{ inner *linalg.Multigrid }
 
 func (p *poisonPrecond) Apply(r, z linalg.Vector) {
 	p.inner.Apply(r, z)
 	z[0] = math.NaN()
 }
 
-func (p *poisonPrecond) ApplyCost() int {
-	if cp, ok := p.inner.(linalg.CostedPreconditioner); ok {
-		return cp.ApplyCost()
-	}
-	return 1
-}
+func (p *poisonPrecond) ApplyCost() int { return p.inner.ApplyCost() }
 
 // reseedMode tells a ladder retry how to rebuild the initial iterate after
 // discarding the failed rung's (possibly NaN-poisoned) one.
@@ -270,9 +200,9 @@ func (w *Workspace) Escalations() []Escalation {
 }
 
 // InjectMGFault arms (or disarms) the fault-injection hook: while armed,
-// every multigrid-family preconditioner is wrapped so its output is
-// NaN-poisoned, forcing the MG rungs of the escalation ladder to fail and
-// the solve to degrade to the terminal Jacobi-CG rung. Test/demo knob for
+// the multigrid preconditioner is wrapped so its output is NaN-poisoned,
+// forcing the mgpcg rung of the escalation ladder to fail and the solve to
+// degrade to the terminal Jacobi-CG rung. Test/demo knob for
 // proving the ladder works; it never changes the converged answer, only
 // which solver produces it.
 func (w *Workspace) InjectMGFault(on bool) { w.poisonMG = on }
@@ -333,75 +263,30 @@ func (w *Workspace) solve(x linalg.Vector, tol float64, rm reseedMode) error {
 // fillOperator assembled, so steady and transient systems need no extra
 // plumbing here.
 func (w *Workspace) solveWith(s Solver, x linalg.Vector, tol float64) error {
-	var (
-		res linalg.CGResult
-		err error
-	)
-	switch s {
-	case SolverMGPCG, SolverMG:
-		if err = w.ensureHierarchy(); err != nil {
+	pre := linalg.Preconditioner(&w.pre)
+	if s == SolverMGPCG {
+		if err := w.ensureHierarchy(); err != nil {
 			return err
 		}
 		w.hier.refresh()
-		if s == SolverMG {
-			res, err = linalg.MGSolve(w.hier.mg, w.rhs, x, linalg.MGOptions{Tol: tol, MaxCycles: 300})
-		} else {
-			res, err = linalg.CGWith(&w.op, w.rhs, x, linalg.CGOptions{
-				Tol:     tol,
-				MaxIter: 40 * w.m.n,
-				Precond: w.precond(w.hier.mg),
-			}, &w.cg)
+		pre = w.hier.mg
+		if w.poisonMG {
+			// The terminal Jacobi rung never takes this branch, so it
+			// stays fault-free by construction.
+			w.poison.inner = w.hier.mg
+			pre = &w.poison
 		}
-	case SolverMGPCG32:
-		if err = w.ensureHierarchy32(); err != nil {
-			return err
-		}
-		w.hier.refresh()
-		w.hier32.refresh()
-		res, err = linalg.CGWith(&w.op, w.rhs, x, linalg.CGOptions{
-			Tol:     tol,
-			MaxIter: 40 * w.m.n,
-			Precond: w.precond(w.hier32.mg),
-		}, &w.cg)
-	case SolverMGPCGCheb:
-		if err = w.ensureCheb(); err != nil {
-			return err
-		}
-		w.hier.refresh()
-		if w.solveDt != w.chebDt {
-			for _, c := range w.chebs {
-				c.Reset()
-			}
-			w.chebDt = w.solveDt
-		}
-		res, err = linalg.CGWith(&w.op, w.rhs, x, linalg.CGOptions{
-			Tol:     tol,
-			MaxIter: 40 * w.m.n,
-			Precond: w.precond(w.mgCheb),
-		}, &w.cg)
-	default:
-		res, err = linalg.CGWith(&w.op, w.rhs, x, linalg.CGOptions{
-			Tol:     tol,
-			MaxIter: 40 * w.m.n,
-			Precond: &w.pre,
-		}, &w.cg)
 	}
+	res, err := linalg.CGWith(&w.op, w.rhs, x, linalg.CGOptions{
+		Tol:     tol,
+		MaxIter: 40 * w.m.n,
+		Precond: pre,
+	}, &w.cg)
 	w.last = res
 	w.stats.Solves++
 	w.stats.Iterations += res.Iterations
 	w.stats.Applies += res.Applies
 	return err
-}
-
-// precond returns the multigrid-family preconditioner to hand CG, wrapped
-// with the NaN poisoner when InjectMGFault armed it. The terminal Jacobi
-// rung never routes through here, so it stays fault-free by construction.
-func (w *Workspace) precond(mg linalg.Preconditioner) linalg.Preconditioner {
-	if !w.poisonMG {
-		return mg
-	}
-	w.poison.inner = mg
-	return &w.poison
 }
 
 // FieldA returns the workspace's first reusable field buffer, allocating
@@ -488,7 +373,6 @@ func (w *Workspace) SteadySolveLayersInto(dst, init *Field, layers [][]float64, 
 		return err
 	}
 	m.fillOperator(&w.op, bc, 0)
-	w.solveDt = 0
 	if err := m.rhsLayersInto(w.rhs, layers, bc); err != nil {
 		return err
 	}
@@ -536,7 +420,6 @@ func (w *Workspace) StepTransientLayersInto(dst, prev *Field, dt float64, layers
 		return err
 	}
 	m.fillOperator(&w.op, bc, 1/dt)
-	w.solveDt = dt
 	if err := m.rhsLayersInto(w.rhs, layers, bc); err != nil {
 		return err
 	}
