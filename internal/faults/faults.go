@@ -12,6 +12,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -98,11 +99,16 @@ type Fault struct {
 
 // Validate checks the fault parameters.
 func (f Fault) Validate() error {
-	if f.Severity < 0 || f.Severity >= 1 {
+	// The negated range test also rejects NaN, which fails every
+	// comparison.
+	if !(f.Severity >= 0 && f.Severity < 1) {
 		return fmt.Errorf("faults: %s severity %g out of range [0,1)", f.Kind, f.Severity)
 	}
 	if int(f.Kind) >= len(kindNames) || f.Kind < 0 {
 		return fmt.Errorf("faults: invalid kind %d", int(f.Kind))
+	}
+	if math.IsNaN(f.OnsetHour) || math.IsInf(f.OnsetHour, 0) {
+		return fmt.Errorf("faults: %s onset hour %g is not finite", f.Kind, f.OnsetHour)
 	}
 	if f.OnsetHour < 0 {
 		return fmt.Errorf("faults: %s onset hour %g is negative", f.Kind, f.OnsetHour)

@@ -35,6 +35,11 @@ func TestFaultValidate(t *testing.T) {
 		{Kind: PumpDegradation, Severity: 1.5},
 		{Kind: Kind(99), Severity: 0.5},
 		{Kind: PumpDegradation, Severity: 0.5, OnsetHour: -1},
+		{Kind: PumpDegradation, Severity: math.NaN()},
+		{Kind: PumpDegradation, Severity: math.Inf(1)},
+		{Kind: PumpDegradation, Severity: math.Inf(-1)},
+		{Kind: CondenserFouling, Severity: 0.3, OnsetHour: math.NaN()},
+		{Kind: HTCDrift, Severity: 0.2, OnsetHour: math.Inf(1)},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("Validate accepted %+v", bad)
@@ -81,6 +86,10 @@ func TestParseErrors(t *testing.T) {
 		"meteor:0.5",         // unknown kind
 		"pump:0.5:a:b:c",     // too many fields
 		"pump:0.5@yesterday", // bad onset
+		"pump:NaN",           // non-finite severity
+		"pump:-Inf",          // non-finite severity
+		"fouling:0.3@NaN",    // non-finite onset
+		"htc:0.2@Inf",        // non-finite onset
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", spec)

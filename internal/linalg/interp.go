@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -37,7 +38,12 @@ func MustTable1D(xs, ys []float64) *Table1D {
 }
 
 // At returns the interpolated value at x, clamped to the table range.
+// A NaN query returns NaN: it fails both clamps, and the bracket search
+// would otherwise index past the end of the table.
 func (t *Table1D) At(x float64) float64 {
+	if math.IsNaN(x) {
+		return x
+	}
 	xs, ys := t.xs, t.ys
 	if x <= xs[0] {
 		return ys[0]

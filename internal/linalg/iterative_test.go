@@ -354,6 +354,9 @@ func TestTable1D(t *testing.T) {
 	if tab.Min() != 0 || tab.Max() != 2 {
 		t.Fatalf("range = [%v %v]", tab.Min(), tab.Max())
 	}
+	if got := tab.At(math.NaN()); !math.IsNaN(got) {
+		t.Fatalf("At(NaN)=%v want NaN", got)
+	}
 }
 
 func TestTable1DInverse(t *testing.T) {

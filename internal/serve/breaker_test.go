@@ -8,6 +8,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/cosim"
+	"repro/internal/refrigerant"
 )
 
 // TestBreakerStateMachine drives one breaker through the full closed →
@@ -306,6 +309,55 @@ func TestRecoverMiddleware(t *testing.T) {
 	s.SetChaos(nil)
 	if w := post(t, h, "/v1/steady", `{"benchmark":"x264"}`); w.Code != http.StatusOK {
 		t.Fatalf("server did not survive the panic: %d %s", w.Code, w.Body)
+	}
+}
+
+// TestSolvePanicReleasesFlightAndLease: a panic inside the steady solve
+// still finishes the proposal's flight and releases its lease poisoned,
+// so an identical request that follows gets its own answer instead of
+// blocking forever on the flight or on the lease lock.
+func TestSolvePanicReleasesFlightAndLease(t *testing.T) {
+	old := debugLogWriter
+	debugLogWriter = io.Discard
+	defer func() { debugLogWriter = old }()
+
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	build := s.leases.build
+	s.leases.build = func(k leaseKey) (*cosim.System, *cosim.Session, error) {
+		sys, ses, err := build(k)
+		if err != nil {
+			return nil, nil, err
+		}
+		ses.Close()
+		// A refrigerant without property tables panics on its first
+		// lookup, inside the coupled solve.
+		d := *ses.Design()
+		d.Fluid = &refrigerant.Fluid{}
+		return sys, sys.NewSession(cosim.WithDesign(d)), nil
+	}
+	const body = `{"benchmark":"x264"}`
+	for i := 1; i <= 2; i++ {
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() { done <- post(t, h, "/v1/steady", body) }()
+		select {
+		case w := <-done:
+			if w.Code != http.StatusInternalServerError || !strings.Contains(w.Body.String(), "internal panic (recovered)") {
+				t.Fatalf("request %d: %d %s, want a recovered-panic 500", i, w.Code, w.Body)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("request %d hung after a panicked solve", i)
+		}
+	}
+	if got := s.Snapshot().PanicsRecovered; got != 2 {
+		t.Fatalf("panics_recovered = %d, want 2", got)
+	}
+	if n := s.leases.len(); n != 0 {
+		t.Fatalf("%d leases cached after panicked solves, want 0 (poisoned)", n)
+	}
+	s.leases.build = build
+	if w := post(t, h, "/v1/steady", body); w.Code != http.StatusOK {
+		t.Fatalf("server did not recover from the panicked solves: %d %s", w.Code, w.Body)
 	}
 }
 

@@ -34,9 +34,10 @@
 // every solve seeds exactly like a fresh-session solve, so a recomputed
 // response — after memo eviction, on another session, on a fresh server —
 // is byte-identical to the first. Config.CarryWarmStart trades that
-// cross-request reproducibility for ~300× warm re-solves of *nearby*
-// proposals; identical proposals stay byte-identical either way because
-// they are served from the memo.
+// cross-request reproducibility for faster solves of *nearby* proposals
+// (one coupling pass, ~10× faster than cold at coarse resolution);
+// identical proposals stay byte-identical either way because they are
+// served from the memo.
 package serve
 
 import (
@@ -85,8 +86,9 @@ type Config struct {
 	// CarryWarmStart enables the cross-solve warm-start carry inside each
 	// cached session. Off (the default), every solve is byte-identical to
 	// a fresh-session solve; on, nearby what-ifs on a warm session
-	// converge ~300× faster but recomputed bodies are only
-	// tolerance-identical. Identical proposals are memoized either way.
+	// converge in one coupling pass (~10× faster than cold at coarse
+	// resolution) but recomputed bodies are only tolerance-identical.
+	// Identical proposals are memoized either way.
 	CarryWarmStart bool
 	// RequestTimeout bounds each request's solve (0 = no limit). The
 	// deadline threads through the ctx-aware solve loops, so a timed-out

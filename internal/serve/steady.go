@@ -408,15 +408,23 @@ func (s *Server) handleSteady(w http.ResponseWriter, r *http.Request) {
 		s.writeFailure(w, f.status, f.errMsg, f.retryAfter)
 		return
 	}
-	body, status, msg, retryAfter := s.solveProposal(ctx, p)
-	f.body, f.status, f.errMsg, f.retryAfter = body, status, msg, retryAfter
-	s.flights.finish(p.key, f)
-	if body != nil {
+	s.leadFlight(ctx, p, f)
+	if f.body != nil {
 		s.stats.memoMisses.Add(1)
-		writeCached(w, body, "miss")
+		writeCached(w, f.body, "miss")
 		return
 	}
-	s.writeFailure(w, status, msg, retryAfter)
+	s.writeFailure(w, f.status, f.errMsg, f.retryAfter)
+}
+
+// leadFlight solves the proposal as its flight's leader and publishes the
+// outcome in f. The flight is finished even when the solve panics, so
+// waiters and later arrivals see a 500 instead of blocking on a flight
+// no one will close; the panic itself goes on to the recovery middleware.
+func (s *Server) leadFlight(ctx context.Context, p *steadyProposal, f *flight) {
+	defer s.flights.finish(p.key, f)
+	f.status, f.errMsg = http.StatusInternalServerError, "steady solve panicked"
+	f.body, f.status, f.errMsg, f.retryAfter = s.solveProposal(ctx, p)
 }
 
 // solveProposal runs the miss path end to end — breaker, admission,
@@ -455,7 +463,15 @@ func (s *Server) solveProposal(ctx context.Context, p *steadyProposal) ([]byte, 
 	c := s.loadChaos()
 	sabotage := c != nil && c.roll(c.cfg.SabotageRate)
 	failInject := c != nil && c.roll(c.cfg.FailRate)
+	// The lease is unlocked and released on every exit, a panic included.
+	// Any exit but a clean success releases it poisoned, so no later
+	// request inherits a session a failed or panicked solve left behind.
+	poisoned := true
 	l.mu.Lock()
+	defer func() {
+		l.mu.Unlock()
+		s.leases.release(l, poisoned)
+	}()
 	var resp *SteadyResponse
 	if sabotage {
 		l.ses.InjectMGFault(true)
@@ -482,16 +498,14 @@ func (s *Server) solveProposal(ctx context.Context, p *steadyProposal) ([]byte, 
 		outcome = outcomeBad
 	}
 	if err != nil {
-		l.mu.Unlock()
-		// A failed solve poisons the lease: evict it so no later request
-		// inherits the session (its warm carry is already invalidated by
-		// the session itself, the cache eviction is belt and braces).
-		s.leases.release(l, true)
+		// A failed solve poisons the lease (poisoned is still set): the
+		// release evicts it so no later request inherits the session. Its
+		// warm carry is already invalidated by the session itself; the
+		// cache eviction is belt and braces.
 		return nil, solveStatus(err), solveMsg(err), 0
 	}
+	poisoned = c != nil && c.roll(c.cfg.PoisonRate)
 	body, err := canonicalJSON(resp)
-	l.mu.Unlock()
-	s.leases.release(l, c != nil && c.roll(c.cfg.PoisonRate))
 	if err != nil {
 		return nil, http.StatusInternalServerError, err.Error(), 0
 	}

@@ -365,6 +365,22 @@ func (w *Workspace) SteadySolveInto(dst, init *Field, powerByLayer map[int][]flo
 // is the hot-path form — per-step callers keep a persistent table and
 // avoid the map allocation and lookup entirely.
 func (w *Workspace) SteadySolveLayersInto(dst, init *Field, layers [][]float64, bc TopBoundary) error {
+	return w.SteadySolveLayersTolInto(dst, init, layers, bc, 0)
+}
+
+// SteadyTol is the relative CG residual every steady solve meets unless
+// its caller asks for less (SteadySolveLayersTolInto).
+const SteadyTol = 1e-10
+
+// SteadySolveLayersTolInto is SteadySolveLayersInto with a caller-chosen
+// relative CG residual tolerance: the solve stops once
+// ‖b − Ax‖/‖b‖ < tol. A tol ≤ 0 means SteadyTol. A coupled fixed point
+// whose boundary condition is itself still moving solves its early
+// passes loosely through this form (see cosim.Session.SolveSteadyPower).
+func (w *Workspace) SteadySolveLayersTolInto(dst, init *Field, layers [][]float64, bc TopBoundary, tol float64) error {
+	if tol <= 0 {
+		tol = SteadyTol
+	}
 	m := w.m
 	if err := w.checkDst(dst); err != nil {
 		return err
@@ -383,7 +399,7 @@ func (w *Workspace) SteadySolveLayersInto(dst, init *Field, layers [][]float64, 
 	} else {
 		dst.T.Fill(m.Env.AmbientC)
 	}
-	if err := w.solve(dst.T, 1e-10, reseedAmbient); err != nil {
+	if err := w.solve(dst.T, tol, reseedAmbient); err != nil {
 		return fmt.Errorf("thermal: steady solve: %w", err)
 	}
 	return nil
