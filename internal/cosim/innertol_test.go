@@ -13,6 +13,10 @@ import (
 	"repro/internal/workload"
 )
 
+// refPasses is the pass budget of the tight reference solves: an outer
+// tolerance of 1e-6 needs several times the production loop's passes.
+const refPasses = 500
+
 // proposal is one steady what-if of the kind thermservd serves.
 type proposal struct {
 	name string
@@ -80,7 +84,7 @@ func TestInexactInnerSolvesAccuracy(t *testing.T) {
 		warm := sys.NewSession(WithSolver(solver))
 		for _, i := range sample {
 			p := all[i]
-			r, err := ref.solveCoupled(nil, sys.Power.BlockPowers(p.st), p.op, 1e-6, 0)
+			r, err := ref.solveCoupled(nil, sys.Power.BlockPowers(p.st), p.op, 1e-6, 0, refPasses)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,11 +112,15 @@ func TestInexactInnerSolvesAccuracy(t *testing.T) {
 
 // TestColdSolveAppliesTripwire pins the linear-solve effort of one cold
 // coupled solve: coarse x264 at full load on Jacobi-CG. Solving every
-// coupling pass to thermal.SteadyTol took ~1630 operator applications;
-// the forcing term brings it near 500. Counts are deterministic, so the
-// bound cannot flake.
+// coupling pass to thermal.SteadyTol took ~1630 operator applications
+// in 16 passes; the forcing term brought it near 500, and undamped
+// passes with a loose first pass near 310 in 9. Counts are deterministic,
+// so the bounds cannot flake.
 func TestColdSolveAppliesTripwire(t *testing.T) {
-	const maxApplies = 600
+	const (
+		maxApplies = 360
+		maxPasses  = 10
+	)
 	sys, err := NewSystem(coarseConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -124,10 +132,14 @@ func TestColdSolveAppliesTripwire(t *testing.T) {
 	m := core.Mapping{ActiveCores: []int{0, 1, 2, 3, 4, 5, 6, 7}, IdleState: power.POLL,
 		Config: workload.Config{Cores: 8, Threads: 8, Freq: power.FMax}}
 	ses := sys.NewSession()
-	if _, err := ses.SolveSteady(nil, core.PackageState(b, m), thermosyphon.DefaultOperating()); err != nil {
+	r, err := ses.SolveSteady(nil, core.PackageState(b, m), thermosyphon.DefaultOperating())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got := ses.SolverStats().Applies; got > maxApplies {
-		t.Fatalf("cold coarse x264 cg solve took %d applies, want ≤ %d", got, maxApplies)
+		t.Errorf("cold coarse x264 cg solve took %d applies, want ≤ %d", got, maxApplies)
+	}
+	if r.Iterations > maxPasses {
+		t.Errorf("cold coarse x264 cg solve took %d coupling passes, want ≤ %d", r.Iterations, maxPasses)
 	}
 }

@@ -69,6 +69,7 @@ func (ses *Session) SolveSteadyLeakage(ctx context.Context, st power.PackageStat
 	var (
 		out  LeakageResult
 		prev = math.Inf(1)
+		grew bool // prev exceeded the change before it
 	)
 	const maxIter = 25
 	for it := 0; it < maxIter; it++ {
@@ -105,11 +106,17 @@ func (ses *Session) SolveSteadyLeakage(ctx context.Context, st power.PackageStat
 		if maxDelta < 0.01 {
 			return &out, nil
 		}
-		if maxDelta > prev*1.5 && it > 3 {
+		// Thermal runaway shows as a power change that keeps growing, so
+		// one jump does not count. A warm coupled solve that stops after
+		// one pass returns a field one boundary update behind; the change
+		// can dip at that iteration and jump back by more than 1.5× at the
+		// next while the fixed point is still converging.
+		if maxDelta > prev*1.5 && grew && it > 3 {
 			// The carried field belongs to a diverging operating point;
 			// invalidate it so a retry (e.g. after throttling) starts cold.
 			return nil, ses.fail(fmt.Errorf("cosim: leakage coupling diverging (Δ %.2f W after %d iterations) — thermal runaway", maxDelta, it+1))
 		}
+		grew = maxDelta > prev
 		prev = maxDelta
 	}
 	return &out, nil

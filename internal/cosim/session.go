@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/linalg"
 	"repro/internal/power"
 	"repro/internal/thermal"
 	"repro/internal/thermosyphon"
@@ -49,6 +50,10 @@ type Session struct {
 	q, qNew    []float64
 	layerPower [][]float64 // dense die-layer injection table (index 0)
 	bp         map[string]float64
+
+	// safeguards counts the coupled solves whose flux change grew between
+	// passes, so that they finished with damped steps (see safeguardMix).
+	safeguards int
 
 	// closeMu serializes Close, the one method that may run concurrently
 	// (see Close).
@@ -216,7 +221,40 @@ const outerTol = 1e-2
 // moves the top-surface flux by far less than the change the pass is
 // chasing. So the solve error never decides which pass meets outerTol,
 // and the outer iteration counts stay what they are with exact solves.
+//
+// The first pass has no previous change to chase. A warm start's flux is
+// the previous converged one, so its first pass is solved as if relΔ had
+// just met outerTol (η·outerTol = 1e-5): a warm solve that converges in
+// one pass is then as accurate as a cold solve's last. A cold start's
+// flux is the die power projected straight up, which is about 90 % off
+// the converged flux (relΔ of the first cold pass ≈ 0.9), so its first
+// pass takes the cap, η·1 = 1e-3.
 const innerForcing = 1e-3
+
+// safeguardMix is the share of the new flux the coupling loop keeps once
+// its safeguard has fired. The loop iterates q ← qNew (plain Picard): on
+// cold solves the coupling map contracts the flux error by about 0.5 per
+// pass, steadily and without oscillation, so any fixed mixing
+// q ← (1−w)q + w·qNew only slows it to 1 − w + w·0.5 per pass (0.7 at
+// w = 0.6, seven extra passes to reach outerTol). A pass whose flux change
+// exceeds the previous pass's is the sign that full steps are not
+// shrinking the error, and from that pass on the solve mixes
+// q ← ½q + ½qNew: for a map whose error factor is λ, the mixed step has
+// factor ½(1+λ), which is below 1 in magnitude for every λ ∈ (−3, 1), so
+// it damps overshoot (λ < −1) as well as a slow drift, at the cost of at
+// most halving the contraction of a well-behaved map. In practice it fires
+// on warm-carried re-solves after a load step, whose flux change grows
+// from the first pass to the second while the boiling side catches up
+// with the new power; there it costs passes (13 instead of 7 for a 30 %
+// step at coarse) but no accuracy.
+const safeguardMix = 0.5
+
+// maxOuter is the coupling loop's pass budget. Undamped cold solves take
+// 9–14 passes at the 1 % outer tolerance, even under heavy cooling faults;
+// sixty is room for a safeguarded solve contracting at 0.9 per pass from a
+// wild start. A solve that exhausts it returns an error wrapping
+// linalg.ErrNotConverged.
+const maxOuter = 60
 
 // SolveSteadyPower computes the coupled steady state for an explicit
 // per-block power map (watts). This is the hot path of every sweep: after
@@ -224,19 +262,22 @@ const innerForcing = 1e-3
 // by the AllocsPerRun regression tests), and with the warm-start carry the
 // previous converged field and flux distribution seed the fixed point.
 // Each coupling pass solves its linear system only as tightly as the
-// flux change it is chasing (see innerForcing).
+// flux change it is chasing (see innerForcing), and passes take full
+// fixed-point steps unless the flux change grows (see safeguardMix).
 // The context is observed between outer coupling iterations, so a
 // cancelled solve returns ctx.Err() within one thermal solve; a nil ctx
-// means "not cancellable".
+// means "not cancellable". A solve that has not met the outer tolerance
+// after maxOuter passes fails with an error wrapping
+// linalg.ErrNotConverged.
 func (ses *Session) SolveSteadyPower(ctx context.Context, blockPower map[string]float64, op thermosyphon.Operating) (*Result, error) {
-	return ses.solveCoupled(ctx, blockPower, op, outerTol, innerForcing)
+	return ses.solveCoupled(ctx, blockPower, op, outerTol, innerForcing, maxOuter)
 }
 
-// solveCoupled is SolveSteadyPower with the outer tolerance and the
-// forcing term as arguments; a forcing of 0 solves every pass to
-// thermal.SteadyTol. Tests reach a tightly converged reference fixed
-// point through it.
-func (ses *Session) solveCoupled(ctx context.Context, blockPower map[string]float64, op thermosyphon.Operating, outer, forcing float64) (*Result, error) {
+// solveCoupled is SolveSteadyPower with the outer tolerance, the forcing
+// term and the pass budget as arguments; a forcing of 0 solves every pass
+// to thermal.SteadyTol. Tests reach a tightly converged reference fixed
+// point, and the budget's failure path, through it.
+func (ses *Session) solveCoupled(ctx context.Context, blockPower map[string]float64, op thermosyphon.Operating, outer, forcing float64, passes int) (*Result, error) {
 	s := ses.sys
 	// The solver escalation ladder observes ctx between rungs.
 	ses.ws.SetContext(ctx)
@@ -267,16 +308,18 @@ func (ses *Session) solveCoupled(ctx context.Context, blockPower map[string]floa
 
 	field := ses.ws.FieldA()
 	var init *thermal.Field
+	// The first pass chases the error of the initial flux guess (see
+	// innerForcing): about the outer tolerance when warm, order one when
+	// cold.
+	innerTol := forcing
 	if warm {
 		init = field // previous converged temperatures
+		innerTol = forcing * outer
 	}
 	prev := math.Inf(1)
-	// The first pass has no flux change to chase yet; it is solved as if
-	// the previous one had just met the outer tolerance, so a warm start
-	// that converges in one pass is as accurate as a cold solve's last.
-	innerTol := forcing * outer
-	const maxOuter = 60
-	for it := 0; it < maxOuter; it++ {
+	damped := false // full Picard steps until the safeguard fires
+	var delta, qMax float64
+	for it := 0; it < passes; it++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return nil, ses.fail(err)
@@ -294,14 +337,27 @@ func (ses *Session) solveCoupled(ctx context.Context, blockPower map[string]floa
 		init = field
 		ses.qNew = field.TopHeatPerCellInto(ses.qNew, bc)
 		qNew := ses.qNew
-		// Damped update and convergence on the flux change.
-		var delta float64
+		delta, qMax = 0, 0
 		for i := range q {
-			d := math.Abs(qNew[i] - q[i])
-			if d > delta {
+			if d := math.Abs(qNew[i] - q[i]); d > delta {
 				delta = d
 			}
-			q[i] = 0.4*q[i] + 0.6*qNew[i]
+			if qNew[i] > qMax {
+				qMax = qNew[i]
+			}
+		}
+		// Safeguard: a growing flux change switches the rest of this solve
+		// to damped steps (see safeguardMix).
+		if delta > prev && !damped {
+			damped = true
+			ses.safeguards++
+		}
+		if damped {
+			for i := range q {
+				q[i] = (1-safeguardMix)*q[i] + safeguardMix*qNew[i]
+			}
+		} else {
+			copy(q, qNew)
 		}
 		ses.res = Result{
 			Field:       field,
@@ -310,12 +366,6 @@ func (ses *Session) solveCoupled(ctx context.Context, blockPower map[string]floa
 			TotalPowerW: total,
 			Iterations:  it + 1,
 			BC:          bc,
-		}
-		var qMax float64
-		for _, w := range qNew {
-			if w > qMax {
-				qMax = w
-			}
 		}
 		if delta < outer*qMax+1e-6 || math.Abs(delta-prev) < 1e-9 {
 			ses.warm = true
@@ -331,6 +381,6 @@ func (ses *Session) solveCoupled(ctx context.Context, blockPower map[string]floa
 			innerTol = thermal.SteadyTol
 		}
 	}
-	ses.warm = true
-	return &ses.res, nil
+	return nil, ses.fail(fmt.Errorf("cosim: coupling not converged after %d passes (flux change %.3g of the peak cell flux, tolerance %g): %w",
+		passes, delta/qMax, outer, linalg.ErrNotConverged))
 }

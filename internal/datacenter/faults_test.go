@@ -127,6 +127,24 @@ func TestDegradedModeThrottlesToFeasible(t *testing.T) {
 	}
 }
 
+// TestDegradedModeThrottlesUnconvergedFleet: a fixed point that ends
+// unconverged, as a fleet drifting into leakage runaway does, must still
+// throttle its classes that are over the TCASE limit at the last iterate
+// instead of reporting them at full speed.
+func TestDegradedModeThrottlesUnconvergedFleet(t *testing.T) {
+	topo, err := Uniform(1, 2, 1, testLoop(), []power.PackageState{testState(4.5, 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One outer iteration from cold cannot meet TolC, so the first
+	// fixed point ends unconverged.
+	rep := solveOnce(t, topo, Options{TCaseLimitC: 1, MaxOuter: 1})
+	if rep.ThrottledBlades == 0 || rep.MaxThrottleSteps < 1 {
+		t.Fatalf("unconverged fleet over the limit left unthrottled: %d throttled, %d max steps",
+			rep.ThrottledBlades, rep.MaxThrottleSteps)
+	}
+}
+
 // TestInfeasibleBladesNamed: an unreachable limit must exhaust the DVFS
 // ladder and name every stuck blade with a diagnostic — not return an
 // error, and not claim feasibility.

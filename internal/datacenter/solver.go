@@ -67,7 +67,7 @@ type Options struct {
 	// contract unchanged.
 	Scenario *faults.Scenario
 	// TCaseLimitC is the degraded-mode thermal constraint: blade classes
-	// whose converged TCASE exceeds it (or whose coupled solve is
+	// whose TCASE exceeds it (or whose coupled solve is
 	// outright infeasible, e.g. leakage runaway) are throttled one DVFS
 	// step at a time until they comply. 0 selects sched.TCaseMax.
 	TCaseLimitC float64
@@ -302,13 +302,16 @@ func (s *Solver) Solve(ctx context.Context) (*Report, error) { return s.SolveSca
 // stable across scales.
 //
 // Degraded mode: classes whose coupled solve is infeasible, or whose
-// converged TCASE exceeds Options.TCaseLimitC, are throttled one DVFS
-// step (sched.ThrottleStep) and the fixed point re-runs, until the fleet
+// TCASE exceeds Options.TCaseLimitC, are throttled one DVFS step
+// (sched.ThrottleStep) and the fixed point re-runs, until the fleet
 // is feasible or the throttle budget is exhausted — classes still failing
 // then land in Report.Infeasible with their loop and blade names, and the
-// report carries whatever the rest of the fleet converged to. Cancelling
-// ctx aborts between outer iterations and between (and inside) the
-// fanned-out blade solves, returning ctx.Err() promptly.
+// report carries whatever the rest of the fleet converged to. TCASE is
+// read at the fixed point's last iterate even when it did not converge:
+// a fleet drifting into leakage runaway never meets the outer tolerance,
+// and throttling its over-limit classes is what lets the re-run settle.
+// Cancelling ctx aborts between outer iterations and between (and
+// inside) the fanned-out blade solves, returning ctx.Err() promptly.
 func (s *Solver) SolveScaled(ctx context.Context, dynScale float64) (*Report, error) {
 	if dynScale < 0 {
 		return nil, fmt.Errorf("datacenter: negative load scale %g", dynScale)
@@ -344,7 +347,7 @@ func (s *Solver) SolveScaled(ctx context.Context, dynScale float64) (*Report, er
 			switch {
 			case r.failed != "":
 				why = r.failed
-			case fp.converged && r.tcaseC > opt.TCaseLimitC:
+			case r.tcaseC > opt.TCaseLimitC:
 				why = fmt.Sprintf("TCASE %.1f °C over the %.1f °C limit", r.tcaseC, opt.TCaseLimitC)
 			default:
 				reasons[ci] = ""

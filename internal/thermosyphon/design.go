@@ -20,6 +20,7 @@ package thermosyphon
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/refrigerant"
 )
@@ -120,24 +121,33 @@ func DefaultDesign() Design {
 	}
 }
 
-// Validate checks the design for physical plausibility.
+// Validate checks the design for physical plausibility. Every range test
+// is written so that it fails for NaN, and parameters without a range
+// must still be finite: a NaN or Inf would otherwise pass every check and
+// poison the coupled solve.
 func (d *Design) Validate() error {
 	switch {
 	case d.Fluid == nil:
 		return fmt.Errorf("thermosyphon: no refrigerant")
-	case d.FillingRatio <= 0.05 || d.FillingRatio >= 0.95:
+	case !(d.FillingRatio > 0.05 && d.FillingRatio < 0.95):
 		return fmt.Errorf("thermosyphon: filling ratio %.2f outside (0.05,0.95)", d.FillingRatio)
-	case d.ChannelHydraulicDiam <= 0:
-		return fmt.Errorf("thermosyphon: non-positive hydraulic diameter")
-	case d.AreaEnhancement < 1:
-		return fmt.Errorf("thermosyphon: area enhancement below 1")
-	case d.RiserHeight <= 0 || d.PipeArea <= 0 || d.LoopK <= 0 || d.CondenserUA <= 0:
-		return fmt.Errorf("thermosyphon: non-positive loop parameter")
-	case d.SubcoolFraction < 0 || d.SubcoolFraction > 1:
-		return fmt.Errorf("thermosyphon: subcool fraction outside [0,1]")
+	case !positiveFinite(d.ChannelHydraulicDiam):
+		return fmt.Errorf("thermosyphon: hydraulic diameter %g not positive and finite", d.ChannelHydraulicDiam)
+	case !(d.AreaEnhancement >= 1) || math.IsInf(d.AreaEnhancement, 1):
+		return fmt.Errorf("thermosyphon: area enhancement %g not finite and ≥ 1", d.AreaEnhancement)
+	case math.IsNaN(d.InletSubcoolC) || math.IsInf(d.InletSubcoolC, 0):
+		return fmt.Errorf("thermosyphon: non-finite inlet subcooling")
+	case !positiveFinite(d.RiserHeight) || !positiveFinite(d.PipeArea) || !positiveFinite(d.LoopK) || !positiveFinite(d.CondenserUA):
+		return fmt.Errorf("thermosyphon: loop parameter not positive and finite")
+	case !(d.SubcoolFraction >= 0 && d.SubcoolFraction <= 1):
+		return fmt.Errorf("thermosyphon: subcool fraction %g outside [0,1]", d.SubcoolFraction)
 	}
 	return nil
 }
+
+// positiveFinite reports whether x is a positive finite number (false for
+// NaN).
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // CritQuality returns the dryout onset quality for the design's filling
 // ratio: under-filled loops dry out sooner because the circulating charge
@@ -173,12 +183,13 @@ type Operating struct {
 // DefaultOperating returns the paper's §VI-C design point.
 func DefaultOperating() Operating { return Operating{WaterInC: 30, WaterFlowKgH: 7} }
 
-// Validate checks the operating point.
+// Validate checks the operating point. Both tests fail for NaN, and the
+// flow must be finite.
 func (op Operating) Validate() error {
-	if op.WaterFlowKgH <= 0 {
-		return fmt.Errorf("thermosyphon: non-positive water flow")
+	if !positiveFinite(op.WaterFlowKgH) {
+		return fmt.Errorf("thermosyphon: water flow %g kg/h not positive and finite", op.WaterFlowKgH)
 	}
-	if op.WaterInC < 0 || op.WaterInC > 90 {
+	if !(op.WaterInC >= 0 && op.WaterInC <= 90) {
 		return fmt.Errorf("thermosyphon: water temperature %.1f outside [0,90] °C", op.WaterInC)
 	}
 	return nil

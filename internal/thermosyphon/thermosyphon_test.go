@@ -28,6 +28,20 @@ func TestDesignValidation(t *testing.T) {
 		func(d *Design) { d.AreaEnhancement = 0.5 },
 		func(d *Design) { d.RiserHeight = -1 },
 		func(d *Design) { d.SubcoolFraction = 2 },
+		// Non-finite values fail every range test.
+		func(d *Design) { d.FillingRatio = math.NaN() },
+		func(d *Design) { d.ChannelHydraulicDiam = math.NaN() },
+		func(d *Design) { d.ChannelHydraulicDiam = math.Inf(1) },
+		func(d *Design) { d.AreaEnhancement = math.NaN() },
+		func(d *Design) { d.AreaEnhancement = math.Inf(1) },
+		func(d *Design) { d.InletSubcoolC = math.NaN() },
+		func(d *Design) { d.InletSubcoolC = math.Inf(-1) },
+		func(d *Design) { d.SubcoolFraction = math.NaN() },
+		func(d *Design) { d.RiserHeight = math.NaN() },
+		func(d *Design) { d.PipeArea = math.Inf(1) },
+		func(d *Design) { d.LoopK = math.NaN() },
+		func(d *Design) { d.CondenserUA = math.NaN() },
+		func(d *Design) { d.CondenserUA = math.Inf(1) },
 	}
 	for i, mod := range mods {
 		d := DefaultDesign()
@@ -42,11 +56,18 @@ func TestOperatingValidation(t *testing.T) {
 	if err := DefaultOperating().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := (Operating{WaterInC: 30, WaterFlowKgH: 0}).Validate(); err == nil {
-		t.Fatal("zero flow must fail")
-	}
-	if err := (Operating{WaterInC: 200, WaterFlowKgH: 7}).Validate(); err == nil {
-		t.Fatal("200 °C water must fail")
+	for _, op := range []Operating{
+		{WaterInC: 30, WaterFlowKgH: 0},
+		{WaterInC: 200, WaterFlowKgH: 7},
+		{WaterInC: -1, WaterFlowKgH: 7},
+		{WaterInC: math.NaN(), WaterFlowKgH: 7},
+		{WaterInC: math.Inf(1), WaterFlowKgH: 7},
+		{WaterInC: 30, WaterFlowKgH: math.NaN()},
+		{WaterInC: 30, WaterFlowKgH: math.Inf(1)},
+	} {
+		if err := op.Validate(); err == nil {
+			t.Errorf("%+v must fail validation", op)
+		}
 	}
 }
 
