@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cosim"
 	"repro/internal/experiments"
 	"repro/internal/power"
 	"repro/internal/thermosyphon"
@@ -186,13 +187,14 @@ func BenchmarkAblationRowExclusive(b *testing.B) {
 		b.Fatal(err)
 	}
 	clustered := core.Mapping{ActiveCores: []int{0, 1, 4, 5}, IdleState: proposed.IdleState, Config: cfg}
+	ses := sys.NewSession(cosim.CarryWarmStart(false))
 	var dProposed, dClustered float64
 	for i := 0; i < b.N; i++ {
-		dp, _, _, err := experiments.SolveMapping(sys, bench, proposed, thermosyphon.DefaultOperating())
+		dp, _, _, err := experiments.SolveMappingSession(nil, ses, bench, proposed, thermosyphon.DefaultOperating())
 		if err != nil {
 			b.Fatal(err)
 		}
-		dc, _, _, err := experiments.SolveMapping(sys, bench, clustered, thermosyphon.DefaultOperating())
+		dc, _, _, err := experiments.SolveMappingSession(nil, ses, bench, clustered, thermosyphon.DefaultOperating())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -216,7 +218,7 @@ func BenchmarkAblationFilling(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			die, _, _, err := experiments.SolveMapping(sys, bench, m, thermosyphon.DefaultOperating())
+			die, _, _, err := experiments.SolveMappingSession(nil, sys.NewSession(), bench, m, thermosyphon.DefaultOperating())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -254,11 +256,11 @@ func BenchmarkAblationDryout(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		dn, _, _, err := experiments.SolveMapping(sysN, bench, m, thermosyphon.DefaultOperating())
+		dn, _, _, err := experiments.SolveMappingSession(nil, sysN.NewSession(), bench, m, thermosyphon.DefaultOperating())
 		if err != nil {
 			b.Fatal(err)
 		}
-		dd, _, _, err := experiments.SolveMapping(sysD, bench, m, thermosyphon.DefaultOperating())
+		dd, _, _, err := experiments.SolveMappingSession(nil, sysD.NewSession(), bench, m, thermosyphon.DefaultOperating())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -324,9 +326,10 @@ func BenchmarkAblationLeakage(b *testing.B) {
 	st := core.PackageState(bench, m)
 	leak := power.DefaultLeakage()
 	leak.RefC = 45
+	ses := sys.NewSession(cosim.CarryWarmStart(false))
 	var extra float64
 	for i := 0; i < b.N; i++ {
-		res, err := sys.SolveSteadyLeakage(st, thermosyphon.DefaultOperating(), leak)
+		res, err := ses.SolveSteadyLeakage(nil, st, thermosyphon.DefaultOperating(), leak)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -345,9 +348,10 @@ func BenchmarkSteadySolve(b *testing.B) {
 	bench, cfg := workload.WorstCase()
 	m := experiments.FullLoadMapping(cfg, power.POLL)
 	st := core.PackageState(bench, m)
+	ses := sys.NewSession(cosim.CarryWarmStart(false))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.SolveSteady(st, thermosyphon.DefaultOperating()); err != nil {
+		if _, err := ses.SolveSteady(nil, st, thermosyphon.DefaultOperating()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -101,7 +101,7 @@ func channelView(res experiments.Resolution) error {
 			return err
 		}
 		st := core.PackageState(bench, m)
-		result, err := sys.SolveSteady(st, thermosyphon.DefaultOperating())
+		result, err := sys.NewSession().SolveSteady(nil, st, thermosyphon.DefaultOperating())
 		if err != nil {
 			return err
 		}

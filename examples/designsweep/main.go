@@ -43,7 +43,7 @@ func run(ctx context.Context, w io.Writer, res experiments.Resolution) error {
 		if err != nil {
 			return 0, 0, err
 		}
-		die, pkg, _, err := experiments.SolveMapping(sys, bench, mapping, thermosyphon.DefaultOperating())
+		die, pkg, _, err := experiments.SolveMappingSession(ctx, sys.NewSession(), bench, mapping, thermosyphon.DefaultOperating())
 		if err != nil {
 			return 0, 0, err
 		}
@@ -95,20 +95,28 @@ func run(ctx context.Context, w io.Writer, res experiments.Resolution) error {
 
 	// Water operating point (§VI-C): lowest flow, warmest water that
 	// keeps TCASE below 85 °C — sweep.First scans the grid cheapest-first
-	// with one reused system per worker and keeps the serial early exit.
+	// with one reused session per worker and keeps the serial early exit.
+	// The sessions carry no warm start, so every point solves cold and
+	// the answer does not depend on which worker claimed it.
 	fmt.Fprintln(w, "\nwater operating point selection:")
 	d := thermosyphon.DefaultDesign()
 	ops := sweep.Cross([]float64{3, 5, 7}, []float64{45, 40, 35, 30})
 	i, tc, found, err := sweep.First(ctx, ops,
-		func() (*cosim.System, error) { return experiments.NewSystem(d, res) },
-		func(sys *cosim.System, p sweep.Pair[float64, float64]) (float64, error) {
+		func() (*cosim.Session, error) {
+			sys, err := experiments.NewSystem(d, res)
+			if err != nil {
+				return nil, err
+			}
+			return sys.NewSession(cosim.CarryWarmStart(false)), nil
+		},
+		func(ses *cosim.Session, p sweep.Pair[float64, float64]) (float64, error) {
 			op := thermosyphon.Operating{WaterInC: p.B, WaterFlowKgH: p.A}
 			st := core.PackageState(bench, mapping)
-			r, err := sys.SolveSteady(st, op)
+			r, err := ses.SolveSteady(ctx, st, op)
 			if err != nil {
 				return 0, err
 			}
-			return sys.TCase(r), nil
+			return ses.System().TCase(r), nil
 		},
 		func(tc float64) bool { return tc < 85 })
 	if err != nil {

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -47,7 +48,7 @@ func run(w io.Writer, res experiments.Resolution) error {
 	if err != nil {
 		return err
 	}
-	die, pkg, result, err := experiments.SolveMapping(sys, bench, mapping, thermosyphon.DefaultOperating())
+	die, pkg, result, err := experiments.SolveMappingSession(context.Background(), sys.NewSession(), bench, mapping, thermosyphon.DefaultOperating())
 	if err != nil {
 		return err
 	}

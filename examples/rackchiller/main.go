@@ -5,12 +5,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/cosim"
 	"repro/internal/experiments"
 	"repro/internal/rack"
 	"repro/internal/thermosyphon"
@@ -51,6 +53,8 @@ func run(w io.Writer, res experiments.Resolution) error {
 	if err != nil {
 		return err
 	}
+	// The session carries no warm start, so every blade solves cold.
+	ses := sys.NewSession(cosim.CarryWarmStart(false))
 	var bladeHeat []float64
 	var hottest float64
 	for _, a := range assignments {
@@ -63,7 +67,7 @@ func run(w io.Writer, res experiments.Resolution) error {
 		if err != nil {
 			return err
 		}
-		die, _, res, err := experiments.SolveMapping(sys, app.Bench, m, thermosyphon.DefaultOperating())
+		die, _, res, err := experiments.SolveMappingSession(context.Background(), ses, app.Bench, m, thermosyphon.DefaultOperating())
 		if err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -43,7 +44,7 @@ func run(w io.Writer, res experiments.Resolution) error {
 	// converged boundary, watching the die approach steady state.
 	st := core.PackageState(bench, mapping)
 	op := thermosyphon.DefaultOperating()
-	res2, err := sys.SolveSteady(st, op)
+	res2, err := sys.NewSession().SolveSteady(context.Background(), st, op)
 	if err != nil {
 		return err
 	}
@@ -55,11 +56,11 @@ func run(w io.Writer, res experiments.Resolution) error {
 	if err != nil {
 		return err
 	}
+	ws := sys.Thermal.NewWorkspace()
 	field := sys.Thermal.UniformField(30)
 	fmt.Fprintln(w, "transient warm-up (0.5 s steps):")
 	for step := 1; step <= 10; step++ {
-		field, err = sys.Thermal.StepTransient(field, 0.5, map[int][]float64{0: powerCells}, res2.BC)
-		if err != nil {
+		if err := ws.StepTransientLayersInto(field, field, 0.5, [][]float64{powerCells}, res2.BC); err != nil {
 			return err
 		}
 		temps, err := field.LayerByName(thermal.LayerDie)

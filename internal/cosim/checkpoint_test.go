@@ -94,14 +94,15 @@ func TestTransientExportImportExact(t *testing.T) {
 }
 
 // TestTransientImportValidation exercises the ImportState guard rails: a
-// state from a different grid, a poisoned field, and a negative time are
-// all refused without touching the sim.
+// state from a different grid, a poisoned field, a negative or
+// non-finite boundary, and a negative time are all refused without
+// touching the sim.
 func TestTransientImportValidation(t *testing.T) {
 	sys, err := NewSystem(coarseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewTransient(sys, thermosyphon.DefaultOperating(), 30)
+	sim, err := sys.NewSession().Transient(thermosyphon.DefaultOperating(), 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,6 +123,18 @@ func TestTransientImportValidation(t *testing.T) {
 	bad.FieldT[3] = math.NaN()
 	if err := sim.ImportState(&bad); err == nil {
 		t.Fatal("NaN field accepted")
+	}
+	bad = *good
+	bad.BCH = append([]float64(nil), good.BCH...)
+	bad.BCH[5] = -1
+	if err := sim.ImportState(&bad); err == nil {
+		t.Fatal("negative boundary HTC accepted")
+	}
+	bad = *good
+	bad.BCTFluid = append([]float64(nil), good.BCTFluid...)
+	bad.BCTFluid[5] = math.Inf(1)
+	if err := sim.ImportState(&bad); err == nil {
+		t.Fatal("infinite boundary fluid temperature accepted")
 	}
 	bad = *good
 	bad.TimeS = -1

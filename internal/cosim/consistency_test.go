@@ -19,7 +19,7 @@ func TestResolutionConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sys.SolveSteady(st, op)
+		res, err := sys.NewSession().SolveSteady(nil, st, op)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sys.SolveSteady(st, op)
+		res, err := sys.NewSession().SolveSteady(nil, st, op)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestIdlePackageNearWater(t *testing.T) {
 	}
 	st.LLC = 0
 	st.UncoreFreq = 1.2
-	res, err := sys.SolveSteady(st, thermosyphon.DefaultOperating())
+	res, err := sys.NewSession().SolveSteady(nil, st, thermosyphon.DefaultOperating())
 	if err != nil {
 		t.Fatal(err)
 	}

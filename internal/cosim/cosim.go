@@ -63,8 +63,8 @@ func NewSystem(cfg Config) (*System, error) {
 // NewCustomSystem assembles a blade around an arbitrary die floorplan
 // (e.g. a scaled 16-core variant from floorplan.Generic). The package
 // geometry comes from cfg.Stack.Package and must enclose the die. The
-// returned system has no Xeon power model: use SolveSteadyPower with
-// explicit per-block powers.
+// returned system has no Xeon power model: solve it with
+// Session.SolveSteadyPower and explicit per-block powers.
 func NewCustomSystem(fp *floorplan.Floorplan, cfg Config) (*System, error) {
 	stack := thermal.NewXeonStack(cfg.Stack)
 	tm, err := thermal.NewModel(stack, cfg.Env)
@@ -112,36 +112,6 @@ type Result struct {
 	Iterations  int
 	// BC is the converged top boundary used for the final solve.
 	BC thermal.TopBoundary
-}
-
-// SolveSteady computes the coupled steady state for a CPU package state at
-// the given cooling operating point. It requires the Xeon power model
-// (systems built by NewSystem); custom systems use SolveSteadyPower. The
-// wrapper is not cancellable; hot or long-running paths hold a Session and
-// pass a context there.
-func (s *System) SolveSteady(st power.PackageState, op thermosyphon.Operating) (*Result, error) {
-	if s.Power == nil {
-		return nil, fmt.Errorf("cosim: system has no power model; use SolveSteadyPower")
-	}
-	bp := s.Power.BlockPowers(st)
-	return s.SolveSteadyPower(bp, op)
-}
-
-// SolveSteadyPower is SolveSteady for an explicit per-block power map
-// (watts), as used by the design-space sweeps. It is a compatibility
-// wrapper over a throwaway non-carrying Session: results are bit-identical
-// to a cold solve, and the workspace is still reused across the fixed
-// point's inner solves. Hot loops should hold a Session instead.
-func (s *System) SolveSteadyPower(blockPower map[string]float64, op thermosyphon.Operating) (*Result, error) {
-	res, err := s.NewSession(CarryWarmStart(false)).SolveSteadyPower(nil, blockPower, op)
-	if err != nil {
-		return nil, err
-	}
-	// Detach the result from the throwaway session: a session returns a
-	// pointer into itself, which would otherwise keep the whole solver
-	// workspace reachable for as long as the caller holds the result.
-	cp := *res
-	return &cp, nil
 }
 
 // PowerCells rasterizes a per-block power map onto the thermal grid's die

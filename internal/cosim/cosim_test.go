@@ -60,7 +60,7 @@ func TestSolveSteadyFullLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.SolveSteady(fullLoadState(2.2), thermosyphon.DefaultOperating())
+	res, err := s.NewSession().SolveSteady(nil, fullLoadState(2.2), thermosyphon.DefaultOperating())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestSolveSteadyFullLoad(t *testing.T) {
 
 func TestEnergyBalance(t *testing.T) {
 	s, _ := NewSystem(coarseConfig())
-	res, err := s.SolveSteady(fullLoadState(2.0), thermosyphon.DefaultOperating())
+	res, err := s.NewSession().SolveSteady(nil, fullLoadState(2.0), thermosyphon.DefaultOperating())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +117,11 @@ func TestEnergyBalance(t *testing.T) {
 func TestHotterWithMorePower(t *testing.T) {
 	s, _ := NewSystem(coarseConfig())
 	op := thermosyphon.DefaultOperating()
-	lo, err := s.SolveSteady(fullLoadState(0.8), op)
+	lo, err := s.NewSession().SolveSteady(nil, fullLoadState(0.8), op)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := s.SolveSteady(fullLoadState(3.0), op)
+	hi, err := s.NewSession().SolveSteady(nil, fullLoadState(3.0), op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,11 +134,11 @@ func TestHotterWithMorePower(t *testing.T) {
 
 func TestColderWaterCools(t *testing.T) {
 	s, _ := NewSystem(coarseConfig())
-	warm, err := s.SolveSteady(fullLoadState(2.2), thermosyphon.Operating{WaterInC: 30, WaterFlowKgH: 7})
+	warm, err := s.NewSession().SolveSteady(nil, fullLoadState(2.2), thermosyphon.Operating{WaterInC: 30, WaterFlowKgH: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := s.SolveSteady(fullLoadState(2.2), thermosyphon.Operating{WaterInC: 20, WaterFlowKgH: 7})
+	cold, err := s.NewSession().SolveSteady(nil, fullLoadState(2.2), thermosyphon.Operating{WaterInC: 20, WaterFlowKgH: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,11 +155,11 @@ func TestColderWaterCools(t *testing.T) {
 
 func TestMoreFlowCools(t *testing.T) {
 	s, _ := NewSystem(coarseConfig())
-	slow, err := s.SolveSteady(fullLoadState(2.2), thermosyphon.Operating{WaterInC: 30, WaterFlowKgH: 5})
+	slow, err := s.NewSession().SolveSteady(nil, fullLoadState(2.2), thermosyphon.Operating{WaterInC: 30, WaterFlowKgH: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := s.SolveSteady(fullLoadState(2.2), thermosyphon.Operating{WaterInC: 30, WaterFlowKgH: 12})
+	fast, err := s.NewSession().SolveSteady(nil, fullLoadState(2.2), thermosyphon.Operating{WaterInC: 30, WaterFlowKgH: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestMoreFlowCools(t *testing.T) {
 
 func TestTCaseBetweenFluidAndDie(t *testing.T) {
 	s, _ := NewSystem(coarseConfig())
-	res, err := s.SolveSteady(fullLoadState(2.2), thermosyphon.DefaultOperating())
+	res, err := s.NewSession().SolveSteady(nil, fullLoadState(2.2), thermosyphon.DefaultOperating())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestTCaseBetweenFluidAndDie(t *testing.T) {
 
 func TestSolveSteadyPowerUnknownBlock(t *testing.T) {
 	s, _ := NewSystem(coarseConfig())
-	if _, err := s.SolveSteadyPower(map[string]float64{"bogus": 5}, thermosyphon.DefaultOperating()); err == nil {
+	if _, err := s.NewSession().SolveSteadyPower(nil, map[string]float64{"bogus": 5}, thermosyphon.DefaultOperating()); err == nil {
 		t.Fatal("unknown block must error")
 	}
 }

@@ -12,7 +12,7 @@ import (
 // TestSessionErrorInvalidatesWarmStart: any failed solve must drop the
 // warm-start carry — the carried field may be half-converged or
 // NaN-contaminated — so the next solve starts cold and lands byte-identical
-// to the fresh System path.
+// to a cold solve on a fresh session.
 func TestSessionErrorInvalidatesWarmStart(t *testing.T) {
 	sys, err := NewSystem(coarseConfig())
 	if err != nil {

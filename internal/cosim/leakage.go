@@ -26,18 +26,12 @@ type LeakageResult struct {
 // SolveSteadyLeakage computes the coupled steady state with
 // temperature-dependent leakage: the static share of each block's power is
 // scaled by the block's own mean die temperature, iterated to a fixed
-// point. It requires the Xeon power model. Compatibility wrapper over a
-// throwaway non-carrying Session — see Session.SolveSteadyLeakage.
-func (s *System) SolveSteadyLeakage(st power.PackageState, op thermosyphon.Operating, leak power.LeakageModel) (*LeakageResult, error) {
-	return s.NewSession(CarryWarmStart(false)).SolveSteadyLeakage(nil, st, op, leak)
-}
-
-// SolveSteadyLeakage is the session form of System.SolveSteadyLeakage: the
-// inner power↔temperature iterations reuse the session workspace, and with
-// the warm-start carry each re-solve starts from the previous converged
-// field, so the leakage fixed point costs little more than one solve.
-// Cancellation propagates through the inner SolveSteadyPower calls; a nil
-// ctx means "not cancellable".
+// point. It requires the Xeon power model. The inner power↔temperature
+// iterations reuse the session workspace, and with the warm-start carry
+// each re-solve starts from the previous converged field, so the leakage
+// fixed point costs little more than one solve. Cancellation propagates
+// through the inner SolveSteadyPower calls; a nil ctx means "not
+// cancellable".
 func (ses *Session) SolveSteadyLeakage(ctx context.Context, st power.PackageState, op thermosyphon.Operating, leak power.LeakageModel) (*LeakageResult, error) {
 	s := ses.sys
 	if s.Power == nil {

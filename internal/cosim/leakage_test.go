@@ -50,7 +50,7 @@ func TestLeakageCouplingRaisesPowerAndTemps(t *testing.T) {
 	sys, _ := NewSystem(coarseConfig())
 	st := fullLoadState(2.2)
 	op := thermosyphon.DefaultOperating()
-	base, err := sys.SolveSteady(st, op)
+	base, err := sys.NewSession().SolveSteady(nil, st, op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestLeakageCouplingRaisesPowerAndTemps(t *testing.T) {
 
 	leak := power.DefaultLeakage()
 	leak.RefC = 40 // the blade runs above 40 °C → leakage adds power
-	res, err := sys.SolveSteadyLeakage(st, op, leak)
+	res, err := sys.NewSession(CarryWarmStart(false)).SolveSteadyLeakage(nil, st, op, leak)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestLeakageCoupledColdReferenceIsNeutral(t *testing.T) {
 	sys, _ := NewSystem(coarseConfig())
 	st := fullLoadState(1.5)
 	leak := power.LeakageModel{BetaPerC: 0, RefC: 60} // no sensitivity
-	res, err := sys.SolveSteadyLeakage(st, thermosyphon.DefaultOperating(), leak)
+	res, err := sys.NewSession(CarryWarmStart(false)).SolveSteadyLeakage(nil, st, thermosyphon.DefaultOperating(), leak)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestLeakageCoupledColdReferenceIsNeutral(t *testing.T) {
 func TestLeakageValidation(t *testing.T) {
 	sys, _ := NewSystem(coarseConfig())
 	bad := power.LeakageModel{BetaPerC: 0.5, RefC: 60}
-	if _, err := sys.SolveSteadyLeakage(fullLoadState(2), thermosyphon.DefaultOperating(), bad); err == nil {
+	if _, err := sys.NewSession(CarryWarmStart(false)).SolveSteadyLeakage(nil, fullLoadState(2), thermosyphon.DefaultOperating(), bad); err == nil {
 		t.Fatal("invalid model must error")
 	}
 }

@@ -80,7 +80,7 @@ func TestTransientThreadsByteIdentical(t *testing.T) {
 	bp := map[string]float64{"Core1": 14, "Core4": 10, "LLC": 4, "MemCtrl": 6.3, "Uncore": 7.7}
 	op := thermosyphon.DefaultOperating()
 
-	serial, err := NewTransient(sys, op, 45)
+	serial, err := sys.NewSession().Transient(op, 45)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,11 @@ import (
 	"repro/internal/thermosyphon"
 )
 
-// Session is a reusable solve context bound to one System: it owns a
-// thermal.Workspace plus every scratch buffer the coupled fixed point
-// needs (flux vectors, the rasterized power map, the thermosyphon state),
-// so repeated solves allocate nothing after warm-up. On top of buffer
+// Session is the solve context bound to one System, and the one way to
+// run a coupled solve, steady or transient. It owns a thermal.Workspace
+// plus every scratch buffer the coupled fixed point needs (flux vectors,
+// the rasterized power map, the thermosyphon state), so repeated solves
+// allocate nothing after warm-up. On top of buffer
 // reuse it carries the previous converged temperature field and heat-flux
 // boundary as the warm start for the next solve: nearby sweep points and
 // consecutive governor/bisection steps are near-identical systems, so the
@@ -23,15 +24,19 @@ import (
 // cheap refinement passes.
 //
 // Warm starting changes iteration counts, not the converged answer beyond
-// the solver tolerances; when a caller needs solves that are bit-identical
-// to the fresh System.SolveSteady* path (the byte-determinism contract of
-// the sweep studies), disable the carry with CarryWarmStart(false) — the
-// session then still reuses all buffers but seeds every solve exactly like
-// a cold one.
+// the solver tolerances; when a caller needs every solve to be
+// bit-identical to a cold solve on a fresh session (the byte-determinism
+// contract of the sweep studies), disable the carry with
+// CarryWarmStart(false) — the session then still reuses all buffers but
+// seeds every solve exactly like a cold one. The first solve on a new
+// session is always cold, so a one-off solve is
+// sys.NewSession().SolveSteady(nil, st, op).
 //
 // Results returned by a session alias session-owned buffers (Field,
 // Syphon, BC): they are valid until the next solve on the same session.
-// A session is NOT safe for concurrent use; give each goroutine its own.
+// A caller that keeps results across solves uses a session per kept
+// result, or copies what it needs. A session is NOT safe for concurrent
+// use; give each goroutine its own.
 type Session struct {
 	sys       *System
 	ws        *thermal.Workspace
@@ -64,8 +69,9 @@ type Session struct {
 type SessionOption func(*Session)
 
 // CarryWarmStart toggles the cross-solve warm start (default on). With it
-// off, every solve is seeded exactly like a fresh System.SolveSteady* call
-// and produces bit-identical results — buffer reuse is kept either way.
+// off, every solve is seeded exactly like the first solve on a fresh
+// session and produces bit-identical results — buffer reuse is kept
+// either way.
 func CarryWarmStart(on bool) SessionOption {
 	return func(s *Session) { s.carry = on }
 }
@@ -194,10 +200,12 @@ func (ses *Session) ReseatWater(deltaC float64) {
 	}
 }
 
-// SolveSteady is System.SolveSteady on the session: coupled steady state
-// for a CPU package state, warm-started from the previous solve when the
-// carry is enabled. Cancelling ctx aborts the coupled fixed point between
-// outer iterations; a nil ctx means "not cancellable".
+// SolveSteady computes the coupled steady state for a CPU package state at
+// the given cooling operating point, warm-started from the previous solve
+// when the carry is enabled. It requires the Xeon power model (systems
+// built by NewSystem); custom systems use SolveSteadyPower. Cancelling
+// ctx aborts the coupled fixed point between outer iterations; a nil ctx
+// means "not cancellable".
 func (ses *Session) SolveSteady(ctx context.Context, st power.PackageState, op thermosyphon.Operating) (*Result, error) {
 	if ses.sys.Power == nil {
 		return nil, fmt.Errorf("cosim: system has no power model; use SolveSteadyPower")

@@ -1,11 +1,11 @@
 package cosim
 
-// Coupled-solve benchmarks comparing the fresh per-call path against a
-// reusable session:
+// Coupled-solve benchmarks comparing a session per solve against a
+// reused session:
 //
 //	go test ./internal/cosim -bench=Session -benchmem
 //
-// "fresh" is the pre-session behavior (workspace rebuilt per solve);
+// "fresh" builds a new session (and workspace) for every solve;
 // "session-cold" reuses buffers but seeds every solve like a cold one
 // (the pooled-sweep configuration); "session-warm" additionally carries
 // the previous converged field and flux — the governor/bisection steady
@@ -32,7 +32,7 @@ func BenchmarkCosimSession(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := sys.SolveSteadyPower(bp, op); err != nil {
+			if _, err := sys.NewSession().SolveSteadyPower(nil, bp, op); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -72,7 +72,7 @@ func BenchmarkCosimSession(b *testing.B) {
 // heap traffic).
 func BenchmarkCosimSessionTransient(b *testing.B) {
 	sys, bp, op := benchSystem(b)
-	sim, err := NewTransient(sys, op, 30)
+	sim, err := sys.NewSession().Transient(op, 30)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,9 +10,9 @@ import (
 	"repro/internal/thermosyphon"
 )
 
-// TestSessionMatchesFreshWithoutCarry: a non-carrying session must return
-// bit-identical results to the fresh System path, solve after solve —
-// that equivalence is what lets the sweep studies adopt sessions without
+// TestSessionMatchesFreshWithoutCarry: a reused non-carrying session must
+// return bit-identical results to a fresh session, solve after solve —
+// that equivalence is what lets the sweep studies reuse sessions without
 // touching the byte-determinism contract.
 func TestSessionMatchesFreshWithoutCarry(t *testing.T) {
 	sys, err := NewSystem(coarseConfig())
@@ -23,7 +23,7 @@ func TestSessionMatchesFreshWithoutCarry(t *testing.T) {
 	op := thermosyphon.DefaultOperating()
 	for _, f := range []float64{2.2, 1.2, 3.0} {
 		st := fullLoadState(f)
-		fresh, err := sys.SolveSteady(st, op)
+		fresh, err := sys.NewSession().SolveSteady(nil, st, op)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestSessionWarmStartConverges(t *testing.T) {
 	}
 	op := thermosyphon.DefaultOperating()
 	st := fullLoadState(2.2)
-	fresh, err := sys.SolveSteady(st, op)
+	fresh, err := sys.NewSession().SolveSteady(nil, st, op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestSessionWarmStartConverges(t *testing.T) {
 	// with its cold solve.
 	op2 := op
 	op2.WaterFlowKgH += 1
-	coldNear, err := sys.SolveSteady(st, op2)
+	coldNear, err := sys.NewSession().SolveSteady(nil, st, op2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestSessionWarmStartConverges(t *testing.T) {
 }
 
 // TestSessionReset: after Reset the next solve is cold and bit-identical
-// to the fresh path even on a carrying session.
+// to a fresh session's even on a carrying session.
 func TestSessionReset(t *testing.T) {
 	sys, err := NewSystem(coarseConfig())
 	if err != nil {
@@ -117,7 +117,7 @@ func TestSessionReset(t *testing.T) {
 	}
 	op := thermosyphon.DefaultOperating()
 	st := fullLoadState(2.0)
-	fresh, err := sys.SolveSteady(st, op)
+	fresh, err := sys.NewSession().SolveSteady(nil, st, op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +140,8 @@ func TestSessionReset(t *testing.T) {
 	}
 }
 
-// TestSessionLeakageMatchesFresh: the session leakage solver without carry
-// must reproduce the fresh SolveSteadyLeakage bit for bit.
+// TestSessionLeakageMatchesFresh: the leakage solver on a reused
+// non-carrying session must reproduce a fresh session's bit for bit.
 func TestSessionLeakageMatchesFresh(t *testing.T) {
 	sys, err := NewSystem(coarseConfig())
 	if err != nil {
@@ -151,11 +151,14 @@ func TestSessionLeakageMatchesFresh(t *testing.T) {
 	st := fullLoadState(2.2)
 	leak := power.DefaultLeakage()
 	leak.RefC = 40
-	fresh, err := sys.SolveSteadyLeakage(st, op, leak)
+	fresh, err := sys.NewSession(CarryWarmStart(false)).SolveSteadyLeakage(nil, st, op, leak)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ses := sys.NewSession(CarryWarmStart(false))
+	if _, err := ses.SolveSteadyLeakage(nil, fullLoadState(1.2), op, leak); err != nil {
+		t.Fatal(err)
+	}
 	got, err := ses.SolveSteadyLeakage(nil, st, op, leak)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +207,7 @@ func TestSessionTransientStepAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewTransient(sys, thermosyphon.DefaultOperating(), 30)
+	sim, err := sys.NewSession().Transient(thermosyphon.DefaultOperating(), 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +336,7 @@ func TestSessionReseatWater(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := sys.SolveSteady(st, op)
+	fresh, err := sys.NewSession().SolveSteady(nil, st, op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +410,7 @@ func TestBlockTemps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.SolveSteady(fullLoadState(2.5), thermosyphon.DefaultOperating())
+	res, err := sys.NewSession().SolveSteady(nil, fullLoadState(2.5), thermosyphon.DefaultOperating())
 	if err != nil {
 		t.Fatal(err)
 	}

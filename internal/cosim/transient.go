@@ -21,6 +21,7 @@ import (
 type TransientSim struct {
 	sys    *System
 	ws     *thermal.Workspace
+	design *thermosyphon.Design // the session's design (Session.Design)
 	op     thermosyphon.Operating
 	field  *thermal.Field
 	bc     thermal.TopBoundary
@@ -39,13 +40,9 @@ type TransientSim struct {
 	mdot    float64 // current (lagged) mass flow
 }
 
-// NewTransient starts a transient simulation from a uniform initial
-// temperature at the given cooling operating point.
-func NewTransient(sys *System, op thermosyphon.Operating, initialC float64) (*TransientSim, error) {
-	return sys.NewSession().Transient(op, initialC)
-}
-
-// Transient starts a transient simulation on the session's workspace: the
+// Transient starts a transient simulation from a uniform initial
+// temperature at the given cooling operating point, on the session's
+// workspace and with the session's thermosyphon design (WithDesign): the
 // sim uses the workspace's second field buffer, so steady solves and a
 // transient run can share one session without clobbering each other. A
 // session hosts at most one transient sim — its field, boundary, and
@@ -62,13 +59,14 @@ func (ses *Session) Transient(op thermosyphon.Operating, initialC float64) (*Tra
 	ts := &TransientSim{
 		sys:        sys,
 		ws:         ses.ws,
+		design:     ses.Design(),
 		op:         op,
 		field:      ses.ws.FieldB(),
 		layerPower: make([][]float64, 1),
 	}
 	ts.field.T.Fill(initialC)
 	// Bootstrap the boundary with a near-idle thermosyphon state.
-	syph, err := sys.Design.Evaporate(sys.Thermal.Grid(), make([]float64, sys.Thermal.Cells()), op)
+	syph, err := ts.design.Evaporate(sys.Thermal.Grid(), make([]float64, sys.Thermal.Cells()), op)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +131,7 @@ func (ts *TransientSim) Step(dt float64, blockPower map[string]float64) error {
 	if ts.LoopTau > 0 {
 		// Loop inertia: find the quasi-static flow target, relax the
 		// actual flow toward it, and evaluate the evaporator there.
-		target, err := ts.sys.Design.EvaporateInto(ts.target, ts.sys.Thermal.Grid(), q, ts.op)
+		target, err := ts.design.EvaporateInto(ts.target, ts.sys.Thermal.Grid(), q, ts.op)
 		if err != nil {
 			return err
 		}
@@ -143,9 +141,9 @@ func (ts *TransientSim) Step(dt float64, blockPower map[string]float64) error {
 		}
 		alpha := dt / (ts.LoopTau + dt)
 		ts.mdot += alpha * (target.Loop.MassFlowKgS - ts.mdot)
-		syph, err2 = ts.sys.Design.EvaporateAtInto(ts.syph, ts.sys.Thermal.Grid(), q, ts.op, ts.mdot)
+		syph, err2 = ts.design.EvaporateAtInto(ts.syph, ts.sys.Thermal.Grid(), q, ts.op, ts.mdot)
 	} else {
-		syph, err2 = ts.sys.Design.EvaporateInto(ts.syph, ts.sys.Thermal.Grid(), q, ts.op)
+		syph, err2 = ts.design.EvaporateInto(ts.syph, ts.sys.Thermal.Grid(), q, ts.op)
 	}
 	if err2 != nil {
 		return err2
@@ -232,6 +230,13 @@ func (ts *TransientSim) ImportState(st *TransientState) error {
 	for i, v := range st.FieldT {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("cosim: state field cell %d is %g", i, v)
+		}
+	}
+	// A negative heat-transfer coefficient would be a negative conductance
+	// in the step operator.
+	for i, h := range st.BCH {
+		if tf := st.BCTFluid[i]; !(h >= 0) || math.IsInf(h, 1) || math.IsNaN(tf) || math.IsInf(tf, 0) {
+			return fmt.Errorf("cosim: state boundary cell %d has h %g W/m²·K, fluid %g °C", i, h, tf)
 		}
 	}
 	if st.TimeS < 0 {

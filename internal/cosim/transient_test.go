@@ -14,13 +14,13 @@ func TestTransientWarmsTowardSteady(t *testing.T) {
 	}
 	st := fullLoadState(2.2)
 	op := thermosyphon.DefaultOperating()
-	steady, err := sys.SolveSteady(st, op)
+	steady, err := sys.NewSession().SolveSteady(nil, st, op)
 	if err != nil {
 		t.Fatal(err)
 	}
 	steadyDie, _ := sys.DieStats(steady)
 
-	sim, err := NewTransient(sys, op, 30)
+	sim, err := sys.NewSession().Transient(op, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestTransientValveResponse(t *testing.T) {
 	sys, _ := NewSystem(coarseConfig())
 	st := fullLoadState(2.5)
 	bp := sys.Power.BlockPowers(st)
-	sim, err := NewTransient(sys, thermosyphon.DefaultOperating(), 45)
+	sim, err := sys.NewSession().Transient(thermosyphon.DefaultOperating(), 45)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +82,10 @@ func TestTransientValveResponse(t *testing.T) {
 
 func TestTransientValidation(t *testing.T) {
 	sys, _ := NewSystem(coarseConfig())
-	if _, err := NewTransient(sys, thermosyphon.Operating{}, 30); err == nil {
+	if _, err := sys.NewSession().Transient(thermosyphon.Operating{}, 30); err == nil {
 		t.Fatal("invalid operating point must error")
 	}
-	sim, err := NewTransient(sys, thermosyphon.DefaultOperating(), 30)
+	sim, err := sys.NewSession().Transient(thermosyphon.DefaultOperating(), 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestTransientValidation(t *testing.T) {
 
 func TestTransientIdleStaysNearWater(t *testing.T) {
 	sys, _ := NewSystem(coarseConfig())
-	sim, err := NewTransient(sys, thermosyphon.DefaultOperating(), 30)
+	sim, err := sys.NewSession().Transient(thermosyphon.DefaultOperating(), 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +138,11 @@ func TestTransientLoopInertia(t *testing.T) {
 
 	// With loop inertia the early die temperature runs hotter than the
 	// quasi-static loop (less circulation → worse HTC), converging later.
-	fast, err := NewTransient(sys, thermosyphon.DefaultOperating(), 30)
+	fast, err := sys.NewSession().Transient(thermosyphon.DefaultOperating(), 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := NewTransient(sys, thermosyphon.DefaultOperating(), 30)
+	slow, err := sys.NewSession().Transient(thermosyphon.DefaultOperating(), 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,5 +181,47 @@ func TestEvaporateAtValidation(t *testing.T) {
 	sys, _ := NewSystem(coarseConfig())
 	if _, err := sys.Design.EvaporateAt(sys.Thermal.Grid(), make([]float64, sys.Thermal.Cells()), thermosyphon.DefaultOperating(), 0); err == nil {
 		t.Fatal("zero pinned flow must error")
+	}
+}
+
+// TestTransientHonorsSessionDesign: a sim started on a WithDesign session
+// steps on the session's design, bit-identically to a sim on a system
+// built with that design, and not on the system's healthy one.
+func TestTransientHonorsSessionDesign(t *testing.T) {
+	healthy, err := NewSystem(coarseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := coarseConfig()
+	cfg.Design.FillingRatio = 0.2
+	cfg.Design.CondenserUA = 5
+	degraded, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := thermosyphon.DefaultOperating()
+	got, err := healthy.NewSession(WithDesign(cfg.Design)).Transient(op, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := degraded.NewSession().Transient(op, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp := healthy.Power.BlockPowers(fullLoadState(2.2))
+	for i := 0; i < 40; i++ {
+		if err := got.Step(0.25, bp); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Step(0.25, bp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, v := range want.Field().T {
+		if got.Field().T[i] != v {
+			g, _ := got.DieMax()
+			w, _ := want.DieMax()
+			t.Fatalf("WithDesign sim differs from the degraded system at cell %d (die θmax %.2f vs %.2f °C)", i, g, w)
+		}
 	}
 }

@@ -234,28 +234,13 @@ func FullLoadMapping(cfg workload.Config, idle power.CState) core.Mapping {
 	return m
 }
 
-// SolveMapping runs the coupled solve for a benchmark under a mapping and
-// returns die and package statistics. It is the uncancellable
-// fresh-system form; experiment runs use SolveMappingSession.
-func SolveMapping(sys *cosim.System, b workload.Benchmark, m core.Mapping, op thermosyphon.Operating) (die, pkg metrics.MapStats, res *cosim.Result, err error) {
-	st := core.PackageState(b, m)
-	res, err = sys.SolveSteady(st, op)
-	if err != nil {
-		return
-	}
-	die, err = sys.DieStats(res)
-	if err != nil {
-		return
-	}
-	pkg, err = sys.PackageStats(res)
-	return
-}
-
-// SolveMappingSession is SolveMapping on a reusable solve session — the
-// form every pooled study uses so each sweep worker amortizes its solver
-// workspace across all the points it claims. Cancelling ctx aborts the
-// coupled solve between outer iterations. The returned result aliases
-// session buffers and is valid until the session's next solve.
+// SolveMappingSession runs the coupled solve for a benchmark under a
+// mapping on a solve session and returns die and package statistics.
+// Pooled studies hand each sweep worker one session, so the worker
+// amortizes its solver workspace across all the points it claims.
+// Cancelling ctx aborts the coupled solve between outer iterations. The
+// returned result aliases session buffers and is valid until the
+// session's next solve.
 func SolveMappingSession(ctx context.Context, ses *cosim.Session, b workload.Benchmark, m core.Mapping, op thermosyphon.Operating) (die, pkg metrics.MapStats, res *cosim.Result, err error) {
 	st := core.PackageState(b, m)
 	res, err = ses.SolveSteady(ctx, st, op)

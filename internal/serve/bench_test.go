@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -67,59 +66,6 @@ func BenchmarkServeSteady(b *testing.B) {
 			do(b, h, "miss")
 		}
 	})
-}
-
-// BenchmarkServeLoad drives the deterministic open-loop client against a
-// live server over a real socket and reports service-level percentiles,
-// sustained throughput, and warm-cache hit rate — uniform vs Zipf-skewed
-// key popularity. EXPERIMENTS.md records one run; the gated service
-// benchmark is `bash bench/run.sh` (see bench/README.md).
-func BenchmarkServeLoad(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		skew float64
-	}{
-		{"skew=uniform", 0},
-		{"skew=zipf1.2", 1.2},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			s, err := New(Config{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			ts := httptest.NewServer(s.Handler())
-			defer ts.Close()
-
-			var last *LoadReport
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, err := RunLoad(context.Background(), LoadConfig{
-					BaseURL:     ts.URL,
-					Requests:    300,
-					Concurrency: 8,
-					Keys:        16,
-					Skew:        tc.skew,
-					Seed:        42,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Errors > 0 {
-					b.Fatalf("load errors: %+v", rep)
-				}
-				last = rep
-			}
-			b.StopTimer()
-			if last != nil {
-				b.ReportMetric(last.P50Ms, "p50_ms")
-				b.ReportMetric(last.P99Ms, "p99_ms")
-				b.ReportMetric(last.QPS, "qps")
-				b.ReportMetric(last.HitRate, "hit_rate")
-				b.ReportMetric(float64(last.Completed), "completed")
-			}
-		})
-	}
 }
 
 // BenchmarkServeTransientStep measures one transient step through the

@@ -2,7 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -51,4 +56,79 @@ func FuzzNormalizeSteady(f *testing.F) {
 			t.Fatalf("memo key does not survive a JSON round trip:\n %s\n → %s", p.key, round.key)
 		}
 	})
+}
+
+// FuzzCheckpointPayload checks checkpoint restore against arbitrary
+// payloads. The harness wraps the payload in an envelope with the current
+// version and a correct SHA-256, so mutations reach payload decoding and
+// blade rebuilding instead of stopping at the checksum. RestoreCheckpoint
+// on a fresh server never panics, and a restore it accepts registers
+// exactly the payload's blades at their saved time_s and last_seq, which
+// a SaveCheckpoint → RestoreCheckpoint round trip onto another fresh
+// server preserves. The seed corpus, which includes the payload of a
+// registered and stepped blade, lives in
+// testdata/fuzz/FuzzCheckpointPayload.
+func FuzzCheckpointPayload(f *testing.F) {
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		// The envelope carries the payload as a JSON value, so bytes that
+		// are not JSON cannot reach payload decoding; compacting first
+		// makes the checksum cover exactly the bytes the file holds.
+		var raw bytes.Buffer
+		if err := json.Compact(&raw, payload); err != nil {
+			return
+		}
+		path := filepath.Join(t.TempDir(), "ckpt.json")
+		env := fmt.Appendf(nil, `{"version":%d,"checksum_sha256":"%x","payload":%s}`,
+			checkpointVersion, sha256.Sum256(raw.Bytes()), raw.Bytes())
+		if err := os.WriteFile(path, env, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		s := newTestServer(t, Config{CheckpointPath: path})
+		if _, err := s.RestoreCheckpoint(); err != nil {
+			return
+		}
+		var decoded checkpointPayload
+		if err := json.Unmarshal(raw.Bytes(), &decoded); err != nil {
+			t.Fatalf("restore accepted a payload that does not decode: %v", err)
+		}
+		want := make(map[string]bladeMark, len(decoded.Blades))
+		for _, b := range decoded.Blades {
+			want[b.Blade] = bladeMark{TimeS: b.State.TimeS, LastSeq: b.LastSeq}
+		}
+		got := bladeMarks(s)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("restored blades %v, payload holds %v", got, want)
+		}
+		if _, err := s.SaveCheckpoint(); err != nil {
+			t.Fatalf("save after an accepted restore: %v", err)
+		}
+		again := newTestServer(t, Config{CheckpointPath: path})
+		if _, err := again.RestoreCheckpoint(); err != nil {
+			t.Fatalf("restore of a saved checkpoint: %v", err)
+		}
+		if round := bladeMarks(again); !reflect.DeepEqual(round, got) {
+			t.Fatalf("save → restore moved the blades: %v → %v", got, round)
+		}
+	})
+}
+
+// bladeMark is what a checkpoint round trip must preserve per blade.
+type bladeMark struct {
+	TimeS   float64
+	LastSeq int64
+}
+
+// bladeMarks maps every registered transient blade to its mark.
+func bladeMarks(s *Server) map[string]bladeMark {
+	out := make(map[string]bladeMark)
+	for _, name := range s.trans.names() {
+		b, ok := s.trans.get(name)
+		if !ok {
+			continue
+		}
+		b.mu.Lock()
+		out[name] = bladeMark{TimeS: b.sim.Time(), LastSeq: b.lastSeq}
+		b.mu.Unlock()
+	}
+	return out
 }

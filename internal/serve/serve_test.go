@@ -532,53 +532,6 @@ func TestWarmHitSpeedup(t *testing.T) {
 	}
 }
 
-func TestLoadEngine(t *testing.T) {
-	s := newTestServer(t, Config{})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	cfg := LoadConfig{
-		BaseURL:     ts.URL,
-		Requests:    40,
-		Concurrency: 4,
-		Keys:        4,
-		Seed:        7,
-	}
-	rep, err := RunLoad(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("RunLoad: %v", err)
-	}
-	if rep.Completed+rep.Dropped+rep.Rejected+rep.Errors != rep.Requests {
-		t.Fatalf("accounting: %+v", rep)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("%d errors: %+v", rep.Errors, rep)
-	}
-	if rep.Misses > cfg.Keys {
-		t.Fatalf("%d misses for a %d-key pool", rep.Misses, cfg.Keys)
-	}
-	// Same seed, warm server: the key pool is already memoized, so a
-	// replay is all hits — the sequence is deterministic.
-	rep2, err := RunLoad(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Misses != 0 || rep2.Hits != rep2.Completed {
-		t.Fatalf("replay on a warm server should be all hits: %+v", rep2)
-	}
-
-	// Zipf skew concentrates on the head of the pool.
-	repZ, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL: ts.URL, Requests: 40, Concurrency: 4, Keys: 8, Skew: 1.5, Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repZ.Errors != 0 {
-		t.Fatalf("zipf run errors: %+v", repZ)
-	}
-}
-
 // drainBody is a helper for reading a real HTTP response.
 func drainBody(t *testing.T, resp *http.Response) []byte {
 	t.Helper()

@@ -26,7 +26,7 @@ func TestSlabResistanceAgainstSolver(t *testing.T) {
 	for i := range p {
 		p[i] = q / float64(m.Cells())
 	}
-	sol, err := m.SteadySolve(map[int][]float64{0: p}, UniformTop(m.Cells(), h, tf))
+	sol, err := solveSteady(m, [][]float64{p}, UniformTop(m.Cells(), h, tf))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,16 +119,16 @@ func TestTimeConstantBoundsTransient(t *testing.T) {
 		p[i] = 0.5
 	}
 	bc := UniformTop(m.Cells(), 4000, 35)
-	pw := map[int][]float64{0: p}
-	steady, err := m.SteadySolve(pw, bc)
+	pw := [][]float64{p}
+	steady, err := solveSteady(m, pw, bc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := m.NewWorkspace()
 	f := m.UniformField(25)
 	steps := int(5*tau/0.05) + 1
 	for i := 0; i < steps; i++ {
-		f, err = m.StepTransient(f, 0.05, pw, bc)
-		if err != nil {
+		if err := w.StepTransientLayersInto(f, f, 0.05, pw, bc); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -12,7 +12,7 @@ import (
 
 // escalationFixture builds a model plus assembled power/boundary for the
 // ladder tests, at the standard medium package grid.
-func escalationFixture(t testing.TB) (*Model, map[int][]float64, TopBoundary) {
+func escalationFixture(t testing.TB) (*Model, [][]float64, TopBoundary) {
 	t.Helper()
 	return xvalModel(t, floorplan.XeonE5Package(), 38, 30)
 }
@@ -67,7 +67,7 @@ func TestInjectedMGFaultEscalatesToCG(t *testing.T) {
 	wref := m.NewWorkspace()
 	wref.SetSolver(SolverCG)
 	ref := wref.FieldA()
-	if err := wref.SteadySolveInto(ref, nil, power, bc); err != nil {
+	if err := wref.SteadySolveLayersInto(ref, nil, power, bc); err != nil {
 		t.Fatal(err)
 	}
 
@@ -75,7 +75,7 @@ func TestInjectedMGFaultEscalatesToCG(t *testing.T) {
 	w.SetSolver(SolverMGPCG)
 	w.InjectMGFault(true)
 	got := w.FieldA()
-	if err := w.SteadySolveInto(got, nil, power, bc); err != nil {
+	if err := w.SteadySolveLayersInto(got, nil, power, bc); err != nil {
 		t.Fatalf("ladder did not rescue the poisoned solve: %v", err)
 	}
 
@@ -111,15 +111,14 @@ func TestInjectedMGFaultEscalatesToCG(t *testing.T) {
 // to a direct Jacobi-CG step.
 func TestEscalationTransientRestoresSeed(t *testing.T) {
 	m, power, bc := escalationFixture(t)
-	layers := [][]float64{power[0]}
 
 	step := func(w *Workspace) *Field {
 		prev := w.FieldA()
-		if err := w.SteadySolveLayersInto(prev, nil, layers, bc); err != nil {
+		if err := w.SteadySolveLayersInto(prev, nil, power, bc); err != nil {
 			t.Fatal(err)
 		}
 		dst := w.FieldB()
-		if err := w.StepTransientLayersInto(dst, prev, 0.05, layers, bc); err != nil {
+		if err := w.StepTransientLayersInto(dst, prev, 0.05, power, bc); err != nil {
 			t.Fatal(err)
 		}
 		return dst
@@ -157,7 +156,7 @@ func TestEscalationByteIdenticalAcrossThreads(t *testing.T) {
 			w.SetThreads(threads)
 		}
 		f := w.FieldA()
-		if err := w.SteadySolveInto(f, nil, power, bc); err != nil {
+		if err := w.SteadySolveLayersInto(f, nil, power, bc); err != nil {
 			t.Fatal(err)
 		}
 		if len(w.Escalations()) != 1 {
@@ -185,7 +184,7 @@ func TestEscalationDisabled(t *testing.T) {
 	w.SetEscalation(false)
 	w.InjectMGFault(true)
 	f := w.FieldA()
-	err := w.SteadySolveInto(f, nil, power, bc)
+	err := w.SteadySolveLayersInto(f, nil, power, bc)
 	if err == nil {
 		t.Fatal("poisoned solve succeeded with the ladder disabled")
 	}
@@ -212,7 +211,7 @@ func TestEscalationObservesContext(t *testing.T) {
 	cancel()
 	w.SetContext(ctx)
 	f := w.FieldA()
-	err := w.SteadySolveInto(f, nil, power, bc)
+	err := w.SteadySolveLayersInto(f, nil, power, bc)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled from the inter-rung check", err)
 	}

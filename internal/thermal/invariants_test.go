@@ -20,7 +20,7 @@ func TestMaximumPrinciple(t *testing.T) {
 		t.Fatal(err)
 	}
 	bc := UniformTop(m.Cells(), 4000, 35)
-	f, err := m.SteadySolve(nil, bc)
+	f, err := solveSteady(m, nil, bc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,13 +37,13 @@ func TestSourcesOnlyRaiseTemperatures(t *testing.T) {
 	s := smallStack(6, 6)
 	m, _ := NewModel(s, Environment{AmbientC: 45, BottomH: 10})
 	bc := UniformTop(m.Cells(), 5000, 30)
-	base, err := m.SteadySolve(nil, bc)
+	base, err := solveSteady(m, nil, bc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := make([]float64, m.Cells())
 	p[m.Grid().Index(2, 3)] = 15
-	hot, err := m.SteadySolve(map[int][]float64{0: p}, bc)
+	hot, err := solveSteady(m, [][]float64{p}, bc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,14 +60,14 @@ func TestLinearityOfSteadySolve(t *testing.T) {
 	s := smallStack(6, 6)
 	m, _ := NewModel(s, Environment{AmbientC: 40, BottomH: 5})
 	bc := UniformTop(m.Cells(), 6000, 32)
-	zero, err := m.SteadySolve(nil, bc)
+	zero, err := solveSteady(m, nil, bc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p1 := make([]float64, m.Cells())
 	p1[m.Grid().Index(1, 1)] = 8
 	p1[m.Grid().Index(4, 4)] = 4
-	one, err := m.SteadySolve(map[int][]float64{0: p1}, bc)
+	one, err := solveSteady(m, [][]float64{p1}, bc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestLinearityOfSteadySolve(t *testing.T) {
 	for i := range p1 {
 		p2[i] = 2 * p1[i]
 	}
-	two, err := m.SteadySolve(map[int][]float64{0: p2}, bc)
+	two, err := solveSteady(m, [][]float64{p2}, bc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestEnergyBalanceProperty(t *testing.T) {
 		if total == 0 {
 			return true
 		}
-		sol, err := m.SteadySolve(map[int][]float64{0: p}, bc)
+		sol, err := solveSteady(m, [][]float64{p}, bc)
 		if err != nil {
 			return false
 		}
@@ -149,7 +149,7 @@ func TestGridResolutionConvergence(t *testing.T) {
 			}
 		}
 		bc := UniformTop(m.Cells(), 5000, 35)
-		sol, err := m.SteadySolve(map[int][]float64{0: p}, bc)
+		sol, err := solveSteady(m, [][]float64{p}, bc)
 		if err != nil {
 			t.Fatal(err)
 		}

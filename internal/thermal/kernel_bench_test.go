@@ -37,7 +37,7 @@ func benchOperator(b *testing.B, n int) (*Model, *Workspace, linalg.Vector, lina
 	w := m.NewWorkspace()
 	m.fillOperator(&w.op, bc, 0)
 	rhs := make(linalg.Vector, m.n)
-	if err := m.rhsInto(rhs, power, bc); err != nil {
+	if err := m.rhsLayersInto(rhs, power, bc); err != nil {
 		b.Fatal(err)
 	}
 	return m, w, rhs, parField(m.n)

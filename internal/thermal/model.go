@@ -196,9 +196,9 @@ func (m *Model) newStencil() stencil {
 
 // fillOperator (re)assembles the diagonal for the given boundary and
 // optional capacitive term (capOverDt > 0 for transient steps) into a
-// stencil whose vectors are already sized — the allocation-free core that
-// both buildOperator and Workspace share. Every element is overwritten, so
-// a reused stencil carries no state between solves.
+// stencil whose vectors are already sized, allocating nothing. Every
+// element is overwritten, so a reused stencil carries no state between
+// solves.
 func (m *Model) fillOperator(op *stencil, bc TopBoundary, capOverDt float64) {
 	nx, cells := m.nx, m.cells
 	for l := 0; l < m.nl; l++ {
@@ -239,45 +239,12 @@ func (m *Model) fillOperator(op *stencil, bc TopBoundary, capOverDt float64) {
 	}
 }
 
-// buildOperator allocates a fresh operator stencil for the given boundary
-// and optional capacitive term.
-func (m *Model) buildOperator(bc TopBoundary, capOverDt float64) *stencil {
-	op := m.newStencil()
-	m.fillOperator(&op, bc, capOverDt)
-	return &op
-}
-
-// rhs assembles the right-hand side: injected power plus boundary sources.
-// powerByLayer maps layer index → per-cell watts (nil entries allowed).
-func (m *Model) rhs(powerByLayer map[int][]float64, bc TopBoundary) (linalg.Vector, error) {
-	b := make(linalg.Vector, m.n)
-	if err := m.rhsInto(b, powerByLayer, bc); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// rhsInto assembles the right-hand side into a caller-owned vector of
-// length n, overwriting it completely. Allocation-free: the map is
-// walked directly (write order does not matter — every layer scatters
-// into a disjoint range of b).
-func (m *Model) rhsInto(b linalg.Vector, powerByLayer map[int][]float64, bc TopBoundary) error {
-	b.Fill(0)
-	for l, p := range powerByLayer {
-		if p == nil {
-			continue
-		}
-		if err := m.injectLayer(b, l, p); err != nil {
-			return err
-		}
-	}
-	m.rhsBoundaryInto(b, bc)
-	return nil
-}
-
-// rhsLayersInto is rhsInto with the injection as a dense per-layer table
-// (layers[l] = per-cell watts, nil entries allowed, table may be shorter
-// than the stack) — the lookup-free form the workspace hot paths use.
+// rhsLayersInto assembles the right-hand side into a caller-owned vector
+// of length n, overwriting it completely: the injected power plus the
+// boundary sources (board-side ambient on layer 0, the convective top
+// fluid). The injection is a dense per-layer table: layers[l] is layer
+// l's per-cell watts, nil entries inject nothing, and the table may be
+// shorter than the stack.
 func (m *Model) rhsLayersInto(b linalg.Vector, layers [][]float64, bc TopBoundary) error {
 	if len(layers) > m.nl {
 		return fmt.Errorf("thermal: power table has %d layers, stack has %d", len(layers), m.nl)
@@ -287,32 +254,14 @@ func (m *Model) rhsLayersInto(b linalg.Vector, layers [][]float64, bc TopBoundar
 		if p == nil {
 			continue
 		}
-		if err := m.injectLayer(b, l, p); err != nil {
-			return err
+		if len(p) != m.cells {
+			return fmt.Errorf("thermal: layer %d power has %d cells, want %d", l, len(p), m.cells)
+		}
+		base := l * m.cells
+		for c, w := range p {
+			b[base+c] += w
 		}
 	}
-	m.rhsBoundaryInto(b, bc)
-	return nil
-}
-
-// injectLayer validates one layer's power vector and adds it into b.
-func (m *Model) injectLayer(b linalg.Vector, l int, p []float64) error {
-	if l < 0 || l >= m.nl {
-		return fmt.Errorf("thermal: power assigned to invalid layer %d", l)
-	}
-	if len(p) != m.cells {
-		return fmt.Errorf("thermal: layer %d power has %d cells, want %d", l, len(p), m.cells)
-	}
-	base := l * m.cells
-	for c, w := range p {
-		b[base+c] += w
-	}
-	return nil
-}
-
-// rhsBoundaryInto adds the boundary source terms shared by both RHS
-// assemblers: board-side ambient on layer 0 and the convective top fluid.
-func (m *Model) rhsBoundaryInto(b linalg.Vector, bc TopBoundary) {
 	for c := 0; c < m.cells; c++ {
 		b[c] += m.gBottom[c] * m.Env.AmbientC
 	}
@@ -322,6 +271,7 @@ func (m *Model) rhsBoundaryInto(b linalg.Vector, bc TopBoundary) {
 			b[top+c] += g * bc.TFluid[c]
 		}
 	}
+	return nil
 }
 
 func (m *Model) checkBC(bc TopBoundary) error {
@@ -329,37 +279,6 @@ func (m *Model) checkBC(bc TopBoundary) error {
 		return fmt.Errorf("thermal: boundary has %d/%d cells, want %d", len(bc.H), len(bc.TFluid), m.cells)
 	}
 	return nil
-}
-
-// SteadySolve computes the steady-state temperature field for the given
-// per-layer power injection (W per cell) and top boundary.
-func (m *Model) SteadySolve(powerByLayer map[int][]float64, bc TopBoundary) (*Field, error) {
-	return m.SteadySolveFrom(nil, powerByLayer, bc)
-}
-
-// SteadySolveFrom is SteadySolve warm-started from a previous field, which
-// makes the outer thermosyphon coupling loop cheap: successive solves
-// differ only slightly, so CG converges in a few iterations. It is a thin
-// compatibility wrapper over Workspace.SteadySolveInto that builds a
-// throwaway workspace; hot loops should hold a Workspace (or a
-// cosim.Session) instead and reuse it across solves.
-func (m *Model) SteadySolveFrom(init *Field, powerByLayer map[int][]float64, bc TopBoundary) (*Field, error) {
-	f := m.NewField()
-	if err := m.NewWorkspace().SteadySolveInto(f, init, powerByLayer, bc); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// StepTransient advances the field by dt seconds with backward Euler under
-// the given power and boundary, returning the new field. Like
-// SteadySolveFrom it wraps the workspace path with per-call scratch.
-func (m *Model) StepTransient(prev *Field, dt float64, powerByLayer map[int][]float64, bc TopBoundary) (*Field, error) {
-	f := m.NewField()
-	if err := m.NewWorkspace().StepTransientInto(f, prev, dt, powerByLayer, bc); err != nil {
-		return nil, err
-	}
-	return f, nil
 }
 
 // NewField returns a zero-temperature field sized for the model.

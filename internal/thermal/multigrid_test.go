@@ -10,7 +10,7 @@ import (
 
 // xvalModel builds a model over the given package geometry at the given
 // resolution with a deterministic non-uniform die power pattern.
-func xvalModel(t testing.TB, pg floorplan.PackageGeometry, nx, ny int) (*Model, map[int][]float64, TopBoundary) {
+func xvalModel(t testing.TB, pg floorplan.PackageGeometry, nx, ny int) (*Model, [][]float64, TopBoundary) {
 	t.Helper()
 	stack := NewXeonStack(XeonStackConfig{NX: nx, NY: ny, Package: pg})
 	m, err := NewModel(stack, DefaultEnvironment())
@@ -33,18 +33,18 @@ func xvalModel(t testing.TB, pg floorplan.PackageGeometry, nx, ny int) (*Model, 
 			p[g.Index(ix, iy)] = v * 85 / (1.2 * float64(nx*ny))
 		}
 	}
-	return m, map[int][]float64{0: p}, UniformTop(m.Cells(), 6000, 32)
+	return m, [][]float64{p}, UniformTop(m.Cells(), 6000, 32)
 }
 
 // solveWithTol runs the workspace solver path with a caller-chosen
 // tolerance, bypassing the public wrappers' fixed 1e-10 so the
 // cross-validation can push all solvers to equal, tight accuracy.
-func solveWithTol(t testing.TB, m *Model, s Solver, power map[int][]float64, bc TopBoundary, tol float64) (linalg.Vector, SolveStats) {
+func solveWithTol(t testing.TB, m *Model, s Solver, power [][]float64, bc TopBoundary, tol float64) (linalg.Vector, SolveStats) {
 	t.Helper()
 	w := m.NewWorkspace()
 	w.SetSolver(s)
 	m.fillOperator(&w.op, bc, 0)
-	if err := m.rhsInto(w.rhs, power, bc); err != nil {
+	if err := m.rhsLayersInto(w.rhs, power, bc); err != nil {
 		t.Fatal(err)
 	}
 	x := make(linalg.Vector, m.n)
@@ -102,7 +102,7 @@ func TestMGEnergyBalance128(t *testing.T) {
 	w := m.NewWorkspace()
 	w.SetSolver(SolverMGPCG)
 	f := w.FieldA()
-	if err := w.SteadySolveInto(f, nil, power, bc); err != nil {
+	if err := w.SteadySolveLayersInto(f, nil, power, bc); err != nil {
 		t.Fatal(err)
 	}
 	out := f.TotalHeatToTop(bc) + f.TotalHeatToBottom()
@@ -155,11 +155,11 @@ func TestWorkspaceMGZeroAllocs(t *testing.T) {
 		w := m.NewWorkspace()
 		w.SetSolver(s)
 		f := w.FieldA()
-		if err := w.SteadySolveInto(f, nil, power, bc); err != nil { // warm-up
+		if err := w.SteadySolveLayersInto(f, nil, power, bc); err != nil { // warm-up
 			t.Fatal(err)
 		}
 		solve := func() {
-			if err := w.SteadySolveInto(f, f, power, bc); err != nil {
+			if err := w.SteadySolveLayersInto(f, f, power, bc); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -167,7 +167,7 @@ func TestWorkspaceMGZeroAllocs(t *testing.T) {
 			t.Fatalf("warm %v steady solve allocated %.1f times per run, want 0", s, allocs)
 		}
 		step := func() {
-			if err := w.StepTransientInto(f, f, 0.25, power, bc); err != nil {
+			if err := w.StepTransientLayersInto(f, f, 0.25, power, bc); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -198,7 +198,9 @@ func TestHierarchyCoarseOperatorConsistency(t *testing.T) {
 	}
 	fine := build(32, 32)
 	direct := build(16, 16)
-	h, err := newHierarchy(fine, fine.buildOperator(UniformTop(fine.Cells(), 5000, 30), 0))
+	op := fine.newStencil()
+	fine.fillOperator(&op, UniformTop(fine.Cells(), 5000, 30), 0)
+	h, err := newHierarchy(fine, &op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,9 +230,10 @@ func TestHierarchyCoarseOperatorConsistency(t *testing.T) {
 // reference.
 func TestSmoothRedBlackOrderIndependence(t *testing.T) {
 	m, power, bc := workspaceFixture(t)
-	op := m.buildOperator(bc, 0)
+	op := m.newStencil()
+	m.fillOperator(&op, bc, 0)
 	b := make(linalg.Vector, m.n)
-	if err := m.rhsInto(b, power, bc); err != nil {
+	if err := m.rhsLayersInto(b, power, bc); err != nil {
 		t.Fatal(err)
 	}
 	x := make(linalg.Vector, m.n)

@@ -20,7 +20,7 @@ import (
 // parModel builds a deliberately odd-sized model (ragged worker bands,
 // n above the parallel dispatch threshold) with a non-uniform power map
 // and boundary.
-func parModel(t testing.TB) (*Model, map[int][]float64, TopBoundary) {
+func parModel(t testing.TB) (*Model, [][]float64, TopBoundary) {
 	t.Helper()
 	cfg := DefaultXeonStackConfig()
 	cfg.NX, cfg.NY = 41, 33
@@ -39,7 +39,7 @@ func parModel(t testing.TB) (*Model, map[int][]float64, TopBoundary) {
 	for i := range bc.H {
 		bc.H[i] += 35 * float64(i%11)
 	}
-	return m, map[int][]float64{0: p}, bc
+	return m, [][]float64{p}, bc
 }
 
 // parField fills a deterministic non-trivial iterate.
@@ -66,8 +66,8 @@ func vecsEqual(t *testing.T, what string, got, want linalg.Vector) {
 func TestStencilKernelsByteIdenticalAcrossThreads(t *testing.T) {
 	m, power, bc := parModel(t)
 	ref := m.NewWorkspace()
-	b, err := m.rhs(power, bc)
-	if err != nil {
+	b := make(linalg.Vector, m.n)
+	if err := m.rhsLayersInto(b, power, bc); err != nil {
 		t.Fatal(err)
 	}
 	m.fillOperator(&ref.op, bc, 0)
@@ -117,8 +117,8 @@ func TestFusedSmoothResidualMatchesUnfused(t *testing.T) {
 	m, power, bc := parModel(t)
 	w := m.NewWorkspace()
 	m.fillOperator(&w.op, bc, 0)
-	b, err := m.rhs(power, bc)
-	if err != nil {
+	b := make(linalg.Vector, m.n)
+	if err := m.rhsLayersInto(b, power, bc); err != nil {
 		t.Fatal(err)
 	}
 	x0 := parField(m.n)
@@ -149,12 +149,12 @@ func TestSolvesByteIdenticalAcrossThreads(t *testing.T) {
 		ref := m.NewWorkspace()
 		ref.SetSolver(solver)
 		steady := ref.FieldA()
-		if err := ref.SteadySolveInto(steady, nil, power, bc); err != nil {
+		if err := ref.SteadySolveLayersInto(steady, nil, power, bc); err != nil {
 			t.Fatalf("%v serial steady: %v", solver, err)
 		}
 		step := ref.FieldB()
 		step.T.Fill(30)
-		if err := ref.StepTransientInto(step, step, 0.25, power, bc); err != nil {
+		if err := ref.StepTransientLayersInto(step, step, 0.25, power, bc); err != nil {
 			t.Fatalf("%v serial transient: %v", solver, err)
 		}
 		for _, threads := range []int{2, 4, 8} {
@@ -165,47 +165,18 @@ func TestSolvesByteIdenticalAcrossThreads(t *testing.T) {
 				t.Fatalf("Threads() = %d, want %d", got, threads)
 			}
 			f := w.FieldA()
-			if err := w.SteadySolveInto(f, nil, power, bc); err != nil {
+			if err := w.SteadySolveLayersInto(f, nil, power, bc); err != nil {
 				t.Fatalf("%v steady @%d threads: %v", solver, threads, err)
 			}
 			vecsEqual(t, "steady field", f.T, steady.T)
 			g := w.FieldB()
 			g.T.Fill(30)
-			if err := w.StepTransientInto(g, g, 0.25, power, bc); err != nil {
+			if err := w.StepTransientLayersInto(g, g, 0.25, power, bc); err != nil {
 				t.Fatalf("%v transient @%d threads: %v", solver, threads, err)
 			}
 			vecsEqual(t, "transient field", g.T, step.T)
 			w.Close()
 		}
-	}
-}
-
-// TestLayersSolveMatchesMapSolve pins the satellite refactor: the dense
-// per-layer power table must be exactly the map path (which now wraps
-// it), including validation failures.
-func TestLayersSolveMatchesMapSolve(t *testing.T) {
-	m, power, bc := parModel(t)
-	wMap := m.NewWorkspace()
-	fMap := wMap.FieldA()
-	if err := wMap.SteadySolveInto(fMap, nil, power, bc); err != nil {
-		t.Fatal(err)
-	}
-	wSl := m.NewWorkspace()
-	fSl := wSl.FieldA()
-	layers := make([][]float64, 1)
-	layers[0] = power[0]
-	if err := wSl.SteadySolveLayersInto(fSl, nil, layers, bc); err != nil {
-		t.Fatal(err)
-	}
-	vecsEqual(t, "layers-vs-map steady", fSl.T, fMap.T)
-
-	long := make([][]float64, m.Layers()+1)
-	if err := wSl.SteadySolveLayersInto(fSl, nil, long, bc); err == nil {
-		t.Fatal("oversized layer table must error")
-	}
-	bad := [][]float64{make([]float64, 3)}
-	if err := wSl.StepTransientLayersInto(fSl, fSl, 0.1, bad, bc); err == nil {
-		t.Fatal("mis-sized layer power must error")
 	}
 }
 
@@ -220,11 +191,11 @@ func TestWorkspaceThreadsZeroAllocs(t *testing.T) {
 		w.SetThreads(4)
 		f := w.FieldA()
 		solve := func() {
-			if err := w.SteadySolveInto(f, f, power, bc); err != nil {
+			if err := w.SteadySolveLayersInto(f, f, power, bc); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := w.SteadySolveInto(f, nil, power, bc); err != nil { // warm-up
+		if err := w.SteadySolveLayersInto(f, nil, power, bc); err != nil { // warm-up
 			t.Fatal(err)
 		}
 		if allocs := testing.AllocsPerRun(10, solve); allocs != 0 {
@@ -245,7 +216,7 @@ func TestSetThreadsLifecycle(t *testing.T) {
 	w.SetThreads(2) // no-op path
 	w.SetThreads(3) // resize swaps the team
 	f := w.FieldA()
-	if err := w.SteadySolveInto(f, nil, power, bc); err != nil {
+	if err := w.SteadySolveLayersInto(f, nil, power, bc); err != nil {
 		t.Fatal(err)
 	}
 	ref := f.T.Clone()
@@ -253,7 +224,7 @@ func TestSetThreadsLifecycle(t *testing.T) {
 	if got := w.Threads(); got != 1 {
 		t.Fatalf("Threads() after Close = %d, want 1", got)
 	}
-	if err := w.SteadySolveInto(f, nil, power, bc); err != nil {
+	if err := w.SteadySolveLayersInto(f, nil, power, bc); err != nil {
 		t.Fatal(err)
 	}
 	vecsEqual(t, "post-Close solve", f.T, ref)
@@ -287,13 +258,13 @@ func TestThreadScalingSpeedup(t *testing.T) {
 		w.SetSolver(SolverMGPCG)
 		w.SetThreads(threads)
 		f := w.FieldA()
-		if err := w.SteadySolveInto(f, nil, power, bc); err != nil { // warm-up
+		if err := w.SteadySolveLayersInto(f, nil, power, bc); err != nil { // warm-up
 			t.Fatal(err)
 		}
 		best := time.Duration(1<<62 - 1)
 		for i := 0; i < 5; i++ {
 			start := time.Now()
-			if err := w.SteadySolveInto(f, nil, power, bc); err != nil {
+			if err := w.SteadySolveLayersInto(f, nil, power, bc); err != nil {
 				t.Fatal(err)
 			}
 			if d := time.Since(start); d < best {

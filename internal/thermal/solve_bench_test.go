@@ -1,14 +1,12 @@
 package thermal
 
-// Solve-family micro-benchmarks comparing the allocating wrappers against
-// the workspace path:
+// Solve-family micro-benchmarks of the workspace path:
 //
 //	go test ./internal/thermal -bench=Solve -benchmem
 //
-// The "fresh" variants rebuild the operator, RHS, CG scratch, and field
-// per call (the pre-session behavior); "workspace" reuses one Workspace
-// cold-started per solve; "workspace-warm" additionally seeds each solve
-// from the previous converged field — the session steady-state.
+// "workspace" reuses one Workspace cold-started per solve;
+// "workspace-warm" additionally seeds each solve from the previous
+// converged field — the session steady-state.
 
 import (
 	"errors"
@@ -19,7 +17,7 @@ import (
 	"repro/internal/linalg"
 )
 
-func benchModel(b *testing.B) (*Model, map[int][]float64, TopBoundary) {
+func benchModel(b *testing.B) (*Model, [][]float64, TopBoundary) {
 	b.Helper()
 	m, err := NewModel(NewXeonStack(DefaultXeonStackConfig()), DefaultEnvironment())
 	if err != nil {
@@ -29,26 +27,18 @@ func benchModel(b *testing.B) (*Model, map[int][]float64, TopBoundary) {
 	for i := range p {
 		p[i] = 0.05 + 0.002*float64(i%13)
 	}
-	return m, map[int][]float64{0: p}, UniformTop(m.Cells(), 6000, 32)
+	return m, [][]float64{p}, UniformTop(m.Cells(), 6000, 32)
 }
 
 func BenchmarkSteadySolve(b *testing.B) {
 	m, power, bc := benchModel(b)
-	b.Run("fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.SteadySolve(power, bc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("workspace", func(b *testing.B) {
 		w := m.NewWorkspace()
 		f := w.FieldA()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := w.SteadySolveInto(f, nil, power, bc); err != nil {
+			if err := w.SteadySolveLayersInto(f, nil, power, bc); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -56,13 +46,13 @@ func BenchmarkSteadySolve(b *testing.B) {
 	b.Run("workspace-warm", func(b *testing.B) {
 		w := m.NewWorkspace()
 		f := w.FieldA()
-		if err := w.SteadySolveInto(f, nil, power, bc); err != nil {
+		if err := w.SteadySolveLayersInto(f, nil, power, bc); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := w.SteadySolveInto(f, f, power, bc); err != nil {
+			if err := w.SteadySolveLayersInto(f, f, power, bc); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -88,13 +78,13 @@ func BenchmarkSteadySolveSize(b *testing.B) {
 					w.SetThreads(threads)
 					defer w.Close()
 					f := w.FieldA()
-					if err := w.SteadySolveInto(f, nil, power, bc); err != nil { // warm buffers
+					if err := w.SteadySolveLayersInto(f, nil, power, bc); err != nil { // warm buffers
 						b.Fatal(err)
 					}
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if err := w.SteadySolveInto(f, nil, power, bc); err != nil {
+						if err := w.SteadySolveLayersInto(f, nil, power, bc); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -114,7 +104,7 @@ func BenchmarkFusedCGIteration(b *testing.B) {
 	w := m.NewWorkspace()
 	defer w.Close()
 	m.fillOperator(&w.op, bc, 0)
-	if err := m.rhsInto(w.rhs, power, bc); err != nil {
+	if err := m.rhsLayersInto(w.rhs, power, bc); err != nil {
 		b.Fatal(err)
 	}
 	x := make(linalg.Vector, m.n)
@@ -146,7 +136,7 @@ func BenchmarkMGVCycle(b *testing.B) {
 	w := m.NewWorkspace()
 	w.SetSolver(SolverMGPCG)
 	f := w.FieldA()
-	if err := w.SteadySolveInto(f, nil, power, bc); err != nil { // build + warm the hierarchy
+	if err := w.SteadySolveLayersInto(f, nil, power, bc); err != nil { // build + warm the hierarchy
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -158,18 +148,6 @@ func BenchmarkMGVCycle(b *testing.B) {
 
 func BenchmarkTransientSolveStep(b *testing.B) {
 	m, power, bc := benchModel(b)
-	b.Run("fresh", func(b *testing.B) {
-		f := m.UniformField(30)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			next, err := m.StepTransient(f, 0.25, power, bc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			f = next
-		}
-	})
 	b.Run("workspace", func(b *testing.B) {
 		w := m.NewWorkspace()
 		f := w.FieldA()
@@ -177,7 +155,7 @@ func BenchmarkTransientSolveStep(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := w.StepTransientInto(f, f, 0.25, power, bc); err != nil {
+			if err := w.StepTransientLayersInto(f, f, 0.25, power, bc); err != nil {
 				b.Fatal(err)
 			}
 		}

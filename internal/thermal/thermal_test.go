@@ -18,6 +18,16 @@ func smallStack(nx, ny int) *Stack {
 	}
 }
 
+// solveSteady is a cold steady solve on a fresh workspace into a new
+// field.
+func solveSteady(m *Model, layers [][]float64, bc TopBoundary) (*Field, error) {
+	f := m.NewField()
+	if err := m.NewWorkspace().SteadySolveLayersInto(f, nil, layers, bc); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
 func TestStackValidate(t *testing.T) {
 	good := smallStack(4, 4)
 	if err := good.Validate(); err != nil {
@@ -74,7 +84,7 @@ func TestUniformHeatingAnalytic(t *testing.T) {
 	h := 5000.0
 	tf := 40.0
 	bc := UniformTop(m.Cells(), h, tf)
-	f, err := m.SteadySolve(map[int][]float64{0: p}, bc)
+	f, err := solveSteady(m, [][]float64{p}, bc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +112,7 @@ func TestEnergyConservationWithBottomPath(t *testing.T) {
 	p := make([]float64, m.Cells())
 	p[m.Grid().Index(4, 4)] = 30
 	bc := UniformTop(m.Cells(), 8000, 35)
-	f, err := m.SteadySolve(map[int][]float64{0: p}, bc)
+	f, err := solveSteady(m, [][]float64{p}, bc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +129,7 @@ func TestHotterAboveHeatSource(t *testing.T) {
 	p := make([]float64, m.Cells())
 	p[m.Grid().Index(2, 2)] = 20
 	bc := UniformTop(m.Cells(), 6000, 30)
-	f, err := m.SteadySolve(map[int][]float64{0: p}, bc)
+	f, err := solveSteady(m, [][]float64{p}, bc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +148,7 @@ func TestTopBoundaryValidation(t *testing.T) {
 	s := smallStack(4, 4)
 	m, _ := NewModel(s, DefaultEnvironment())
 	short := TopBoundary{H: make([]float64, 3), TFluid: make([]float64, 3)}
-	if _, err := m.SteadySolve(nil, short); err == nil {
+	if _, err := solveSteady(m, nil, short); err == nil {
 		t.Fatal("mismatched boundary must error")
 	}
 }
@@ -147,10 +157,10 @@ func TestPowerValidation(t *testing.T) {
 	s := smallStack(4, 4)
 	m, _ := NewModel(s, DefaultEnvironment())
 	bc := UniformTop(m.Cells(), 1000, 30)
-	if _, err := m.SteadySolve(map[int][]float64{9: make([]float64, m.Cells())}, bc); err == nil {
-		t.Fatal("invalid layer index must error")
+	if _, err := solveSteady(m, make([][]float64, m.Layers()+1), bc); err == nil {
+		t.Fatal("a power table longer than the stack must error")
 	}
-	if _, err := m.SteadySolve(map[int][]float64{0: make([]float64, 2)}, bc); err == nil {
+	if _, err := solveSteady(m, [][]float64{make([]float64, 2)}, bc); err == nil {
 		t.Fatal("short power vector must error")
 	}
 }
@@ -163,15 +173,15 @@ func TestTransientApproachesSteady(t *testing.T) {
 		p[i] = 40.0 / float64(m.Cells())
 	}
 	bc := UniformTop(m.Cells(), 4000, 35)
-	pw := map[int][]float64{0: p}
-	steady, err := m.SteadySolve(pw, bc)
+	pw := [][]float64{p}
+	steady, err := solveSteady(m, pw, bc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := m.NewWorkspace()
 	f := m.UniformField(25)
 	for i := 0; i < 400; i++ {
-		f, err = m.StepTransient(f, 0.05, pw, bc)
-		if err != nil {
+		if err := w.StepTransientLayersInto(f, f, 0.05, pw, bc); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,13 +198,12 @@ func TestTransientMonotoneWarmup(t *testing.T) {
 	p := make([]float64, m.Cells())
 	p[0] = 10
 	bc := UniformTop(m.Cells(), 3000, 25)
-	pw := map[int][]float64{0: p}
+	pw := [][]float64{p}
+	w := m.NewWorkspace()
 	f := m.UniformField(25)
 	prev := f.At(0, 0, 0)
 	for i := 0; i < 20; i++ {
-		var err error
-		f, err = m.StepTransient(f, 0.1, pw, bc)
-		if err != nil {
+		if err := w.StepTransientLayersInto(f, f, 0.1, pw, bc); err != nil {
 			t.Fatal(err)
 		}
 		cur := f.At(0, 0, 0)
@@ -209,11 +218,12 @@ func TestTransientValidation(t *testing.T) {
 	s := smallStack(4, 4)
 	m, _ := NewModel(s, DefaultEnvironment())
 	bc := UniformTop(m.Cells(), 1000, 30)
+	w := m.NewWorkspace()
 	f := m.UniformField(25)
-	if _, err := m.StepTransient(f, -1, nil, bc); err == nil {
+	if err := w.StepTransientLayersInto(f, f, -1, nil, bc); err == nil {
 		t.Fatal("negative dt must error")
 	}
-	if _, err := m.StepTransient(nil, 0.1, nil, bc); err == nil {
+	if err := w.StepTransientLayersInto(f, nil, 0.1, nil, bc); err == nil {
 		t.Fatal("nil field must error")
 	}
 }
@@ -263,7 +273,7 @@ func TestXeonStackDieRegion(t *testing.T) {
 		}
 	}
 	bc := UniformTop(m.Cells(), 9000, 38)
-	f, err := m.SteadySolve(map[int][]float64{0: p}, bc)
+	f, err := solveSteady(m, [][]float64{p}, bc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,8 +16,8 @@ import (
 // solves on the same model perform no allocations. The buffers are fully
 // overwritten by each solve; a reused workspace carries no numerical state
 // between calls (warm starting is the caller's choice via the init/prev
-// field arguments), which is what keeps the workspace path bit-identical
-// to the allocating SteadySolveFrom/StepTransient wrappers.
+// field arguments), so a reused workspace solves bit-identically to a
+// fresh one.
 //
 // A workspace is bound to one model and is NOT safe for concurrent use;
 // give each goroutine (e.g. each sweep worker) its own.
@@ -38,10 +38,6 @@ type Workspace struct {
 	// configured width (0 = never set, serial).
 	team    *linalg.Team
 	threads int
-
-	// layers is the map→slice conversion scratch for the layer-power
-	// compatibility wrappers.
-	layers [][]float64
 
 	stats SolveStats
 	last  linalg.CGResult
@@ -64,8 +60,8 @@ type Workspace struct {
 
 // NewWorkspace returns a workspace sized for the model. The field,
 // boundary, and CG buffers are allocated lazily on first use, so a
-// workspace built only to run one solve costs no more than the old
-// per-call path did.
+// workspace built only to run one solve allocates only what that solve
+// needs.
 func (m *Model) NewWorkspace() *Workspace {
 	w := &Workspace{m: m}
 	w.op = m.newStencil()
@@ -217,8 +213,8 @@ func (w *Workspace) canEscalate() bool {
 }
 
 // solve runs the selected linear solver on the already-assembled system
-// (fillOperator and rhsInto must have run), updating x in place and the
-// workspace's solve statistics — descending the escalation ladder on
+// (fillOperator and rhsLayersInto must have run), updating x in place and
+// the workspace's solve statistics — descending the escalation ladder on
 // numerical failure. Each descent is recorded (never hidden), the failed
 // rung's iterate is discarded per rm, and the configured solver is left
 // untouched: the next solve starts back at the top of the ladder. Only
@@ -327,43 +323,13 @@ func (w *Workspace) checkDst(dst *Field) error {
 	return nil
 }
 
-// layersFromMap converts a layer-power map into the workspace's dense
-// per-layer scratch table, validating the layer indices. The returned
-// slice is owned by the workspace and overwritten by the next conversion.
-func (w *Workspace) layersFromMap(powerByLayer map[int][]float64) ([][]float64, error) {
-	if w.layers == nil {
-		w.layers = make([][]float64, w.m.nl)
-	}
-	for i := range w.layers {
-		w.layers[i] = nil
-	}
-	for l, p := range powerByLayer {
-		if l < 0 || l >= w.m.nl {
-			return nil, fmt.Errorf("thermal: power assigned to invalid layer %d", l)
-		}
-		w.layers[l] = p
-	}
-	return w.layers, nil
-}
-
-// SteadySolveInto computes the steady-state field into dst, reusing the
-// workspace buffers: no allocations after the buffers exist. init, when
-// non-nil and correctly sized, seeds the CG iteration (dst == init is
-// allowed and skips the copy); otherwise the solve starts from ambient.
-// It is the map-keyed wrapper over SteadySolveLayersInto.
-func (w *Workspace) SteadySolveInto(dst, init *Field, powerByLayer map[int][]float64, bc TopBoundary) error {
-	layers, err := w.layersFromMap(powerByLayer)
-	if err != nil {
-		return err
-	}
-	return w.SteadySolveLayersInto(dst, init, layers, bc)
-}
-
-// SteadySolveLayersInto is SteadySolveInto with the injected power as a
-// dense per-layer table: layers[l] is layer l's per-cell watts (nil
-// entries inject nothing; the table may be shorter than the stack). This
-// is the hot-path form — per-step callers keep a persistent table and
-// avoid the map allocation and lookup entirely.
+// SteadySolveLayersInto computes the steady-state field into dst, reusing
+// the workspace buffers: no allocations after the buffers exist. The
+// injected power is a dense per-layer table: layers[l] is layer l's
+// per-cell watts (nil entries inject nothing; the table may be shorter
+// than the stack). init, when non-nil and correctly sized, seeds the CG
+// iteration (dst == init is allowed and skips the copy); otherwise the
+// solve starts from ambient.
 func (w *Workspace) SteadySolveLayersInto(dst, init *Field, layers [][]float64, bc TopBoundary) error {
 	return w.SteadySolveLayersTolInto(dst, init, layers, bc, 0)
 }
@@ -405,22 +371,12 @@ func (w *Workspace) SteadySolveLayersTolInto(dst, init *Field, layers [][]float6
 	return nil
 }
 
-// StepTransientInto advances prev by dt seconds with backward Euler into
-// dst, reusing the workspace buffers. dst == prev is allowed: the step
-// then updates the field in place (the previous temperatures are consumed
-// by the right-hand side before CG mutates the iterate). It is the
-// map-keyed wrapper over StepTransientLayersInto.
-func (w *Workspace) StepTransientInto(dst, prev *Field, dt float64, powerByLayer map[int][]float64, bc TopBoundary) error {
-	layers, err := w.layersFromMap(powerByLayer)
-	if err != nil {
-		return err
-	}
-	return w.StepTransientLayersInto(dst, prev, dt, layers, bc)
-}
-
-// StepTransientLayersInto is StepTransientInto with the dense per-layer
-// power table of SteadySolveLayersInto — the allocation- and lookup-free
-// form transient simulations step on.
+// StepTransientLayersInto advances prev by dt seconds with backward Euler
+// into dst under the dense per-layer power table of
+// SteadySolveLayersInto, reusing the workspace buffers. dst == prev is
+// allowed: the step then updates the field in place (the previous
+// temperatures are consumed by the right-hand side before CG mutates the
+// iterate).
 func (w *Workspace) StepTransientLayersInto(dst, prev *Field, dt float64, layers [][]float64, bc TopBoundary) error {
 	m := w.m
 	if dt <= 0 {

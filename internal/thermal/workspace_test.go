@@ -6,7 +6,7 @@ import (
 
 // workspaceFixture builds a small model with a non-trivial power map and
 // boundary for the workspace tests.
-func workspaceFixture(t testing.TB) (*Model, map[int][]float64, TopBoundary) {
+func workspaceFixture(t testing.TB) (*Model, [][]float64, TopBoundary) {
 	t.Helper()
 	m, err := NewModel(smallStack(12, 10), DefaultEnvironment())
 	if err != nil {
@@ -17,21 +17,22 @@ func workspaceFixture(t testing.TB) (*Model, map[int][]float64, TopBoundary) {
 		p[i] = 0.1 + 0.01*float64(i%7)
 	}
 	bc := UniformTop(m.Cells(), 6000, 32)
-	return m, map[int][]float64{0: p}, bc
+	return m, [][]float64{p}, bc
 }
 
-// TestWorkspaceSteadyMatchesFresh: the workspace path must be bit-identical
-// to the allocating SteadySolve, including when the workspace is reused
-// dirty and when warm-started from its own previous solution.
+// TestWorkspaceSteadyMatchesFresh: a reused workspace must solve
+// bit-identically to a fresh one, including when it is reused dirty, and
+// agree to solver tolerance when warm-started from its own previous
+// solution.
 func TestWorkspaceSteadyMatchesFresh(t *testing.T) {
 	m, power, bc := workspaceFixture(t)
-	fresh, err := m.SteadySolve(power, bc)
+	fresh, err := solveSteady(m, power, bc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := m.NewWorkspace()
 	f := w.FieldA()
-	if err := w.SteadySolveInto(f, nil, power, bc); err != nil {
+	if err := w.SteadySolveLayersInto(f, nil, power, bc); err != nil {
 		t.Fatal(err)
 	}
 	for i := range fresh.T {
@@ -40,7 +41,7 @@ func TestWorkspaceSteadyMatchesFresh(t *testing.T) {
 		}
 	}
 	// Dirty reuse, still cold-started: must stay bit-identical.
-	if err := w.SteadySolveInto(f, nil, power, bc); err != nil {
+	if err := w.SteadySolveLayersInto(f, nil, power, bc); err != nil {
 		t.Fatal(err)
 	}
 	for i := range fresh.T {
@@ -50,7 +51,7 @@ func TestWorkspaceSteadyMatchesFresh(t *testing.T) {
 	}
 	// Warm start from the converged field (dst == init): the answer must
 	// agree to solver tolerance and converge immediately.
-	if err := w.SteadySolveInto(f, f, power, bc); err != nil {
+	if err := w.SteadySolveLayersInto(f, f, power, bc); err != nil {
 		t.Fatal(err)
 	}
 	for i := range fresh.T {
@@ -60,8 +61,9 @@ func TestWorkspaceSteadyMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestWorkspaceTransientMatchesFresh: StepTransientInto (in place) must
-// match the allocating StepTransient step for step.
+// TestWorkspaceTransientMatchesFresh: in-place steps on one reused
+// workspace must match steps taken on a fresh workspace into a new field,
+// step for step.
 func TestWorkspaceTransientMatchesFresh(t *testing.T) {
 	m, power, bc := workspaceFixture(t)
 	const dt = 0.25
@@ -71,12 +73,12 @@ func TestWorkspaceTransientMatchesFresh(t *testing.T) {
 	wsField := w.FieldA()
 	wsField.T.Fill(30)
 	for step := 0; step < 5; step++ {
-		next, err := m.StepTransient(freshField, dt, power, bc)
-		if err != nil {
+		next := m.NewField()
+		if err := m.NewWorkspace().StepTransientLayersInto(next, freshField, dt, power, bc); err != nil {
 			t.Fatal(err)
 		}
 		freshField = next
-		if err := w.StepTransientInto(wsField, wsField, dt, power, bc); err != nil {
+		if err := w.StepTransientLayersInto(wsField, wsField, dt, power, bc); err != nil {
 			t.Fatal(err)
 		}
 		for i := range freshField.T {
@@ -91,27 +93,30 @@ func TestWorkspaceTransientMatchesFresh(t *testing.T) {
 func TestWorkspaceValidation(t *testing.T) {
 	m, power, bc := workspaceFixture(t)
 	w := m.NewWorkspace()
-	if err := w.SteadySolveInto(nil, nil, power, bc); err == nil {
+	if err := w.SteadySolveLayersInto(nil, nil, power, bc); err == nil {
 		t.Fatal("nil destination must error")
 	}
 	other, err := NewModel(smallStack(4, 4), DefaultEnvironment())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.SteadySolveInto(other.NewField(), nil, power, bc); err == nil {
+	if err := w.SteadySolveLayersInto(other.NewField(), nil, power, bc); err == nil {
 		t.Fatal("foreign-model destination must error")
 	}
-	if err := w.SteadySolveInto(w.FieldA(), nil, power, TopBoundary{}); err == nil {
+	if err := w.SteadySolveLayersInto(w.FieldA(), nil, power, TopBoundary{}); err == nil {
 		t.Fatal("mis-sized boundary must error")
 	}
-	if err := w.StepTransientInto(w.FieldA(), w.FieldA(), -1, power, bc); err == nil {
+	if err := w.StepTransientLayersInto(w.FieldA(), w.FieldA(), -1, power, bc); err == nil {
 		t.Fatal("negative dt must error")
 	}
-	if err := w.StepTransientInto(w.FieldA(), nil, 0.1, power, bc); err == nil {
+	if err := w.StepTransientLayersInto(w.FieldA(), nil, 0.1, power, bc); err == nil {
 		t.Fatal("nil previous field must error")
 	}
-	if err := w.SteadySolveInto(w.FieldA(), nil, map[int][]float64{9: make([]float64, m.Cells())}, bc); err == nil {
-		t.Fatal("invalid power layer must error")
+	if err := w.SteadySolveLayersInto(w.FieldA(), nil, make([][]float64, m.Layers()+1), bc); err == nil {
+		t.Fatal("a power table longer than the stack must error")
+	}
+	if err := w.StepTransientLayersInto(w.FieldA(), w.FieldA(), 0.1, [][]float64{make([]float64, 3)}, bc); err == nil {
+		t.Fatal("mis-sized layer power must error")
 	}
 }
 
@@ -123,11 +128,11 @@ func TestWorkspaceSteadyZeroAllocs(t *testing.T) {
 	w := m.NewWorkspace()
 	f := w.FieldA()
 	solve := func() {
-		if err := w.SteadySolveInto(f, f, power, bc); err != nil {
+		if err := w.SteadySolveLayersInto(f, f, power, bc); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.SteadySolveInto(f, nil, power, bc); err != nil { // warm-up
+	if err := w.SteadySolveLayersInto(f, nil, power, bc); err != nil { // warm-up
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(20, solve); allocs != 0 {
@@ -142,7 +147,7 @@ func TestWorkspaceTransientZeroAllocs(t *testing.T) {
 	f := w.FieldA()
 	f.T.Fill(30)
 	step := func() {
-		if err := w.StepTransientInto(f, f, 0.25, power, bc); err != nil {
+		if err := w.StepTransientLayersInto(f, f, 0.25, power, bc); err != nil {
 			t.Fatal(err)
 		}
 	}
