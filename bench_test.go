@@ -327,13 +327,14 @@ func BenchmarkAblationLeakage(b *testing.B) {
 	leak := power.DefaultLeakage()
 	leak.RefC = 45
 	ses := sys.NewSession(cosim.CarryWarmStart(false))
+	refW := sys.Power.TotalPower(st)
 	var extra float64
 	for i := 0; i < b.N; i++ {
 		res, err := ses.SolveSteadyLeakage(nil, st, thermosyphon.DefaultOperating(), leak)
 		if err != nil {
 			b.Fatal(err)
 		}
-		extra = res.LeakageExtraW
+		extra = res.TotalPowerW - refW
 	}
 	b.ReportMetric(extra, "leakExtraW")
 }

@@ -57,7 +57,7 @@ func TestCouplingFaultGrid(t *testing.T) {
 		for _, b := range benches {
 			bp := sys.Power.BlockPowers(core.PackageState(b, m))
 			for _, op := range ops {
-				r, err := ref.solveCoupled(nil, bp, op, 1e-6, 0, refPasses)
+				r, err := ref.solveCoupled(nil, bp, op, 1e-6, 0, refPasses, nil)
 				if err != nil {
 					t.Fatalf("%s %s %+v: reference: %v", spec, b.Name, op, err)
 				}
@@ -105,7 +105,7 @@ func TestCouplingPassBudgetExhausted(t *testing.T) {
 	// Doubling the dynamic power moves the flux by far more than the 1 %
 	// outer tolerance, so one pass cannot converge even from the carry.
 	hot := sys.Power.BlockPowers(fullLoadState(4.4))
-	_, err = ses.solveCoupled(nil, hot, op, outerTol, innerForcing, 1)
+	_, err = ses.solveCoupled(nil, hot, op, outerTol, innerForcing, 1, nil)
 	if !errors.Is(err, linalg.ErrNotConverged) {
 		t.Fatalf("budget-exhausted solve returned %v, want an error wrapping ErrNotConverged", err)
 	}
@@ -191,7 +191,7 @@ func TestCouplingSafeguard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := sys.NewSession(CarryWarmStart(false)).solveCoupled(nil, step, op, 1e-6, 0, refPasses)
+	ref, err := sys.NewSession(CarryWarmStart(false)).solveCoupled(nil, step, op, 1e-6, 0, refPasses, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func TestInexactInnerSolvesAccuracy(t *testing.T) {
 		warm := sys.NewSession(WithSolver(solver))
 		for _, i := range sample {
 			p := all[i]
-			r, err := ref.solveCoupled(nil, sys.Power.BlockPowers(p.st), p.op, 1e-6, 0, refPasses)
+			r, err := ref.solveCoupled(nil, sys.Power.BlockPowers(p.st), p.op, 1e-6, 0, refPasses, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,114 +4,105 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/power"
-	"repro/internal/thermal"
 	"repro/internal/thermosyphon"
 )
 
-// LeakageResult extends Result with the leakage-coupling diagnostics.
-type LeakageResult struct {
-	Result
-	// LeakageIterations counts the outer power↔temperature iterations.
-	LeakageIterations int
-	// LeakageExtraW is the additional static power versus the uncoupled
-	// reference-temperature solution.
-	LeakageExtraW float64
-	// BlockTempC is the converged mean die temperature per block.
-	BlockTempC map[string]float64
+// leakTol is the power half of a leakage solve's stop test: no block's
+// re-derived power may have moved by more than this (W) in the last pass.
+// A pass moves a block's power by ΔP = β·P_static·Scale(T)·ΔT, and a fixed
+// point contracting by λ per pass stops about λ/(1−λ) passes' worth of
+// change short. The slowest case here, λ ≈ 0.85 (λ/(1−λ) ≈ 5.7), is the
+// hottest unthrottled pump:0.6,fouling:0.6 blade (ferret, 114 °C die),
+// whose cores' 5 W POLL share at Scale ≈ 1.8 gives β·5·1.8 ≈ 0.11 W/°C:
+// ΔP < 5e-4 W holds ΔT under 0.0045 °C per pass and the error under
+// ≈ 0.026 °C, inside TestLeakageAccuracy's 0.03 °C (0.020 °C measured).
+// 1e-3 W gives 0.046 °C there, and 0.01 W 0.44 °C.
+const leakTol = 5e-4
+
+// leakTerm makes a solve's block powers a function of its die
+// temperatures: each block draws static·model.Scale(T) + dynamic watts at
+// its mean die temperature T. solveCoupled re-derives them every pass, so
+// one fixed point converges the field, the flux and the block powers.
+type leakTerm struct {
+	model power.LeakageModel
+	tol   float64 // the power half of the stop test (W); see leakTol
+	blks  []leakBlock
 }
 
-// SolveSteadyLeakage computes the coupled steady state with
-// temperature-dependent leakage: the static share of each block's power is
-// scaled by the block's own mean die temperature, iterated to a fixed
-// point. It requires the Xeon power model. The inner power↔temperature
-// iterations reuse the session workspace, and with the warm-start carry
-// each re-solve starts from the previous converged field, so the leakage
-// fixed point costs little more than one solve. Cancellation propagates
-// through the inner SolveSteadyPower calls; a nil ctx means "not
-// cancellable".
-func (ses *Session) SolveSteadyLeakage(ctx context.Context, st power.PackageState, op thermosyphon.Operating, leak power.LeakageModel) (*LeakageResult, error) {
+type leakBlock struct {
+	name            string
+	frac            []float64 // coverage of the block per grid cell
+	static, dynamic float64
+	next            float64 // power re-derived from the latest pass (W)
+}
+
+// newLeakTerm returns the leakage term of a package state and the block
+// powers a solve starts from: every block at its reference-temperature
+// power.
+func (ses *Session) newLeakTerm(st power.PackageState, leak power.LeakageModel, tol float64) (*leakTerm, map[string]float64, error) {
 	s := ses.sys
 	if s.Power == nil {
-		return nil, fmt.Errorf("cosim: system has no power model")
+		return nil, nil, fmt.Errorf("cosim: system has no power model")
 	}
 	if err := leak.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	static, dynamic := s.Power.SplitBlockPowers(st)
-	// Iterate blocks in sorted order wherever floats accumulate: map order
-	// is random and float addition is not associative, so a fixed order is
-	// what keeps repeated solves bit-identical.
-	names := make([]string, 0, len(static))
-	for name := range static {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var baseStatic float64
-	for _, name := range names {
-		baseStatic += static[name]
-	}
-
-	// Start from the reference-temperature power map.
+	lk := &leakTerm{model: leak, tol: tol}
 	bp := make(map[string]float64, len(static))
-	for _, name := range names {
+	// Rasterization order, never map order, keeps repeated solves
+	// bit-identical.
+	for _, name := range s.coverage.Blocks() {
+		if _, ok := static[name]; !ok {
+			continue // an unpowered block (the reserved core-grid slots)
+		}
+		lk.blks = append(lk.blks, leakBlock{name: name, frac: s.coverage.BlockFraction(name), static: static[name], dynamic: dynamic[name]})
 		bp[name] = static[name] + dynamic[name]
 	}
+	return lk, bp, nil
+}
 
-	var (
-		out  LeakageResult
-		prev = math.Inf(1)
-		grew bool // prev exceeded the change before it
-	)
-	const maxIter = 25
-	for it := 0; it < maxIter; it++ {
-		res, err := ses.SolveSteadyPower(ctx, bp, op)
-		if err != nil {
-			return nil, err
-		}
-		temps, err := res.Field.LayerByName(thermal.LayerDie)
-		if err != nil {
-			return nil, ses.fail(err)
-		}
-		blockT := make(map[string]float64, len(static))
-		var maxDelta, scaledStatic float64
-		for _, name := range names {
-			frac := s.coverage.BlockFraction(name)
-			var t float64
-			for c, f := range frac {
-				if f != 0 {
-					t += f * temps[c]
-				}
+// rederive sets every block's next power from the pass's die
+// temperatures and returns the largest change against bp, the powers the
+// pass was solved with.
+func (lk *leakTerm) rederive(die []float64, bp map[string]float64) float64 {
+	var maxDelta float64
+	for i := range lk.blks {
+		b := &lk.blks[i]
+		var t float64
+		for c, f := range b.frac {
+			if f != 0 {
+				t += f * die[c]
 			}
-			blockT[name] = t
-			newP := static[name]*leak.Scale(t) + dynamic[name]
-			if d := math.Abs(newP - bp[name]); d > maxDelta {
-				maxDelta = d
-			}
-			bp[name] = newP
-			scaledStatic += static[name] * leak.Scale(t)
 		}
-		out.Result = *res
-		out.LeakageIterations = it + 1
-		out.LeakageExtraW = scaledStatic - baseStatic
-		out.BlockTempC = blockT
-		if maxDelta < 0.01 {
-			return &out, nil
-		}
-		// Thermal runaway shows as a power change that keeps growing, so
-		// one jump does not count. A warm coupled solve that stops after
-		// one pass returns a field one boundary update behind; the change
-		// can dip at that iteration and jump back by more than 1.5× at the
-		// next while the fixed point is still converging.
-		if maxDelta > prev*1.5 && grew && it > 3 {
-			// The carried field belongs to a diverging operating point;
-			// invalidate it so a retry (e.g. after throttling) starts cold.
-			return nil, ses.fail(fmt.Errorf("cosim: leakage coupling diverging (Δ %.2f W after %d iterations) — thermal runaway", maxDelta, it+1))
-		}
-		grew = maxDelta > prev
-		prev = maxDelta
+		b.next = b.static*lk.model.Scale(t) + b.dynamic
+		maxDelta = math.Max(maxDelta, math.Abs(b.next-bp[b.name]))
 	}
-	return &out, nil
+	return maxDelta
+}
+
+// apply writes the re-derived powers into bp for the next pass.
+func (lk *leakTerm) apply(bp map[string]float64) {
+	for _, b := range lk.blks {
+		bp[b.name] = b.next
+	}
+}
+
+// SolveSteadyLeakage computes the coupled steady state with each block's
+// static power scaled by its own mean die temperature; it requires the
+// Xeon power model. The block powers are one more unknown of the coupling
+// fixed point (see leakTerm). They start at the reference temperature on
+// every solve; the field and flux are warm-carried as for
+// SolveSteadyPower. BlockPower and TotalPowerW hold the leakage-inclusive
+// powers of the returned field. A solve that has not settled after
+// maxOuter passes, thermal runaway included, fails with an error wrapping
+// linalg.ErrNotConverged and drops the warm-start carry.
+func (ses *Session) SolveSteadyLeakage(ctx context.Context, st power.PackageState, op thermosyphon.Operating, leak power.LeakageModel) (*Result, error) {
+	lk, bp, err := ses.newLeakTerm(st, leak, leakTol)
+	if err != nil {
+		return nil, err
+	}
+	return ses.solveCoupled(ctx, bp, op, outerTol, innerForcing, maxOuter, lk)
 }

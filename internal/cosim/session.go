@@ -278,28 +278,41 @@ const maxOuter = 60
 // after maxOuter passes fails with an error wrapping
 // linalg.ErrNotConverged.
 func (ses *Session) SolveSteadyPower(ctx context.Context, blockPower map[string]float64, op thermosyphon.Operating) (*Result, error) {
-	return ses.solveCoupled(ctx, blockPower, op, outerTol, innerForcing, maxOuter)
+	return ses.solveCoupled(ctx, blockPower, op, outerTol, innerForcing, maxOuter, nil)
+}
+
+// rasterize spreads the block powers onto the die layer's injection
+// table and returns their total.
+func (ses *Session) rasterize(blockPower map[string]float64) (float64, error) {
+	pCells, err := ses.sys.coverage.PowerMapInto(ses.pCells, blockPower)
+	if err != nil {
+		return 0, err
+	}
+	ses.pCells = pCells
+	ses.layerPower[0] = pCells
+	var total float64
+	for _, p := range pCells {
+		total += p
+	}
+	return total, nil
 }
 
 // solveCoupled is SolveSteadyPower with the outer tolerance, the forcing
 // term and the pass budget as arguments; a forcing of 0 solves every pass
 // to thermal.SteadyTol. Tests reach a tightly converged reference fixed
-// point, and the budget's failure path, through it.
-func (ses *Session) solveCoupled(ctx context.Context, blockPower map[string]float64, op thermosyphon.Operating, outer, forcing float64, passes int) (*Result, error) {
+// point, and the budget's failure path, through it. A non-nil lk
+// re-derives blockPower from the die temperatures after every pass, and
+// the solve stops only once those powers have settled as well.
+func (ses *Session) solveCoupled(ctx context.Context, blockPower map[string]float64, op thermosyphon.Operating, outer, forcing float64, passes int, lk *leakTerm) (*Result, error) {
 	s := ses.sys
 	// The solver escalation ladder observes ctx between rungs.
 	ses.ws.SetContext(ctx)
-	pCells, err := s.coverage.PowerMapInto(ses.pCells, blockPower)
+	total, err := ses.rasterize(blockPower)
 	if err != nil {
 		return nil, err
 	}
-	ses.pCells = pCells
-	var total float64
-	for _, p := range pCells {
-		total += p
-	}
+	pCells := ses.pCells
 	grid := s.Thermal.Grid()
-	ses.layerPower[0] = pCells
 
 	// Initial heat-flux guess: the previous converged flux when warm, else
 	// the die power projected straight up.
@@ -375,9 +388,16 @@ func (ses *Session) solveCoupled(ctx context.Context, blockPower map[string]floa
 			Iterations:  it + 1,
 			BC:          bc,
 		}
-		if delta < outer*qMax+1e-6 || math.Abs(delta-prev) < 1e-9 {
+		settled := lk == nil || lk.rederive(s.DieTemps(&ses.res), blockPower) < lk.tol
+		if (delta < outer*qMax+1e-6 || math.Abs(delta-prev) < 1e-9) && settled {
 			ses.warm = true
 			return &ses.res, nil
+		}
+		if lk != nil {
+			lk.apply(blockPower)
+			if total, err = ses.rasterize(blockPower); err != nil {
+				return nil, ses.fail(err)
+			}
 		}
 		prev = delta
 		// The next pass chases a relative flux change of delta/qMax,

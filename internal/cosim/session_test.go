@@ -163,13 +163,21 @@ func TestSessionLeakageMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.LeakageIterations != got.LeakageIterations || fresh.LeakageExtraW != got.LeakageExtraW {
+	if fresh.Iterations != got.Iterations || fresh.TotalPowerW != got.TotalPowerW {
 		t.Fatalf("leakage summary differs: %d/%.6f vs %d/%.6f",
-			fresh.LeakageIterations, fresh.LeakageExtraW, got.LeakageIterations, got.LeakageExtraW)
+			fresh.Iterations, fresh.TotalPowerW, got.Iterations, got.TotalPowerW)
 	}
-	for name, temp := range fresh.BlockTempC {
-		if got.BlockTempC[name] != temp {
-			t.Fatalf("block %s temperature differs", name)
+	want, err := sys.BlockTemps(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	have, err := sys.BlockTemps(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, bt := range want {
+		if have[i] != bt {
+			t.Fatalf("block %s temperature differs", bt.Name)
 		}
 	}
 }

@@ -18,8 +18,8 @@ import (
 )
 
 // Options tunes the nested solve. The zero value is valid: CG solver,
-// auto worker pool, serial solves, warm starts on, no leakage feedback,
-// no faults, throttling enabled at the paper's TCASE limit.
+// auto worker pool, serial solves, no leakage feedback, no faults,
+// throttling enabled at the paper's TCASE limit.
 type Options struct {
 	// Solver selects the thermal linear solver of every blade session.
 	Solver thermal.Solver
@@ -36,11 +36,6 @@ type Options struct {
 	// more than a single feed-forward pass. The zero model (BetaPerC 0)
 	// disables the feedback.
 	Leakage power.LeakageModel
-	// NoWarmStart disables the cross-iteration warm-start carry (and the
-	// water re-seat); every blade solve then seeds cold. Pooled runs are
-	// byte-identical to serial either way — the knob exists to measure
-	// what the carry buys.
-	NoWarmStart bool
 	// Damping is the outer update factor α in T ← T + α·(T' − T).
 	// 0 selects the default 0.8; the loop gain (plant approach ×
 	// leakage sensitivity) is well below 1 for physical parameters, so
@@ -67,9 +62,9 @@ type Options struct {
 	// contract unchanged.
 	Scenario *faults.Scenario
 	// TCaseLimitC is the degraded-mode thermal constraint: blade classes
-	// whose TCASE exceeds it (or whose coupled solve is
-	// outright infeasible, e.g. leakage runaway) are throttled one DVFS
-	// step at a time until they comply. 0 selects sched.TCaseMax.
+	// whose TCASE exceeds it (or whose coupled solve fails, e.g. in
+	// leakage runaway) are throttled one DVFS step at a time until they
+	// comply. 0 selects sched.TCaseMax.
 	TCaseLimitC float64
 	// MaxThrottleSteps bounds the DVFS steps the degraded mode may apply
 	// per blade class. 0 selects every available level below nominal;
@@ -221,10 +216,7 @@ func New(sys *cosim.System, topo Topology, opt Options) (*Solver, error) {
 		}
 	}
 	for _, c := range s.classes {
-		opts := []cosim.SessionOption{
-			cosim.WithSolver(s.opt.Solver),
-			cosim.CarryWarmStart(!s.opt.NoWarmStart),
-		}
+		opts := []cosim.SessionOption{cosim.WithSolver(s.opt.Solver)}
 		if c.design != sys.Design {
 			opts = append(opts, cosim.WithDesign(c.design))
 		}
@@ -260,11 +252,9 @@ func (s *Solver) Close() error {
 
 // classResult is what one class solve contributes to the outer update.
 type classResult struct {
-	heatW      float64
-	dieMaxC    float64
-	tcaseC     float64
-	coupleIter int
-	leakIter   int
+	heatW   float64
+	dieMaxC float64
+	tcaseC  float64
 	// failed carries the class's solve-infeasibility diagnostic ("" =
 	// solved). A failed class aborts the current fixed point and feeds
 	// the throttle layer instead of killing the whole fleet solve.
@@ -413,9 +403,7 @@ func (s *Solver) runFixedPoint(ctx context.Context, states []power.PackageState)
 					WaterInC:     waterC,
 					WaterFlowKgH: s.loops[c.loop].PerBladeFlowKgH * c.flowScale,
 				}
-				if !opt.NoWarmStart {
-					c.ses.ReseatWater(waterC - c.lastWaterC)
-				}
+				c.ses.ReseatWater(waterC - c.lastWaterC)
 				c.lastWaterC = waterC
 				r, err := c.ses.SolveSteadyLeakage(ctx, states[ci], op, opt.Leakage)
 				if err != nil {
@@ -424,16 +412,14 @@ func (s *Solver) runFixedPoint(ctx context.Context, states []power.PackageState)
 					}
 					return classResult{failed: err.Error()}, nil
 				}
-				die, err := s.sys.DieStats(&r.Result)
+				die, err := s.sys.DieStats(r)
 				if err != nil {
 					return classResult{}, err
 				}
 				return classResult{
-					heatW:      r.TotalPowerW,
-					dieMaxC:    die.MaxC,
-					tcaseC:     s.sys.TCase(&r.Result),
-					coupleIter: r.Iterations,
-					leakIter:   r.LeakageIterations,
+					heatW:   r.TotalPowerW,
+					dieMaxC: die.MaxC,
+					tcaseC:  s.sys.TCase(r),
 				}, nil
 			},
 			sweep.Workers(opt.Workers))

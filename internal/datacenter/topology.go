@@ -3,14 +3,14 @@
 // temperatures are coupled to the blade solves by a nested fixed point.
 //
 // The nesting is two-level. The inner level is the per-blade coupled
-// solve the rest of the repository is built on (thermal field ↔
-// thermosyphon boundary, with temperature-dependent leakage folded in by
-// cosim.Session.SolveSteadyLeakage). The outer level closes the loop the
-// rack layer used to leave open: each loop's supply temperature is
-// derived from the heat its blades reject (rack.SharedLoop.SupplyC), that
-// temperature feeds back into every blade solve on the loop, and a damped
-// fixed point iterates the per-loop supply temperatures until they stop
-// moving. Convergence is declared when the largest undamped per-loop
+// solve the rest of the repository is built on: one fixed point
+// (cosim.Session.SolveSteadyLeakage) that converges the thermal field,
+// the thermosyphon boundary and the temperature-dependent leakage power
+// together. The outer level closes the loop the rack layer used to leave
+// open: each loop's supply temperature is derived from the heat its
+// blades reject (rack.SharedLoop.SupplyC), that temperature feeds back
+// into every blade solve on the loop, and a damped fixed point iterates
+// the per-loop supply temperatures until they stop moving. Convergence is declared when the largest undamped per-loop
 // supply update falls below Options.TolC (default 0.01 °C — an order of
 // magnitude below the 0.1 °C the experiments resolve).
 //

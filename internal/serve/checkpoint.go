@@ -26,17 +26,17 @@ var errCheckpointDisabled = fmt.Errorf("serve: checkpointing disabled (no checkp
 
 // checkpointBlade is one registered transient blade in a checkpoint: the
 // normalized registration proposal (enough to rebuild the system,
-// session, and operating point deterministically), the resolved initial
-// temperature, the base power map, the exactly-once bookkeeping, and the
-// sim's exact dynamic state.
+// session, operating point and base power map deterministically), the
+// resolved initial temperature, the exactly-once bookkeeping, and the
+// sim's exact dynamic state. Decoding ignores the "base_power_w" field of
+// older files: restore derives the base power map from the proposal.
 type checkpointBlade struct {
-	Blade      string               `json:"blade"`
-	InitialC   float64              `json:"initial_c"`
-	Proposal   SteadyRequest        `json:"proposal"`
-	BasePowerW map[string]float64   `json:"base_power_w"`
-	LastSeq    int64                `json:"last_seq,omitempty"`
-	LastBody   []byte               `json:"last_body,omitempty"`
-	State      cosim.TransientState `json:"state"`
+	Blade    string               `json:"blade"`
+	InitialC float64              `json:"initial_c"`
+	Proposal SteadyRequest        `json:"proposal"`
+	LastSeq  int64                `json:"last_seq,omitempty"`
+	LastBody []byte               `json:"last_body,omitempty"`
+	State    cosim.TransientState `json:"state"`
 }
 
 // checkpointPayload is the checksummed part of a checkpoint file.
@@ -76,16 +76,12 @@ func (s *Server) SaveCheckpoint() (int, error) {
 			continue
 		}
 		cb := checkpointBlade{
-			Blade:      b.name,
-			InitialC:   b.initialC,
-			Proposal:   b.req,
-			BasePowerW: make(map[string]float64, len(b.base)),
-			LastSeq:    b.lastSeq,
-			LastBody:   append([]byte(nil), b.lastBody...),
-			State:      *b.sim.ExportState(),
-		}
-		for k, v := range b.base {
-			cb.BasePowerW[k] = v
+			Blade:    b.name,
+			InitialC: b.initialC,
+			Proposal: b.req,
+			LastSeq:  b.lastSeq,
+			LastBody: append([]byte(nil), b.lastBody...),
+			State:    *b.sim.ExportState(),
 		}
 		b.mu.Unlock()
 		payload.Blades = append(payload.Blades, cb)
@@ -216,16 +212,12 @@ func (s *Server) restoreBlade(cb *checkpointBlade) error {
 		ses.Close()
 		return err
 	}
-	base := make(map[string]float64, len(cb.BasePowerW))
-	for k, v := range cb.BasePowerW {
-		base[k] = v
-	}
 	b := &transientBlade{
 		name:     cb.Blade,
 		sys:      sys,
 		ses:      ses,
 		sim:      sim,
-		base:     base,
+		base:     basePower(sys, p),
 		req:      p.req,
 		initialC: cb.InitialC,
 		lastSeq:  cb.LastSeq,

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -72,6 +74,71 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 				t.Fatalf("restore-then-step diverged from the uninterrupted run:\nref %s\ngot %s", ref, got)
 			}
 		})
+	}
+}
+
+// TestCheckpointIgnoresStoredBasePower: a restore derives each blade's
+// base power map from its normalized proposal, never from the file. A
+// correctly checksummed checkpoint whose blade carries a tampered
+// "base_power_w" (negative watts, an unknown block) restores and steps
+// bit-identically to the untampered one.
+func TestCheckpointIgnoresStoredBasePower(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "ckpt.json")
+	s1 := newTestServer(t, Config{CheckpointPath: ckpt})
+	h1 := s1.Handler()
+	if w := post(t, h1, "/v1/transient", `{"blade":"b0","benchmark":"x264"}`); w.Code != http.StatusCreated {
+		t.Fatalf("register: %d %s", w.Code, w.Body)
+	}
+	stepChunk(t, h1, "b0", 1, `{"seq":1,"dt_s":0.25,"steps":[{},{"load":1.2}]}`)
+	if w := post(t, h1, "/v1/checkpoint", ""); w.Code != http.StatusOK {
+		t.Fatalf("checkpoint: %d %s", w.Code, w.Body)
+	}
+
+	raw, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env checkpointFile
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatal(err)
+	}
+	var payload map[string]any
+	if err := json.Unmarshal(env.Payload, &payload); err != nil {
+		t.Fatal(err)
+	}
+	blade := payload["blades"].([]any)[0].(map[string]any)
+	blade["base_power_w"] = map[string]float64{"Core0": -50, "Bogus": 3}
+	if env.Payload, err = json.Marshal(payload); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(env.Payload)
+	env.Checksum = hex.EncodeToString(sum[:])
+	tampered := filepath.Join(dir, "tampered.json")
+	buf, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(tampered, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	chunk2 := `{"seq":2,"dt_s":0.25,"steps":[{"load":0.7},{}]}`
+	var out [2]string
+	for i, path := range []string{ckpt, tampered} {
+		s := newTestServer(t, Config{CheckpointPath: path, RestoreOnStart: true})
+		if got := s.Snapshot().CheckpointBladesRestored; got != 1 {
+			t.Fatalf("%s: restored %d blades, want 1", path, got)
+		}
+		h := s.Handler()
+		w := get(t, h, "/v1/transient/b0")
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: restored status: %d %s", path, w.Code, w.Body)
+		}
+		out[i] = w.Body.String() + stepChunk(t, h, "b0", 2, chunk2).String()
+	}
+	if out[0] != out[1] {
+		t.Fatalf("tampered base_power_w changed the restored blade:\nclean    %s\ntampered %s", out[0], out[1])
 	}
 }
 

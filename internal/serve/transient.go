@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/cosim"
+	"repro/internal/power"
 )
 
 // transientBlade is one registered blade with a persistent TransientSim:
@@ -175,16 +176,12 @@ func (b *transientBlade) status() (TransientStatus, error) {
 	if err != nil {
 		return TransientStatus{}, err
 	}
-	var total float64
-	for _, w := range b.base {
-		total += w
-	}
 	return TransientStatus{
 		Blade:      b.name,
 		TimeS:      b.sim.Time(),
 		DieMaxC:    dieMax,
 		TCaseC:     b.sim.TCase(),
-		BasePowerW: total,
+		BasePowerW: power.SumBlockPowers(b.base),
 	}, nil
 }
 
@@ -257,17 +254,8 @@ func (s *Server) handleTransientRegister(w http.ResponseWriter, r *http.Request)
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	var base map[string]float64
-	if p.bp != nil {
-		base = make(map[string]float64, len(p.bp))
-		for k, v := range p.bp {
-			base[k] = v
-		}
-	} else {
-		base = sys.Power.BlockPowers(p.st)
-	}
 	b := &transientBlade{
-		name: req.Blade, sys: sys, ses: ses, sim: sim, base: base,
+		name: req.Blade, sys: sys, ses: ses, sim: sim, base: basePower(sys, p),
 		req: p.req, initialC: initial,
 	}
 	if err := s.trans.add(b); err != nil {
@@ -289,6 +277,20 @@ func (s *Server) handleTransientRegister(w http.ResponseWriter, r *http.Request)
 		return
 	}
 	writeJSON(w, http.StatusCreated, st)
+}
+
+// basePower is the per-block power map (W) a blade's load factors scale,
+// derived from its normalized proposal at registration and on restore:
+// the explicit block powers, copied, else the package state's powers.
+func basePower(sys *cosim.System, p *steadyProposal) map[string]float64 {
+	if p.bp == nil {
+		return sys.Power.BlockPowers(p.st)
+	}
+	base := make(map[string]float64, len(p.bp))
+	for k, v := range p.bp {
+		base[k] = v
+	}
+	return base
 }
 
 // handleTransientOp routes /v1/transient/{blade} (GET status, DELETE
