@@ -55,7 +55,6 @@ type options struct {
 	Sessions        int
 	Memo            int
 	Transients      int
-	Carry           bool
 	Timeout         time.Duration
 	DrainWait       time.Duration
 	CheckpointPath  string
@@ -74,7 +73,6 @@ func main() {
 	flag.IntVar(&o.Sessions, "sessions", 0, "warm session cache capacity (0 = 64)")
 	flag.IntVar(&o.Memo, "memo", 0, "response memo capacity (0 = 4096)")
 	flag.IntVar(&o.Transients, "transients", 0, "max registered transient blades (0 = 16)")
-	flag.BoolVar(&o.Carry, "carry", false, "carry warm starts across solves on a session (faster nearby re-solves, recomputed bodies only tolerance-identical)")
 	flag.DurationVar(&o.Timeout, "timeout", 0, "per-request solve deadline (0 = none), e.g. 30s")
 	flag.DurationVar(&o.DrainWait, "drain", 30*time.Second, "max wait for in-flight requests on shutdown")
 	flag.StringVar(&o.CheckpointPath, "checkpoint", "", "transient checkpoint file (empty = checkpointing off); snapshots on drain and on POST /v1/checkpoint")
@@ -112,7 +110,6 @@ func run(o options, ready chan<- string) error {
 		Sessions:        o.Sessions,
 		MemoEntries:     o.Memo,
 		Transients:      o.Transients,
-		CarryWarmStart:  o.Carry,
 		RequestTimeout:  o.Timeout,
 		CheckpointPath:  o.CheckpointPath,
 		CheckpointEvery: o.CheckpointEvery,

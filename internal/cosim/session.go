@@ -137,9 +137,10 @@ func (ses *Session) Escalations() []thermal.Escalation { return ses.ws.Escalatio
 // InjectMGFault arms (or disarms) the workspace's solver fault-injection
 // hook (thermal.Workspace.InjectMGFault): while armed, multigrid-family
 // solves poison their preconditioner and the escalation ladder has to
-// rescue them. It exists for chaos drills — the thermservd chaos harness
-// sabotages leased sessions through it to prove the breaker and the
-// ladder telemetry behave under solver faults.
+// rescue them. It exists for fault drills: the internal/serve tests
+// sabotage leased sessions through it (wrapping the server's solve seam)
+// to prove the breaker and the ladder telemetry behave under solver
+// faults.
 func (ses *Session) InjectMGFault(on bool) { ses.ws.InjectMGFault(on) }
 
 // Design returns the thermosyphon design this session solves with: the

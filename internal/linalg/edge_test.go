@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"errors"
-	"math"
 	"testing"
 )
 
@@ -61,38 +60,6 @@ func TestDenseAddAt(t *testing.T) {
 	c.Set(0, 1, 99)
 	if m.At(0, 1) != 5 {
 		t.Fatal("Clone aliases")
-	}
-}
-
-func TestSORDefaultOptions(t *testing.T) {
-	n := 30
-	op := laplace1D{n}
-	want := make(Vector, n)
-	for i := range want {
-		want[i] = math.Sin(float64(i))
-	}
-	b := poissonRHS(n, want)
-	x := make(Vector, n)
-	// Zero-value options must be filled with sane defaults.
-	if _, err := SOR(op, b, x, SOROptions{MaxIter: 100000}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(x[i]-want[i]) > 1e-4 {
-			t.Fatalf("x[%d]=%v want %v", i, x[i], want[i])
-		}
-	}
-}
-
-func TestSORZeroRHS(t *testing.T) {
-	n := 10
-	op := laplace1D{n}
-	x := make(Vector, n)
-	if _, err := SOR(op, make(Vector, n), x, SOROptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if x.NormInf() > 1e-7 {
-		t.Fatalf("zero RHS should stay zero, got %v", x.NormInf())
 	}
 }
 

@@ -285,59 +285,6 @@ func CGWith(a Operator, b, x Vector, opt CGOptions, ws *CGWorkspace) (CGResult, 
 	return res, failure("cg", CauseMaxIter, res)
 }
 
-// SOROptions configures the successive-over-relaxation solver.
-type SOROptions struct {
-	// Omega is the relaxation factor in (0,2). Default 1.6.
-	Omega float64
-	// Tol is the relative update tolerance. Default 1e-8.
-	Tol float64
-	// MaxIter caps sweeps. Default 20·sqrt(n)+200.
-	MaxIter int
-}
-
-// StencilSweeper is implemented by operators that support in-place
-// Gauss-Seidel/SOR sweeps (the structured thermal grid does).
-type StencilSweeper interface {
-	Operator
-	// SweepSOR performs one SOR sweep updating x toward A·x = b and
-	// returns the maximum absolute update applied.
-	SweepSOR(b, x Vector, omega float64) float64
-}
-
-// SOR solves A·x = b by successive over-relaxation for operators that
-// provide sweeps. x is the initial guess, updated in place. The sweeps
-// work entirely inside x, so the solve needs no scratch workspace and is
-// allocation-free by construction.
-func SOR(a StencilSweeper, b, x Vector, opt SOROptions) (CGResult, error) {
-	if opt.Omega <= 0 || opt.Omega >= 2 {
-		opt.Omega = 1.6
-	}
-	if opt.Tol <= 0 {
-		opt.Tol = 1e-8
-	}
-	if opt.MaxIter <= 0 {
-		opt.MaxIter = 20*int(math.Sqrt(float64(a.Size()))) + 200
-	}
-	scale := b.NormInf()
-	if scale == 0 {
-		scale = 1
-	}
-	var res CGResult
-	for k := 0; k < opt.MaxIter; k++ {
-		res.Iterations = k + 1
-		res.Applies = res.Iterations // one sweep costs one operator pass
-		delta := a.SweepSOR(b, x, opt.Omega)
-		res.Residual = delta / scale
-		if badFloat(res.Residual) {
-			return res, failure("sor", CauseNaN, res)
-		}
-		if res.Residual < opt.Tol {
-			return res, nil
-		}
-	}
-	return res, failure("sor", CauseMaxIter, res)
-}
-
 // Bisect finds a root of f in [lo, hi] assuming f(lo) and f(hi) bracket a
 // sign change. It returns the midpoint after the interval shrinks below tol
 // or maxIter iterations. If the interval does not bracket a root, the

@@ -14,8 +14,7 @@ type denseOperator struct{ m *Dense }
 func (d denseOperator) Apply(x, y Vector) { d.m.MulVec(x, y) }
 func (d denseOperator) Size() int         { return d.m.Rows }
 
-// laplace1D is a 1-D Poisson stencil operator with Dirichlet boundaries,
-// exercising both Operator and StencilSweeper.
+// laplace1D is a 1-D Poisson stencil operator with Dirichlet boundaries.
 type laplace1D struct{ n int }
 
 func (l laplace1D) Size() int { return l.n }
@@ -31,26 +30,6 @@ func (l laplace1D) Apply(x, y Vector) {
 		}
 		y[i] = s
 	}
-}
-
-func (l laplace1D) SweepSOR(b, x Vector, omega float64) float64 {
-	var maxDelta float64
-	for i := 0; i < l.n; i++ {
-		s := b[i]
-		if i > 0 {
-			s += x[i-1]
-		}
-		if i < l.n-1 {
-			s += x[i+1]
-		}
-		xNew := s / 2
-		delta := omega * (xNew - x[i])
-		x[i] += delta
-		if a := math.Abs(delta); a > maxDelta {
-			maxDelta = a
-		}
-	}
-	return maxDelta
 }
 
 func poissonRHS(n int, want Vector) Vector {
@@ -144,25 +123,6 @@ func TestCGNonConvergenceBudget(t *testing.T) {
 	}
 	if se.Cause != CauseMaxIter || se.Iterations != 3 || !se.Recoverable() {
 		t.Fatalf("expected recoverable maxiter after 3 iterations, got %+v", se)
-	}
-}
-
-func TestSORPoisson(t *testing.T) {
-	n := 100
-	op := laplace1D{n}
-	want := make(Vector, n)
-	for i := range want {
-		want[i] = float64(i) / 10
-	}
-	b := poissonRHS(n, want)
-	x := make(Vector, n)
-	if _, err := SOR(op, b, x, SOROptions{Omega: 1.9, Tol: 1e-11, MaxIter: 200000}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if !almostEqual(x[i], want[i], 1e-5) {
-			t.Fatalf("x[%d]=%v want %v", i, x[i], want[i])
-		}
 	}
 }
 

@@ -48,7 +48,7 @@ func (c Cause) String() string {
 // ErrNotConverged, so existing callers testing
 // errors.Is(err, ErrNotConverged) keep working unchanged.
 type SolveError struct {
-	// Method is the solver that failed ("cg", "sor").
+	// Method is the solver that failed (e.g. "cg").
 	Method string
 	// Cause classifies the failure.
 	Cause Cause

@@ -1,7 +1,8 @@
 // Package linalg provides the hand-rolled numerical kernels used by the
 // thermal and thermosyphon simulators: dense vectors and matrices, LU and
-// tridiagonal direct solvers, and iterative solvers (Jacobi, SOR, and
-// preconditioned conjugate gradient) over abstract linear operators.
+// tridiagonal direct solvers, and a preconditioned conjugate-gradient
+// solver (diagonal or multigrid preconditioner) over abstract linear
+// operators.
 //
 // The package deliberately uses only the standard library. The thermal
 // solver operates on structured-grid stencils, so the iterative solvers
@@ -17,9 +18,6 @@ import (
 
 // Vector is a dense column vector of float64 values.
 type Vector []float64
-
-// NewVector returns a zero-initialized vector of length n.
-func NewVector(n int) Vector { return make(Vector, n) }
 
 // Clone returns an independent copy of v.
 func (v Vector) Clone() Vector {

@@ -61,7 +61,8 @@ func BenchmarkServeSteady(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			s.ResetCaches()
+			s.memo.reset()
+			s.leases.closeAll()
 			b.StartTimer()
 			do(b, h, "miss")
 		}

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -197,8 +199,7 @@ func TestBreakerTripsOnInjectedFailures(t *testing.T) {
 	s := newTestServer(t, Config{BreakerThreshold: 3, BreakerCooldown: time.Minute})
 	clock := time.Unix(2000, 0)
 	s.breakers.now = func() time.Time { return clock }
-	h := s.Handler()
-	s.SetChaos(&ChaosConfig{Seed: 7, FailRate: 1})
+	c, h := armChaos(s, ChaosConfig{Seed: 7, FailRate: 1})
 
 	body := `{"benchmark":"x264"}`
 	for i := 0; i < 3; i++ {
@@ -223,7 +224,7 @@ func TestBreakerTripsOnInjectedFailures(t *testing.T) {
 
 	// Stop injecting, pass the cooldown: the next request is the half-open
 	// probe, succeeds, and the breaker closes.
-	s.SetChaos(nil)
+	c.disarm()
 	clock = clock.Add(2 * time.Minute)
 	if w := post(t, h, "/v1/steady", body); w.Code != http.StatusOK {
 		t.Fatalf("half-open probe: %d %s", w.Code, w.Body)
@@ -233,6 +234,43 @@ func TestBreakerTripsOnInjectedFailures(t *testing.T) {
 	}
 	if w := post(t, h, "/v1/steady", body); w.Code != http.StatusOK {
 		t.Fatalf("recovered class: %d %s", w.Code, w.Body)
+	}
+}
+
+// TestBreakerCountsRescuedSolves: a solve the escalation ladder had to
+// rescue answers 200 but counts as a bad outcome, so a proposal class
+// whose every solve needs the ladder trips its breaker like one whose
+// solves fail outright.
+func TestBreakerCountsRescuedSolves(t *testing.T) {
+	s := newTestServer(t, Config{BreakerThreshold: 3, BreakerCooldown: time.Minute})
+	solve := s.solve
+	s.solve = func(ctx context.Context, l *lease, p *steadyProposal) (*SteadyResponse, error) {
+		l.ses.InjectMGFault(true)
+		defer l.ses.InjectMGFault(false)
+		return solve(ctx, l, p)
+	}
+	h := s.Handler()
+	// Distinct operating points miss the memo but share one lease key,
+	// hence one breaker class.
+	body := func(waterC int) string {
+		return fmt.Sprintf(`{"benchmark":"x264","solver":"mgpcg","water_c":%d,"water_flow_kgh":7}`, waterC)
+	}
+	for i := 0; i < 3; i++ {
+		w := post(t, h, "/v1/steady", body(25+i))
+		if w.Code != http.StatusOK {
+			t.Fatalf("rescued solve %d: %d %s", i, w.Code, w.Body)
+		}
+		var resp SteadyResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Escalations == 0 {
+			t.Fatalf("sabotaged solve %d reported no escalations", i)
+		}
+	}
+	w := post(t, h, "/v1/steady", body(28))
+	if w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), "circuit breaker open") {
+		t.Fatalf("fourth rescued-class request: %d %s, want the breaker's 503", w.Code, w.Body)
 	}
 }
 
@@ -250,8 +288,7 @@ func TestBreakerSurvivesCancelledProbe(t *testing.T) {
 	s := newTestServer(t, Config{BreakerThreshold: 2, BreakerCooldown: time.Minute})
 	clock := time.Unix(3000, 0)
 	s.breakers.now = func() time.Time { return clock }
-	h := s.Handler()
-	s.SetChaos(&ChaosConfig{Seed: 11, FailRate: 1})
+	c, h := armChaos(s, ChaosConfig{Seed: 11, FailRate: 1})
 
 	body := `{"benchmark":"x264"}`
 	for i := 0; i < 2; i++ {
@@ -259,7 +296,7 @@ func TestBreakerSurvivesCancelledProbe(t *testing.T) {
 			t.Fatalf("sabotaged solve %d: %d %s", i, w.Code, w.Body)
 		}
 	}
-	s.SetChaos(nil)
+	c.disarm()
 	clock = clock.Add(2 * time.Minute)
 
 	// The probe arrives already cancelled: the solver never gets a say.
@@ -294,8 +331,7 @@ func TestRecoverMiddleware(t *testing.T) {
 	defer func() { debugLogWriter = old }()
 
 	s := newTestServer(t, Config{})
-	h := s.Handler()
-	s.SetChaos(&ChaosConfig{Seed: 1, PanicRate: 1})
+	c, h := armChaos(s, ChaosConfig{Seed: 1, PanicRate: 1})
 	w := post(t, h, "/v1/steady", `{"benchmark":"x264"}`)
 	if w.Code != http.StatusInternalServerError {
 		t.Fatalf("panicked request: %d %s", w.Code, w.Body)
@@ -306,7 +342,7 @@ func TestRecoverMiddleware(t *testing.T) {
 	if got := s.Snapshot().PanicsRecovered; got != 1 {
 		t.Fatalf("panics_recovered = %d, want 1", got)
 	}
-	s.SetChaos(nil)
+	c.disarm()
 	if w := post(t, h, "/v1/steady", `{"benchmark":"x264"}`); w.Code != http.StatusOK {
 		t.Fatalf("server did not survive the panic: %d %s", w.Code, w.Body)
 	}

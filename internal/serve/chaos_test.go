@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -15,14 +17,114 @@ import (
 	"time"
 )
 
+// ChaosConfig arms deterministic infrastructure-fault injection around a
+// Server — the service-layer extension of the internal/faults idea: where
+// a faults.Scenario derates pumps and condensers, chaos derates the
+// *service* (latency, panics, sabotaged and failed solves). Every
+// decision is drawn from one seeded PRNG, so a chaos run replays the
+// same fault sequence for the same seed; the chaos tests lean on that to
+// assert invariants (bounded error rates, byte-deterministic successes,
+// clean drains) instead of eyeballing flakes.
+type ChaosConfig struct {
+	// Seed fixes the PRNG (0 is a valid, fixed seed).
+	Seed int64
+	// LatencyRate is the probability a request sleeps a uniform random
+	// duration up to MaxLatency before being handled.
+	LatencyRate float64
+	MaxLatency  time.Duration
+	// PanicRate is the probability a request panics mid-handler — the
+	// recovery middleware must turn it into a structured 500.
+	PanicRate float64
+	// SabotageRate is the probability a steady solve runs with the
+	// multigrid fault hook armed (cosim.Session.InjectMGFault): the
+	// escalation ladder rescues the solve, and the breaker sees the storm.
+	SabotageRate float64
+	// FailRate is the probability a steady solve fails outright with an
+	// injected solver error (counted by the breaker, lease evicted).
+	FailRate float64
+}
+
+// errChaosFail is the injected hard solver failure.
+var errChaosFail = errors.New("serve: chaos-injected solve failure")
+
+// chaos is an armed injector. All draws serialize through mu: the draw
+// *sequence* is deterministic in the seed even though which request gets
+// which draw depends on goroutine interleaving.
+type chaos struct {
+	mu  sync.Mutex
+	rng *rand.Rand
+	cfg ChaosConfig
+}
+
+func newChaos(cfg ChaosConfig) *chaos {
+	return &chaos{rng: rand.New(rand.NewSource(cfg.Seed)), cfg: cfg}
+}
+
+// armChaos installs a seeded injector on s: its solve faults wrap the
+// server's solve seam, and the returned handler applies its request
+// faults inside the recovery middleware, so injected panics exercise it.
+// Arm before the first request; disarm stops every injection.
+func armChaos(s *Server, cfg ChaosConfig) (*chaos, http.Handler) {
+	c := newChaos(cfg)
+	solve := s.solve
+	s.solve = func(ctx context.Context, l *lease, p *steadyProposal) (*SteadyResponse, error) {
+		sabotage, fail := c.solveFaults()
+		if sabotage {
+			l.ses.InjectMGFault(true)
+			defer l.ses.InjectMGFault(false)
+		}
+		if fail {
+			return nil, errChaosFail
+		}
+		return solve(ctx, l, p)
+	}
+	routes := s.routes()
+	return c, s.recoverMiddleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		delay, panics := c.requestFaults()
+		time.Sleep(delay)
+		if panics {
+			panic("chaos-injected handler panic")
+		}
+		routes.ServeHTTP(w, r)
+	}))
+}
+
+// disarm zeroes every rate; requests already past a draw finish under it.
+func (c *chaos) disarm() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.cfg = ChaosConfig{}
+}
+
+// draw is one Bernoulli decision; the caller holds mu.
+func (c *chaos) draw(rate float64) bool { return rate > 0 && c.rng.Float64() < rate }
+
+// requestFaults draws a request's injected delay and whether it panics.
+func (c *chaos) requestFaults() (time.Duration, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var delay time.Duration
+	if c.cfg.MaxLatency > 0 && c.draw(c.cfg.LatencyRate) {
+		delay = time.Duration(c.rng.Int63n(int64(c.cfg.MaxLatency)))
+	}
+	return delay, c.draw(c.cfg.PanicRate)
+}
+
+// solveFaults draws whether a solve is sabotaged and whether it fails.
+func (c *chaos) solveFaults() (sabotage, fail bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.draw(c.cfg.SabotageRate), c.draw(c.cfg.FailRate)
+}
+
 // TestChaosHarness is the service-layer chaos drill: with every injector
-// armed (latency, handler panics, solver sabotage, hard solve failures,
-// lease poisoning) a storm of concurrent proposals must uphold the
-// service invariants — successful bodies stay byte-deterministic per
-// proposal, refusals stay structured (only known status codes, panics
-// recovered and counted), a blade streamed through the storm lands at
-// the exact simulated time, and the drain + checkpoint + restore cycle
-// completes without leaking a goroutine.
+// armed (latency, handler panics, solver sabotage, hard solve failures)
+// a storm of concurrent proposals must uphold the service invariants —
+// successful bodies stay byte-deterministic per proposal, refusals stay
+// structured (only known status codes, panics recovered and counted), a
+// blade streamed through the storm lands at the exact simulated time,
+// and the drain + checkpoint + restore cycle completes without leaking a
+// goroutine.
 func TestChaosHarness(t *testing.T) {
 	old := debugLogWriter
 	debugLogWriter = io.Discard
@@ -34,16 +136,15 @@ func TestChaosHarness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
-	s.SetChaos(&ChaosConfig{
+	c, h := armChaos(s, ChaosConfig{
 		Seed:         42,
 		LatencyRate:  0.2,
 		MaxLatency:   2 * time.Millisecond,
 		PanicRate:    0.1,
 		SabotageRate: 0.15,
 		FailRate:     0.1,
-		PoisonRate:   0.2,
 	})
+	ts := httptest.NewServer(h)
 
 	client := NewClient(7)
 	client.MaxRetries = 2
@@ -166,7 +267,7 @@ func TestChaosHarness(t *testing.T) {
 		}
 		return out.TimeS
 	}
-	s.SetChaos(nil)
+	c.disarm()
 	if got := statusOf(s.Handler()); got != 1.5 {
 		t.Fatalf("blade time after 3 exactly-once chunks = %v, want 1.5 (retries double-stepped?)", got)
 	}
@@ -202,16 +303,16 @@ func TestChaosHarness(t *testing.T) {
 // TestChaosDeterministicDraws: the injector's decision sequence is fixed
 // by the seed — two injectors with the same config draw identically.
 func TestChaosDeterministicDraws(t *testing.T) {
-	mk := func() *chaos {
-		s := &Server{}
-		s.SetChaos(&ChaosConfig{Seed: 9, FailRate: 0.3, PanicRate: 0.2, LatencyRate: 0.5, MaxLatency: time.Millisecond})
-		return s.loadChaos()
-	}
-	a, b := mk(), mk()
+	cfg := ChaosConfig{Seed: 9, FailRate: 0.3, PanicRate: 0.2, LatencyRate: 0.5, MaxLatency: time.Millisecond}
+	a, b := newChaos(cfg), newChaos(cfg)
 	var seqA, seqB bytes.Buffer
 	for i := 0; i < 200; i++ {
-		fmt.Fprintf(&seqA, "%v%v%v;", a.roll(a.cfg.FailRate), a.roll(a.cfg.PanicRate), a.latency())
-		fmt.Fprintf(&seqB, "%v%v%v;", b.roll(b.cfg.FailRate), b.roll(b.cfg.PanicRate), b.latency())
+		d, p := a.requestFaults()
+		sab, fail := a.solveFaults()
+		fmt.Fprintf(&seqA, "%v%v%v%v;", d, p, sab, fail)
+		d, p = b.requestFaults()
+		sab, fail = b.solveFaults()
+		fmt.Fprintf(&seqB, "%v%v%v%v;", d, p, sab, fail)
 	}
 	if seqA.String() != seqB.String() {
 		t.Fatal("same seed drew different chaos sequences")

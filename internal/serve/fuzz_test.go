@@ -5,6 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"math"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -108,6 +110,71 @@ func FuzzCheckpointPayload(f *testing.F) {
 		}
 		if round := bladeMarks(again); !reflect.DeepEqual(round, got) {
 			t.Fatalf("save → restore moved the blades: %v → %v", got, round)
+		}
+	})
+}
+
+// FuzzTransientStep checks step-chunk handling against arbitrary request
+// bodies. Each input runs on a fresh coarse server (MaxSteps 4) with one
+// registered blade and is posted twice, so a seq-numbered chunk also
+// meets its own retry. No post panics; a refused or replayed chunk leaves
+// the blade's time_s where it was; and an applied chunk returns one
+// finite sample per step, strictly increasing in time, the last of them
+// at the blade's new time_s. The seed corpus, which includes a chunk
+// whose dt_s would push the clock to 1e308 s, lives in
+// testdata/fuzz/FuzzTransientStep.
+func FuzzTransientStep(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s := newTestServer(t, Config{MaxSteps: 4})
+		h := s.Handler()
+		if w := post(t, h, "/v1/transient", `{"blade":"b0","benchmark":"x264"}`); w.Code != http.StatusCreated {
+			t.Fatalf("register: %d %s", w.Code, w.Body)
+		}
+		timeS := func() float64 {
+			w := get(t, h, "/v1/transient/b0")
+			var st TransientStatus
+			if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+				t.Fatalf("blade status %d %s: %v", w.Code, w.Body, err)
+			}
+			return st.TimeS
+		}
+		for attempt := 0; attempt < 2; attempt++ {
+			before := timeS()
+			w := post(t, h, "/v1/transient/b0/step", string(body))
+			if n := s.Snapshot().PanicsRecovered; n != 0 {
+				t.Fatalf("chunk %q panicked the handler: %s", body, w.Body)
+			}
+			after := timeS()
+			if w.Code != http.StatusOK || w.Header().Get("X-Replayed") != "" {
+				if after != before {
+					t.Fatalf("chunk %q answered %d (replayed %q) but moved time_s %g → %g",
+						body, w.Code, w.Header().Get("X-Replayed"), before, after)
+				}
+				continue
+			}
+			var req TransientStepRequest
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Fatalf("applied chunk %q does not decode: %v", body, err)
+			}
+			var resp struct {
+				Samples []TransientSample `json:"samples"`
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("chunk %q response %s: %v", body, w.Body, err)
+			}
+			if len(resp.Samples) != len(req.Steps) {
+				t.Fatalf("chunk %q of %d steps returned %d samples", body, len(req.Steps), len(resp.Samples))
+			}
+			prev := before
+			for i, sm := range resp.Samples {
+				if !(sm.TimeS > prev) || math.IsInf(sm.TimeS, 0) {
+					t.Fatalf("chunk %q sample %d at %g s after %g s", body, i, sm.TimeS, prev)
+				}
+				prev = sm.TimeS
+			}
+			if prev != after {
+				t.Fatalf("chunk %q ended at %g s, blade reports time_s %g", body, prev, after)
+			}
 		}
 	})
 }

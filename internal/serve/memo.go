@@ -40,10 +40,8 @@ func (m *memo) get(key string) ([]byte, bool) {
 }
 
 // put stores a body, evicting the least recently used entry past
-// capacity. Storing an existing key keeps the first body: with the
-// default strict-determinism mode both are byte-identical anyway, and in
-// carry mode first-wins is what keeps later warm recomputes from
-// replacing the canonical answer.
+// capacity. Storing an existing key keeps the first body; a recompute of
+// the same proposal is byte-identical to it anyway.
 func (m *memo) put(key string, body []byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

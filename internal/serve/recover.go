@@ -6,11 +6,10 @@ import (
 	"net/http"
 	"os"
 	"runtime/debug"
-	"time"
 )
 
 // debugLogWriter receives recovered-panic reports. It is a variable so
-// the chaos test can capture (and silence) the expected panic spam.
+// tests that inject panics can capture (and silence) the expected spam.
 var debugLogWriter io.Writer = os.Stderr
 
 // recoverMiddleware turns a handler panic into a structured 500 instead
@@ -33,24 +32,6 @@ func (s *Server) recoverMiddleware(next http.Handler) http.Handler {
 					fmt.Sprintf("internal panic (recovered): %v", v))
 			}
 		}()
-		next.ServeHTTP(w, r)
-	})
-}
-
-// chaosMiddleware applies the armed infrastructure chaos to a request:
-// injected latency first, then a possible injected panic (which the
-// recovery middleware above must catch — chaos deliberately sits inside
-// it). Disarmed chaos costs one mutex-guarded nil check.
-func (s *Server) chaosMiddleware(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if c := s.loadChaos(); c != nil {
-			if d := c.latency(); d > 0 {
-				time.Sleep(d)
-			}
-			if c.roll(c.cfg.PanicRate) {
-				panic("chaos-injected handler panic")
-			}
-		}
 		next.ServeHTTP(w, r)
 	})
 }

@@ -30,24 +30,21 @@
 //     requests finish (http.Server.Shutdown's contract), then Close
 //     retires every cached session and registered transient blade.
 //
-// Determinism contract: with the warm-start carry disabled (the default),
-// every solve seeds exactly like a fresh-session solve, so a recomputed
-// response — after memo eviction, on another session, on a fresh server —
-// is byte-identical to the first. Config.CarryWarmStart trades that
-// cross-request reproducibility for faster solves of *nearby* proposals
-// (one coupling pass, ~10× faster than cold at coarse resolution);
-// identical proposals stay byte-identical either way because they are
-// served from the memo.
+// Determinism contract: every solve seeds exactly like a fresh-session
+// solve (cached sessions never carry a warm start across requests), so a
+// recomputed response — after memo eviction, on another session, on a
+// fresh server — is byte-identical to the first.
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -83,13 +80,6 @@ type Config struct {
 	Transients int
 	// MaxSteps caps the steps of one transient chunk (0 = 10000).
 	MaxSteps int
-	// CarryWarmStart enables the cross-solve warm-start carry inside each
-	// cached session. Off (the default), every solve is byte-identical to
-	// a fresh-session solve; on, nearby what-ifs on a warm session
-	// converge in one coupling pass (~10× faster than cold at coarse
-	// resolution) but recomputed bodies are only tolerance-identical.
-	// Identical proposals are memoized either way.
-	CarryWarmStart bool
 	// RequestTimeout bounds each request's solve (0 = no limit). The
 	// deadline threads through the ctx-aware solve loops, so a timed-out
 	// solve aborts between coupling iterations.
@@ -210,9 +200,9 @@ type Server struct {
 	// request validation before any system is built.
 	dieBlocks map[string]bool
 
-	// chaos, when armed via SetChaos, injects infrastructure faults.
-	chaosMu sync.Mutex
-	chaos   *chaos
+	// solve runs one proposal on a locked lease. New sets it to
+	// solveSteady; it is the one seam tests wrap to inject solver faults.
+	solve func(context.Context, *lease, *steadyProposal) (*SteadyResponse, error)
 
 	// ckptStop/ckptDone bracket the periodic checkpoint goroutine.
 	ckptStop chan struct{}
@@ -233,6 +223,7 @@ func New(cfg Config) (*Server, error) {
 		adm:      newAdmission(cfg.Workers, cfg.QueueDepth),
 		breakers: newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
 	}
+	s.solve = s.solveSteady
 	s.leases = newLeaseCache(cfg.Sessions, s.buildLease, &s.stats)
 	s.trans = newTransients(cfg.Transients)
 	fp := floorplan.BroadwellEP()
@@ -257,14 +248,16 @@ func New(cfg Config) (*Server, error) {
 // Config returns the resolved configuration (budget split applied).
 func (s *Server) Config() Config { return s.cfg }
 
-// Handler returns the route table, wrapped outside-in by the
-// panic-recovery middleware (a handler panic becomes a structured 500,
-// never a dead process), the chaos injector (inside recovery, so
-// injected panics exercise it), and the drain gate. Every work endpoint
+// Handler returns the service's HTTP handler: the route table behind the
+// panic-recovery middleware, so a handler panic becomes a structured 500,
+// never a dead process.
+func (s *Server) Handler() http.Handler { return s.recoverMiddleware(s.routes()) }
+
+// routes is the route table behind the drain gate. Every work endpoint
 // refuses with 503 once the server is draining; in-flight requests are
 // unaffected, and /healthz, /v1/stats, and /v1/checkpoint stay routable
 // so operators can watch (and snapshot) the drain itself.
-func (s *Server) Handler() http.Handler {
+func (s *Server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/v1/stats", s.handleStats)
@@ -275,7 +268,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/experiments/", s.handleExperimentRun)
 	mux.HandleFunc("/v1/checkpoint", s.handleCheckpoint)
 	drainExempt := map[string]bool{"/healthz": true, "/v1/stats": true, "/v1/checkpoint": true}
-	gated := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() && !drainExempt[r.URL.Path] {
 			writeError(w, http.StatusServiceUnavailable, "draining: not accepting new work",
 				s.retryAfterSecs())
@@ -283,7 +276,6 @@ func (s *Server) Handler() http.Handler {
 		}
 		mux.ServeHTTP(w, r)
 	})
-	return s.recoverMiddleware(s.chaosMiddleware(gated))
 }
 
 // retryAfterSecs is the single source of the Retry-After hint every
@@ -338,15 +330,6 @@ func (s *Server) Close() error {
 	return saveErr
 }
 
-// ResetCaches empties the response memo and the session cache (closing
-// the cached sessions). It exists for benchmarking and tests — cold-miss
-// latencies are unmeasurable on a warm server otherwise — and is
-// deliberately not routed as an endpoint.
-func (s *Server) ResetCaches() {
-	s.memo.reset()
-	s.leases.closeAll()
-}
-
 // Snapshot returns the current Stats.
 func (s *Server) Snapshot() Stats {
 	return Stats{
@@ -391,18 +374,22 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Snapshot())
 }
 
-// decode parses a JSON request body into dst with unknown fields
-// rejected, enforcing the body cap. An empty body leaves dst zero when
-// allowEmpty is set — the convention for "all defaults" POSTs.
+// decode parses a JSON request body holding exactly one JSON value into
+// dst with unknown fields rejected, enforcing the body cap. An empty body
+// leaves dst zero when allowEmpty is set — the convention for "all
+// defaults" POSTs; a truncated value or trailing data is a bad request.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any, allowEmpty bool) error {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		if allowEmpty && strings.Contains(err.Error(), "EOF") {
+		if allowEmpty && errors.Is(err, io.EOF) {
 			return nil
 		}
 		return fmt.Errorf("bad request body: %w", err)
+	}
+	if err := dec.Decode(&json.RawMessage{}); !errors.Is(err, io.EOF) {
+		return errors.New("bad request body: data after the JSON value")
 	}
 	return nil
 }

@@ -157,6 +157,32 @@ func TestSteadyRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestDecodeBodies: a request body is empty (where the endpoint allows
+// it) or exactly one JSON value; a truncated value or trailing data is a
+// 400, never a silent run on defaults or on the first value.
+func TestDecodeBodies(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	cases := []struct {
+		name, path, body string
+		want             int
+	}{
+		{"empty defaults", "/v1/experiments/tablei", "", http.StatusOK},
+		{"one value, trailing space", "/v1/experiments/tablei", "{\"resolution\":\"coarse\"}\n ", http.StatusOK},
+		{"truncated value", "/v1/experiments/tablei", `{"resolution":"full"`, http.StatusBadRequest},
+		{"two values", "/v1/experiments/tablei", `{}{}`, http.StatusBadRequest},
+		{"empty where a value is required", "/v1/steady", "", http.StatusBadRequest},
+		{"one proposal", "/v1/steady", `{"benchmark":"x264"}`, http.StatusOK},
+		{"trailing junk", "/v1/steady", `{"benchmark":"x264"}{"junk"`, http.StatusBadRequest},
+		{"trailing value", "/v1/steady", `{"benchmark":"x264"} 7`, http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		if w := post(t, h, c.path, c.body); w.Code != c.want {
+			t.Errorf("%s: POST %s %q = %d, want %d (%s)", c.name, c.path, c.body, w.Code, c.want, w.Body)
+		}
+	}
+}
+
 // TestSteadyConcurrentDeterminism is the service-level byte-determinism
 // contract: concurrent clients asking the same question get byte-identical
 // bodies, a recompute after memo eviction matches, and a fresh server
@@ -191,8 +217,8 @@ func TestSteadyConcurrentDeterminism(t *testing.T) {
 		t.Fatalf("%d misses for %d identical concurrent clients, want 1", st.MemoMisses, clients)
 	}
 
-	// Recompute after memo eviction: byte-identical (warm-carry is off by
-	// default, so the session seeds like a fresh one).
+	// Recompute after memo eviction: byte-identical (cached sessions never
+	// carry a warm start, so the session seeds like a fresh one).
 	s.memo.reset()
 	w := post(t, h, "/v1/steady", body)
 	if got := w.Header().Get("X-Cache"); got != "miss" {
@@ -384,6 +410,40 @@ func TestTransientValidation(t *testing.T) {
 	}
 }
 
+// TestStepKeepsClockMoving: a chunk whose dt_s would overflow the blade
+// clock, or vanish against it, is refused whole and leaves time_s where
+// it was; the blade keeps stepping afterwards.
+func TestStepKeepsClockMoving(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	if w := post(t, h, "/v1/transient", `{"blade":"b0","benchmark":"x264"}`); w.Code != http.StatusCreated {
+		t.Fatalf("register: %d %s", w.Code, w.Body)
+	}
+	timeS := func() float64 {
+		w := get(t, h, "/v1/transient/b0")
+		var st TransientStatus
+		if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+			t.Fatalf("status %d %s: %v", w.Code, w.Body, err)
+		}
+		return st.TimeS
+	}
+	if w := post(t, h, "/v1/transient/b0/step", `{"dt_s":1e308,"steps":[{}]}`); w.Code != http.StatusBadRequest {
+		t.Fatalf("1e308 s chunk: %d %s, want 400", w.Code, w.Body)
+	}
+	if got := timeS(); got != 0 {
+		t.Fatalf("time_s after a refused chunk = %g, want 0", got)
+	}
+	if w := post(t, h, "/v1/transient/b0/step", `{"dt_s":0.25,"steps":[{}]}`); w.Code != http.StatusOK {
+		t.Fatalf("step after a refused chunk: %d %s", w.Code, w.Body)
+	}
+	if w := post(t, h, "/v1/transient/b0/step", `{"dt_s":1e-300,"steps":[{}]}`); w.Code != http.StatusBadRequest {
+		t.Fatalf("vanishing dt_s: %d %s, want 400", w.Code, w.Body)
+	}
+	if got := timeS(); got != 0.25 {
+		t.Fatalf("time_s = %g, want 0.25", got)
+	}
+}
+
 func TestExperimentsEndpoints(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()
@@ -501,7 +561,8 @@ func TestWarmHitSpeedup(t *testing.T) {
 	body := `{"benchmark":"x264"}`
 
 	coldest := func() time.Duration {
-		s.ResetCaches()
+		s.memo.reset()
+		s.leases.closeAll()
 		t0 := time.Now()
 		w := post(t, h, "/v1/steady", body)
 		if w.Code != http.StatusOK {

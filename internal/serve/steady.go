@@ -255,8 +255,8 @@ func (s *Server) normalizeSteady(req SteadyRequest) (*steadyProposal, error) {
 
 // buildLease is the lease cache's session factory: a fresh system with
 // the key's (possibly fault-derated) design and a session configured with
-// the key's solver, the budget's team width, and the server's warm-carry
-// mode.
+// the key's solver and the budget's team width. The session never carries
+// a warm start across solves, so every response is reproducible.
 func (s *Server) buildLease(key leaseKey) (*cosim.System, *cosim.Session, error) {
 	res, err := experiments.ParseResolution(key.resolution)
 	if err != nil {
@@ -277,7 +277,7 @@ func (s *Server) buildLease(key leaseKey) (*cosim.System, *cosim.Session, error)
 	}
 	opts := []cosim.SessionOption{
 		cosim.WithSolver(solver),
-		cosim.CarryWarmStart(s.cfg.CarryWarmStart),
+		cosim.CarryWarmStart(false),
 	}
 	if s.cfg.Threads > 1 {
 		opts = append(opts, cosim.WithThreads(s.cfg.Threads))
@@ -428,9 +428,8 @@ func (s *Server) leadFlight(ctx context.Context, p *steadyProposal, f *flight) {
 }
 
 // solveProposal runs the miss path end to end — breaker, admission,
-// lease, solve (with any armed chaos applied), memoize — and returns the
-// response body, or a non-zero HTTP status with a message and an
-// optional Retry-After hint in seconds.
+// lease, solve, memoize — and returns the response body, or a non-zero
+// HTTP status with a message and an optional Retry-After hint in seconds.
 func (s *Server) solveProposal(ctx context.Context, p *steadyProposal) ([]byte, int, string, int) {
 	// The circuit breaker sits before admission: a tripped proposal class
 	// must not consume solve slots other classes could use.
@@ -460,9 +459,6 @@ func (s *Server) solveProposal(ctx context.Context, p *steadyProposal) ([]byte, 
 	if err != nil {
 		return nil, http.StatusInternalServerError, err.Error(), 0
 	}
-	c := s.loadChaos()
-	sabotage := c != nil && c.roll(c.cfg.SabotageRate)
-	failInject := c != nil && c.roll(c.cfg.FailRate)
 	// The lease is unlocked and released on every exit, a panic included.
 	// Any exit but a clean success releases it poisoned, so no later
 	// request inherits a session a failed or panicked solve left behind.
@@ -472,18 +468,7 @@ func (s *Server) solveProposal(ctx context.Context, p *steadyProposal) ([]byte, 
 		l.mu.Unlock()
 		s.leases.release(l, poisoned)
 	}()
-	var resp *SteadyResponse
-	if sabotage {
-		l.ses.InjectMGFault(true)
-	}
-	if failInject {
-		err = errChaosFail
-	} else {
-		resp, err = s.solveSteady(ctx, l, p)
-	}
-	if sabotage {
-		l.ses.InjectMGFault(false)
-	}
+	resp, err := s.solve(ctx, l, p)
 	// The breaker counts hard solver failures and escalation-ladder
 	// rescues as bad; client cancellations and deadlines are not the
 	// solver's fault and stay neutral.
@@ -499,12 +484,10 @@ func (s *Server) solveProposal(ctx context.Context, p *steadyProposal) ([]byte, 
 	}
 	if err != nil {
 		// A failed solve poisons the lease (poisoned is still set): the
-		// release evicts it so no later request inherits the session. Its
-		// warm carry is already invalidated by the session itself; the
-		// cache eviction is belt and braces.
+		// release evicts it so no later request inherits the session.
 		return nil, solveStatus(err), solveMsg(err), 0
 	}
-	poisoned = c != nil && c.roll(c.cfg.PoisonRate)
+	poisoned = false
 	body, err := canonicalJSON(resp)
 	if err != nil {
 		return nil, http.StatusInternalServerError, err.Error(), 0

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -405,6 +406,20 @@ func (s *Server) handleTransientStep(w http.ResponseWriter, r *http.Request, nam
 	// admission or the lock.
 	if req.Seq > 0 && s.replayStep(w, b, req.Seq) {
 		return
+	}
+	// Every step must move the blade's clock to a finite later time, and
+	// the clock must still resolve dt_s where the chunk leaves it, so the
+	// stream can go on at the same cadence. Replay the clock's
+	// accumulation — one increment per step plus that one more — before
+	// touching the sim, and refuse the whole chunk if any increment fails.
+	for i, t := 0, b.sim.Time(); i <= len(req.Steps); i++ {
+		next := t + req.DtS
+		if !(next > t) || math.IsInf(next, 0) {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf(
+				"dt_s %g: the blade clock at %g s cannot take %d more steps of it", req.DtS, b.sim.Time(), len(req.Steps)+1))
+			return
+		}
+		t = next
 	}
 	// A chunk applies atomically: snapshot the sim before the first step
 	// and roll back to it if anything fails or the client cancels partway

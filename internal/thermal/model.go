@@ -181,7 +181,7 @@ func (m *Model) topG(bc TopBoundary, c int) float64 {
 }
 
 // newStencil returns the model's fine-level operator stencil —
-// linalg.Operator / StencilSweeper / Smoother for A·T where A is the
+// linalg.Operator / Smoother for A·T where A is the
 // steady conduction matrix plus boundary and (optionally) capacitive
 // diagonal terms. The conductances alias the model; the diagonal buffers
 // are freshly allocated and (re)assembled per solve by fillOperator.

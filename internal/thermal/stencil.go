@@ -1,18 +1,13 @@
 package thermal
 
-import (
-	"math"
-
-	"repro/internal/linalg"
-)
+import "repro/internal/linalg"
 
 // stencil is the 7-point conduction stencil over an (nx, ny, nl) cell
 // grid: per-edge conductances in x, y (within a layer) and z (between
 // consecutive layers) plus a full diagonal. It is the shared operator
 // representation of every level of the solve stack — the fine level
 // aliases the Model's conductance arrays, coarse multigrid levels own
-// aggregated copies — and implements linalg.Operator, StencilSweeper and
-// Smoother.
+// aggregated copies — and implements linalg.Operator and Smoother.
 //
 // Indexing matches Model: unknown i = l·cells + iy·nx + ix; gx[i] couples
 // i to i+1 (stored at the west cell, zero in the last column), gy[i]
@@ -195,49 +190,6 @@ func (s *stencil) residualRows(b, x, r linalg.Vector, rowLo, rowHi int) {
 			i++
 		}
 	}
-}
-
-// SweepSOR performs one lexicographic Gauss-Seidel/SOR sweep updating x
-// toward A·x = b and returns the maximum absolute update applied. The
-// lexicographic recurrence is inherently sequential, so this sweep always
-// runs on the calling goroutine.
-func (s *stencil) SweepSOR(b, x linalg.Vector, omega float64) float64 {
-	nx, cells := s.nx, s.cells
-	var maxDelta float64
-	for l := 0; l < s.nl; l++ {
-		base := l * cells
-		for c := 0; c < cells; c++ {
-			i := base + c
-			su := b[i]
-			if c%nx != 0 { // west neighbor stores gx at its own index
-				su += s.gx[i-1] * x[i-1]
-			}
-			if g := s.gx[i]; g != 0 {
-				su += g * x[i+1]
-			}
-			if c >= nx {
-				su += s.gy[i-nx] * x[i-nx]
-			}
-			if g := s.gy[i]; g != 0 {
-				su += g * x[i+nx]
-			}
-			if l > 0 {
-				su += s.gz[i-cells] * x[i-cells]
-			}
-			if l < s.nl-1 {
-				if g := s.gz[i]; g != 0 {
-					su += g * x[i+cells]
-				}
-			}
-			xNew := su / s.diag[i]
-			delta := omega * (xNew - x[i])
-			x[i] += delta
-			if a := math.Abs(delta); a > maxDelta {
-				maxDelta = a
-			}
-		}
-	}
-	return maxDelta
 }
 
 // Smooth performs one red-black Gauss-Seidel sweep (ω = 1). Cells are

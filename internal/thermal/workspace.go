@@ -40,7 +40,6 @@ type Workspace struct {
 	threads int
 
 	stats SolveStats
-	last  linalg.CGResult
 
 	// Escalation-ladder state: noEscalate disables the ladder (zero value
 	// = enabled); esc accumulates the descents taken; seed snapshots the
@@ -133,10 +132,6 @@ func (w *Workspace) wireTeam() {
 // Stats returns cumulative linear-solver effort since the workspace was
 // created.
 func (w *Workspace) Stats() SolveStats { return w.stats }
-
-// LastSolve returns the convergence report of the most recent linear
-// solve.
-func (w *Workspace) LastSolve() linalg.CGResult { return w.last }
 
 // ensureHierarchy lazily builds the multigrid ladder over the
 // workspace's operator stencil.
@@ -278,7 +273,6 @@ func (w *Workspace) solveWith(s Solver, x linalg.Vector, tol float64) error {
 		MaxIter: 40 * w.m.n,
 		Precond: pre,
 	}, &w.cg)
-	w.last = res
 	w.stats.Solves++
 	w.stats.Iterations += res.Iterations
 	w.stats.Applies += res.Applies

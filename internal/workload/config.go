@@ -38,9 +38,6 @@ func (c Config) Valid() bool {
 	return false
 }
 
-// ThreadsPerCore returns 1 or 2.
-func (c Config) ThreadsPerCore() int { return c.Threads / c.Cores }
-
 // Configs enumerates the full configuration space the paper's Algorithm 1
 // searches: Nc ∈ {1..8} × Nt ∈ {Nc, 2Nc} × f ∈ {2.6, 2.9, 3.2}.
 func Configs() []Config {
