@@ -101,7 +101,6 @@ func run(racks, blades, loops int, resFlag string, waterC float64, solverFlag st
 		Solver:   solver,
 		Workers:  workers,
 		Threads:  threads,
-		Leakage:  power.DefaultLeakage(),
 		Scenario: &scenario,
 	})
 	if err != nil {
@@ -118,8 +117,7 @@ func run(racks, blades, loops int, resFlag string, waterC float64, solverFlag st
 	fmt.Printf("outer fixed point: %d iterations, residual %.4f °C, converged %v\n",
 		rep.OuterIterations, rep.ResidualC, rep.Converged)
 	if !scenario.Empty() {
-		fmt.Printf("fault scenario %q: damping %.2f after %d halving(s), %d solver escalation(s)\n",
-			rep.Scenario, rep.FinalDamping, rep.DampingHalvings, rep.Escalations)
+		fmt.Printf("fault scenario %q: %d solver escalation(s)\n", rep.Scenario, rep.Escalations)
 		if rep.ThrottledBlades > 0 {
 			fmt.Printf("degraded mode: %d blade(s) throttled, deepest %d DVFS step(s)\n",
 				rep.ThrottledBlades, rep.MaxThrottleSteps)

@@ -88,7 +88,7 @@ func TestRackplanFlagValidation(t *testing.T) {
 }
 
 // TestRackplanFaultFlag: a -fault scenario must print the scenario
-// summary (damping, halvings, escalations) and still reach the plant
+// summary (solver escalations) and still reach the plant
 // section — and a blade-scoped fault must heat the fleet.
 func TestRackplanFaultFlag(t *testing.T) {
 	out := captureStdout(t, func() error {
@@ -96,7 +96,6 @@ func TestRackplanFaultFlag(t *testing.T) {
 	})
 	for _, want := range []string{
 		`fault scenario "pump:0.5,fouling:0.3"`,
-		"halving(s)",
 		"solver escalation(s)",
 		"facility PUE:",
 	} {

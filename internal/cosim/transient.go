@@ -26,18 +26,11 @@ type TransientSim struct {
 	field  *thermal.Field
 	bc     thermal.TopBoundary
 	syph   *thermosyphon.State
-	target *thermosyphon.State // loop-inertia scratch
 	time   float64
 
 	pCells     []float64
 	qBuf       []float64
 	layerPower [][]float64 // dense die-layer injection table (index 0)
-
-	// LoopTau is the natural-circulation startup time constant (s): the
-	// actual mass flow relaxes toward the quasi-static balance with this
-	// first-order lag. Zero disables loop inertia.
-	LoopTau float64
-	mdot    float64 // current (lagged) mass flow
 }
 
 // Transient starts a transient simulation from a uniform initial
@@ -126,27 +119,9 @@ func (ts *TransientSim) Step(dt float64, blockPower map[string]float64) error {
 	if qTot < 1 {
 		q = pCells
 	}
-	var syph *thermosyphon.State
-	var err2 error
-	if ts.LoopTau > 0 {
-		// Loop inertia: find the quasi-static flow target, relax the
-		// actual flow toward it, and evaluate the evaporator there.
-		target, err := ts.design.EvaporateInto(ts.target, ts.sys.Thermal.Grid(), q, ts.op)
-		if err != nil {
-			return err
-		}
-		ts.target = target
-		if ts.mdot <= 0 {
-			ts.mdot = 0.1 * target.Loop.MassFlowKgS // cold start: barely moving
-		}
-		alpha := dt / (ts.LoopTau + dt)
-		ts.mdot += alpha * (target.Loop.MassFlowKgS - ts.mdot)
-		syph, err2 = ts.design.EvaporateAtInto(ts.syph, ts.sys.Thermal.Grid(), q, ts.op, ts.mdot)
-	} else {
-		syph, err2 = ts.design.EvaporateInto(ts.syph, ts.sys.Thermal.Grid(), q, ts.op)
-	}
-	if err2 != nil {
-		return err2
+	syph, err := ts.design.EvaporateInto(ts.syph, ts.sys.Thermal.Grid(), q, ts.op)
+	if err != nil {
+		return err
 	}
 	ts.syph = syph
 	// Damp the boundary update: the raw quasi-static coupling produces a
@@ -168,16 +143,15 @@ func (ts *TransientSim) Step(dt float64, blockPower map[string]float64) error {
 }
 
 // TransientState is the complete dynamic state of a TransientSim: the
-// temperature field, the damped thermosyphon boundary, the simulated
-// time, and the loop-inertia lag. It is everything Step reads that
-// persists across steps — the thermosyphon state, the flux buffer and
-// the rasterized power map are recomputed from scratch inside every
-// Step, so they are not part of the state. A sim restored from an
-// exported state therefore continues exactly where the exporter stopped:
-// restore-then-step is bit-identical to an uninterrupted run on the same
-// system, solver, and thread count (the checkpoint/restore contract the
-// thermservd crash-recovery path leans on, asserted by
-// TestTransientExportImportExact).
+// temperature field, the damped thermosyphon boundary and the simulated
+// time. It is everything Step reads that persists across steps — the
+// thermosyphon state, the flux buffer and the rasterized power map are
+// recomputed from scratch inside every Step, so they are not part of the
+// state. A sim restored from an exported state therefore continues
+// exactly where the exporter stopped: restore-then-step is bit-identical
+// to an uninterrupted run on the same system, solver, and thread count
+// (the checkpoint/restore contract the thermservd crash-recovery path
+// leans on, asserted by TestTransientExportImportExact).
 //
 // All fields are exported and JSON-tagged so the state serializes with
 // encoding/json; float64 values round-trip exactly (Go marshals the
@@ -191,20 +165,12 @@ type TransientState struct {
 	// temperature (°C) per cell — the blended boundary Step carries.
 	BCH      []float64 `json:"bc_h"`
 	BCTFluid []float64 `json:"bc_t_fluid"`
-	// LoopTau / MdotKgS capture the loop-inertia model: the time
-	// constant and the current lagged refrigerant mass flow.
-	LoopTau float64 `json:"loop_tau,omitempty"`
-	MdotKgS float64 `json:"mdot_kgs,omitempty"`
 }
 
 // ExportState deep-copies the sim's dynamic state for serialization. The
 // sim remains usable; the returned state does not alias its buffers.
 func (ts *TransientSim) ExportState() *TransientState {
-	st := &TransientState{
-		TimeS:   ts.time,
-		LoopTau: ts.LoopTau,
-		MdotKgS: ts.mdot,
-	}
+	st := &TransientState{TimeS: ts.time}
 	st.FieldT = append([]float64(nil), ts.field.T...)
 	st.BCH = append([]float64(nil), ts.bc.H...)
 	st.BCTFluid = append([]float64(nil), ts.bc.TFluid...)
@@ -246,8 +212,6 @@ func (ts *TransientSim) ImportState(st *TransientState) error {
 	copy(ts.bc.H, st.BCH)
 	copy(ts.bc.TFluid, st.BCTFluid)
 	ts.time = st.TimeS
-	ts.LoopTau = st.LoopTau
-	ts.mdot = st.MdotKgS
 	return nil
 }
 

@@ -131,59 +131,6 @@ func TestTransientIdleStaysNearWater(t *testing.T) {
 	}
 }
 
-func TestTransientLoopInertia(t *testing.T) {
-	sys, _ := NewSystem(coarseConfig())
-	st := fullLoadState(2.2)
-	bp := sys.Power.BlockPowers(st)
-
-	// With loop inertia the early die temperature runs hotter than the
-	// quasi-static loop (less circulation → worse HTC), converging later.
-	fast, err := sys.NewSession().Transient(thermosyphon.DefaultOperating(), 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := sys.NewSession().Transient(thermosyphon.DefaultOperating(), 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow.LoopTau = 5
-	for i := 0; i < 8; i++ {
-		if err := fast.Step(0.25, bp); err != nil {
-			t.Fatal(err)
-		}
-		if err := slow.Step(0.25, bp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Early on the lagged loop must circulate clearly less than the
-	// quasi-static one.
-	if slow.Syphon().Loop.MassFlowKgS >= 0.8*fast.Syphon().Loop.MassFlowKgS {
-		t.Fatalf("loop inertia missing: %.4g vs %.4g kg/s",
-			slow.Syphon().Loop.MassFlowKgS, fast.Syphon().Loop.MassFlowKgS)
-	}
-	// After the loop spins up, the two converge.
-	for i := 0; i < 80; i++ {
-		if err := fast.Step(0.25, bp); err != nil {
-			t.Fatal(err)
-		}
-		if err := slow.Step(0.25, bp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fd, _ := fast.DieMax()
-	sd, _ := slow.DieMax()
-	if d := sd - fd; d > 1 || d < -1 {
-		t.Fatalf("inertial and quasi-static runs did not converge: %.2f vs %.2f", sd, fd)
-	}
-}
-
-func TestEvaporateAtValidation(t *testing.T) {
-	sys, _ := NewSystem(coarseConfig())
-	if _, err := sys.Design.EvaporateAt(sys.Thermal.Grid(), make([]float64, sys.Thermal.Cells()), thermosyphon.DefaultOperating(), 0); err == nil {
-		t.Fatal("zero pinned flow must error")
-	}
-}
-
 // TestTransientHonorsSessionDesign: a sim started on a WithDesign session
 // steps on the session's design, bit-identically to a sim on a system
 // built with that design, and not on the system's healthy one.

@@ -14,17 +14,19 @@ import (
 	"repro/internal/thermal"
 )
 
-// solveOnce builds a solver with the options, runs one nominal solve and
-// tears it down.
-func solveOnce(t *testing.T, topo Topology, opt Options) *Report {
+// solveOnce builds a solver with the options, applies the test seams to
+// it, runs one nominal solve and tears it down.
+func solveOnce(t *testing.T, topo Topology, opt Options, seams ...func(*Solver)) *Report {
 	t.Helper()
 	sys := testSystem(t)
-	opt.Leakage = power.DefaultLeakage()
 	s, err := New(sys, topo, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	for _, seam := range seams {
+		seam(s)
+	}
 	rep, err := s.Solve(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +105,7 @@ func TestDegradedModeThrottlesToFeasible(t *testing.T) {
 		}
 	}
 	limit := t0 - 0.5 // infeasible at full speed, reachable one DVFS step down
-	rep := solveOnce(t, topo, Options{TCaseLimitC: limit})
+	rep := solveOnce(t, topo, Options{}, tcaseLimit(limit))
 	if !rep.Feasible() {
 		t.Fatalf("fleet not throttled to feasibility: converged %v, %d infeasible", rep.Converged, len(rep.Infeasible))
 	}
@@ -136,9 +138,9 @@ func TestDegradedModeThrottlesUnconvergedFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One outer iteration from cold cannot meet TolC, so the first
-	// fixed point ends unconverged.
-	rep := solveOnce(t, topo, Options{TCaseLimitC: 1, MaxOuter: 1})
+	// One outer iteration from cold cannot meet the outer tolerance, so
+	// the first fixed point ends unconverged.
+	rep := solveOnce(t, topo, Options{}, tcaseLimit(1), func(s *Solver) { s.maxOuter = 1 })
 	if rep.ThrottledBlades == 0 || rep.MaxThrottleSteps < 1 {
 		t.Fatalf("unconverged fleet over the limit left unthrottled: %d throttled, %d max steps",
 			rep.ThrottledBlades, rep.MaxThrottleSteps)
@@ -153,7 +155,7 @@ func TestInfeasibleBladesNamed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := solveOnce(t, topo, Options{TCaseLimitC: 1}) // below the water temperature: unreachable
+	rep := solveOnce(t, topo, Options{}, tcaseLimit(1)) // below the water temperature: unreachable
 	if rep.Feasible() {
 		t.Fatal("fleet claims feasibility under an unreachable limit")
 	}
@@ -167,43 +169,6 @@ func TestInfeasibleBladesNamed(t *testing.T) {
 		if !strings.Contains(b.Reason, "TCASE") || !strings.Contains(b.Reason, "DVFS") {
 			t.Errorf("reason %q does not explain the TCASE violation and the exhausted DVFS ladder", b.Reason)
 		}
-	}
-}
-
-// TestNoThrottleOption: MaxThrottleSteps < 0 disables the degraded mode —
-// violating blades go straight to the infeasible list at full speed.
-func TestNoThrottleOption(t *testing.T) {
-	topo, err := Uniform(1, 2, 1, testLoop(), []power.PackageState{testState(4.5, 8)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := solveOnce(t, topo, Options{TCaseLimitC: 1, MaxThrottleSteps: -1})
-	if rep.ThrottledBlades != 0 || rep.MaxThrottleSteps != 0 {
-		t.Fatalf("throttling disabled but %d blades throttled", rep.ThrottledBlades)
-	}
-	if len(rep.Infeasible) != len(rep.Blades) {
-		t.Fatalf("%d of %d blades named infeasible", len(rep.Infeasible), len(rep.Blades))
-	}
-}
-
-// TestStallAdaptationHalvesDamping: an over-relaxed outer update (α = 2
-// oscillates) must trip the stall detector, halve the damping, and still
-// converge — with the halvings reported.
-func TestStallAdaptationHalvesDamping(t *testing.T) {
-	topo, err := Uniform(2, 3, 1, testLoop(), []power.PackageState{testState(4.5, 8)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := solveOnce(t, topo, Options{Damping: 2.0})
-	if !rep.Converged {
-		t.Fatalf("over-relaxed fixed point never converged: residual %.4f after %d iterations",
-			rep.ResidualC, rep.OuterIterations)
-	}
-	if rep.DampingHalvings < 1 {
-		t.Fatalf("oscillating fixed point converged without any damping halving (outer %d)", rep.OuterIterations)
-	}
-	if rep.FinalDamping >= 2.0 {
-		t.Fatalf("FinalDamping %.2f not reduced", rep.FinalDamping)
 	}
 }
 
@@ -228,7 +193,6 @@ func TestFaultedPooledByteIdentical(t *testing.T) {
 			Solver:   thermal.SolverMGPCG,
 			Workers:  split.workers,
 			Threads:  split.threads,
-			Leakage:  power.DefaultLeakage(),
 			Scenario: &sc,
 		})
 		if err != nil {
@@ -282,23 +246,19 @@ func TestDegradedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rounds := 0
-	s, err := New(sys, topo, Options{
-		Workers:     2,
-		Threads:     2,
-		Leakage:     power.DefaultLeakage(),
-		TCaseLimitC: 1, // unreachable: forces throttle retry rounds
-		Progress: func(outer int, _ float64) {
-			if outer == 1 {
-				// Cancel at the start of the second fixed-point round — inside
-				// the degraded-mode retry path.
-				if rounds++; rounds == 2 {
-					cancel()
-				}
-			}
-		},
-	})
+	s, err := New(sys, topo, Options{Workers: 2, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	s.tcaseLimitC = 1 // unreachable: forces throttle retry rounds
+	s.progress = func(outer int, _ float64) {
+		if outer == 1 {
+			// Cancel at the start of the second fixed-point round — inside
+			// the degraded-mode retry path.
+			if rounds++; rounds == 2 {
+				cancel()
+			}
+		}
 	}
 	_, err = s.Solve(ctx)
 	if !errors.Is(err, context.Canceled) {
@@ -312,4 +272,9 @@ func TestDegradedCancellation(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// tcaseLimit is a solveOnce seam lowering the degraded-mode TCASE limit.
+func tcaseLimit(c float64) func(*Solver) {
+	return func(s *Solver) { s.tcaseLimitC = c }
 }

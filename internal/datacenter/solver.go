@@ -17,9 +17,10 @@ import (
 	"repro/internal/thermosyphon"
 )
 
-// Options tunes the nested solve. The zero value is valid: CG solver,
-// auto worker pool, serial solves, no leakage feedback, no faults,
-// throttling enabled at the paper's TCASE limit.
+// Options selects how the nested solve runs and what it solves. The zero
+// value is valid: CG solver, auto worker pool, serial solves, no faults.
+// Every blade's static power follows power.DefaultLeakage, and degraded
+// mode throttles blades to the paper's TCASE limit (sched.TCaseMax).
 type Options struct {
 	// Solver selects the thermal linear solver of every blade session.
 	Solver thermal.Solver
@@ -31,29 +32,6 @@ type Options struct {
 	// (0 or 1 = serial). Callers compose Workers × Threads under one core
 	// budget (experiments.RunConfig does the split).
 	Threads int
-	// Leakage scales each blade's static power with its die temperature,
-	// closing the power↔temperature loop that makes the outer fixed point
-	// more than a single feed-forward pass. The zero model (BetaPerC 0)
-	// disables the feedback.
-	Leakage power.LeakageModel
-	// Damping is the outer update factor α in T ← T + α·(T' − T).
-	// 0 selects the default 0.8; the loop gain (plant approach ×
-	// leakage sensitivity) is well below 1 for physical parameters, so
-	// mild damping is a robustness margin, not a convergence crutch.
-	// Under cooling faults the gain rises (hotter dies leak more, fouled
-	// condensers amplify the supply response); when the residual stalls
-	// or oscillates the solver halves the damping on its own, up to
-	// maxDampingHalvings times, and reports the halvings it took.
-	Damping float64
-	// TolC is the convergence tolerance on the largest undamped per-loop
-	// supply-temperature update (°C). 0 selects the default 0.01.
-	TolC float64
-	// MaxOuter bounds the outer iterations. 0 selects the default 40.
-	MaxOuter int
-	// Progress, when non-nil, is called after every outer iteration with
-	// the iteration number (1-based) and the undamped residual (°C).
-	Progress func(outer int, maxDeltaC float64)
-
 	// Scenario injects cooling faults into the fleet before solving:
 	// loop-level faults derate the shared water loops, design-level
 	// faults derate each affected blade's thermosyphon. nil or empty =
@@ -61,46 +39,23 @@ type Options struct {
 	// so faulted fleets keep the pooled-vs-serial byte-determinism
 	// contract unchanged.
 	Scenario *faults.Scenario
-	// TCaseLimitC is the degraded-mode thermal constraint: blade classes
-	// whose TCASE exceeds it (or whose coupled solve fails, e.g. in
-	// leakage runaway) are throttled one DVFS step at a time until they
-	// comply. 0 selects sched.TCaseMax.
-	TCaseLimitC float64
-	// MaxThrottleSteps bounds the DVFS steps the degraded mode may apply
-	// per blade class. 0 selects every available level below nominal;
-	// negative disables throttling entirely (infeasible blades are then
-	// reported as such immediately).
-	MaxThrottleSteps int
 }
 
-func (o Options) withDefaults() Options {
-	if o.Damping == 0 {
-		o.Damping = 0.8
-	}
-	if o.TolC == 0 {
-		o.TolC = 0.01
-	}
-	if o.MaxOuter == 0 {
-		o.MaxOuter = 40
-	}
-	if o.TCaseLimitC == 0 {
-		o.TCaseLimitC = sched.TCaseMax
-	}
-	if o.MaxThrottleSteps == 0 {
-		o.MaxThrottleSteps = len(power.Levels()) - 1
-	}
-	return o
-}
-
-// Stall-adaptation policy of the outer fixed point: after stallWindow
-// consecutive iterations without the residual improving past
-// stallImprove × best-so-far, the damping is halved (at most
-// maxDampingHalvings times, never below minDamping).
+// The outer fixed point over the loop supply temperatures.
 const (
-	stallWindow        = 5
-	stallImprove       = 0.98
-	maxDampingHalvings = 3
-	minDamping         = 0.05
+	// tolC is the convergence tolerance on the largest undamped per-loop
+	// supply-temperature update (°C).
+	tolC = 0.01
+	// maxOuter bounds the outer iterations of one throttle round.
+	maxOuter = 40
+	// damping is the outer update factor α in T ← T + α·(F(T) − T).
+	// Loops share no blades, so each loop's update is a scalar map, and
+	// its gain g = dF/dT is non-negative: hotter water makes hotter dies,
+	// and hotter dies leak more heat. The error therefore shrinks by
+	// 1 − α(1 − g) per iteration. For g < 1 that factor only grows as α
+	// shrinks; for g ≥ 1 it is at least 1 for every α > 0. A smaller α
+	// never rescues a stalled loop, so α is a constant, not an adaptation.
+	damping = 0.8
 )
 
 // class is one equivalence class of blades: same package state, same
@@ -149,6 +104,12 @@ type Solver struct {
 	bladeClass []int // flat (rack-major) blade index → class index
 
 	temps []float64 // per-loop supply temperatures (carried across Solve calls)
+
+	// New sets these from the package constants; in-package tests lower
+	// them or hook every outer iteration.
+	tcaseLimitC float64
+	maxOuter    int
+	progress    func(outer int, residualC float64)
 }
 
 // New builds a solver for the topology on the given blade system. All
@@ -166,8 +127,8 @@ func New(sys *cosim.System, topo Topology, opt Options) (*Solver, error) {
 	if sys.Power == nil {
 		return nil, fmt.Errorf("datacenter: system has no power model")
 	}
-	s := &Solver{topo: topo, sys: sys, opt: opt.withDefaults()}
-	sc := s.opt.Scenario
+	s := &Solver{topo: topo, sys: sys, opt: opt, tcaseLimitC: sched.TCaseMax, maxOuter: maxOuter}
+	sc := opt.Scenario
 	if sc != nil {
 		if err := sc.Validate(); err != nil {
 			return nil, err
@@ -267,8 +228,6 @@ type fixedPointState struct {
 	outer     int
 	converged bool
 	residual  float64
-	damping   float64
-	halvings  int
 	failed    bool // some class was infeasible at these operating points
 }
 
@@ -292,9 +251,9 @@ func (s *Solver) Solve(ctx context.Context) (*Report, error) { return s.SolveSca
 // stable across scales.
 //
 // Degraded mode: classes whose coupled solve is infeasible, or whose
-// TCASE exceeds Options.TCaseLimitC, are throttled one DVFS step
+// TCASE exceeds sched.TCaseMax, are throttled one DVFS step
 // (sched.ThrottleStep) and the fixed point re-runs, until the fleet
-// is feasible or the throttle budget is exhausted — classes still failing
+// is feasible or the DVFS ladder is exhausted — classes still failing
 // then land in Report.Infeasible with their loop and blade names, and the
 // report carries whatever the rest of the fleet converged to. TCASE is
 // read at the fixed point's last iterate even when it did not converge:
@@ -306,7 +265,6 @@ func (s *Solver) SolveScaled(ctx context.Context, dynScale float64) (*Report, er
 	if dynScale < 0 {
 		return nil, fmt.Errorf("datacenter: negative load scale %g", dynScale)
 	}
-	opt := s.opt
 	baseEsc := s.escalationCount()
 	steps := make([]int, len(s.classes))      // DVFS steps applied per class
 	reasons := make([]string, len(s.classes)) // permanent-infeasibility diagnostics
@@ -337,14 +295,14 @@ func (s *Solver) SolveScaled(ctx context.Context, dynScale float64) (*Report, er
 			switch {
 			case r.failed != "":
 				why = r.failed
-			case r.tcaseC > opt.TCaseLimitC:
-				why = fmt.Sprintf("TCASE %.1f °C over the %.1f °C limit", r.tcaseC, opt.TCaseLimitC)
+			case r.tcaseC > s.tcaseLimitC:
+				why = fmt.Sprintf("TCASE %.1f °C over the %.1f °C limit", r.tcaseC, s.tcaseLimitC)
 			default:
 				reasons[ci] = ""
 				continue
 			}
 			cur := throttledState(s.classes[ci].st, steps[ci])
-			if _, ok := sched.ThrottleStep(cur); ok && opt.MaxThrottleSteps > 0 && steps[ci] < opt.MaxThrottleSteps {
+			if _, ok := sched.ThrottleStep(cur); ok {
 				steps[ci]++
 				throttled = true
 				reasons[ci] = ""
@@ -363,26 +321,18 @@ func (s *Solver) SolveScaled(ctx context.Context, dynScale float64) (*Report, er
 }
 
 // runFixedPoint runs the damped outer fixed point over the loop supply
-// temperatures at the given per-class states, adapting the damping when
-// the residual stalls. A class whose coupled solve fails aborts the fixed
-// point (result.failed set) so the caller can throttle and retry; ctx
-// cancellation aborts with ctx.Err().
+// temperatures at the given per-class states. A class whose coupled solve
+// fails aborts the fixed point (result.failed set) so the caller can
+// throttle and retry; ctx cancellation aborts with ctx.Err().
 func (s *Solver) runFixedPoint(ctx context.Context, states []power.PackageState) (fixedPointState, error) {
-	opt := s.opt
 	idx := make([]int, len(s.classes))
 	for i := range idx {
 		idx[i] = i
 	}
-	fp := fixedPointState{
-		damping:  opt.Damping,
-		residual: math.Inf(1),
-	}
+	fp := fixedPointState{residual: math.Inf(1)}
 	loopHeat := make([]float64, len(s.loops))
-	best := math.Inf(1)
-	stall := 0
 
-	var outer int
-	for outer = 1; outer <= opt.MaxOuter; outer++ {
+	for outer := 1; outer <= s.maxOuter; outer++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return fp, err
@@ -394,9 +344,8 @@ func (s *Solver) runFixedPoint(ctx context.Context, states []power.PackageState)
 		// Infeasibility is data, not an error: a class that cannot be
 		// solved reports failed and the fleet solve degrades instead of
 		// dying.
-		res, err := sweep.RunState(ctx, idx,
-			func() (struct{}, error) { return struct{}{}, nil },
-			func(_ struct{}, ci int) (classResult, error) {
+		res, err := sweep.Run(ctx, idx,
+			func(ci int) (classResult, error) {
 				c := s.classes[ci]
 				waterC := s.temps[c.loop]
 				op := thermosyphon.Operating{
@@ -405,7 +354,7 @@ func (s *Solver) runFixedPoint(ctx context.Context, states []power.PackageState)
 				}
 				c.ses.ReseatWater(waterC - c.lastWaterC)
 				c.lastWaterC = waterC
-				r, err := c.ses.SolveSteadyLeakage(ctx, states[ci], op, opt.Leakage)
+				r, err := c.ses.SolveSteadyLeakage(ctx, states[ci], op, power.DefaultLeakage())
 				if err != nil {
 					if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 						return classResult{}, err
@@ -422,7 +371,7 @@ func (s *Solver) runFixedPoint(ctx context.Context, states []power.PackageState)
 					tcaseC:  s.sys.TCase(r),
 				}, nil
 			},
-			sweep.Workers(opt.Workers))
+			sweep.Workers(s.opt.Workers))
 		if err != nil {
 			return fp, err
 		}
@@ -456,29 +405,17 @@ func (s *Solver) runFixedPoint(ctx context.Context, states []power.PackageState)
 				fp.residual = d
 			}
 		}
-		if opt.Progress != nil {
-			opt.Progress(outer, fp.residual)
+		if s.progress != nil {
+			s.progress(outer, fp.residual)
 		}
-		if fp.residual < opt.TolC {
+		if fp.residual < tolC {
 			fp.converged = true
 			return fp, nil
 		}
-		// Stall adaptation: when the residual stops improving (stall or
-		// oscillation — an overdamped loop gain shows up the same way),
-		// halve the damping and keep iterating with the remaining budget.
-		if fp.residual < best*stallImprove {
-			best = fp.residual
-			stall = 0
-		} else if stall++; stall >= stallWindow && fp.halvings < maxDampingHalvings && fp.damping > minDamping {
-			fp.damping = math.Max(fp.damping/2, minDamping)
-			fp.halvings++
-			stall = 0
-		}
 		for l := range s.loops {
-			s.temps[l] += fp.damping * (s.loops[l].SupplyC(loopHeat[l]) - s.temps[l])
+			s.temps[l] += damping * (s.loops[l].SupplyC(loopHeat[l]) - s.temps[l])
 		}
 	}
-	fp.outer = opt.MaxOuter
 	return fp, nil
 }
 
@@ -498,8 +435,6 @@ func (s *Solver) report(fp fixedPointState, steps []int, reasons []string, escal
 		ResidualC:       fp.residual,
 		Classes:         len(s.classes),
 		BladeSolves:     fp.outer * len(s.classes),
-		DampingHalvings: fp.halvings,
-		FinalDamping:    fp.damping,
 		Escalations:     escalations,
 	}
 	if s.opt.Scenario != nil {
@@ -610,7 +545,7 @@ type LoopReport struct {
 	Blades int
 	// State holds the load-derived supply/return temperatures, flow and
 	// heat (consistent with the fixed point's final temperatures to
-	// within Options.TolC).
+	// within the 0.01 °C outer tolerance).
 	State rack.LoopState
 }
 
@@ -628,8 +563,8 @@ type Report struct {
 	// OuterIterations is the number of outer fixed-point iterations the
 	// final throttle round ran.
 	OuterIterations int
-	// Converged reports whether the residual fell below Options.TolC
-	// within Options.MaxOuter iterations.
+	// Converged reports whether the residual fell below the 0.01 °C
+	// outer tolerance within 40 iterations.
 	Converged bool
 	// ResidualC is the final undamped residual (°C).
 	ResidualC float64
@@ -641,10 +576,6 @@ type Report struct {
 	// Scenario names the fault scenario the fleet was solved under ("" =
 	// healthy).
 	Scenario string
-	// DampingHalvings counts the stall-adaptation descents of the final
-	// round's fixed point; FinalDamping is the damping it ended on.
-	DampingHalvings int
-	FinalDamping    float64
 	// Escalations counts solver-ladder descents across every blade solve
 	// of this call (surfaced, never hidden).
 	Escalations int

@@ -37,7 +37,7 @@ func BenchmarkDatacenterSolve(b *testing.B) {
 			var outer, solves int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s, err := New(sys, topo, Options{Leakage: power.DefaultLeakage()})
+				s, err := New(sys, topo, Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -53,7 +53,7 @@ func TestSolverConvergesAndCouples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(sys, topo, Options{Leakage: power.DefaultLeakage()})
+	s, err := New(sys, topo, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSolverClassAggregation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(sys, topo, Options{Leakage: power.DefaultLeakage()})
+	s, err := New(sys, topo, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,6 @@ func TestSolverPooledByteIdentical(t *testing.T) {
 				Solver:  solver,
 				Workers: split.workers,
 				Threads: split.threads,
-				Leakage: power.DefaultLeakage(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -187,18 +186,14 @@ func TestSolverCancellation(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	s, err := New(sys, topo, Options{
-		Workers: 2,
-		Threads: 2,
-		Leakage: power.DefaultLeakage(),
-		Progress: func(outer int, _ float64) {
-			if outer == 1 {
-				cancel()
-			}
-		},
-	})
+	s, err := New(sys, topo, Options{Workers: 2, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
+	}
+	s.progress = func(outer int, _ float64) {
+		if outer == 1 {
+			cancel()
+		}
 	}
 	_, err = s.Solve(ctx)
 	if !errors.Is(err, context.Canceled) {
@@ -220,7 +215,7 @@ func TestSolverWarmSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(sys, topo, Options{Leakage: power.DefaultLeakage()})
+	s, err := New(sys, topo, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,10 @@
 // open: each loop's supply temperature is derived from the heat its
 // blades reject (rack.SharedLoop.SupplyC), that temperature feeds back
 // into every blade solve on the loop, and a damped fixed point iterates
-// the per-loop supply temperatures until they stop moving. Convergence is declared when the largest undamped per-loop
-// supply update falls below Options.TolC (default 0.01 °C — an order of
-// magnitude below the 0.1 °C the experiments resolve).
+// the per-loop supply temperatures until they stop moving. Convergence is
+// declared when the largest undamped per-loop supply update falls below
+// 0.01 °C (the tolC constant — an order of magnitude below the 0.1 °C the
+// experiments resolve).
 //
 // Two mechanisms make the fleet solve fast without giving up exactness:
 //
@@ -28,7 +29,7 @@
 //     re-seated by the supply-temperature delta (Session.ReseatWater), so
 //     outer iterations after the first cost a few refinement passes.
 //
-// Determinism: class solves fan out through sweep.RunState, but every
+// Determinism: class solves fan out through sweep.Run, but every
 // class owns its session, each class is evaluated exactly once per outer
 // iteration, and per-loop heats are accumulated in class order from the
 // input-ordered result slice — so a pooled solve is byte-identical to a

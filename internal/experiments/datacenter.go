@@ -100,7 +100,6 @@ func ExtDatacenterScale(ctx context.Context, cfg RunConfig) ([]DatacenterScalePo
 			Solver:  rcfg.Solver,
 			Workers: rcfg.Workers,
 			Threads: rcfg.Threads,
-			Leakage: power.DefaultLeakage(),
 		})
 		if err != nil {
 			return nil, err
@@ -163,7 +162,6 @@ func ExtDatacenterDiurnal(ctx context.Context, cfg RunConfig) ([]DatacenterHour,
 		Solver:  rcfg.Solver,
 		Workers: rcfg.Workers,
 		Threads: rcfg.Threads,
-		Leakage: power.DefaultLeakage(),
 	})
 	if err != nil {
 		return nil, err

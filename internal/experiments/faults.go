@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/datacenter"
 	"repro/internal/faults"
-	"repro/internal/power"
 	"repro/internal/sweep"
 	"repro/internal/thermosyphon"
 )
@@ -15,12 +14,11 @@ import (
 // two-phase-cooled fleet: what happens when the cooling degrades? Each
 // scenario injects one cooling fault (or a composition) into the
 // 1000-blade fleet of the scale ladder's top rung and runs the nested
-// datacenter fixed point in degraded mode: the outer loop adapts its
-// damping when the faulted loop gain makes it stall, blades that cannot
-// hold TCASE at full speed are throttled one DVFS step at a time, and
-// blades with no feasible operating point at all are named in the report.
-// The survival table summarizes each scenario's outcome: feasibility,
-// adaptation effort, throttle depth, and the thermal/efficiency cost.
+// datacenter fixed point in degraded mode: blades that cannot hold TCASE
+// at full speed are throttled one DVFS step at a time, and blades with no
+// feasible operating point at all are named in the report. The survival
+// table summarizes each scenario's outcome: feasibility, solve effort,
+// throttle depth, and the thermal/efficiency cost.
 
 // failureFleet is the fleet every scenario solves: the scale ladder's
 // 1000-blade top rung.
@@ -93,12 +91,8 @@ type FailurePoint struct {
 	// operating point (throttled or not).
 	Feasible  bool
 	Converged bool
-	// OuterIterations is the final throttle round's fixed-point length;
-	// DampingHalvings its stall-adaptation descents; FinalDamping the
-	// damping it ended on.
+	// OuterIterations is the final throttle round's fixed-point length.
 	OuterIterations int
-	DampingHalvings int
-	FinalDamping    float64
 	// Escalations counts solver-ladder descents across every blade solve.
 	Escalations int
 	// ThrottledBlades / MaxThrottleSteps: degraded-mode DVFS actuation;
@@ -134,9 +128,8 @@ func failureSweep(ctx context.Context, cfg RunConfig, racks, perRack, loops int)
 	rcfg := cfg.SplitBudget(len(scenarios))
 	states := datacenterStates()
 
-	return sweep.RunState(ctx, scenarios,
-		func() (struct{}, error) { return struct{}{}, nil },
-		func(_ struct{}, sc faults.Scenario) (FailurePoint, error) {
+	return sweep.Run(ctx, scenarios,
+		func(sc faults.Scenario) (FailurePoint, error) {
 			topo, err := datacenter.Uniform(racks, perRack, loops, datacenterLoop(), states)
 			if err != nil {
 				return FailurePoint{}, err
@@ -145,7 +138,6 @@ func failureSweep(ctx context.Context, cfg RunConfig, racks, perRack, loops int)
 				Solver:   rcfg.Solver,
 				Workers:  1, // the scenario sweep owns the width
 				Threads:  rcfg.Threads,
-				Leakage:  power.DefaultLeakage(),
 				Scenario: &sc,
 			})
 			if err != nil {
@@ -161,8 +153,6 @@ func failureSweep(ctx context.Context, cfg RunConfig, racks, perRack, loops int)
 				Feasible:         rep.Feasible(),
 				Converged:        rep.Converged,
 				OuterIterations:  rep.OuterIterations,
-				DampingHalvings:  rep.DampingHalvings,
-				FinalDamping:     rep.FinalDamping,
 				Escalations:      rep.Escalations,
 				ThrottledBlades:  rep.ThrottledBlades,
 				MaxThrottleSteps: rep.MaxThrottleSteps,

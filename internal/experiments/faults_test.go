@@ -95,8 +95,8 @@ func TestFailureSweepDeterministic(t *testing.T) {
 func TestFaultsResultShape(t *testing.T) {
 	points := []FailurePoint{
 		{Scenario: "healthy", Feasible: true, Converged: true, OuterIterations: 6,
-			FinalDamping: 0.8, ITPowerW: 73110, MaxDieC: 76.3, MaxSupplyC: 33.2, PUE: 1.116},
-		{Scenario: "pump:0.8", Converged: true, OuterIterations: 12, FinalDamping: 0.8,
+			ITPowerW: 73110, MaxDieC: 76.3, MaxSupplyC: 33.2, PUE: 1.116},
+		{Scenario: "pump:0.8", Converged: true, OuterIterations: 12,
 			ThrottledBlades: 1000, MaxThrottleSteps: 2, InfeasibleBlades: 657,
 			ITPowerW: 74470, MaxDieC: 119.3, MaxSupplyC: 33.4, PUE: 1.115},
 	}

@@ -53,6 +53,13 @@ func (l lap1DLevel) Residual(b, x, r Vector) {
 	}
 }
 
+// SmoothResidual is the unfused reference implementation of the
+// Smoother method: a forward Smooth, then the residual.
+func (l lap1DLevel) SmoothResidual(b, x, r Vector) {
+	l.Smooth(b, x, false)
+	l.Residual(b, x, r)
+}
+
 func (l lap1DLevel) Smooth(b, x Vector, reverse bool) {
 	colors := [2]int{0, 1}
 	if reverse {
@@ -165,7 +172,7 @@ func TestMGPreconditionedCG(t *testing.T) {
 			resMG.Iterations, resJacobi.Iterations)
 	}
 	// Applies must charge the V-cycle work: K+1 operator applications
-	// plus ApplyCost (= Pre+Post+1 = 3) for each of the K preconditioner
+	// plus ApplyCost (= 2 sweeps + 1 residual = 3) for each of the K preconditioner
 	// applications (one initial, one per completed iteration).
 	if want := resMG.Iterations + 1 + 3*resMG.Iterations; resMG.Applies != want {
 		t.Fatalf("MG-PCG applies = %d, want %d (V-cycle work must be charged)", resMG.Applies, want)

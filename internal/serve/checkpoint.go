@@ -192,8 +192,8 @@ func (s *Server) RestoreCheckpoint() (int, error) {
 
 // restoreBlade rebuilds one blade from its checkpoint entry.
 func (s *Server) restoreBlade(cb *checkpointBlade) error {
-	if cb.Blade == "" {
-		return fmt.Errorf("missing blade name")
+	if err := validateRegistration(cb.Blade, cb.InitialC); err != nil {
+		return err
 	}
 	p, err := s.normalizeSteady(cb.Proposal)
 	if err != nil {

@@ -95,33 +95,10 @@ func TestCheckpointIgnoresStoredBasePower(t *testing.T) {
 		t.Fatalf("checkpoint: %d %s", w.Code, w.Body)
 	}
 
-	raw, err := os.ReadFile(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env checkpointFile
-	if err := json.Unmarshal(raw, &env); err != nil {
-		t.Fatal(err)
-	}
-	var payload map[string]any
-	if err := json.Unmarshal(env.Payload, &payload); err != nil {
-		t.Fatal(err)
-	}
-	blade := payload["blades"].([]any)[0].(map[string]any)
-	blade["base_power_w"] = map[string]float64{"Core0": -50, "Bogus": 3}
-	if env.Payload, err = json.Marshal(payload); err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(env.Payload)
-	env.Checksum = hex.EncodeToString(sum[:])
 	tampered := filepath.Join(dir, "tampered.json")
-	buf, err := json.Marshal(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(tampered, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	tamperCheckpoint(t, ckpt, tampered, func(blade map[string]any) {
+		blade["base_power_w"] = map[string]float64{"Core0": -50, "Bogus": 3}
+	})
 
 	chunk2 := `{"seq":2,"dt_s":0.25,"steps":[{"load":0.7},{}]}`
 	var out [2]string
@@ -139,6 +116,70 @@ func TestCheckpointIgnoresStoredBasePower(t *testing.T) {
 	}
 	if out[0] != out[1] {
 		t.Fatalf("tampered base_power_w changed the restored blade:\nclean    %s\ntampered %s", out[0], out[1])
+	}
+}
+
+// TestCheckpointRestoreValidatesRegistration: restore holds a saved
+// blade to the rules registration does. A correctly checksummed
+// checkpoint whose blade name is not one path segment, or whose initial
+// temperature is out of range, restores nothing.
+func TestCheckpointRestoreValidatesRegistration(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "ckpt.json")
+	s1 := newTestServer(t, Config{CheckpointPath: ckpt})
+	if w := post(t, s1.Handler(), "/v1/transient", `{"blade":"b0","benchmark":"x264"}`); w.Code != http.StatusCreated {
+		t.Fatalf("register: %d %s", w.Code, w.Body)
+	}
+	if _, err := s1.SaveCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		field string
+		value any
+	}{
+		{"slash in name", "blade", "b0/step"},
+		{"dot name", "blade", ".."},
+		{"initial below range", "initial_c", -500.0},
+		{"initial overflowing", "initial_c", 1e200},
+	} {
+		tampered := filepath.Join(dir, "tampered.json")
+		tamperCheckpoint(t, ckpt, tampered, func(blade map[string]any) { blade[c.field] = c.value })
+		s := newTestServer(t, Config{CheckpointPath: tampered})
+		if n, err := s.RestoreCheckpoint(); err == nil || n != 0 || s.trans.len() != 0 {
+			t.Errorf("%s: restored %d blade(s), err %v; want an error and none", c.name, n, err)
+		}
+	}
+}
+
+// tamperCheckpoint rewrites the checkpoint at src into dst with its first
+// blade edited, re-checksummed so the edit reaches restore.
+func tamperCheckpoint(t *testing.T, src, dst string, edit func(blade map[string]any)) {
+	t.Helper()
+	raw, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env checkpointFile
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatal(err)
+	}
+	var payload map[string]any
+	if err := json.Unmarshal(env.Payload, &payload); err != nil {
+		t.Fatal(err)
+	}
+	edit(payload["blades"].([]any)[0].(map[string]any))
+	if env.Payload, err = json.Marshal(payload); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(env.Payload)
+	env.Checksum = hex.EncodeToString(sum[:])
+	buf, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dst, buf, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -175,6 +177,47 @@ func FuzzTransientStep(f *testing.F) {
 			if prev != after {
 				t.Fatalf("chunk %q ended at %g s, blade reports time_s %g", body, prev, after)
 			}
+		}
+	})
+}
+
+// FuzzTransientRegister checks transient registration against arbitrary
+// request bodies, each posted to a fresh coarse server. No registration
+// panics the handler, and a refused one holds no registry slot. An
+// accepted one is reachable by GET at its path-escaped name, takes a
+// one-step 0.1 s chunk with 200, and is released by DELETE. The seed
+// corpus, which includes a name with a "/" and an initial_c of 1e200,
+// lives in testdata/fuzz/FuzzTransientRegister.
+func FuzzTransientRegister(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s := newTestServer(t, Config{})
+		h := s.Handler()
+		w := post(t, h, "/v1/transient", string(body))
+		if n := s.Snapshot().PanicsRecovered; n != 0 {
+			t.Fatalf("registration %q panicked the handler: %s", body, w.Body)
+		}
+		if w.Code != http.StatusCreated {
+			if n := s.trans.len(); n != 0 {
+				t.Fatalf("registration %q answered %d but holds %d registry slot(s)", body, w.Code, n)
+			}
+			return
+		}
+		var st TransientStatus
+		if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+			t.Fatalf("registration %q response %s: %v", body, w.Body, err)
+		}
+		path := "/v1/transient/" + url.PathEscape(st.Blade)
+		if w := get(t, h, path); w.Code != http.StatusOK {
+			t.Fatalf("registration %q: GET %s answered %d %s", body, path, w.Code, w.Body)
+		}
+		if w := post(t, h, path+"/step", `{"dt_s":0.1,"steps":[{}]}`); w.Code != http.StatusOK {
+			t.Fatalf("registration %q: step %s answered %d %s", body, path, w.Code, w.Body)
+		}
+		rw := httptest.NewRecorder()
+		h.ServeHTTP(rw, httptest.NewRequest(http.MethodDelete, path, nil))
+		if rw.Code != http.StatusOK || s.trans.len() != 0 {
+			t.Fatalf("registration %q: DELETE %s answered %d %s, %d blade(s) left",
+				body, path, rw.Code, rw.Body, s.trans.len())
 		}
 	})
 }

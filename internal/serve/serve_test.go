@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -146,6 +147,8 @@ func TestSteadyRejectsBadRequests(t *testing.T) {
 		{"bad resolution", `{"benchmark":"x264","resolution":"ultra"}`},
 		{"unknown field", `{"benchmark":"x264","turbo":true}`},
 		{"bad water", `{"benchmark":"x264","water_c":-5,"water_flow_kgh":7}`},
+		{"overflowing flow", `{"benchmark":"x264","water_c":30,"water_flow_kgh":1e20}`},
+		{"overflowing power", `{"block_power_w":{"Core1":1e300}}`},
 	}
 	for _, c := range cases {
 		if w := post(t, h, "/v1/steady", c.body); w.Code != http.StatusBadRequest {
@@ -413,6 +416,60 @@ func TestTransientValidation(t *testing.T) {
 // TestStepKeepsClockMoving: a chunk whose dt_s would overflow the blade
 // clock, or vanish against it, is refused whole and leaves time_s where
 // it was; the blade keeps stepping afterwards.
+// TestTransientRegisterValidatesFields: a registration must name a blade
+// the /v1/transient/{blade} routes can reach and start it at a
+// temperature in range. Refused registrations occupy no registry slot;
+// names that are awkward but single path segments, and both ends of the
+// temperature range, register, step and release at their path-escaped
+// names.
+func TestTransientRegisterValidatesFields(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	for _, body := range []string{
+		`{"blade":"a/b","benchmark":"x264"}`,
+		`{"blade":"/","benchmark":"x264"}`,
+		`{"blade":"b0/step","benchmark":"x264"}`,
+		`{"blade":".","benchmark":"x264"}`,
+		`{"blade":"..","benchmark":"x264"}`,
+		`{"blade":"b0","benchmark":"x264","initial_c":-500}`,
+		`{"blade":"b0","benchmark":"x264","initial_c":-56}`,
+		`{"blade":"b0","benchmark":"x264","initial_c":151}`,
+		`{"blade":"b0","benchmark":"x264","initial_c":1e200}`,
+	} {
+		if w := post(t, h, "/v1/transient", body); w.Code != http.StatusBadRequest {
+			t.Errorf("register %s: %d, want 400 (%s)", body, w.Code, w.Body)
+		}
+	}
+	if n := s.trans.len(); n != 0 {
+		t.Fatalf("refused registrations hold %d registry slot(s)", n)
+	}
+	for _, c := range []struct {
+		blade    string
+		initialC float64
+	}{{"...", -55}, {"b 0?#%", 150}} {
+		body, err := json.Marshal(TransientRegisterRequest{Blade: c.blade, InitialC: c.initialC,
+			SteadyRequest: SteadyRequest{Benchmark: "x264"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := post(t, h, "/v1/transient", string(body)); w.Code != http.StatusCreated {
+			t.Fatalf("register %s: %d %s", body, w.Code, w.Body)
+		}
+		path := "/v1/transient/" + url.PathEscape(c.blade)
+		if w := get(t, h, path); w.Code != http.StatusOK {
+			t.Errorf("GET %s: %d %s", path, w.Code, w.Body)
+		}
+		if w := post(t, h, path+"/step", `{"dt_s":0.1,"steps":[{}]}`); w.Code != http.StatusOK {
+			t.Errorf("step %s: %d %s", path, w.Code, w.Body)
+		}
+		rw := httptest.NewRecorder()
+		h.ServeHTTP(rw, httptest.NewRequest(http.MethodDelete, path, nil))
+		if rw.Code != http.StatusOK {
+			t.Errorf("DELETE %s: %d %s", path, rw.Code, rw.Body)
+		}
+	}
+}
+
 func TestStepKeepsClockMoving(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()

@@ -131,6 +131,15 @@ func parseIdle(s string) (power.CState, error) {
 	return 0, fmt.Errorf("unknown idle state %q (want POLL|C1|C1E|C3|C6)", s)
 }
 
+// Proposal limits far above any server and far below the values whose
+// first linear solve overflows into NaN (a 1e20 kg/h coolant flow, a
+// 1e300 W block): the default flow is 7 kg/h, and a Broadwell-EP package
+// dissipates about 145 W in all.
+const (
+	maxWaterFlowKgH = 1e4
+	maxBlockPowerW  = 1e4
+)
+
 // normalizeSteady validates a request, fills defaults, and derives the
 // canonical cache keys and solver inputs.
 func (s *Server) normalizeSteady(req SteadyRequest) (*steadyProposal, error) {
@@ -163,6 +172,9 @@ func (s *Server) normalizeSteady(req SteadyRequest) (*steadyProposal, error) {
 	p.op = thermosyphon.Operating{WaterInC: req.WaterC, WaterFlowKgH: req.WaterFlowKgH}
 	if err := p.op.Validate(); err != nil {
 		return nil, err
+	}
+	if req.WaterFlowKgH > maxWaterFlowKgH {
+		return nil, fmt.Errorf("water flow %g kg/h over the %g kg/h limit", req.WaterFlowKgH, maxWaterFlowKgH)
 	}
 
 	req.Fault = strings.TrimSpace(req.Fault)
@@ -226,6 +238,9 @@ func (s *Server) normalizeSteady(req SteadyRequest) (*steadyProposal, error) {
 			}
 			if w < 0 {
 				return nil, fmt.Errorf("block %q has negative power %g W", name, w)
+			}
+			if w > maxBlockPowerW {
+				return nil, fmt.Errorf("block %q power %g W over the %g W limit", name, w, maxBlockPowerW)
 			}
 		}
 		p.bp = req.BlockPowerW

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -215,14 +216,38 @@ func (s *Server) handleTransientList(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// A blade's uniform starting temperature must lie in the storage range
+// semiconductor packages are rated for, −55 to 150 °C: no blade of the
+// modelled hardware starts outside it, and the default (the coolant
+// inlet, 0–90 °C) lies inside. Far outside it a request describes no
+// physical blade: −500 °C is below absolute zero, and 1e200 °C overflows
+// the first step's linear solve into NaN.
+const (
+	minInitialC = -55
+	maxInitialC = 150
+)
+
+// validateRegistration checks the fields a transient registration adds to
+// its proposal: the blade name and the resolved initial temperature.
+// Registration and checkpoint restore share it. A blade is addressed as
+// /v1/transient/{blade}, so its name must be exactly one path segment: a
+// "/" would split it, and the mux cleans "." and ".." out of the path.
+func validateRegistration(blade string, initialC float64) error {
+	switch {
+	case blade == "":
+		return errors.New("blade name required")
+	case strings.Contains(blade, "/") || blade == "." || blade == "..":
+		return fmt.Errorf("blade name %q is not a single path segment", blade)
+	case !(initialC >= minInitialC && initialC <= maxInitialC):
+		return fmt.Errorf("initial_c %g °C outside [%d, %d] °C", initialC, minInitialC, maxInitialC)
+	}
+	return nil
+}
+
 func (s *Server) handleTransientRegister(w http.ResponseWriter, r *http.Request) {
 	var req TransientRegisterRequest
 	if err := s.decode(w, r, &req, false); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if req.Blade == "" {
-		writeError(w, http.StatusBadRequest, "blade name required")
 		return
 	}
 	p, err := s.normalizeSteady(req.SteadyRequest)
@@ -233,6 +258,10 @@ func (s *Server) handleTransientRegister(w http.ResponseWriter, r *http.Request)
 	initial := req.InitialC
 	if initial == 0 {
 		initial = p.op.WaterInC
+	}
+	if err := validateRegistration(req.Blade, initial); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	// A registration builds a dedicated system+session (a session hosts at
 	// most one transient sim), so it pays a cold build — gate it through

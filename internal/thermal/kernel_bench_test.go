@@ -45,7 +45,7 @@ func benchOperator(b *testing.B, n int) (*Model, *Workspace, linalg.Vector, lina
 
 // BenchmarkStencilSmoothResidual compares the fused smooth+residual pass
 // against the unfused pair it replaces (bit-identical output by the
-// FusedSmoother contract), across sizes and team widths. Both variants
+// linalg.Smoother contract), across sizes and team widths. Both variants
 // charge the unfused pair's nominal 14×8 B/cell, so the fused variant's
 // MB/s advantage is exactly its locality win.
 func BenchmarkStencilSmoothResidual(b *testing.B) {

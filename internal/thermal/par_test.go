@@ -110,7 +110,7 @@ func TestStencilKernelsByteIdenticalAcrossThreads(t *testing.T) {
 	}
 }
 
-// TestFusedSmoothResidualMatchesUnfused is the FusedSmoother contract:
+// TestFusedSmoothResidualMatchesUnfused is the linalg.Smoother contract:
 // SmoothResidual must produce exactly the bytes of Smooth(b, x, false)
 // followed by Residual(b, x, r) — serial and at several team widths.
 func TestFusedSmoothResidualMatchesUnfused(t *testing.T) {

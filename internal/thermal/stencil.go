@@ -82,9 +82,8 @@ func (j *stencilJob) Do(worker, workers int) {
 	}
 }
 
-// The stencil provides the fused smoothing kernel the V-cycle driver
-// dispatches on when available.
-var _ linalg.FusedSmoother = (*stencil)(nil)
+// The stencil is the V-cycle's level operator.
+var _ linalg.Smoother = (*stencil)(nil)
 
 // Size returns the dimension of the operator.
 func (s *stencil) Size() int { return s.n }
@@ -251,7 +250,7 @@ func (s *stencil) smoothRows(b, x linalg.Vector, color, rowLo, rowHi int) {
 	}
 }
 
-// SmoothResidual implements linalg.FusedSmoother: one forward red-black
+// SmoothResidual implements linalg.Smoother: one forward red-black
 // sweep plus the residual of the updated iterate, bit-identical to
 // Smooth(b, x, false) followed by Residual(b, x, r) but with one less
 // full pass over the field and coefficient arrays. The fusion exploits

@@ -104,7 +104,7 @@ func channelSpan(o Orientation, grid floorplan.Grid, channel int) (start, stride
 // flow, and a 1-D quality march along every channel yields the local HTC
 // and fluid temperature fields.
 func (d *Design) Evaporate(grid floorplan.Grid, cellHeat []float64, op Operating) (*State, error) {
-	return d.evaporate(nil, grid, cellHeat, op, 0)
+	return d.evaporate(nil, grid, cellHeat, op)
 }
 
 // EvaporateInto is Evaporate reusing a caller-owned state: st's H and
@@ -114,25 +114,10 @@ func (d *Design) Evaporate(grid floorplan.Grid, cellHeat []float64, op Operating
 // from the loop-balance bisection closure. The returned state is st when
 // it was reusable. Values are bit-identical to Evaporate.
 func (d *Design) EvaporateInto(st *State, grid floorplan.Grid, cellHeat []float64, op Operating) (*State, error) {
-	return d.evaporate(st, grid, cellHeat, op, 0)
+	return d.evaporate(st, grid, cellHeat, op)
 }
 
-// EvaporateAt is Evaporate with the refrigerant mass flow pinned to
-// mdotKgS instead of the quasi-static loop balance — used by transient
-// simulations that model the loop's startup inertia.
-func (d *Design) EvaporateAt(grid floorplan.Grid, cellHeat []float64, op Operating, mdotKgS float64) (*State, error) {
-	return d.EvaporateAtInto(nil, grid, cellHeat, op, mdotKgS)
-}
-
-// EvaporateAtInto is EvaporateAt with state reuse, like EvaporateInto.
-func (d *Design) EvaporateAtInto(st *State, grid floorplan.Grid, cellHeat []float64, op Operating, mdotKgS float64) (*State, error) {
-	if mdotKgS <= 0 {
-		return nil, fmt.Errorf("thermosyphon: non-positive pinned mass flow %g", mdotKgS)
-	}
-	return d.evaporate(st, grid, cellHeat, op, mdotKgS)
-}
-
-func (d *Design) evaporate(st *State, grid floorplan.Grid, cellHeat []float64, op Operating, mdotPin float64) (*State, error) {
+func (d *Design) evaporate(st *State, grid floorplan.Grid, cellHeat []float64, op Operating) (*State, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -158,10 +143,6 @@ func (d *Design) evaporate(st *State, grid floorplan.Grid, cellHeat []float64, o
 	loop, err := d.SolveLoop(q, cond.TsatC)
 	if err != nil {
 		return nil, err
-	}
-	if mdotPin > 0 {
-		loop.MassFlowKgS = mdotPin
-		loop.ExitQuality = d.exitQuality(q, mdotPin, cond.TsatC)
 	}
 
 	if st == nil || len(st.H) != grid.Cells() || len(st.TFluid) != grid.Cells() {
