@@ -19,7 +19,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/floorplan"
 	"repro/internal/power"
@@ -126,21 +125,6 @@ func PackageState(b workload.Benchmark, m Mapping) power.PackageState {
 	return st
 }
 
-// ComponentHeatFlux estimates the heat flux (W/m²) each floorplan block
-// produces for a per-block power map — the H(P, S) estimate of Algorithm 1
-// line 7.
-func ComponentHeatFlux(fp *floorplan.Floorplan, blockPower map[string]float64) (map[string]float64, error) {
-	out := make(map[string]float64, len(blockPower))
-	for name, p := range blockPower {
-		b, ok := fp.Block(name)
-		if !ok {
-			return nil, fmt.Errorf("core: unknown block %q", name)
-		}
-		out[name] = p / b.Rect.Area()
-	}
-	return out, nil
-}
-
 // ActiveRowsHistogram counts active cores per grid row — the quantity the
 // mapping policy minimizes the maximum of.
 func ActiveRowsHistogram(active []int) [floorplan.CoreRows]int {
@@ -164,7 +148,3 @@ func MaxActivePerRow(active []int) int {
 	}
 	return max
 }
-
-// IdleToleranceState is a helper exposing the C-state Algorithm 1 would
-// grant an application with tolerable delay d.
-func IdleToleranceState(d time.Duration) power.CState { return power.DeepestStateWithin(d) }

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/floorplan"
 	"repro/internal/power"
@@ -162,35 +161,6 @@ func TestPackageState(t *testing.T) {
 	}
 	if st.Freq != m.Config.Freq {
 		t.Fatal("frequency not propagated")
-	}
-}
-
-func TestComponentHeatFlux(t *testing.T) {
-	fp := floorplan.BroadwellEP()
-	hf, err := ComponentHeatFlux(fp, map[string]float64{"Core1": 7.2, "LLC": 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blk, _ := fp.Block("Core1")
-	want := 7.2 / blk.Rect.Area()
-	if hf["Core1"] != want {
-		t.Fatalf("Core1 flux %v want %v", hf["Core1"], want)
-	}
-	// Cores are far denser heat sources than the LLC.
-	if hf["Core1"] <= hf["LLC"] {
-		t.Fatal("core flux should exceed LLC flux")
-	}
-	if _, err := ComponentHeatFlux(fp, map[string]float64{"nope": 1}); err == nil {
-		t.Fatal("unknown block must error")
-	}
-}
-
-func TestIdleToleranceState(t *testing.T) {
-	if IdleToleranceState(0) != power.POLL {
-		t.Fatal("zero tolerance must stay at POLL")
-	}
-	if IdleToleranceState(time.Millisecond) != power.C6 {
-		t.Fatal("1 ms tolerance should reach C6")
 	}
 }
 

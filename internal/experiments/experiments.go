@@ -3,8 +3,8 @@
 // Fig. 6, §VIII Table II, Fig. 7 and the cooling-power study), plus the
 // §VI design-space study and the extension studies.
 //
-// The package is organized as a registry of self-describing experiments:
-// each scenario registers an Experiment (name, description, a typed
+// The package is organized as a catalog of self-describing experiments:
+// each scenario is one Experiment entry (name, description, a typed
 // Run(ctx, RunConfig) entry point) and every consumer — cmd/paperbench,
 // internal/report, the benchmarks — renders the uniform Result it
 // returns. Configuration travels exclusively through RunConfig; there is

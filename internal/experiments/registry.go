@@ -3,13 +3,12 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
-// Experiment is one self-describing entry of the registry: a stable name
+// Experiment is one self-describing entry of the catalog: a stable name
 // (the -exp flag value), a one-line description (the -list output), and a
 // typed run entry point. Run must honor every field of RunConfig and
 // return promptly with ctx.Err() once the context is cancelled.
@@ -19,141 +18,113 @@ type Experiment struct {
 	Run         func(ctx context.Context, cfg RunConfig) (*Result, error)
 }
 
-var registry struct {
-	mu     sync.RWMutex
-	order  []string
-	byName map[string]Experiment
-}
-
-// Register adds an experiment to the registry. Names must be unique and
-// non-empty; "all" is reserved for the run-everything CLI selector.
-// Registration order is presentation order — All returns it unchanged, so
-// there is no second hand-maintained ordering to drift out of sync.
-func Register(e Experiment) {
-	if e.Name == "" || e.Name == "all" || e.Run == nil {
-		panic(fmt.Sprintf("experiments: invalid registration %+v", e))
-	}
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	if registry.byName == nil {
-		registry.byName = map[string]Experiment{}
-	}
-	if _, dup := registry.byName[e.Name]; dup {
-		panic(fmt.Sprintf("experiments: duplicate registration %q", e.Name))
-	}
-	registry.byName[e.Name] = e
-	registry.order = append(registry.order, e.Name)
-}
-
-// Lookup resolves a registered experiment by name.
-func Lookup(name string) (Experiment, bool) {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	e, ok := registry.byName[name]
-	return e, ok
-}
-
-// All returns every registered experiment in registration order.
-func All() []Experiment {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	out := make([]Experiment, 0, len(registry.order))
-	for _, name := range registry.order {
-		out = append(out, registry.byName[name])
-	}
-	return out
-}
-
-// Names returns the registered experiment names in registration order.
-func Names() []string {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	return append([]string(nil), registry.order...)
-}
-
-// The paper's evaluation catalog, in paper order, followed by the
-// extension studies. Everything cmd/paperbench serves comes from here.
-func init() {
-	Register(Experiment{
+// catalog is the paper's evaluation, in paper order, followed by the
+// extension studies. Everything cmd/paperbench serves comes from here,
+// and its order is presentation order. Names are unique, non-empty and
+// never "all", which the CLI reserves for running everything.
+var catalog = []Experiment{
+	{
 		Name:        "fig2",
 		Description: "Fig. 2 — die vs package thermal profile, non-optimized design+mapping",
 		Run:         runFig2,
-	})
-	Register(Experiment{
+	},
+	{
 		Name:        "fig3",
 		Description: "Fig. 3 — execution time normalized to the 2x QoS limit",
 		Run:         runFig3,
-	})
-	Register(Experiment{
+	},
+	{
 		Name:        "tablei",
 		Description: "Table I — C-state power of the Xeon E5 v4",
 		Run:         runTableI,
-	})
-	Register(Experiment{
+	},
+	{
 		Name:        "fig5",
 		Description: "Fig. 5 — thermosyphon orientation study, all cores loaded",
 		Run:         runFig5,
-	})
-	Register(Experiment{
+	},
+	{
 		Name:        "fig6",
 		Description: "Fig. 6 — three 4-core mappings × idle C-state",
 		Run:         runFig6,
-	})
-	Register(Experiment{
+	},
+	{
 		Name:        "tableii",
 		Description: "Table II — policy stacks × QoS over the PARSEC roster",
 		Run:         runTableII,
-	})
-	Register(Experiment{
+	},
+	{
 		Name:        "fig7",
 		Description: "Fig. 7 — sample die maps at 2x QoS, proposed vs state of the art",
 		Run:         runFig7,
-	})
-	Register(Experiment{
+	},
+	{
 		Name:        "cooling",
 		Description: "§VIII-B — cooling power needed to match hot spots",
 		Run:         runCooling,
-	})
-	Register(Experiment{
+	},
+	{
 		Name:        "design",
 		Description: "§VI-B/C — refrigerant × filling design space and water point",
 		Run:         runDesign,
-	})
-	Register(Experiment{
+	},
+	{
 		Name:        "scaling",
 		Description: "extension — linear-solver work vs grid resolution",
 		Run:         runScaling,
-	})
-	Register(Experiment{
+	},
+	{
 		Name:        "orientmap",
 		Description: "extension — orientation × mapping cross study",
 		Run:         runOrientMap,
-	})
-	Register(Experiment{
+	},
+	{
 		Name:        "scalability",
 		Description: "extension — mapping rule on a scaled 16-core die",
 		Run:         runScalability,
-	})
-	Register(Experiment{
+	},
+	{
 		Name:        "runtime",
 		Description: "extension — §VII closed-loop controller under a forced emergency",
 		Run:         runRuntime,
-	})
-	Register(Experiment{
+	},
+	{
 		Name:        "datacenter",
 		Description: "extension — nested N-rack × M-blade fixed point, fleet ladder to 1000 blades",
 		Run:         runDatacenter,
-	})
-	Register(Experiment{
+	},
+	{
 		Name:        "diurnal",
 		Description: "extension — 24 h diurnal fleet transient, quasi-static hourly solves",
 		Run:         runDiurnal,
-	})
-	Register(Experiment{
+	},
+	{
 		Name:        "faults",
 		Description: "extension — cooling-failure survival sweep, fault kind × severity on the 1000-blade fleet",
 		Run:         runFaults,
-	})
+	},
+}
+
+// Lookup resolves a catalog experiment by name.
+func Lookup(name string) (Experiment, bool) {
+	for _, e := range catalog {
+		if e.Name == name {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}
+
+// All returns every experiment in catalog order.
+func All() []Experiment { return append([]Experiment(nil), catalog...) }
+
+// Names returns the experiment names in catalog order.
+func Names() []string {
+	out := make([]string, len(catalog))
+	for i, e := range catalog {
+		out[i] = e.Name
+	}
+	return out
 }
 
 func runFig2(ctx context.Context, cfg RunConfig) (*Result, error) {

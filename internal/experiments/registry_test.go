@@ -23,6 +23,9 @@ func TestRegistryShape(t *testing.T) {
 		if e.Name == "" || e.Description == "" || e.Run == nil {
 			t.Fatalf("experiment %d is not self-describing: %+v", i, e)
 		}
+		if e.Name == "all" {
+			t.Fatal(`"all" is the CLI's run-everything selector, not an experiment name`)
+		}
 		if e.Name != names[i] {
 			t.Fatalf("All()[%d].Name = %q but Names()[%d] = %q", i, e.Name, i, names[i])
 		}

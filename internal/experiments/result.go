@@ -16,7 +16,7 @@ import (
 // or more named tables of typed rows, and optional map artifacts (2-D
 // thermal fields). Consumers render it generically — text for the CLI,
 // markdown for the reproduction report, JSON for machine use — so adding
-// an experiment to the registry requires no renderer changes anywhere.
+// an experiment to the catalog requires no renderer changes anywhere.
 type Result struct {
 	// Name is the registry name the result came from.
 	Name string `json:"name"`

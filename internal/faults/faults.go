@@ -1,8 +1,8 @@
 // Package faults models cooling-degradation scenarios for the two-phase
 // thermosyphon fleet: a typed Fault (pump degradation, partial dryout,
-// condenser fouling, HTC drift, blade cooling loss) with a severity and an
-// onset time, composed into a Scenario that is applied declaratively to
-// the thermosyphon designs and shared water loops of a topology.
+// condenser fouling, HTC drift, blade cooling loss) with a severity,
+// composed into a Scenario that is applied declaratively to the
+// thermosyphon designs and shared water loops of a topology.
 //
 // Everything here is a pure, closed-form transformation of model
 // parameters — no randomness, no state — so a faulted fleet keeps the
@@ -12,7 +12,6 @@ package faults
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
@@ -78,7 +77,8 @@ func ParseKind(s string) (Kind, error) {
 }
 
 // Fault is one cooling degradation: a mechanism, how far it has
-// progressed, where it applies, and when it sets in.
+// progressed, and where it applies. Every fault is active for the whole
+// run.
 type Fault struct {
 	Kind Kind
 	// Severity is the degradation fraction in [0,1): 0 is healthy, values
@@ -91,10 +91,6 @@ type Fault struct {
 	// Blade restricts the fault to the named blade ("" = every blade in
 	// scope). Only meaningful for blade- and design-level faults.
 	Blade string
-	// OnsetHour gates the fault in time-resolved runs: before this hour
-	// the fault is inactive (ActiveAt). Steady solves treat every fault
-	// as active.
-	OnsetHour float64
 }
 
 // Validate checks the fault parameters.
@@ -106,12 +102,6 @@ func (f Fault) Validate() error {
 	}
 	if int(f.Kind) >= len(kindNames) || f.Kind < 0 {
 		return fmt.Errorf("faults: invalid kind %d", int(f.Kind))
-	}
-	if math.IsNaN(f.OnsetHour) || math.IsInf(f.OnsetHour, 0) {
-		return fmt.Errorf("faults: %s onset hour %g is not finite", f.Kind, f.OnsetHour)
-	}
-	if f.OnsetHour < 0 {
-		return fmt.Errorf("faults: %s onset hour %g is negative", f.Kind, f.OnsetHour)
 	}
 	return nil
 }
@@ -146,18 +136,6 @@ func (s *Scenario) Validate() error {
 
 // Empty reports a scenario with no faults — the healthy fleet.
 func (s *Scenario) Empty() bool { return s == nil || len(s.Faults) == 0 }
-
-// ActiveAt returns the scenario restricted to faults whose onset hour has
-// passed — the scenario a time-resolved trace applies at the given hour.
-func (s *Scenario) ActiveAt(hour float64) Scenario {
-	out := Scenario{Name: s.Name}
-	for _, f := range s.Faults {
-		if f.OnsetHour <= hour {
-			out.Faults = append(out.Faults, f)
-		}
-	}
-	return out
-}
 
 // ApplyDesign derates a thermosyphon design for the named blade on the
 // named loop. Severities compose multiplicatively when several faults hit
@@ -221,12 +199,12 @@ func (s *Scenario) FlowScale(loop, blade string) float64 {
 }
 
 // Parse builds a scenario from the -fault flag syntax: comma-separated
-// kind:severity terms, each optionally scoped and timed —
+// kind:severity terms, each optionally scoped —
 //
-//	kind:severity[:loop[:blade]][@onsetHour]
+//	kind:severity[:loop[:blade]]
 //
-// e.g. "pump:0.5", "pump:0.4,fouling:0.3", "bladeloss:0.6:loop0:r3b2",
-// "fouling:0.5@8". An empty string parses to the healthy scenario.
+// e.g. "pump:0.5", "pump:0.4,fouling:0.3", "bladeloss:0.6:loop0:r3b2".
+// An empty string parses to the healthy scenario.
 func Parse(spec string) (Scenario, error) {
 	sc := Scenario{Name: spec}
 	if strings.TrimSpace(spec) == "" {
@@ -238,18 +216,16 @@ func Parse(spec string) (Scenario, error) {
 		if term == "" {
 			continue
 		}
-		var f Fault
-		if at := strings.LastIndexByte(term, '@'); at >= 0 {
-			h, err := strconv.ParseFloat(term[at+1:], 64)
-			if err != nil {
-				return Scenario{}, fmt.Errorf("faults: bad onset hour in %q: %v", term, err)
-			}
-			f.OnsetHour = h
-			term = term[:at]
+		// No run is time-resolved, so an onset suffix would be ignored;
+		// refusing it also keeps "r3b2@12" from naming a blade that
+		// matches nothing.
+		if strings.ContainsRune(term, '@') {
+			return Scenario{}, fmt.Errorf("faults: %q has an onset suffix; every fault is active for the whole run", term)
 		}
+		var f Fault
 		parts := strings.Split(term, ":")
 		if len(parts) < 2 || len(parts) > 4 {
-			return Scenario{}, fmt.Errorf("faults: bad fault term %q (want kind:severity[:loop[:blade]][@hour])", term)
+			return Scenario{}, fmt.Errorf("faults: bad fault term %q (want kind:severity[:loop[:blade]])", term)
 		}
 		k, err := ParseKind(parts[0])
 		if err != nil {

@@ -34,12 +34,9 @@ func TestFaultValidate(t *testing.T) {
 		{Kind: PumpDegradation, Severity: 1}, // complete failure is rejected
 		{Kind: PumpDegradation, Severity: 1.5},
 		{Kind: Kind(99), Severity: 0.5},
-		{Kind: PumpDegradation, Severity: 0.5, OnsetHour: -1},
 		{Kind: PumpDegradation, Severity: math.NaN()},
 		{Kind: PumpDegradation, Severity: math.Inf(1)},
 		{Kind: PumpDegradation, Severity: math.Inf(-1)},
-		{Kind: CondenserFouling, Severity: 0.3, OnsetHour: math.NaN()},
-		{Kind: HTCDrift, Severity: 0.2, OnsetHour: math.Inf(1)},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("Validate accepted %+v", bad)
@@ -48,7 +45,7 @@ func TestFaultValidate(t *testing.T) {
 }
 
 func TestParseRoundTrip(t *testing.T) {
-	sc, err := Parse("pump:0.4,fouling:0.3:loop0,bladeloss:0.6:loop1:r3b2,htc:0.5@8")
+	sc, err := Parse("pump:0.4,fouling:0.3:loop0,bladeloss:0.6:loop1:r3b2,htc:0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +53,7 @@ func TestParseRoundTrip(t *testing.T) {
 		{Kind: PumpDegradation, Severity: 0.4},
 		{Kind: CondenserFouling, Severity: 0.3, Loop: "loop0"},
 		{Kind: BladeCoolingLoss, Severity: 0.6, Loop: "loop1", Blade: "r3b2"},
-		{Kind: HTCDrift, Severity: 0.5, OnsetHour: 8},
+		{Kind: HTCDrift, Severity: 0.5},
 	}
 	if len(sc.Faults) != len(want) {
 		t.Fatalf("parsed %d faults, want %d", len(sc.Faults), len(want))
@@ -80,16 +77,18 @@ func TestParseEmptyIsHealthy(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	for _, spec := range []string{
-		"pump",               // no severity
-		"pump:high",          // non-numeric severity
-		"pump:1.0",           // out of range
-		"meteor:0.5",         // unknown kind
-		"pump:0.5:a:b:c",     // too many fields
-		"pump:0.5@yesterday", // bad onset
-		"pump:NaN",           // non-finite severity
-		"pump:-Inf",          // non-finite severity
-		"fouling:0.3@NaN",    // non-finite onset
-		"htc:0.2@Inf",        // non-finite onset
+		"pump",                          // no severity
+		"pump:high",                     // non-numeric severity
+		"pump:1.0",                      // out of range
+		"meteor:0.5",                    // unknown kind
+		"pump:0.5:a:b:c",                // too many fields
+		"pump:NaN",                      // non-finite severity
+		"pump:-Inf",                     // non-finite severity
+		"htc:0.5@8",                     // onset suffix
+		"pump:0.5@yesterday",            // onset suffix
+		"fouling:0.3@NaN",               // onset suffix
+		"htc:0.2@Inf",                   // onset suffix
+		"bladeloss:0.6:loop1:r3b2@12.5", // onset suffix on a scoped term
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", spec)
@@ -164,21 +163,6 @@ func TestApplyLoopAndFlowScale(t *testing.T) {
 	}
 	if got := sc.FlowScale("loop0", "r0b1"); got != 1 {
 		t.Errorf("FlowScale(r0b1) = %g, want 1 (fault scoped to r0b0)", got)
-	}
-}
-
-func TestActiveAt(t *testing.T) {
-	sc := Scenario{Name: "aging", Faults: []Fault{
-		{Kind: PumpDegradation, Severity: 0.3},
-		{Kind: CondenserFouling, Severity: 0.5, OnsetHour: 12},
-	}}
-	early := sc.ActiveAt(6)
-	if len(early.Faults) != 1 || early.Faults[0].Kind != PumpDegradation {
-		t.Fatalf("ActiveAt(6) = %+v, want only the onset-0 pump fault", early.Faults)
-	}
-	late := sc.ActiveAt(12)
-	if len(late.Faults) != 2 {
-		t.Fatalf("ActiveAt(12) = %+v, want both faults", late.Faults)
 	}
 }
 

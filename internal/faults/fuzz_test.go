@@ -6,8 +6,8 @@ import (
 )
 
 // FuzzParse checks the -fault grammar against arbitrary input: Parse
-// never panics, and every fault it accepts passes Validate with finite
-// severity and onset hour. The seed corpus lives in
+// never panics, and every fault it accepts passes Validate with a finite
+// severity. The seed corpus lives in
 // testdata/fuzz/FuzzParse.
 func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, spec string) {
@@ -19,10 +19,8 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("Parse(%q) accepted a scenario Validate rejects: %v", spec, err)
 		}
 		for _, flt := range sc.Faults {
-			for _, v := range []float64{flt.Severity, flt.OnsetHour} {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("Parse(%q) accepted non-finite fault %+v", spec, flt)
-				}
+			if math.IsNaN(flt.Severity) || math.IsInf(flt.Severity, 0) {
+				t.Fatalf("Parse(%q) accepted non-finite fault %+v", spec, flt)
 			}
 		}
 	})

@@ -52,9 +52,8 @@ func (m *Dense) MulVec(x, y Vector) {
 
 // LU holds an LU factorization with partial pivoting of a square matrix.
 type LU struct {
-	lu   *Dense
-	piv  []int
-	sign int
+	lu  *Dense
+	piv []int
 }
 
 // FactorizeLU computes the LU factorization with partial pivoting of the
@@ -69,7 +68,6 @@ func FactorizeLU(m *Dense) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Partial pivot: find the largest magnitude entry in column k.
 		p, maxAbs := k, math.Abs(lu.At(k, k))
@@ -88,7 +86,6 @@ func FactorizeLU(m *Dense) (*LU, error) {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		pivot := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -99,7 +96,7 @@ func FactorizeLU(m *Dense) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // Solve solves A·x = b using the factorization. b is not modified.
@@ -131,15 +128,6 @@ func (f *LU) Solve(b Vector) (Vector, error) {
 	return x, nil
 }
 
-// Det returns the determinant from the factorization.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.lu.Rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
 // SolveDense solves A·x = b for a dense square A via LU factorization.
 func SolveDense(a *Dense, b Vector) (Vector, error) {
 	f, err := FactorizeLU(a)
@@ -147,38 +135,4 @@ func SolveDense(a *Dense, b Vector) (Vector, error) {
 		return nil, err
 	}
 	return f.Solve(b)
-}
-
-// SolveTridiagonal solves a tridiagonal system using the Thomas algorithm.
-// lower, diag, upper are the sub-, main and super-diagonals; lower[0] and
-// upper[n-1] are ignored. All inputs are left unmodified.
-func SolveTridiagonal(lower, diag, upper, rhs Vector) (Vector, error) {
-	n := len(diag)
-	if len(lower) != n || len(upper) != n || len(rhs) != n {
-		return nil, fmt.Errorf("linalg: tridiagonal length mismatch")
-	}
-	if n == 0 {
-		return Vector{}, nil
-	}
-	c := make(Vector, n) // modified super-diagonal
-	d := make(Vector, n) // modified rhs
-	if diag[0] == 0 {
-		return nil, ErrSingular
-	}
-	c[0] = upper[0] / diag[0]
-	d[0] = rhs[0] / diag[0]
-	for i := 1; i < n; i++ {
-		den := diag[i] - lower[i]*c[i-1]
-		if den == 0 {
-			return nil, ErrSingular
-		}
-		c[i] = upper[i] / den
-		d[i] = (rhs[i] - lower[i]*d[i-1]) / den
-	}
-	x := make(Vector, n)
-	x[n-1] = d[n-1]
-	for i := n - 2; i >= 0; i-- {
-		x[i] = d[i] - c[i]*x[i+1]
-	}
-	return x, nil
 }

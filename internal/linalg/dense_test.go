@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func almostEqual(a, b, tol float64) bool {
@@ -121,21 +120,6 @@ func TestLUNonSquare(t *testing.T) {
 	}
 }
 
-func TestLUDeterminant(t *testing.T) {
-	a := NewDense(2, 2)
-	a.Set(0, 0, 3)
-	a.Set(0, 1, 1)
-	a.Set(1, 0, 2)
-	a.Set(1, 1, 4)
-	f, err := FactorizeLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(f.Det(), 10, 1e-12) {
-		t.Fatalf("Det = %v, want 10", f.Det())
-	}
-}
-
 func TestLURandomRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
@@ -163,91 +147,5 @@ func TestLURandomRoundTrip(t *testing.T) {
 				t.Fatalf("trial %d n=%d x[%d]=%v want %v", trial, n, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-func TestTridiagonalSolve(t *testing.T) {
-	// Classic -1 2 -1 Poisson system with known RHS.
-	n := 50
-	lower := make(Vector, n)
-	diag := make(Vector, n)
-	upper := make(Vector, n)
-	for i := 0; i < n; i++ {
-		lower[i], diag[i], upper[i] = -1, 2, -1
-	}
-	want := make(Vector, n)
-	for i := range want {
-		want[i] = math.Sin(float64(i) / 5)
-	}
-	rhs := make(Vector, n)
-	for i := 0; i < n; i++ {
-		rhs[i] = 2 * want[i]
-		if i > 0 {
-			rhs[i] -= want[i-1]
-		}
-		if i < n-1 {
-			rhs[i] -= want[i+1]
-		}
-	}
-	got, err := SolveTridiagonal(lower, diag, upper, rhs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if !almostEqual(got[i], want[i], 1e-10) {
-			t.Fatalf("x[%d]=%v want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestTridiagonalErrors(t *testing.T) {
-	if _, err := SolveTridiagonal(Vector{0}, Vector{0}, Vector{0}, Vector{1}); err == nil {
-		t.Fatal("expected singular error for zero diagonal")
-	}
-	if _, err := SolveTridiagonal(Vector{0, 0}, Vector{1}, Vector{0}, Vector{1}); err == nil {
-		t.Fatal("expected length mismatch error")
-	}
-	x, err := SolveTridiagonal(Vector{}, Vector{}, Vector{}, Vector{})
-	if err != nil || len(x) != 0 {
-		t.Fatalf("empty system should solve trivially, got %v %v", x, err)
-	}
-}
-
-// Property: for random SPD tridiagonal-dominant systems, Thomas solution
-// satisfies the original equations.
-func TestTridiagonalProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(30)
-		lower := make(Vector, n)
-		diag := make(Vector, n)
-		upper := make(Vector, n)
-		rhs := make(Vector, n)
-		for i := 0; i < n; i++ {
-			lower[i] = rng.Float64()
-			upper[i] = rng.Float64()
-			diag[i] = lower[i] + upper[i] + 1 + rng.Float64() // dominant
-			rhs[i] = rng.NormFloat64()
-		}
-		x, err := SolveTridiagonal(lower, diag, upper, rhs)
-		if err != nil {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			s := diag[i] * x[i]
-			if i > 0 {
-				s += lower[i] * x[i-1]
-			}
-			if i < n-1 {
-				s += upper[i] * x[i+1]
-			}
-			if !almostEqual(s, rhs[i], 1e-9) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,12 +1,11 @@
 // Package metrics computes the thermal-map statistics the paper reports:
 // hot-spot temperature θmax, average θavg, the maximum spatial gradient
-// ∇θmax in °C/mm, and hot-spot counting on die and package maps.
+// ∇θmax in °C/mm, over whole die and package maps or masked regions.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/floorplan"
 )
@@ -91,83 +90,4 @@ func RectMask(grid floorplan.Grid, rect floorplan.Rect) []bool {
 		}
 	}
 	return mask
-}
-
-// HotspotMagnitude integrates the temperature excess above the threshold
-// over the masked area, in °C·mm² — the "magnitude of hot spots" the
-// paper's mapping policy minimizes alongside their number.
-func HotspotMagnitude(grid floorplan.Grid, temps []float64, mask []bool, thresholdC float64) float64 {
-	cellMM2 := grid.DX * grid.DY * 1e6
-	var mag float64
-	for i, t := range temps {
-		if mask != nil && !mask[i] {
-			continue
-		}
-		if t > thresholdC {
-			mag += (t - thresholdC) * cellMM2
-		}
-	}
-	return mag
-}
-
-// Percentile returns the p-th percentile (0–100) of the masked cells using
-// nearest-rank on a sorted copy.
-func Percentile(temps []float64, mask []bool, p float64) (float64, error) {
-	var vals []float64
-	for i, t := range temps {
-		if mask == nil || mask[i] {
-			vals = append(vals, t)
-		}
-	}
-	if len(vals) == 0 {
-		return 0, fmt.Errorf("metrics: no cells selected")
-	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("metrics: percentile %g outside [0,100]", p)
-	}
-	sort.Float64s(vals)
-	rank := int(math.Ceil(p/100*float64(len(vals)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(vals) {
-		rank = len(vals) - 1
-	}
-	return vals[rank], nil
-}
-
-// Hotspots counts connected regions (4-neighborhood) of cells at or above
-// the threshold temperature, restricted to the mask (nil = everywhere).
-func Hotspots(grid floorplan.Grid, temps []float64, mask []bool, thresholdC float64) int {
-	in := func(i int) bool {
-		return (mask == nil || mask[i]) && temps[i] >= thresholdC
-	}
-	seen := make([]bool, grid.Cells())
-	var count int
-	var stack []int
-	for start := 0; start < grid.Cells(); start++ {
-		if seen[start] || !in(start) {
-			continue
-		}
-		count++
-		stack = append(stack[:0], start)
-		seen[start] = true
-		for len(stack) > 0 {
-			i := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			ix, iy := i%grid.NX, i/grid.NX
-			for _, nb := range [][2]int{{ix - 1, iy}, {ix + 1, iy}, {ix, iy - 1}, {ix, iy + 1}} {
-				nx, ny := nb[0], nb[1]
-				if nx < 0 || nx >= grid.NX || ny < 0 || ny >= grid.NY {
-					continue
-				}
-				j := grid.Index(nx, ny)
-				if !seen[j] && in(j) {
-					seen[j] = true
-					stack = append(stack, j)
-				}
-			}
-		}
-	}
-	return count
 }

@@ -90,45 +90,6 @@ func TestRectMask(t *testing.T) {
 	}
 }
 
-func TestHotspots(t *testing.T) {
-	g := floorplan.NewGrid(6, 6, 6e-3, 6e-3)
-	temps := make([]float64, g.Cells())
-	for i := range temps {
-		temps[i] = 40
-	}
-	// Two separate hot regions.
-	temps[g.Index(0, 0)] = 80
-	temps[g.Index(1, 0)] = 81
-	temps[g.Index(4, 4)] = 79
-	if n := Hotspots(g, temps, nil, 75); n != 2 {
-		t.Fatalf("hotspots = %d, want 2", n)
-	}
-	// Bridge them: one region.
-	for ix := 0; ix < 5; ix++ {
-		temps[g.Index(ix, 2)] = 78
-	}
-	temps[g.Index(0, 1)] = 78
-	temps[g.Index(4, 3)] = 78
-	if n := Hotspots(g, temps, nil, 75); n != 1 {
-		t.Fatalf("bridged hotspots = %d, want 1", n)
-	}
-	if n := Hotspots(g, temps, nil, 100); n != 0 {
-		t.Fatalf("no cell above 100, got %d", n)
-	}
-}
-
-func TestHotspotsMasked(t *testing.T) {
-	g := grid4()
-	temps := make([]float64, g.Cells())
-	temps[g.Index(0, 0)] = 99
-	temps[g.Index(3, 3)] = 99
-	mask := make([]bool, g.Cells())
-	mask[g.Index(3, 3)] = true
-	if n := Hotspots(g, temps, mask, 90); n != 1 {
-		t.Fatalf("masked hotspots = %d, want 1", n)
-	}
-}
-
 // Property: adding a constant to every cell shifts max/mean/min but leaves
 // the gradient unchanged.
 func TestShiftInvarianceProperty(t *testing.T) {
@@ -162,58 +123,5 @@ func TestShiftInvarianceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestHotspotMagnitude(t *testing.T) {
-	g := grid4() // 1 mm cells
-	temps := make([]float64, g.Cells())
-	for i := range temps {
-		temps[i] = 50
-	}
-	temps[g.Index(1, 1)] = 60 // 10 °C over a 1 mm² cell
-	temps[g.Index(2, 2)] = 55 // 5 °C
-	got := HotspotMagnitude(g, temps, nil, 50)
-	if math.Abs(got-15) > 1e-9 {
-		t.Fatalf("magnitude = %v, want 15 °C·mm²", got)
-	}
-	// Below-threshold maps contribute nothing.
-	if HotspotMagnitude(g, temps, nil, 70) != 0 {
-		t.Fatal("no cell above 70")
-	}
-	// Mask excludes the big spot.
-	mask := make([]bool, g.Cells())
-	mask[g.Index(2, 2)] = true
-	if got := HotspotMagnitude(g, temps, mask, 50); math.Abs(got-5) > 1e-9 {
-		t.Fatalf("masked magnitude = %v, want 5", got)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	g := grid4()
-	temps := make([]float64, g.Cells())
-	for i := range temps {
-		temps[i] = float64(i) // 0..15
-	}
-	p50, err := Percentile(temps, nil, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p50 != 7 {
-		t.Fatalf("p50 = %v, want 7", p50)
-	}
-	p100, _ := Percentile(temps, nil, 100)
-	if p100 != 15 {
-		t.Fatalf("p100 = %v", p100)
-	}
-	p0, _ := Percentile(temps, nil, 0)
-	if p0 != 0 {
-		t.Fatalf("p0 = %v", p0)
-	}
-	if _, err := Percentile(temps, make([]bool, g.Cells()), 50); err == nil {
-		t.Fatal("empty mask must error")
-	}
-	if _, err := Percentile(temps, nil, 150); err == nil {
-		t.Fatal("bad percentile must error")
 	}
 }

@@ -66,12 +66,12 @@ type PackageState struct {
 	Cores      [floorplan.NumCores]CoreLoad
 }
 
-// Model assembles per-block power maps for a floorplan.
-type Model struct {
-	fp *floorplan.Floorplan
-}
+// Model assembles per-block power maps for a floorplan with the canonical
+// Broadwell block names. It holds no state: the block names are fixed, so
+// NewModel only checks that the floorplan has them.
+type Model struct{}
 
-// NewModel returns a power model bound to the given floorplan, which must
+// NewModel returns a power model for the given floorplan, which must
 // contain the canonical Broadwell block names.
 func NewModel(fp *floorplan.Floorplan) (*Model, error) {
 	for _, name := range []string{"LLC", "MemCtrl", "Uncore"} {
@@ -84,7 +84,7 @@ func NewModel(fp *floorplan.Floorplan) (*Model, error) {
 			return nil, fmt.Errorf("power: floorplan lacks %s", floorplan.CoreName(i))
 		}
 	}
-	return &Model{fp: fp}, nil
+	return &Model{}, nil
 }
 
 // CorePower returns the power of a single core in the given load state:
@@ -143,6 +143,3 @@ func SumBlockPowers(bp map[string]float64) float64 {
 func (m *Model) TotalPower(st PackageState) float64 {
 	return SumBlockPowers(m.BlockPowers(st))
 }
-
-// Floorplan returns the floorplan the model is bound to.
-func (m *Model) Floorplan() *floorplan.Floorplan { return m.fp }

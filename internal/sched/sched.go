@@ -7,7 +7,6 @@ package sched
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/cosim"
@@ -171,14 +170,4 @@ func ThrottleStep(st power.PackageState) (out power.PackageState, ok bool) {
 		}
 	}
 	return out, true
-}
-
-// RegulatePlan is a convenience wrapper: run Algorithm 1 for the benchmark
-// and then regulate the resulting mapping.
-func (c *Controller) RegulatePlan(ctx context.Context, b workload.Benchmark, q workload.QoS) (*Outcome, error) {
-	m, err := core.Plan(b, q)
-	if err != nil {
-		return nil, fmt.Errorf("sched: %w", err)
-	}
-	return c.Regulate(ctx, b, m, q)
 }

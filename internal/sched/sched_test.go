@@ -27,7 +27,11 @@ func TestRegulateNoEmergencyAtDesignPoint(t *testing.T) {
 	sys := coarseSystem(t)
 	c := NewController(sys)
 	b, _ := workload.ByName("ferret")
-	out, err := c.RegulatePlan(nil, b, workload.QoS2x)
+	m, err := core.Plan(b, workload.QoS2x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := c.Regulate(nil, b, m, workload.QoS2x)
 	if err != nil {
 		t.Fatal(err)
 	}

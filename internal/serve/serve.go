@@ -301,9 +301,6 @@ func (s *Server) retryAfterSecs() int {
 // clean refusal instead of a mid-handshake reset.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close drains (if not already draining) and retires every cached solve
 // session and registered transient blade, releasing their worker teams.
 // Close is idempotent and must run after http.Server.Shutdown has

@@ -142,6 +142,7 @@ func TestSteadyRejectsBadRequests(t *testing.T) {
 		{"dup cores", `{"benchmark":"x264","cores":2,"threads":2,"active_cores":[3,3]}`},
 		{"core range", `{"benchmark":"x264","cores":1,"threads":1,"active_cores":[9]}`},
 		{"bad fault", `{"benchmark":"x264","fault":"gremlin:0.5"}`},
+		{"fault onset suffix", `{"benchmark":"x264","fault":"pump:0.5@12"}`},
 		{"bad solver", `{"benchmark":"x264","solver":"gauss"}`},
 		{"removed solver", `{"benchmark":"x264","solver":"mgpcg32"}`},
 		{"bad resolution", `{"benchmark":"x264","resolution":"ultra"}`},

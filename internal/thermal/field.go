@@ -3,7 +3,6 @@ package thermal
 import (
 	"fmt"
 
-	"repro/internal/floorplan"
 	"repro/internal/linalg"
 )
 
@@ -49,45 +48,6 @@ func (f *Field) SampleAt(l int, x, y float64) float64 {
 	g := f.model.Stack.Grid
 	ix, iy := g.CellAt(x, y)
 	return f.At(l, ix, iy)
-}
-
-// RegionStats summarizes a rectangular probe of one layer.
-type RegionStats struct {
-	Max, Min, Mean float64
-	// MaxX, MaxY locate the hottest cell center (grid frame).
-	MaxX, MaxY float64
-}
-
-// Region computes temperature statistics of layer l restricted to cells
-// whose centers fall inside rect (grid coordinate frame). It returns an
-// error if the rectangle covers no cell centers.
-func (f *Field) Region(l int, rect floorplan.Rect) (RegionStats, error) {
-	g := f.model.Stack.Grid
-	st := RegionStats{Max: -1e300, Min: 1e300}
-	var sum float64
-	var count int
-	for iy := 0; iy < g.NY; iy++ {
-		for ix := 0; ix < g.NX; ix++ {
-			cx, cy := g.CellCenter(ix, iy)
-			if !rect.Contains(cx, cy) {
-				continue
-			}
-			t := f.At(l, ix, iy)
-			sum += t
-			count++
-			if t > st.Max {
-				st.Max, st.MaxX, st.MaxY = t, cx, cy
-			}
-			if t < st.Min {
-				st.Min = t
-			}
-		}
-	}
-	if count == 0 {
-		return RegionStats{}, fmt.Errorf("thermal: probe rectangle covers no cells")
-	}
-	st.Mean = sum / float64(count)
-	return st, nil
 }
 
 // TotalHeatToTop integrates the heat leaving through the top boundary (W)

@@ -5,7 +5,19 @@ import (
 	"testing"
 
 	"repro/internal/floorplan"
+	"repro/internal/metrics"
 )
+
+// rectStats summarizes the cells of layer l whose centers fall inside rect.
+func rectStats(t *testing.T, f *Field, l int, rect floorplan.Rect) metrics.MapStats {
+	t.Helper()
+	g := f.Model().Stack.Grid
+	st, err := metrics.AnalyzeMasked(g, f.Layer(l), metrics.RectMask(g, rect))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
 
 // smallStack builds a coarse two-layer slab for fast analytic checks.
 func smallStack(nx, ny int) *Stack {
@@ -90,12 +102,9 @@ func TestUniformHeatingAnalytic(t *testing.T) {
 	}
 	area := 0.02 * 0.02
 	wantTop := tf + totalW/(h*area) // ≈ 40 + 25 = 65
-	got, err := f.Region(1, floorplan.Rect{X: 0, Y: 0, W: 0.02, H: 0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got.Mean-wantTop) > 1.5 {
-		t.Fatalf("top mean = %.2f, want ≈ %.2f", got.Mean, wantTop)
+	got := rectStats(t, f, 1, floorplan.Rect{X: 0, Y: 0, W: 0.02, H: 0.02})
+	if math.Abs(got.MeanC-wantTop) > 1.5 {
+		t.Fatalf("top mean = %.2f, want ≈ %.2f", got.MeanC, wantTop)
 	}
 	// Energy conservation: all injected heat leaves through the top.
 	if q := f.TotalHeatToTop(bc); math.Abs(q-totalW) > 0.01*totalW {
@@ -277,26 +286,20 @@ func TestXeonStackDieRegion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dieStats, err := f.Region(0, die)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evapStats, err := f.Region(4, floorplan.Rect{X: 0, Y: 0, W: cfg.Package.Width, H: cfg.Package.Height})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dieStats := rectStats(t, f, 0, die)
+	evapStats := rectStats(t, f, 4, floorplan.Rect{X: 0, Y: 0, W: cfg.Package.Width, H: cfg.Package.Height})
 	// Die hotter than evaporator surface; both above fluid temperature;
 	// die temperatures in a server-plausible band.
-	if dieStats.Max <= evapStats.Max {
-		t.Fatalf("die max %.1f should exceed evaporator max %.1f", dieStats.Max, evapStats.Max)
+	if dieStats.MaxC <= evapStats.MaxC {
+		t.Fatalf("die max %.1f should exceed evaporator max %.1f", dieStats.MaxC, evapStats.MaxC)
 	}
-	if dieStats.Max < 40 || dieStats.Max > 110 {
-		t.Fatalf("die max %.1f outside plausible band", dieStats.Max)
+	if dieStats.MaxC < 40 || dieStats.MaxC > 110 {
+		t.Fatalf("die max %.1f outside plausible band", dieStats.MaxC)
 	}
 	// The dead east side of the die must be cooler than the west (cores
 	// absent here since power is uniform — just check spreader smooths).
-	sp, _ := f.Region(2, die)
-	if sp.Max-sp.Min >= dieStats.Max-dieStats.Min {
+	sp := rectStats(t, f, 2, die)
+	if sp.MaxC-sp.MinC >= dieStats.MaxC-dieStats.MinC {
 		t.Fatal("spreader should have a flatter profile than the die")
 	}
 }
@@ -321,8 +324,5 @@ func TestFieldAccessors(t *testing.T) {
 	c.T[0] = 99
 	if f.T[0] != 33 {
 		t.Fatal("Clone aliases")
-	}
-	if _, err := f.Region(0, floorplan.Rect{X: 100, Y: 100, W: 1, H: 1}); err == nil {
-		t.Fatal("empty probe must error")
 	}
 }
