@@ -132,12 +132,7 @@ func run(racks, blades, loops int, resFlag string, waterC float64, solverFlag st
 	if len(rep.Blades) <= bladeRows {
 		var rows [][]string
 		for i, b := range rep.Blades {
-			rows = append(rows, []string{
-				b.Name, benches[i%len(benches)].Name,
-				fmt.Sprintf("%.1f", b.HeatW),
-				fmt.Sprintf("%.1f", b.DieMaxC),
-				fmt.Sprintf("%.1f", b.TCaseC),
-			})
+			rows = append(rows, append([]string{b.Name, benches[i%len(benches)].Name}, operatingCells(b)...))
 		}
 		if err := render.Table(os.Stdout,
 			[]string{"blade", "bench", "W", "die θmax", "TCASE"}, rows); err != nil {
@@ -166,12 +161,7 @@ func run(racks, blades, loops int, resFlag string, waterC float64, solverFlag st
 		var rows [][]string
 		for _, bench := range order {
 			c := byB[bench]
-			rows = append(rows, []string{
-				c.bench, strconv.Itoa(c.count),
-				fmt.Sprintf("%.1f", c.b.HeatW),
-				fmt.Sprintf("%.1f", c.b.DieMaxC),
-				fmt.Sprintf("%.1f", c.b.TCaseC),
-			})
+			rows = append(rows, append([]string{c.bench, strconv.Itoa(c.count)}, operatingCells(c.b)...))
 		}
 		if err := render.Table(os.Stdout,
 			[]string{"bench", "blades", "W each", "die θmax", "TCASE"}, rows); err != nil {
@@ -200,4 +190,14 @@ func run(racks, blades, loops int, resFlag string, waterC float64, solverFlag st
 		rep.ITPowerW, rep.Plant.ChillerPowerW, rep.Plant.MeanCOP, rep.MaxDieC)
 	fmt.Printf("facility PUE: %.3f (paper's prototype 1.05)\n", rep.Plant.PUE)
 	return nil
+}
+
+// operatingCells renders a blade's power, die θmax and TCASE cells. A
+// blade whose solve failed has no operating point, and printing its zero
+// row would read as a cool blade, so its cells say "failed".
+func operatingCells(b datacenter.BladeReport) []string {
+	if b.Failed {
+		return []string{"failed", "failed", "failed"}
+	}
+	return []string{fmt.Sprintf("%.1f", b.HeatW), fmt.Sprintf("%.1f", b.DieMaxC), fmt.Sprintf("%.1f", b.TCaseC)}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -102,6 +103,30 @@ func TestRackplanFaultFlag(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRackplanFailedClassesPrintFailed: on a 280-blade loop under
+// pump:0.8 the blackscholes and raytrace class solves fail. Their rows
+// must say "failed", never print a zero operating point that reads as a
+// cool blade, while the solved classes keep their numbers.
+func TestRackplanFailedClassesPrintFailed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves a 280-blade faulted fleet")
+	}
+	out := captureStdout(t, func() error {
+		return run(7, 40, 1, "coarse", 27, "cg", 0, 1, "pump:0.8")
+	})
+	for _, bench := range []string{"blackscholes", "raytrace"} {
+		if !regexp.MustCompile(`(?m)^` + bench + ` +\d+ +failed +failed +failed *$`).MatchString(out) {
+			t.Fatalf("%s row does not print failed cells:\n%s", bench, out)
+		}
+	}
+	if !regexp.MustCompile(`(?m)^x264 +\d+ +\d+\.\d +\d+\.\d +\d+\.\d *$`).MatchString(out) {
+		t.Fatalf("solved x264 class lost its operating point:\n%s", out)
+	}
+	if regexp.MustCompile(`(?m) 0\.0 `).MatchString(out) {
+		t.Fatalf("a class row prints a zero operating point:\n%s", out)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Command thermservd is the thermal digital-twin daemon: a long-running
-// HTTP/JSON service over the warm solve stack, with session leasing,
+// HTTP/JSON service over the warm solve stack, with pooled solve sessions,
 // response memoization, bounded admission (429 backpressure), circuit
 // breaking, crash-safe transient checkpointing, and graceful drain on
 // SIGTERM/SIGINT.
@@ -70,7 +70,7 @@ func main() {
 	flag.IntVar(&o.Workers, "workers", 0, "max concurrent solves (0 = auto split of GOMAXPROCS)")
 	flag.IntVar(&o.Threads, "threads", 0, "threads per solve session (0 = auto split)")
 	flag.IntVar(&o.Queue, "queue", 0, "admission queue depth before 429 (0 = 2×workers)")
-	flag.IntVar(&o.Sessions, "sessions", 0, "warm session cache capacity (0 = 64)")
+	flag.IntVar(&o.Sessions, "sessions", 0, "cap on idle pooled solve sessions and on (solver, resolution, fault) pools (0 = 64)")
 	flag.IntVar(&o.Memo, "memo", 0, "response memo capacity (0 = 4096)")
 	flag.IntVar(&o.Transients, "transients", 0, "max registered transient blades (0 = 16)")
 	flag.DurationVar(&o.Timeout, "timeout", 0, "per-request solve deadline (0 = none), e.g. 30s")
@@ -153,7 +153,7 @@ func run(o options, ready chan<- string) error {
 
 	// Drain: refuse new work first so kept-alive clients see 503 instead
 	// of a reset, then let Shutdown wait out in-flight requests, then
-	// retire the cached sessions (taking the final checkpoint, when one is
+	// retire the pooled sessions (taking the final checkpoint, when one is
 	// configured, before the blades close).
 	s.BeginDrain()
 	ctx, cancel := experiments.WithTimeout(context.Background(), o.DrainWait)

@@ -112,11 +112,9 @@ func WithThreads(n int) SessionOption {
 // sweep engine can retire worker-state sessions; the returned error is
 // always nil.
 //
-// Close is idempotent: closing an already-closed session is a no-op.
-// That is a load-bearing guarantee, not a convenience — the thermservd
-// lease manager's LRU-eviction path and its drain path can both reach the
-// same cached session, and the loser of that race must not corrupt the
-// worker team the winner already tore down.
+// Close is idempotent: closing an already-closed session is a no-op, and
+// concurrent calls are safe. Owners that retire sessions on more than one
+// path (an eviction and a drain, say) need not track which path won.
 func (ses *Session) Close() error {
 	ses.closeMu.Lock()
 	defer ses.closeMu.Unlock()
@@ -138,7 +136,7 @@ func (ses *Session) Escalations() []thermal.Escalation { return ses.ws.Escalatio
 // hook (thermal.Workspace.InjectMGFault): while armed, multigrid-family
 // solves poison their preconditioner and the escalation ladder has to
 // rescue them. It exists for fault drills: the internal/serve tests
-// sabotage leased sessions through it (wrapping the server's solve seam)
+// sabotage pooled sessions through it (wrapping the server's solve seam)
 // to prove the breaker and the ladder telemetry behave under solver
 // faults.
 func (ses *Session) InjectMGFault(on bool) { ses.ws.InjectMGFault(on) }

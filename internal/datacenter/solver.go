@@ -454,6 +454,7 @@ func (s *Solver) report(fp fixedPointState, steps []int, reasons []string, escal
 				HeatW: cr.heatW, DieMaxC: cr.dieMaxC, TCaseC: cr.tcaseC,
 				ThrottleSteps: steps[ci],
 				Infeasible:    reasons[ci] != "",
+				Failed:        cr.failed != "",
 			}
 			rep.Blades = append(rep.Blades, br)
 			if steps[ci] > 0 {
@@ -525,9 +526,13 @@ type BladeReport struct {
 	// speed).
 	ThrottleSteps int
 	// Infeasible marks a blade that could not be brought to a feasible
-	// operating point even at the lowest DVFS level; its row carries the
-	// zero operating point and Report.Infeasible names the reason.
+	// operating point even at the lowest DVFS level; Report.Infeasible
+	// names the reason. Its row carries the last operating point, or the
+	// zero one when Failed.
 	Infeasible bool
+	// Failed marks an infeasible blade whose class solve failed, so it has
+	// no operating point at all.
+	Failed bool
 }
 
 // InfeasibleBlade names one blade the degraded mode could not save, and

@@ -11,7 +11,7 @@ import (
 
 // BenchmarkServeSteady measures the three /v1/steady service tiers at
 // medium resolution: a memo hit (the warm-cache product), a warm-session
-// miss (memo cleared, session cached — pays a solve but no system build),
+// miss (memo cleared, session pooled — pays a solve but no system build),
 // and a cold miss (everything rebuilt). The hit/cold ratio is the PR's
 // ≥50× acceptance bar.
 func BenchmarkServeSteady(b *testing.B) {
@@ -62,7 +62,7 @@ func BenchmarkServeSteady(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			s.memo.reset()
-			s.leases.closeAll()
+			s.pools.closeAll()
 			b.StartTimer()
 			do(b, h, "miss")
 		}

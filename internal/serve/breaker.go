@@ -37,20 +37,20 @@ type breakerOutcome int
 
 const (
 	// outcomeNeutral: the solve never ran or was cut short through no
-	// fault of the solver (admission refusal, lease failure, client
-	// cancellation or deadline). It releases a probe slot without counting
-	// for or against the breaker.
+	// fault of the solver (admission refusal, system build failure,
+	// client cancellation or deadline). It releases a probe slot without
+	// counting for or against the breaker.
 	outcomeNeutral breakerOutcome = iota
 	outcomeGood
 	// outcomeBad: a hard solver failure or an escalation-ladder rescue.
 	outcomeBad
 )
 
-// breaker is the per-lease-key trip state. A "bad" outcome is a solver
-// failure or a solve the escalation ladder had to rescue — an escalation
-// storm on a key is a leading indicator that its sessions are expensive
-// or about to fail, so consecutive escalated solves trip the breaker
-// just like consecutive hard failures do.
+// breaker is the per-proposal-class trip state. A "bad" outcome is a
+// solver failure or a solve the escalation ladder had to rescue — an
+// escalation storm on a class is a leading indicator that its solves are
+// expensive or about to fail, so consecutive escalated solves trip the
+// breaker just like consecutive hard failures do.
 type breaker struct {
 	state    breakerState
 	bad      int // consecutive bad outcomes
@@ -71,7 +71,7 @@ type breaker struct {
 // tickets, an early return between admit and observe wedged the key's
 // breaker in probing state forever.
 type breakerTicket struct {
-	key     leaseKey
+	key     classKey
 	gen     uint64
 	probe   bool
 	settled bool
@@ -94,12 +94,12 @@ type BreakerStats struct {
 	Tripped  []BreakerInfo `json:"tripped,omitempty"`
 }
 
-// breakerSet owns one breaker per lease key. Keys whose breaker returns
-// to a clean closed state are pruned, so the map tracks only keys with
-// recent trouble.
+// breakerSet owns one breaker per proposal class. Classes whose breaker
+// returns to a clean closed state are pruned, so the map tracks only
+// classes with recent trouble.
 type breakerSet struct {
 	mu        sync.Mutex
-	m         map[leaseKey]*breaker
+	m         map[classKey]*breaker
 	threshold int           // consecutive bad outcomes that trip
 	cooldown  time.Duration // open → half-open delay
 	now       func() time.Time
@@ -108,7 +108,7 @@ type breakerSet struct {
 
 func newBreakerSet(threshold int, cooldown time.Duration) *breakerSet {
 	return &breakerSet{
-		m:         make(map[leaseKey]*breaker),
+		m:         make(map[classKey]*breaker),
 		threshold: threshold,
 		cooldown:  cooldown,
 		now:       time.Now,
@@ -120,7 +120,7 @@ func newBreakerSet(threshold int, cooldown time.Duration) *breakerSet {
 // refusal returns a nil ticket and the Retry-After hint in whole
 // seconds: the remaining cooldown for an open breaker, one second while
 // a half-open probe is already in flight.
-func (bs *breakerSet) admit(key leaseKey) (tok *breakerTicket, retryAfterSecs int) {
+func (bs *breakerSet) admit(key classKey) (tok *breakerTicket, retryAfterSecs int) {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
 	b := bs.m[key]
@@ -232,7 +232,7 @@ func (bs *breakerSet) snapshot() BreakerStats {
 			continue
 		}
 		out.Tripped = append(out.Tripped, BreakerInfo{
-			Key:            k.mapping + "|" + k.solver + "|" + k.resolution + "|" + k.fault,
+			Key:            k.mapping + "|" + k.solver.String() + "|" + k.resolution.String() + "|" + k.fault,
 			State:          b.state.String(),
 			ConsecutiveBad: b.bad,
 		})

@@ -21,7 +21,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	bs := newBreakerSet(3, 5*time.Second)
 	clock := time.Unix(1000, 0)
 	bs.now = func() time.Time { return clock }
-	key := leaseKey{floorplan: "fp", mapping: "m", solver: "cg", resolution: "coarse"}
+	key := classKey{mapping: "m"}
 
 	// Below the threshold the breaker stays closed.
 	for i := 0; i < 2; i++ {
@@ -106,7 +106,7 @@ func TestBreakerProbeNeverLeaks(t *testing.T) {
 	bs := newBreakerSet(1, 5*time.Second)
 	clock := time.Unix(1000, 0)
 	bs.now = func() time.Time { return clock }
-	key := leaseKey{floorplan: "fp", mapping: "m", solver: "cg", resolution: "coarse"}
+	key := classKey{mapping: "m"}
 
 	tok, _ := bs.admit(key)
 	bs.settle(tok, outcomeBad) // threshold 1: trips immediately
@@ -150,7 +150,7 @@ func TestBreakerIgnoresStaleOutcomes(t *testing.T) {
 	bs := newBreakerSet(2, 5*time.Second)
 	clock := time.Unix(1000, 0)
 	bs.now = func() time.Time { return clock }
-	key := leaseKey{floorplan: "fp", mapping: "m", solver: "cg", resolution: "coarse"}
+	key := classKey{mapping: "m"}
 
 	// A slow solve admitted while the breaker is still closed…
 	stale, _ := bs.admit(key)
@@ -244,13 +244,13 @@ func TestBreakerTripsOnInjectedFailures(t *testing.T) {
 func TestBreakerCountsRescuedSolves(t *testing.T) {
 	s := newTestServer(t, Config{BreakerThreshold: 3, BreakerCooldown: time.Minute})
 	solve := s.solve
-	s.solve = func(ctx context.Context, l *lease, p *steadyProposal) (*SteadyResponse, error) {
-		l.ses.InjectMGFault(true)
-		defer l.ses.InjectMGFault(false)
-		return solve(ctx, l, p)
+	s.solve = func(ctx context.Context, ses *cosim.Session, p *steadyProposal) (*SteadyResponse, error) {
+		ses.InjectMGFault(true)
+		defer ses.InjectMGFault(false)
+		return solve(ctx, ses, p)
 	}
 	h := s.Handler()
-	// Distinct operating points miss the memo but share one lease key,
+	// Distinct operating points miss the memo but share one mapping,
 	// hence one breaker class.
 	body := func(waterC int) string {
 		return fmt.Sprintf(`{"benchmark":"x264","solver":"mgpcg","water_c":%d,"water_flow_kgh":7}`, waterC)
@@ -349,9 +349,10 @@ func TestRecoverMiddleware(t *testing.T) {
 }
 
 // TestSolvePanicReleasesFlightAndLease: a panic inside the steady solve
-// still finishes the proposal's flight and releases its lease poisoned,
-// so an identical request that follows gets its own answer instead of
-// blocking forever on the flight or on the lease lock.
+// still finishes the proposal's flight and releases its pooled session
+// poisoned, so an identical request that follows gets its own answer
+// instead of blocking forever on the flight, and the poisoned session
+// never goes back to the pool.
 func TestSolvePanicReleasesFlightAndLease(t *testing.T) {
 	old := debugLogWriter
 	debugLogWriter = io.Discard
@@ -359,18 +360,16 @@ func TestSolvePanicReleasesFlightAndLease(t *testing.T) {
 
 	s := newTestServer(t, Config{})
 	h := s.Handler()
-	build := s.leases.build
-	s.leases.build = func(k leaseKey) (*cosim.System, *cosim.Session, error) {
-		sys, ses, err := build(k)
-		if err != nil {
-			return nil, nil, err
-		}
-		ses.Close()
+	newSession := s.pools.newSession
+	sabotaged := map[*cosim.Session]bool{}
+	s.pools.newSession = func(k poolKey, sys *cosim.System) *cosim.Session {
 		// A refrigerant without property tables panics on its first
 		// lookup, inside the coupled solve.
-		d := *ses.Design()
+		d := sys.Design
 		d.Fluid = &refrigerant.Fluid{}
-		return sys, sys.NewSession(cosim.WithDesign(d)), nil
+		ses := sys.NewSession(cosim.WithDesign(d), cosim.CarryWarmStart(false))
+		sabotaged[ses] = true
+		return ses
 	}
 	const body = `{"benchmark":"x264"}`
 	for i := 1; i <= 2; i++ {
@@ -385,15 +384,29 @@ func TestSolvePanicReleasesFlightAndLease(t *testing.T) {
 			t.Fatalf("request %d hung after a panicked solve", i)
 		}
 	}
-	if got := s.Snapshot().PanicsRecovered; got != 2 {
-		t.Fatalf("panics_recovered = %d, want 2", got)
+	st := s.Snapshot()
+	if st.PanicsRecovered != 2 {
+		t.Fatalf("panics_recovered = %d, want 2", st.PanicsRecovered)
 	}
-	if n := s.leases.len(); n != 0 {
-		t.Fatalf("%d leases cached after panicked solves, want 0 (poisoned)", n)
+	if st.Sessions != 0 || st.SessionBuilds != 2 || st.SessionReuses != 0 || st.Evictions != 2 {
+		t.Fatalf("after two panicked solves: %d idle, %d builds, %d reuses, %d evictions; want 0, 2, 0, 2 (poisoned)",
+			st.Sessions, st.SessionBuilds, st.SessionReuses, st.Evictions)
 	}
-	s.leases.build = build
+	s.pools.newSession = newSession
 	if w := post(t, h, "/v1/steady", body); w.Code != http.StatusOK {
 		t.Fatalf("server did not recover from the panicked solves: %d %s", w.Code, w.Body)
+	}
+	if st := s.Snapshot(); st.SessionBuilds != 3 || st.SessionReuses != 0 {
+		t.Fatalf("recovery solve: %d builds, %d reuses; want a fresh session (3, 0)", st.SessionBuilds, st.SessionReuses)
+	}
+	s.pools.mu.Lock()
+	defer s.pools.mu.Unlock()
+	for el := s.pools.lru.Front(); el != nil; el = el.Next() {
+		for _, ses := range el.Value.(*pool).free {
+			if sabotaged[ses] {
+				t.Fatal("a poisoned session went back to its pool")
+			}
+		}
 	}
 }
 

@@ -15,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/cosim"
 )
 
 // ChaosConfig arms deterministic infrastructure-fault injection around a
@@ -40,7 +42,7 @@ type ChaosConfig struct {
 	// escalation ladder rescues the solve, and the breaker sees the storm.
 	SabotageRate float64
 	// FailRate is the probability a steady solve fails outright with an
-	// injected solver error (counted by the breaker, lease evicted).
+	// injected solver error (counted by the breaker, session closed).
 	FailRate float64
 }
 
@@ -67,16 +69,16 @@ func newChaos(cfg ChaosConfig) *chaos {
 func armChaos(s *Server, cfg ChaosConfig) (*chaos, http.Handler) {
 	c := newChaos(cfg)
 	solve := s.solve
-	s.solve = func(ctx context.Context, l *lease, p *steadyProposal) (*SteadyResponse, error) {
+	s.solve = func(ctx context.Context, ses *cosim.Session, p *steadyProposal) (*SteadyResponse, error) {
 		sabotage, fail := c.solveFaults()
 		if sabotage {
-			l.ses.InjectMGFault(true)
-			defer l.ses.InjectMGFault(false)
+			ses.InjectMGFault(true)
+			defer ses.InjectMGFault(false)
 		}
 		if fail {
 			return nil, errChaosFail
 		}
-		return solve(ctx, l, p)
+		return solve(ctx, ses, p)
 	}
 	routes := s.routes()
 	return c, s.recoverMiddleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

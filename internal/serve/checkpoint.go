@@ -199,10 +199,11 @@ func (s *Server) restoreBlade(cb *checkpointBlade) error {
 	if err != nil {
 		return err
 	}
-	sys, ses, err := s.buildLease(p.lease)
+	ses, err := s.pools.own(p.class.poolKey)
 	if err != nil {
 		return err
 	}
+	sys := ses.System()
 	sim, err := ses.Transient(p.operatingFor(), cb.InitialC)
 	if err != nil {
 		ses.Close()

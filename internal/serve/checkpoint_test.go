@@ -77,6 +77,80 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 	}
 }
 
+// TestTransientBladesShareSystem: blades registered at the same
+// (resolution, fault) hold one System, each on its own session, whatever
+// their solver; a different fault gets its own System. Sharing leaks no state: every
+// blade steps byte-identically to a blade alone on a fresh server, and
+// after a checkpoint restore (which shares the System again) the next
+// chunk matches the uninterrupted run.
+func TestTransientBladesShareSystem(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "ckpt.json")
+	regs := map[string]string{
+		"b0": `{"blade":"b0","benchmark":"x264"}`,
+		"b1": `{"blade":"b1","benchmark":"canneal","idle":"C6"}`,
+		"b2": `{"blade":"b2","benchmark":"x264","fault":"fouling:0.3"}`,
+		"b3": `{"blade":"b3","benchmark":"vips","solver":"mgpcg"}`,
+	}
+	names := []string{"b0", "b1", "b2", "b3"}
+	chunk1 := `{"seq":1,"dt_s":0.25,"steps":[{},{"load":1.2}]}`
+	chunk2 := `{"seq":2,"dt_s":0.25,"steps":[{"load":0.7},{}]}`
+	blade := func(s *Server, name string) *transientBlade {
+		b, ok := s.trans.get(name)
+		if !ok {
+			t.Fatalf("blade %s not registered", name)
+		}
+		return b
+	}
+	checkShared := func(s *Server) {
+		b0, b1, b2, b3 := blade(s, "b0"), blade(s, "b1"), blade(s, "b2"), blade(s, "b3")
+		if b0.sys != b1.sys || b0.sys != b3.sys || b0.ses == b1.ses {
+			t.Fatal("blades at one (resolution, fault) do not share one System on their own sessions")
+		}
+		if b2.sys == b0.sys {
+			t.Fatal("a faulted blade shares the healthy System")
+		}
+	}
+
+	s1 := newTestServer(t, Config{CheckpointPath: ckpt})
+	h1 := s1.Handler()
+	for _, n := range names {
+		if w := post(t, h1, "/v1/transient", regs[n]); w.Code != http.StatusCreated {
+			t.Fatalf("register %s: %d %s", n, w.Code, w.Body)
+		}
+	}
+	checkShared(s1)
+	first := map[string]*bytes.Buffer{}
+	for _, n := range names {
+		first[n] = stepChunk(t, h1, n, 1, chunk1)
+	}
+	if w := post(t, h1, "/v1/checkpoint", ""); w.Code != http.StatusOK {
+		t.Fatalf("checkpoint: %d %s", w.Code, w.Body)
+	}
+	ref := map[string]*bytes.Buffer{}
+	for _, n := range names {
+		ref[n] = stepChunk(t, h1, n, 2, chunk2)
+	}
+
+	for _, n := range names {
+		solo := newTestServer(t, Config{}).Handler()
+		if w := post(t, solo, "/v1/transient", regs[n]); w.Code != http.StatusCreated {
+			t.Fatalf("solo register %s: %d %s", n, w.Code, w.Body)
+		}
+		if got := stepChunk(t, solo, n, 1, chunk1); !bytes.Equal(first[n].Bytes(), got.Bytes()) {
+			t.Fatalf("%s on a shared System diverged from a solo blade:\nshared %s\nsolo   %s", n, first[n], got)
+		}
+	}
+
+	s2 := newTestServer(t, Config{CheckpointPath: ckpt, RestoreOnStart: true})
+	checkShared(s2)
+	h2 := s2.Handler()
+	for _, n := range names {
+		if got := stepChunk(t, h2, n, 2, chunk2); !bytes.Equal(ref[n].Bytes(), got.Bytes()) {
+			t.Fatalf("%s: restore-then-step diverged from the uninterrupted run:\nref %s\ngot %s", n, ref[n], got)
+		}
+	}
+}
+
 // TestCheckpointIgnoresStoredBasePower: a restore derives each blade's
 // base power map from its normalized proposal, never from the file. A
 // correctly checksummed checkpoint whose blade carries a tampered

@@ -20,7 +20,7 @@ import (
 // it accepts re-normalizes to the same memo key, both from its canonical
 // request and from that key decoded back as a request body (the form a
 // checkpoint stores). Canonicalization must be idempotent, or one
-// proposal would occupy several memo entries and leases. The seed corpus
+// proposal would occupy several memo entries and breaker classes. The seed corpus
 // lives in testdata/fuzz/FuzzNormalizeSteady.
 func FuzzNormalizeSteady(f *testing.F) {
 	s, err := New(Config{})
@@ -43,8 +43,8 @@ func FuzzNormalizeSteady(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical request %s rejected on re-normalization: %v", p.key, err)
 		}
-		if again.key != p.key || again.lease != p.lease {
-			t.Fatalf("re-normalization moved the proposal:\n key %s\n  →  %s\n lease %+v\n  →  %+v", p.key, again.key, p.lease, again.lease)
+		if again.key != p.key || again.class != p.class {
+			t.Fatalf("re-normalization moved the proposal:\n key %s\n  →  %s\n class %+v\n  →  %+v", p.key, again.key, p.class, again.class)
 		}
 		var back SteadyRequest
 		dec = json.NewDecoder(bytes.NewReader([]byte(p.key)))

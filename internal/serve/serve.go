@@ -8,14 +8,13 @@
 //
 // The subsystem has four moving parts:
 //
-//   - A session-lease manager (lease.go): a sharded LRU cache of warm
-//     cosim.Sessions keyed by (floorplan, mapping, solver, resolution,
-//     fault). Leases serialize solves per session (sessions are not
-//     concurrency-safe), reuse is counted, and eviction/drain close the
-//     session through the idempotent Session.Close contract. Solve
-//     failures evict the lease — the PR 8 warm-start-invalidation rule
-//     lifted to the cache: a poisoned session never serves another
-//     request.
+//   - Session pools (pool.go): one pool per (solver, resolution, fault),
+//     each a shared cosim.System and a free list of non-carrying
+//     sessions. A request owns its session from acquire to release, so
+//     distinct mappings share sessions and only as many exist as solves
+//     ran at once. An LRU over the pools bounds the idle sessions, and a
+//     failed or panicked solve closes its session instead of pooling it:
+//     a poisoned session never serves another request.
 //   - A response memo (memo.go) with single-flight misses (flight.go): an
 //     LRU of canonical proposal → response body bytes. Identical proposals
 //     return byte-identical bodies across cache hit/miss and across
@@ -28,10 +27,10 @@
 //     instead of piling up.
 //   - Graceful drain: BeginDrain flips every endpoint to 503, in-flight
 //     requests finish (http.Server.Shutdown's contract), then Close
-//     retires every cached session and registered transient blade.
+//     retires every pooled session and registered transient blade.
 //
 // Determinism contract: every solve seeds exactly like a fresh-session
-// solve (cached sessions never carry a warm start across requests), so a
+// solve (pooled sessions never carry a warm start across requests), so a
 // recomputed response — after memo eviction, on another session, on a
 // fresh server — is byte-identical to the first.
 package serve
@@ -48,6 +47,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cosim"
 	"repro/internal/experiments"
 	"repro/internal/floorplan"
 	"repro/internal/thermal"
@@ -72,7 +72,9 @@ type Config struct {
 	// QueueDepth bounds how many admitted requests may wait for a solve
 	// slot before new ones are refused with 429 (0 = 2×Workers).
 	QueueDepth int
-	// Sessions caps the lease cache (0 = 64 sessions).
+	// Sessions caps the idle pooled sessions and the session pools, each
+	// of which pins one System (0 = 64). Past it the least recently used
+	// pools are evicted.
 	Sessions int
 	// MemoEntries caps the response memo (0 = 4096 bodies).
 	MemoEntries int
@@ -141,6 +143,9 @@ type Stats struct {
 	SteadyRequests int64 `json:"steady_requests"`
 	MemoHits       int64 `json:"memo_hits"`
 	MemoMisses     int64 `json:"memo_misses"`
+	// A steady miss reuses an idle pooled session or builds one.
+	// Evictions counts pooled sessions closed before drain: poisoned,
+	// over the cap, or in an evicted pool. Sessions is the idle ones now.
 	SessionReuses  int64 `json:"session_reuses"`
 	SessionBuilds  int64 `json:"session_builds"`
 	Evictions      int64 `json:"evictions"`
@@ -181,13 +186,13 @@ type counters struct {
 	checkpointRestored atomic.Int64
 }
 
-// Server owns the lease cache, the response memo, the transient-blade
+// Server owns the session pools, the response memo, the transient-blade
 // registry and the admission queue. Create one with New, mount Handler on
 // an http.Server, and on shutdown call BeginDrain, then
 // http.Server.Shutdown, then Close.
 type Server struct {
 	cfg      Config
-	leases   *leaseCache
+	pools    *sessionPools
 	memo     *memo
 	flights  *flights
 	trans    *transients
@@ -200,9 +205,10 @@ type Server struct {
 	// request validation before any system is built.
 	dieBlocks map[string]bool
 
-	// solve runs one proposal on a locked lease. New sets it to
-	// solveSteady; it is the one seam tests wrap to inject solver faults.
-	solve func(context.Context, *lease, *steadyProposal) (*SteadyResponse, error)
+	// solve runs one proposal on a pooled session the caller owns. New
+	// sets it to solveSteady; it is the one seam tests wrap to inject
+	// solver faults.
+	solve func(context.Context, *cosim.Session, *steadyProposal) (*SteadyResponse, error)
 
 	// ckptStop/ckptDone bracket the periodic checkpoint goroutine.
 	ckptStop chan struct{}
@@ -224,7 +230,7 @@ func New(cfg Config) (*Server, error) {
 		breakers: newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
 	}
 	s.solve = s.solveSteady
-	s.leases = newLeaseCache(cfg.Sessions, s.buildLease, &s.stats)
+	s.pools = newSessionPools(cfg.Sessions, s.newSession, &s.stats)
 	s.trans = newTransients(cfg.Transients)
 	fp := floorplan.BroadwellEP()
 	s.dieBlocks = make(map[string]bool, len(fp.Blocks))
@@ -301,12 +307,11 @@ func (s *Server) retryAfterSecs() int {
 // clean refusal instead of a mid-handshake reset.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Close drains (if not already draining) and retires every cached solve
+// Close drains (if not already draining) and retires every pooled solve
 // session and registered transient blade, releasing their worker teams.
 // Close is idempotent and must run after http.Server.Shutdown has
-// returned, so no handler still holds a lease; a lease that *is* still
-// referenced is marked dead and closed by its releaser — the race the
-// idempotent Session.Close contract exists for.
+// returned, so no handler still owns a pooled session; one that does is
+// closed by its release, because its pool is retired.
 // A configured checkpoint path gets a final on-drain snapshot first, so
 // a graceful shutdown preserves every streaming blade for the next boot.
 func (s *Server) Close() error {
@@ -323,7 +328,7 @@ func (s *Server) Close() error {
 		_, saveErr = s.SaveCheckpoint()
 	}
 	s.trans.closeAll()
-	s.leases.closeAll()
+	s.pools.closeAll()
 	return saveErr
 }
 
@@ -348,7 +353,7 @@ func (s *Server) Snapshot() Stats {
 		CheckpointSaves:          s.stats.checkpointSaves.Load(),
 		CheckpointBladesRestored: s.stats.checkpointRestored.Load(),
 
-		Sessions:   s.leases.len(),
+		Sessions:   s.pools.len(),
 		Transients: s.trans.len(),
 		Draining:   s.draining.Load(),
 	}

@@ -292,29 +292,136 @@ func TestSteadyBackpressure(t *testing.T) {
 	}
 }
 
-func TestLeaseEviction(t *testing.T) {
-	s := newTestServer(t, Config{Sessions: 1})
+// parsecBenchmarks are the 13 PARSEC workloads; with two idle states
+// they make 26 distinct mappings.
+var parsecBenchmarks = []string{"blackscholes", "bodytrack", "canneal", "dedup", "facesim",
+	"ferret", "fluidanimate", "freqmine", "raytrace", "streamcluster", "swaptions", "vips", "x264"}
+
+// postAll posts every body through conc concurrent clients and returns
+// the response bodies in order; any non-200 fails the test.
+func postAll(t *testing.T, h http.Handler, bodies []string, conc int) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(bodies))
+	errs := make(chan error, conc)
+	for c := 0; c < conc; c++ {
+		go func(c int) {
+			for i := c; i < len(bodies); i += conc {
+				w := post(t, h, "/v1/steady", bodies[i])
+				if w.Code != http.StatusOK {
+					errs <- fmt.Errorf("%s: %d %s", bodies[i], w.Code, w.Body)
+					return
+				}
+				out[i] = w.Body.Bytes()
+			}
+			errs <- nil
+		}(c)
+	}
+	for c := 0; c < conc; c++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestPoolBoundsSessions: 26 distinct mappings at one (solver,
+// resolution, fault) solve on one pool, so a two-worker server builds at
+// most two sessions and keeps at most two idle, however many mappings it
+// has seen.
+func TestPoolBoundsSessions(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 2, Threads: 1})
+	var bodies []string
+	for _, idle := range []string{"POLL", "C6"} {
+		for _, b := range parsecBenchmarks {
+			bodies = append(bodies, fmt.Sprintf(`{"benchmark":%q,"idle":%q}`, b, idle))
+		}
+	}
+	postAll(t, s.Handler(), bodies, 2)
+	st := s.Snapshot()
+	if st.MemoMisses != 26 {
+		t.Fatalf("%d misses for 26 distinct mappings", st.MemoMisses)
+	}
+	if st.SessionBuilds > 2 || st.Sessions > 2 {
+		t.Fatalf("26 mappings through 2 workers: %d session builds, %d idle sessions; want at most 2 each",
+			st.SessionBuilds, st.Sessions)
+	}
+	if st.SessionBuilds+st.SessionReuses != 26 || st.Evictions != 0 {
+		t.Fatalf("%d builds + %d reuses for 26 solves, %d evictions", st.SessionBuilds, st.SessionReuses, st.Evictions)
+	}
+}
+
+// TestPoolEvictsLeastRecentlyUsed: every fault string is its own pool and
+// System, so distinct faults beyond the Sessions cap evict the least
+// recently used pools, the idle sessions stay at or under the cap, and an
+// evicted class answers byte-identically when it is solved again.
+func TestPoolEvictsLeastRecentlyUsed(t *testing.T) {
+	s := newTestServer(t, Config{Sessions: 2})
 	h := s.Handler()
-	// Distinct benchmarks are distinct lease keys; push enough through a
-	// 1-per-shard cache to force evictions.
-	for _, b := range []string{"blackscholes", "bodytrack", "canneal", "dedup", "facesim",
-		"ferret", "fluidanimate", "freqmine", "raytrace", "streamcluster", "swaptions", "vips", "x264"} {
-		w := post(t, h, "/v1/steady", fmt.Sprintf(`{"benchmark":%q}`, b))
+	var first []byte
+	for i, f := range []string{"pump:0.1", "pump:0.2", "pump:0.3", "fouling:0.2", "htc:0.2"} {
+		w := post(t, h, "/v1/steady", fmt.Sprintf(`{"benchmark":"x264","fault":%q}`, f))
 		if w.Code != http.StatusOK {
-			t.Fatalf("%s: %d %s", b, w.Code, w.Body)
+			t.Fatalf("%s: %d %s", f, w.Code, w.Body)
+		}
+		if i == 0 {
+			first = w.Body.Bytes()
+		}
+		if n := s.Snapshot().Sessions; n > 2 {
+			t.Fatalf("after %s: %d idle sessions, cap is 2", f, n)
 		}
 	}
 	st := s.Snapshot()
-	if st.Evictions == 0 {
-		t.Fatal("13 distinct keys through a 1-session-per-shard cache evicted nothing")
+	if st.Evictions != 3 || st.SessionBuilds != 5 {
+		t.Fatalf("5 faults through a 2-session cap: %d evictions, %d builds; want 3, 5", st.Evictions, st.SessionBuilds)
 	}
-	if st.Sessions > leaseShardCount {
-		t.Fatalf("%d sessions cached, cap is %d", st.Sessions, leaseShardCount)
-	}
-	// Every evicted key still answers (rebuilt), and the memo still hits.
-	w := post(t, h, "/v1/steady", `{"benchmark":"blackscholes"}`)
+	// The memo outlives the evicted pool, and a recompute matches.
+	w := post(t, h, "/v1/steady", `{"benchmark":"x264","fault":"pump:0.1"}`)
 	if got := w.Header().Get("X-Cache"); got != "hit" {
-		t.Fatalf("memo should outlive lease eviction, got X-Cache=%q", got)
+		t.Fatalf("memo should outlive pool eviction, got X-Cache=%q", got)
+	}
+	s.memo.reset()
+	w = post(t, h, "/v1/steady", `{"benchmark":"x264","fault":"pump:0.1"}`)
+	if w.Code != http.StatusOK || !bytes.Equal(first, w.Body.Bytes()) {
+		t.Fatalf("evicted class recomputed differently: %d %s", w.Code, w.Body)
+	}
+	// Transient blades never release a session, yet their pools (each
+	// pinning a System) stay under the cap too.
+	for i, f := range []string{"pump:0.4", "pump:0.5", "pump:0.6"} {
+		if w := post(t, h, "/v1/transient", fmt.Sprintf(`{"blade":"b%d","benchmark":"x264","fault":%q}`, i, f)); w.Code != http.StatusCreated {
+			t.Fatalf("register %s: %d %s", f, w.Code, w.Body)
+		}
+	}
+	s.pools.mu.Lock()
+	defer s.pools.mu.Unlock()
+	if n := s.pools.lru.Len(); n > 2 {
+		t.Fatalf("%d pools alive, cap is 2", n)
+	}
+}
+
+// TestPooledSessionsMatchFreshServers: distinct proposals solved
+// concurrently on the pooled sessions of one shared System answer
+// byte-identically to one request per fresh Server. Run it under -race:
+// the sessions share the System's read-only model.
+func TestPooledSessionsMatchFreshServers(t *testing.T) {
+	bodies := []string{
+		`{"benchmark":"x264"}`,
+		`{"benchmark":"canneal","cores":4,"threads":8,"idle":"C6"}`,
+		`{"benchmark":"ferret","freq_ghz":2.6,"active_cores":[0,2,5,7],"cores":4}`,
+		`{"benchmark":"vips","water_c":25,"water_flow_kgh":9}`,
+		`{"block_power_w":{"Core1":12,"LLC":9}}`,
+		`{"benchmark":"dedup","cores":2,"idle":"C1E"}`,
+	}
+	s := newTestServer(t, Config{Workers: 2, Threads: 1})
+	pooled := postAll(t, s.Handler(), bodies, 2)
+	if st := s.Snapshot(); st.SessionBuilds > 2 || st.SessionReuses == 0 {
+		t.Fatalf("%d builds, %d reuses: the proposals did not share pooled sessions", st.SessionBuilds, st.SessionReuses)
+	}
+	for i, body := range bodies {
+		fresh := newTestServer(t, Config{Workers: 1, Threads: 1})
+		w := post(t, fresh.Handler(), "/v1/steady", body)
+		if w.Code != http.StatusOK || !bytes.Equal(pooled[i], w.Body.Bytes()) {
+			t.Fatalf("%s: pooled body differs from a fresh server's (%d):\npooled %s\nfresh  %s", body, w.Code, pooled[i], w.Body)
+		}
 	}
 }
 
@@ -602,7 +709,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 			t.Fatalf("Close #%d: %v", i+1, err)
 		}
 	}
-	if got := s.leases.len(); got != 0 {
+	if got := s.pools.len(); got != 0 {
 		t.Fatalf("%d sessions survive Close", got)
 	}
 }
@@ -620,7 +727,7 @@ func TestWarmHitSpeedup(t *testing.T) {
 
 	coldest := func() time.Duration {
 		s.memo.reset()
-		s.leases.closeAll()
+		s.pools.closeAll()
 		t0 := time.Now()
 		w := post(t, h, "/v1/steady", body)
 		if w.Code != http.StatusOK {

@@ -114,11 +114,19 @@ type SteadyResponse struct {
 type steadyProposal struct {
 	req      SteadyRequest // canonical form
 	key      string        // canonical JSON — the memo key
-	lease    leaseKey
+	class    classKey
 	st       power.PackageState
 	bp       map[string]float64
 	op       thermosyphon.Operating
 	scenario faults.Scenario
+}
+
+// classKey is a proposal class: its session pool plus its mapping (the
+// benchmark configuration or the explicit block powers). Circuit
+// breakers trip per class.
+type classKey struct {
+	poolKey
+	mapping string
 }
 
 // parseIdle resolves an idle C-state name.
@@ -161,7 +169,8 @@ func (s *Server) normalizeSteady(req SteadyRequest) (*steadyProposal, error) {
 	if req.Solver == "" {
 		req.Solver = s.cfg.Solver.String()
 	}
-	if _, err := thermal.ParseSolver(req.Solver); err != nil {
+	solver, err := thermal.ParseSolver(req.Solver)
+	if err != nil {
 		return nil, err
 	}
 
@@ -252,13 +261,7 @@ func (s *Server) normalizeSteady(req SteadyRequest) (*steadyProposal, error) {
 		mappingKey = "power=" + string(b)
 	}
 
-	p.lease = leaseKey{
-		floorplan:  "broadwell-ep",
-		mapping:    mappingKey,
-		solver:     req.Solver,
-		resolution: res.String(),
-		fault:      req.Fault,
-	}
+	p.class = classKey{poolKey{solver: solver, resolution: res, fault: req.Fault}, mappingKey}
 	p.req = req
 	keyBytes, err := canonicalJSON(req)
 	if err != nil {
@@ -268,36 +271,15 @@ func (s *Server) normalizeSteady(req SteadyRequest) (*steadyProposal, error) {
 	return p, nil
 }
 
-// buildLease is the lease cache's session factory: a fresh system with
-// the key's (possibly fault-derated) design and a session configured with
-// the key's solver and the budget's team width. The session never carries
-// a warm start across solves, so every response is reproducible.
-func (s *Server) buildLease(key leaseKey) (*cosim.System, *cosim.Session, error) {
-	res, err := experiments.ParseResolution(key.resolution)
-	if err != nil {
-		return nil, nil, err
-	}
-	solver, err := thermal.ParseSolver(key.solver)
-	if err != nil {
-		return nil, nil, err
-	}
-	sc, err := faults.Parse(key.fault)
-	if err != nil {
-		return nil, nil, err
-	}
-	design := sc.ApplyDesign(thermosyphon.DefaultDesign(), serveLoopName, serveBladeName)
-	sys, err := experiments.NewSystem(design, res)
-	if err != nil {
-		return nil, nil, err
-	}
-	opts := []cosim.SessionOption{
-		cosim.WithSolver(solver),
-		cosim.CarryWarmStart(false),
-	}
+// newSession is the pools' session factory: a session on sys with the
+// key's solver and the budget's team width. It never carries a warm start
+// across solves, so every response is reproducible.
+func (s *Server) newSession(key poolKey, sys *cosim.System) *cosim.Session {
+	opts := []cosim.SessionOption{cosim.WithSolver(key.solver), cosim.CarryWarmStart(false)}
 	if s.cfg.Threads > 1 {
 		opts = append(opts, cosim.WithThreads(s.cfg.Threads))
 	}
-	return sys, sys.NewSession(opts...), nil
+	return sys.NewSession(opts...)
 }
 
 // operatingFor derates the requested coolant flow by the scenario's pump
@@ -310,36 +292,37 @@ func (p *steadyProposal) operatingFor() thermosyphon.Operating {
 	return op
 }
 
-// solveSteady runs one proposal on a leased session (the lease's lock
-// must be held) and renders the response.
-func (s *Server) solveSteady(ctx context.Context, l *lease, p *steadyProposal) (*SteadyResponse, error) {
+// solveSteady runs one proposal on a pooled session the caller owns and
+// renders the response.
+func (s *Server) solveSteady(ctx context.Context, ses *cosim.Session, p *steadyProposal) (*SteadyResponse, error) {
 	op := p.operatingFor()
-	escBefore := len(l.ses.Escalations())
+	sys := ses.System()
+	escBefore := len(ses.Escalations())
 	var (
 		res *cosim.Result
 		err error
 	)
 	if p.bp != nil {
-		res, err = l.ses.SolveSteadyPower(ctx, p.bp, op)
+		res, err = ses.SolveSteadyPower(ctx, p.bp, op)
 	} else {
-		res, err = l.ses.SolveSteady(ctx, p.st, op)
+		res, err = ses.SolveSteady(ctx, p.st, op)
 	}
 	if err != nil {
 		return nil, err
 	}
-	die, err := l.sys.DieStats(res)
+	die, err := sys.DieStats(res)
 	if err != nil {
 		return nil, err
 	}
-	pkg, err := l.sys.PackageStats(res)
+	pkg, err := sys.PackageStats(res)
 	if err != nil {
 		return nil, err
 	}
-	blocks, err := l.sys.BlockTemps(res)
+	blocks, err := sys.BlockTemps(res)
 	if err != nil {
 		return nil, err
 	}
-	tcase := l.sys.TCase(res)
+	tcase := sys.TCase(res)
 	budget, err := chiller.Assess(op.WaterFlowKgH, op.WaterInC, res.Syphon.Condenser.WaterOutC, ambientC)
 	if err != nil {
 		return nil, err
@@ -358,7 +341,7 @@ func (s *Server) solveSteady(ctx context.Context, l *lease, p *steadyProposal) (
 		TCaseC:      tcase,
 		TotalPowerW: res.TotalPowerW,
 		Iterations:  res.Iterations,
-		Escalations: len(l.ses.Escalations()) - escBefore,
+		Escalations: len(ses.Escalations()) - escBefore,
 		DryoutCells: res.Syphon.DryoutCells,
 		Feasible:    tcase <= sched.TCaseMax && res.Syphon.DryoutCells == 0,
 		Cooling: SteadyCooling{
@@ -380,8 +363,8 @@ func (s *Server) solveSteady(ctx context.Context, l *lease, p *steadyProposal) (
 
 // handleSteady is POST /v1/steady: memo hit → stored bytes; miss →
 // single-flight per proposal (duplicates wait for the leader's outcome
-// instead of competing for admission), admission, lease, solve under the
-// request deadline, memoize, reply.
+// instead of competing for admission), admission, pooled session, solve
+// under the request deadline, memoize, reply.
 func (s *Server) handleSteady(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
@@ -443,12 +426,13 @@ func (s *Server) leadFlight(ctx context.Context, p *steadyProposal, f *flight) {
 }
 
 // solveProposal runs the miss path end to end — breaker, admission,
-// lease, solve, memoize — and returns the response body, or a non-zero
-// HTTP status with a message and an optional Retry-After hint in seconds.
+// pooled session, solve, memoize — and returns the response body, or a
+// non-zero HTTP status with a message and an optional Retry-After hint in
+// seconds.
 func (s *Server) solveProposal(ctx context.Context, p *steadyProposal) ([]byte, int, string, int) {
 	// The circuit breaker sits before admission: a tripped proposal class
 	// must not consume solve slots other classes could use.
-	tok, ra := s.breakers.admit(p.lease)
+	tok, ra := s.breakers.admit(p.class)
 	if tok == nil {
 		return nil, http.StatusServiceUnavailable,
 			"circuit breaker open for this proposal class; retry after the cooldown", ra
@@ -456,7 +440,7 @@ func (s *Server) solveProposal(ctx context.Context, p *steadyProposal) ([]byte, 
 	// Every exit path below must settle the ticket, or a half-open probe
 	// slot would leak and wedge the class; the default neutral outcome
 	// covers the paths where the solver never got a say (admission or
-	// lease failure, client cancellation).
+	// system build failure, client cancellation).
 	outcome := outcomeNeutral
 	defer func() { s.breakers.settle(tok, outcome) }()
 	release, err := s.adm.acquire(ctx)
@@ -470,20 +454,16 @@ func (s *Server) solveProposal(ctx context.Context, p *steadyProposal) ([]byte, 
 	s.stats.inFlight.Add(1)
 	defer s.stats.inFlight.Add(-1)
 
-	l, err := s.leases.acquire(p.lease)
+	pl, ses, err := s.pools.acquire(p.class.poolKey)
 	if err != nil {
 		return nil, http.StatusInternalServerError, err.Error(), 0
 	}
-	// The lease is unlocked and released on every exit, a panic included.
-	// Any exit but a clean success releases it poisoned, so no later
-	// request inherits a session a failed or panicked solve left behind.
+	// The session is released on every exit, a panic included. Any exit
+	// but a clean success releases it poisoned, so no later request
+	// inherits a session a failed or panicked solve left behind.
 	poisoned := true
-	l.mu.Lock()
-	defer func() {
-		l.mu.Unlock()
-		s.leases.release(l, poisoned)
-	}()
-	resp, err := s.solve(ctx, l, p)
+	defer func() { s.pools.release(pl, ses, poisoned) }()
+	resp, err := s.solve(ctx, ses, p)
 	// The breaker counts hard solver failures and escalation-ladder
 	// rescues as bad; client cancellations and deadlines are not the
 	// solver's fault and stay neutral.
@@ -498,8 +478,8 @@ func (s *Server) solveProposal(ctx context.Context, p *steadyProposal) ([]byte, 
 		outcome = outcomeBad
 	}
 	if err != nil {
-		// A failed solve poisons the lease (poisoned is still set): the
-		// release evicts it so no later request inherits the session.
+		// A failed solve poisons the session (poisoned is still set): the
+		// release closes it instead of pooling it.
 		return nil, solveStatus(err), solveMsg(err), 0
 	}
 	poisoned = false

@@ -18,7 +18,8 @@ import (
 // its thermal state advances across requests, so a client can stream a
 // power trace in chunks and the blade's temperature history is continuous.
 // Each blade owns a dedicated session (a session hosts at most one
-// transient sim); steps serialize through mu.
+// transient sim) on the System its (resolution, fault) pool shares;
+// steps serialize through mu.
 type transientBlade struct {
 	mu   sync.Mutex
 	name string
@@ -263,9 +264,9 @@ func (s *Server) handleTransientRegister(w http.ResponseWriter, r *http.Request)
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// A registration builds a dedicated system+session (a session hosts at
-	// most one transient sim), so it pays a cold build — gate it through
-	// admission like any other solve-class request.
+	// A registration builds a dedicated session (a session hosts at most
+	// one transient sim) on its pool's shared System, so it pays a cold
+	// build — gate it through admission like any other solve-class request.
 	release, err := s.adm.acquire(r.Context())
 	if err != nil {
 		s.rejectSolve(w, err)
@@ -273,11 +274,12 @@ func (s *Server) handleTransientRegister(w http.ResponseWriter, r *http.Request)
 	}
 	defer release()
 
-	sys, ses, err := s.buildLease(p.lease)
+	ses, err := s.pools.own(p.class.poolKey)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
+	sys := ses.System()
 	sim, err := ses.Transient(p.operatingFor(), initial)
 	if err != nil {
 		ses.Close()
