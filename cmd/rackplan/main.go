@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 
 	"repro/internal/core"
@@ -46,8 +47,8 @@ func main() {
 }
 
 // bladeRows caps the per-blade table: fleets past this size collapse to
-// one row per blade class (the rows would repeat anyway — identical
-// blades produce identical operating points).
+// one row per (benchmark, loop) blade class (the rows would repeat
+// anyway — identical blades produce identical operating points).
 const bladeRows = 32
 
 func run(racks, blades, loops int, resFlag string, waterC float64, solverFlag string, workers, threads int, faultFlag string) error {
@@ -139,32 +140,35 @@ func run(racks, blades, loops int, resFlag string, waterC float64, solverFlag st
 			return err
 		}
 	} else {
-		type cls struct {
-			b     datacenter.BladeReport
-			bench string
-			count int
+		// Blades of one benchmark on one loop share a class; a blade-scoped
+		// fault splits its blade out, so rows also key on the operating
+		// point they print.
+		type rowKey struct {
+			loop, bench int
+			cells       [3]string
 		}
 		var (
-			order []string
-			byB   = map[string]*cls{}
+			order []rowKey
+			count = map[rowKey]int{}
 		)
 		for i, b := range rep.Blades {
-			bench := benches[i%len(benches)].Name
-			c, ok := byB[bench]
-			if !ok {
-				c = &cls{b: b, bench: bench}
-				byB[bench] = c
-				order = append(order, bench)
+			k := rowKey{loop: topo.Racks[b.Rack].Loop, bench: i % len(benches)}
+			copy(k.cells[:], operatingCells(b))
+			if count[k] == 0 {
+				order = append(order, k)
 			}
-			c.count++
+			count[k]++
 		}
+		sort.SliceStable(order, func(i, j int) bool {
+			a, b := order[i], order[j]
+			return a.loop < b.loop || a.loop == b.loop && a.bench < b.bench
+		})
 		var rows [][]string
-		for _, bench := range order {
-			c := byB[bench]
-			rows = append(rows, append([]string{c.bench, strconv.Itoa(c.count)}, operatingCells(c.b)...))
+		for _, k := range order {
+			rows = append(rows, append([]string{benches[k.bench].Name, topo.Loops[k.loop].Name, strconv.Itoa(count[k])}, k.cells[:]...))
 		}
 		if err := render.Table(os.Stdout,
-			[]string{"bench", "blades", "W each", "die θmax", "TCASE"}, rows); err != nil {
+			[]string{"bench", "loop", "blades", "W each", "die θmax", "TCASE"}, rows); err != nil {
 			return err
 		}
 	}
@@ -175,7 +179,7 @@ func run(racks, blades, loops int, resFlag string, waterC float64, solverFlag st
 	for _, l := range rep.Loops {
 		loopRows = append(loopRows, []string{
 			l.Name, strconv.Itoa(l.Blades),
-			fmt.Sprintf("%.0f", l.State.HeatW),
+			fmt.Sprintf("%.0f", l.State.HeatW) + notCounted(l.FailedBlades),
 			fmt.Sprintf("%.2f", l.State.SupplyC),
 			fmt.Sprintf("%.2f", l.State.ReturnC),
 			fmt.Sprintf("%.0f", l.State.FlowKgH),
@@ -186,8 +190,8 @@ func run(racks, blades, loops int, resFlag string, waterC float64, solverFlag st
 		return err
 	}
 
-	fmt.Printf("\nplant: %.0f W IT, %.0f W chiller (mean COP %.0f), hottest die %.1f °C\n",
-		rep.ITPowerW, rep.Plant.ChillerPowerW, rep.Plant.MeanCOP, rep.MaxDieC)
+	fmt.Printf("\nplant: %.0f W IT%s, %.0f W chiller (mean COP %.0f), hottest die %.1f °C\n",
+		rep.ITPowerW, notCounted(rep.FailedBlades), rep.Plant.ChillerPowerW, rep.Plant.MeanCOP, rep.MaxDieC)
 	fmt.Printf("facility PUE: %.3f (paper's prototype 1.05)\n", rep.Plant.PUE)
 	return nil
 }
@@ -200,4 +204,13 @@ func operatingCells(b datacenter.BladeReport) []string {
 		return []string{"failed", "failed", "failed"}
 	}
 	return []string{fmt.Sprintf("%.1f", b.HeatW), fmt.Sprintf("%.1f", b.DieMaxC), fmt.Sprintf("%.1f", b.TCaseC)}
+}
+
+// notCounted notes the blades whose class solve failed: a heat or IT
+// power they belong to leaves them out.
+func notCounted(failed int) string {
+	if failed == 0 {
+		return ""
+	}
+	return fmt.Sprintf(" (%d failed blades not counted)", failed)
 }

@@ -44,10 +44,13 @@ func TestRackplanRuns(t *testing.T) {
 			t.Fatalf("output missing %q:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, "not counted") {
+		t.Fatalf("a healthy fleet reports uncounted blades:\n%s", out)
+	}
 }
 
 // TestRackplanClassRollup: fleets past the per-blade table cap collapse
-// to one row per benchmark class, with populations summing to the fleet.
+// to one row per (benchmark, loop) class.
 func TestRackplanClassRollup(t *testing.T) {
 	out := captureStdout(t, func() error {
 		return run(5, 8, 2, "coarse", 27, "cg", 0, 1, "")
@@ -55,6 +58,11 @@ func TestRackplanClassRollup(t *testing.T) {
 	for _, want := range []string{"40 blades in 5 racks over 2 loops", "blades", "W each"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
+	for _, row := range []string{`(?m)^x264 +loop0 +\d+ `, `(?m)^x264 +loop1 +\d+ `} {
+		if !regexp.MustCompile(row).MatchString(out) {
+			t.Fatalf("no class row matches %s:\n%s", row, out)
 		}
 	}
 }
@@ -109,24 +117,42 @@ func TestRackplanFaultFlag(t *testing.T) {
 // TestRackplanFailedClassesPrintFailed: on a 280-blade loop under
 // pump:0.8 the blackscholes and raytrace class solves fail. Their rows
 // must say "failed", never print a zero operating point that reads as a
-// cool blade, while the solved classes keep their numbers.
+// cool blade, while the solved classes keep their numbers. Classes are
+// per loop: on a 200-blade fleet over two loops, freqmine fails on the
+// hotter loop0 only, and each loop gets a freqmine row of its own. The
+// loop and plant lines name the failed blades they leave out.
 func TestRackplanFailedClassesPrintFailed(t *testing.T) {
 	if testing.Short() {
-		t.Skip("solves a 280-blade faulted fleet")
+		t.Skip("solves a 280-blade and a 200-blade faulted fleet")
 	}
 	out := captureStdout(t, func() error {
 		return run(7, 40, 1, "coarse", 27, "cg", 0, 1, "pump:0.8")
 	})
 	for _, bench := range []string{"blackscholes", "raytrace"} {
-		if !regexp.MustCompile(`(?m)^` + bench + ` +\d+ +failed +failed +failed *$`).MatchString(out) {
+		if !regexp.MustCompile(`(?m)^` + bench + ` +loop0 +\d+ +failed +failed +failed *$`).MatchString(out) {
 			t.Fatalf("%s row does not print failed cells:\n%s", bench, out)
 		}
 	}
-	if !regexp.MustCompile(`(?m)^x264 +\d+ +\d+\.\d +\d+\.\d +\d+\.\d *$`).MatchString(out) {
+	if !regexp.MustCompile(`(?m)^x264 +loop0 +\d+ +\d+\.\d +\d+\.\d +\d+\.\d *$`).MatchString(out) {
 		t.Fatalf("solved x264 class lost its operating point:\n%s", out)
 	}
 	if regexp.MustCompile(`(?m) 0\.0 `).MatchString(out) {
 		t.Fatalf("a class row prints a zero operating point:\n%s", out)
+	}
+
+	out = captureStdout(t, func() error {
+		return run(5, 40, 2, "coarse", 27, "cg", 0, 1, "pump:0.8")
+	})
+	for _, want := range []string{
+		`(?m)^freqmine +loop0 +\d+ +failed +failed +failed *$`,
+		`(?m)^freqmine +loop1 +\d+ +\d+\.\d +\d+\.\d +\d+\.\d *$`,
+		`(?m)^loop0 +120 +\d+ \(\d+ failed blades not counted\) `,
+		`(?m)^loop1 +80 +\d+ +\d+\.\d\d `,
+		`(?m)^plant: \d+ W IT \(\d+ failed blades not counted\), `,
+	} {
+		if !regexp.MustCompile(want).MatchString(out) {
+			t.Fatalf("two-loop fleet output does not match %s:\n%s", want, out)
+		}
 	}
 }
 

@@ -179,16 +179,48 @@ func (ses *Session) System() *System { return ses.sys }
 // Reset drops the carried warm-start state; the next solve starts cold.
 func (ses *Session) Reset() { ses.warm = false }
 
+// Carry is a session's warm-start state held outside the session: the
+// converged temperature field, the converged top-surface heat flux, and
+// whether they are valid. It is the only numerical state a steady solve
+// passes to the next one (the workspace and every other buffer are fully
+// overwritten by each solve), so many solve sequences can share one
+// session by swapping their Carry in before a solve and out after it
+// (SwapCarry), and each sequence solves bit-identically to running on a
+// session of its own. The zero value is a cold start.
+type Carry struct {
+	t, q []float64
+	warm bool
+}
+
+// SwapCarry exchanges the session's warm-start state with c in O(1): no
+// buffer is copied. Swapping a sequence's Carry in, solving, and swapping
+// it back out leaves the session holding whatever state it had before.
+// A zero Carry swaps in a cold start; its field buffer is allocated here
+// on first use. A failed solve drops the warm flag, and swapping out
+// carries that into c too. The Result of a solve aliases the swapped-in
+// field, so read it before swapping out. Not for sessions running a
+// transient simulation.
+func (ses *Session) SwapCarry(c *Carry) {
+	f := ses.ws.FieldA()
+	if c.t == nil {
+		c.t = make([]float64, len(f.T))
+	}
+	f.T, c.t = c.t, f.T
+	ses.q, c.q = c.q, ses.q
+	ses.warm, c.warm = c.warm, ses.warm
+}
+
 // ReseatWater adapts the carried warm-start state to a change of the
 // cooling-water inlet temperature: to first order a uniform inlet shift
 // offsets the whole steady temperature field by the same amount and
 // leaves the heat-flux distribution unchanged, so shifting the carried
 // field by deltaC keeps the warm start tight when an outer loop (the
 // datacenter water-temperature fixed point) re-solves the same blade at a
-// slightly different water temperature. No system is rebuilt and nothing
-// re-converges here — the next solve still iterates to the same converged
-// answer (within solver tolerances), it just starts closer to it. A no-op
-// on sessions with no carried state.
+// slightly different water temperature. It acts on whatever state the
+// session holds, a Carry swapped in by SwapCarry included. No system is
+// rebuilt and nothing re-converges here — the next solve still iterates
+// to the same converged answer (within solver tolerances), it just starts
+// closer to it. A no-op on sessions with no carried state.
 func (ses *Session) ReseatWater(deltaC float64) {
 	if !ses.warm || !ses.carry || deltaC == 0 {
 		return

@@ -1,12 +1,14 @@
 package cosim
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/power"
+	"repro/internal/thermal"
 	"repro/internal/thermosyphon"
 )
 
@@ -351,6 +353,74 @@ func TestSessionReseatWater(t *testing.T) {
 	for i := range fresh.Field.T {
 		if fresh.Field.T[i] != coldRes.Field.T[i] {
 			t.Fatalf("re-seat on a cold session changed the solve (cell %d)", i)
+		}
+	}
+}
+
+// TestSessionSwapCarryMatchesDedicated: two solve sequences sharing one
+// session through SwapCarry must solve bit-identically to the same
+// sequences on sessions of their own — warm starts, water re-seats and a
+// failed solve (which drops its sequence's warm start, and only that one)
+// included. It is the equivalence that lets datacenter blade classes
+// share pooled sessions.
+func TestSessionSwapCarryMatchesDedicated(t *testing.T) {
+	sys, err := NewSystem(coarseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	leak := power.DefaultLeakage()
+	op := thermosyphon.DefaultOperating()
+	hot := op
+	hot.WaterInC += 1.5
+	sts := []power.PackageState{fullLoadState(2.2), fullLoadState(1.4)}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	steps := []struct {
+		seq    int
+		op     thermosyphon.Operating
+		reseat float64
+		ctx    context.Context
+	}{
+		{0, op, 0, nil},
+		{1, op, 0, nil},
+		{0, hot, 1.5, nil},
+		{1, hot, 1.5, nil},
+		{1, op, -1.5, cancelled}, // fails: sequence 1 starts cold again
+		{1, op, 0, nil},
+		{0, op, -1.5, nil},
+	}
+	for _, solver := range []thermal.Solver{thermal.SolverCG, thermal.SolverMGPCG} {
+		own := []*Session{sys.NewSession(WithSolver(solver)), sys.NewSession(WithSolver(solver))}
+		shared := sys.NewSession(WithSolver(solver))
+		carries := make([]Carry, len(own))
+		for i, s := range steps {
+			own[s.seq].ReseatWater(s.reseat)
+			want, wantErr := own[s.seq].SolveSteadyLeakage(s.ctx, sts[s.seq], s.op, leak)
+			shared.SwapCarry(&carries[s.seq])
+			shared.ReseatWater(s.reseat)
+			got, gotErr := shared.SolveSteadyLeakage(s.ctx, sts[s.seq], s.op, leak)
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("%v step %d: dedicated error %v, shared error %v", solver, i, wantErr, gotErr)
+			}
+			if wantErr == nil {
+				if got.Iterations != want.Iterations || got.TotalPowerW != want.TotalPowerW {
+					t.Fatalf("%v step %d: shared %d passes / %v W, dedicated %d / %v W",
+						solver, i, got.Iterations, got.TotalPowerW, want.Iterations, want.TotalPowerW)
+				}
+				for c := range want.Field.T {
+					if got.Field.T[c] != want.Field.T[c] {
+						t.Fatalf("%v step %d: cell %d differs from the dedicated session", solver, i, c)
+					}
+				}
+			}
+			shared.SwapCarry(&carries[s.seq])
+			if carries[s.seq].warm != own[s.seq].warm {
+				t.Fatalf("%v step %d: carried warm flag %v, dedicated session %v",
+					solver, i, carries[s.seq].warm, own[s.seq].warm)
+			}
+		}
+		if shared.warm {
+			t.Fatalf("%v: a session whose sequences are all swapped out holds a warm start", solver)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package datacenter
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -172,9 +173,11 @@ func TestInfeasibleBladesNamed(t *testing.T) {
 	}
 }
 
-// TestFaultedPooledByteIdentical: the determinism contract holds under a
-// composed fault scenario and degraded-mode throttling — any workers ×
-// threads split must reproduce the serial report exactly.
+// TestFaultedPooledByteIdentical: the determinism contract holds under
+// composed fault scenarios and degraded-mode throttling — any workers ×
+// threads split must reproduce the serial report exactly. The second
+// scenario derates three thermosyphon designs, so classes of several
+// designs share thread-teamed pooled sessions, two per design at 2×2.
 func TestFaultedPooledByteIdentical(t *testing.T) {
 	sys := testSystem(t)
 	states := []power.PackageState{testState(4.5, 8), testState(3.5, 8), testState(2.5, 4)}
@@ -182,34 +185,86 @@ func TestFaultedPooledByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := faults.Scenario{Name: "mixed", Faults: []faults.Fault{
-		{Kind: faults.PumpDegradation, Severity: 0.6, Loop: "loop0"},
-		{Kind: faults.CondenserFouling, Severity: 0.4},
-		{Kind: faults.BladeCoolingLoss, Severity: 0.4, Blade: "r0b0"},
-	}}
-	var base *Report
-	for _, split := range []struct{ workers, threads int }{{1, 1}, {4, 2}} {
-		s, err := New(sys, topo, Options{
-			Solver:   thermal.SolverMGPCG,
-			Workers:  split.workers,
-			Threads:  split.threads,
-			Scenario: &sc,
-		})
-		if err != nil {
-			t.Fatal(err)
+	for _, sc := range []faults.Scenario{
+		{Name: "mixed", Faults: []faults.Fault{
+			{Kind: faults.PumpDegradation, Severity: 0.6, Loop: "loop0"},
+			{Kind: faults.CondenserFouling, Severity: 0.4},
+			{Kind: faults.BladeCoolingLoss, Severity: 0.4, Blade: "r0b0"},
+		}},
+		{Name: "designs", Faults: []faults.Fault{
+			{Kind: faults.PartialDryout, Severity: 0.5, Loop: "loop1"},
+			{Kind: faults.HTCDrift, Severity: 0.5, Blade: "r0b1"},
+			{Kind: faults.PumpDegradation, Severity: 0.4},
+		}},
+	} {
+		var base *Report
+		for _, split := range []struct{ workers, threads int }{{1, 1}, {4, 2}, {2, 2}} {
+			s, err := New(sys, topo, Options{
+				Solver:   thermal.SolverMGPCG,
+				Workers:  split.workers,
+				Threads:  split.threads,
+				Scenario: &sc,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := s.Solve(context.Background())
+			s.Close()
+			if err != nil {
+				t.Fatalf("%s %dx%d: %v", sc.Name, split.workers, split.threads, err)
+			}
+			if base == nil {
+				base = rep
+				continue
+			}
+			if !reflect.DeepEqual(base, rep) {
+				t.Fatalf("%s: pooled %d×%d faulted report differs from serial", sc.Name, split.workers, split.threads)
+			}
 		}
-		rep, err := s.Solve(context.Background())
-		s.Close()
-		if err != nil {
-			t.Fatalf("%dx%d: %v", split.workers, split.threads, err)
-		}
-		if base == nil {
-			base = rep
+	}
+}
+
+// TestFailedBladesCounted: a blade whose class solve fails has no heat,
+// so the IT power, the loop heats and the plant leave it out — and the
+// report says how many blades it left out, fleet-wide and per loop.
+func TestFailedBladesCounted(t *testing.T) {
+	loop := testLoop()
+	loop.PerBladeFlowKgH = 7
+	// Round-robin states put one 12 W/core blade on loop0 and two on
+	// loop1; under the pump fault their solves fail, the others solve.
+	topo, err := Uniform(2, 3, 2, loop, []power.PackageState{testState(4.5, 8), testState(12, 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := faults.Scenario{Name: "pump", Faults: []faults.Fault{{Kind: faults.PumpDegradation, Severity: 0.6}}}
+	rep := solveOnce(t, topo, Options{Scenario: &sc})
+	perLoop := make([]int, len(rep.Loops))
+	var failed int
+	var it float64
+	for _, b := range rep.Blades {
+		if b.Failed {
+			failed++
+			perLoop[topo.Racks[b.Rack].Loop]++
 			continue
 		}
-		if !reflect.DeepEqual(base, rep) {
-			t.Fatalf("pooled %d×%d faulted report differs from serial", split.workers, split.threads)
+		it += b.HeatW
+	}
+	if failed == 0 || failed == len(rep.Blades) {
+		t.Fatalf("%d of %d blades failed; the test needs some of each", failed, len(rep.Blades))
+	}
+	if rep.FailedBlades != failed {
+		t.Fatalf("FailedBlades = %d, %d blade rows say Failed", rep.FailedBlades, failed)
+	}
+	if math.Abs(rep.ITPowerW-it) > 1e-9 {
+		t.Fatalf("IT power %.6f W, the solved blades' heat %.6f W", rep.ITPowerW, it)
+	}
+	for l, lr := range rep.Loops {
+		if lr.FailedBlades != perLoop[l] {
+			t.Errorf("loop %s: FailedBlades = %d, want %d", lr.Name, lr.FailedBlades, perLoop[l])
 		}
+	}
+	if perLoop[0] != 1 || perLoop[1] != 2 {
+		t.Fatalf("failed blades per loop %v, want [1 2]", perLoop)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/chiller"
 	"repro/internal/cosim"
@@ -60,13 +61,14 @@ const (
 
 // class is one equivalence class of blades: same package state, same
 // loop, same (possibly fault-derated) thermosyphon design and flow share —
-// therefore byte-identical solves. It owns the warm-started solve session
-// that represents every blade in the class.
+// therefore byte-identical solves. It owns no session: carry is its warm
+// start (the converged field and flux of its previous solve), which each
+// solve swaps into a pooled session of the class's design and back out.
 type class struct {
 	loop  int
 	st    power.PackageState
 	count int
-	ses   *cosim.Session
+	carry cosim.Carry
 	// design is the blade's (scenario-derated) thermosyphon design;
 	// flowScale its residual share of the loop's per-blade water flow.
 	design    thermosyphon.Design
@@ -87,10 +89,14 @@ type classKey struct {
 }
 
 // Solver runs the nested datacenter solve for one topology. It keeps
-// per-class sessions (and the converged loop temperatures) across Solve
-// calls, so a series of solves — the hours of a diurnal sweep, a
+// each class's warm start (and the converged loop temperatures) across
+// Solve calls, so a series of solves — the hours of a diurnal sweep, a
 // what-if re-plan — warm-starts from the previous converged fleet state.
-// A Solver is not safe for concurrent use; Close releases the sessions.
+// The classes share a pool of solve sessions, one free list per
+// thermosyphon design: a session is taken for one class solve and
+// returned after it, so at most Workers sessions per distinct design are
+// ever built, however many classes the fleet has. A Solver is not safe
+// for concurrent use; Close releases the pooled sessions.
 type Solver struct {
 	topo Topology
 	sys  *cosim.System
@@ -105,6 +111,12 @@ type Solver struct {
 
 	temps []float64 // per-loop supply temperatures (carried across Solve calls)
 
+	// mu guards the session pool, which the sweep workers share: idle
+	// holds the free sessions per design, sessions every one built.
+	mu       sync.Mutex
+	idle     map[thermosyphon.Design][]*cosim.Session
+	sessions []*cosim.Session
+
 	// New sets these from the package constants; in-package tests lower
 	// them or hook every outer iteration.
 	tcaseLimitC float64
@@ -114,12 +126,12 @@ type Solver struct {
 
 // New builds a solver for the topology on the given blade system. All
 // blades share the system (one floorplan, stack and nominal thermosyphon
-// design); each blade class gets its own solve session, so class solves
-// are independent and safely fan out across goroutines. A fault scenario
-// in Options is applied here: derated loops and per-blade derated designs
-// feed the class partition, so faulted blades simply form their own
-// classes. The system must carry the Xeon power model (leakage folding
-// needs the static/dynamic split).
+// design); each blade class carries only its own warm start, so class
+// solves are independent and safely fan out across goroutines on pooled
+// sessions. A fault scenario in Options is applied here: derated loops
+// and per-blade derated designs feed the class partition, so faulted
+// blades simply form their own classes. The system must carry the Xeon
+// power model (leakage folding needs the static/dynamic split).
 func New(sys *cosim.System, topo Topology, opt Options) (*Solver, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
@@ -176,16 +188,7 @@ func New(sys *cosim.System, topo Topology, opt Options) (*Solver, error) {
 			s.bladeClass = append(s.bladeClass, ci)
 		}
 	}
-	for _, c := range s.classes {
-		opts := []cosim.SessionOption{cosim.WithSolver(s.opt.Solver)}
-		if c.design != sys.Design {
-			opts = append(opts, cosim.WithDesign(c.design))
-		}
-		if s.opt.Threads > 1 {
-			opts = append(opts, cosim.WithThreads(s.opt.Threads))
-		}
-		c.ses = sys.NewSession(opts...)
-	}
+	s.idle = make(map[thermosyphon.Design][]*cosim.Session)
 	s.temps = make([]float64, len(topo.Loops))
 	for i := range s.loops {
 		s.temps[i] = s.loops[i].SupplyC(0)
@@ -203,12 +206,40 @@ func New(sys *cosim.System, topo Topology, opt Options) (*Solver, error) {
 // per outer iteration.
 func (s *Solver) Classes() int { return len(s.classes) }
 
-// Close releases every class session's worker team.
+// Close releases every pooled session's worker team.
 func (s *Solver) Close() error {
-	for _, c := range s.classes {
-		c.ses.Close()
+	for _, ses := range s.sessions {
+		ses.Close()
 	}
 	return nil
+}
+
+// acquire takes an idle session solving with design d from the pool, or
+// builds one.
+func (s *Solver) acquire(d thermosyphon.Design) *cosim.Session {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if free := s.idle[d]; len(free) > 0 {
+		s.idle[d] = free[:len(free)-1]
+		return free[len(free)-1]
+	}
+	opts := []cosim.SessionOption{cosim.WithSolver(s.opt.Solver)}
+	if d != s.sys.Design {
+		opts = append(opts, cosim.WithDesign(d))
+	}
+	if s.opt.Threads > 1 {
+		opts = append(opts, cosim.WithThreads(s.opt.Threads))
+	}
+	ses := s.sys.NewSession(opts...)
+	s.sessions = append(s.sessions, ses)
+	return ses
+}
+
+// release returns a session taken by acquire for design d to the pool.
+func (s *Solver) release(d thermosyphon.Design, ses *cosim.Session) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.idle[d] = append(s.idle[d], ses)
 }
 
 // classResult is what one class solve contributes to the outer update.
@@ -231,12 +262,12 @@ type fixedPointState struct {
 	failed    bool // some class was infeasible at these operating points
 }
 
-// escalationCount sums the solver-ladder descents across every class
+// escalationCount sums the solver-ladder descents across every pooled
 // session.
 func (s *Solver) escalationCount() int {
 	var n int
-	for _, c := range s.classes {
-		n += c.ses.SolverStats().Escalations
+	for _, ses := range s.sessions {
+		n += ses.SolverStats().Escalations
 	}
 	return n
 }
@@ -345,32 +376,7 @@ func (s *Solver) runFixedPoint(ctx context.Context, states []power.PackageState)
 		// solved reports failed and the fleet solve degrades instead of
 		// dying.
 		res, err := sweep.Run(ctx, idx,
-			func(ci int) (classResult, error) {
-				c := s.classes[ci]
-				waterC := s.temps[c.loop]
-				op := thermosyphon.Operating{
-					WaterInC:     waterC,
-					WaterFlowKgH: s.loops[c.loop].PerBladeFlowKgH * c.flowScale,
-				}
-				c.ses.ReseatWater(waterC - c.lastWaterC)
-				c.lastWaterC = waterC
-				r, err := c.ses.SolveSteadyLeakage(ctx, states[ci], op, power.DefaultLeakage())
-				if err != nil {
-					if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-						return classResult{}, err
-					}
-					return classResult{failed: err.Error()}, nil
-				}
-				die, err := s.sys.DieStats(r)
-				if err != nil {
-					return classResult{}, err
-				}
-				return classResult{
-					heatW:   r.TotalPowerW,
-					dieMaxC: die.MaxC,
-					tcaseC:  s.sys.TCase(r),
-				}, nil
-			},
+			func(ci int) (classResult, error) { return s.solveClass(ctx, ci, states[ci]) },
 			sweep.Workers(s.opt.Workers))
 		if err != nil {
 			return fp, err
@@ -419,6 +425,41 @@ func (s *Solver) runFixedPoint(ctx context.Context, states []power.PackageState)
 	return fp, nil
 }
 
+// solveClass runs one class's coupled solve at its loop's current supply
+// temperature on a pooled session: the class's warm start is swapped in,
+// re-seated by the supply change since its previous solve, solved, and
+// swapped back out once the result has been read.
+func (s *Solver) solveClass(ctx context.Context, ci int, st power.PackageState) (classResult, error) {
+	c := s.classes[ci]
+	waterC := s.temps[c.loop]
+	op := thermosyphon.Operating{
+		WaterInC:     waterC,
+		WaterFlowKgH: s.loops[c.loop].PerBladeFlowKgH * c.flowScale,
+	}
+	ses := s.acquire(c.design)
+	defer s.release(c.design, ses)
+	ses.SwapCarry(&c.carry)
+	defer ses.SwapCarry(&c.carry)
+	ses.ReseatWater(waterC - c.lastWaterC)
+	c.lastWaterC = waterC
+	r, err := ses.SolveSteadyLeakage(ctx, st, op, power.DefaultLeakage())
+	if err != nil {
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return classResult{}, err
+		}
+		return classResult{failed: err.Error()}, nil
+	}
+	die, err := s.sys.DieStats(r)
+	if err != nil {
+		return classResult{}, err
+	}
+	return classResult{
+		heatW:   r.TotalPowerW,
+		dieMaxC: die.MaxC,
+		tcaseC:  s.sys.TCase(r),
+	}, nil
+}
+
 // throttledState applies n DVFS throttle steps to a nominal state.
 func throttledState(st power.PackageState, n int) power.PackageState {
 	for i := 0; i < n; i++ {
@@ -444,6 +485,7 @@ func (s *Solver) report(fp fixedPointState, steps []int, reasons []string, escal
 	// results; per-loop heats re-accumulated in the same order so the
 	// report is independent of the class partition.
 	loopHeats := make([][]float64, len(s.topo.Loops))
+	failed := make([]int, len(s.topo.Loops))
 	flat := 0
 	for ri, r := range s.topo.Racks {
 		for bi, b := range r.Blades {
@@ -462,6 +504,10 @@ func (s *Solver) report(fp fixedPointState, steps []int, reasons []string, escal
 				if steps[ci] > rep.MaxThrottleSteps {
 					rep.MaxThrottleSteps = steps[ci]
 				}
+			}
+			if br.Failed {
+				rep.FailedBlades++
+				failed[r.Loop]++
 			}
 			if br.Infeasible {
 				rep.Infeasible = append(rep.Infeasible, InfeasibleBlade{
@@ -486,7 +532,7 @@ func (s *Solver) report(fp fixedPointState, steps []int, reasons []string, escal
 			return nil, fmt.Errorf("datacenter: loop %d (%s): %w", l, name, err)
 		}
 		rep.Loops = append(rep.Loops, LoopReport{
-			Name: name, Blades: len(loopHeats[l]), State: st,
+			Name: name, Blades: len(loopHeats[l]), FailedBlades: failed[l], State: st,
 		})
 		loads = append(loads, chiller.LoopLoad{
 			Name: name, FlowKgH: st.FlowKgH,
@@ -548,6 +594,10 @@ type InfeasibleBlade struct {
 type LoopReport struct {
 	Name   string
 	Blades int
+	// FailedBlades counts the loop's blades whose class solve failed.
+	// They have no heat to report, so State carries their water flow but
+	// none of their heat.
+	FailedBlades int
 	// State holds the load-derived supply/return temperatures, flow and
 	// heat (consistent with the fixed point's final temperatures to
 	// within the 0.01 °C outer tolerance).
@@ -561,8 +611,13 @@ type Report struct {
 	// Plant prices the chiller plant serving the loops, including the
 	// facility PUE.
 	Plant chiller.PlantReport
-	// ITPowerW is the total blade heat (the facility IT load).
+	// ITPowerW is the total blade heat (the facility IT load) of the
+	// blades that have an operating point.
 	ITPowerW float64
+	// FailedBlades counts the blades whose class solve failed (Failed in
+	// their BladeReport). ITPowerW, the loop heats and the plant leave
+	// them out: a failed solve has no heat to count, and none is guessed.
+	FailedBlades int
 	// MaxDieC is the hottest die in the fleet.
 	MaxDieC float64
 	// OuterIterations is the number of outer fixed-point iterations the

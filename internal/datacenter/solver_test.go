@@ -10,9 +10,11 @@ import (
 	"time"
 
 	"repro/internal/cosim"
+	"repro/internal/faults"
 	"repro/internal/power"
 	"repro/internal/rack"
 	"repro/internal/thermal"
+	"repro/internal/thermosyphon"
 )
 
 // testSystem builds one coarse-grid blade system shared by every blade in
@@ -168,6 +170,54 @@ func TestSolverPooledByteIdentical(t *testing.T) {
 			if !reflect.DeepEqual(base, rep) {
 				t.Fatalf("%v: pooled %d×%d report differs from serial", solver, split.workers, split.threads)
 			}
+		}
+	}
+}
+
+// TestSolverSessionPool: classes share pooled sessions, so a fleet of
+// many classes builds at most Workers sessions per thermosyphon design,
+// and a second solve builds none.
+func TestSolverSessionPool(t *testing.T) {
+	sys := testSystem(t)
+	var states []power.PackageState
+	for i := 0; i < 13; i++ {
+		states = append(states, testState(2+0.25*float64(i), 8))
+	}
+	// Blade r0b13 runs state 0 again, but a blade-scoped fault gives it
+	// a class, and a design, of its own.
+	topo, err := Uniform(1, 14, 1, testLoop(), states)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := faults.Scenario{Faults: []faults.Fault{{Kind: faults.PartialDryout, Severity: 0.4, Blade: "r0b13"}}}
+	s, err := New(sys, topo, Options{Workers: 2, Scenario: &sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Classes() != 14 {
+		t.Fatalf("%d classes, want 14", s.Classes())
+	}
+	if _, err := s.Solve(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	built := len(s.sessions)
+	if _, err := s.SolveScaled(context.Background(), 1.2); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.sessions) != built {
+		t.Fatalf("the second solve built %d more sessions", len(s.sessions)-built)
+	}
+	perDesign := map[thermosyphon.Design]int{}
+	for _, ses := range s.sessions {
+		perDesign[*ses.Design()]++
+	}
+	if len(perDesign) != 2 {
+		t.Fatalf("sessions solve %d designs, want 2", len(perDesign))
+	}
+	for _, n := range perDesign {
+		if n > 2 {
+			t.Fatalf("%d sessions built for one design at 2 workers", n)
 		}
 	}
 }

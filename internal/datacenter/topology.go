@@ -23,19 +23,24 @@
 //     iteration and its heat is multiplied by the class population. A
 //     fully heterogeneous fleet degrades gracefully to one class per
 //     blade.
-//   - Warm-start carry: each class keeps its own cosim.Session across
-//     outer iterations (and across successive Solve calls, e.g. the
-//     hours of a diurnal sweep). Between iterations the carried field is
-//     re-seated by the supply-temperature delta (Session.ReseatWater), so
-//     outer iterations after the first cost a few refinement passes.
+//   - Warm-start carry: each class keeps its converged field and flux (a
+//     cosim.Carry) across outer iterations (and across successive Solve
+//     calls, e.g. the hours of a diurnal sweep). Class solves run on
+//     sessions pooled per thermosyphon design: a solve swaps its class's
+//     carry into an idle session, re-seats it by the supply-temperature
+//     delta (Session.ReseatWater), solves and swaps it back out, so outer
+//     iterations after the first cost a few refinement passes while at
+//     most workers × designs sessions exist, not one per class.
 //
-// Determinism: class solves fan out through sweep.Run, but every
-// class owns its session, each class is evaluated exactly once per outer
-// iteration, and per-loop heats are accumulated in class order from the
-// input-ordered result slice — so a pooled solve is byte-identical to a
-// serial one at any workers × threads split, warm starts included (the
-// per-class solve sequences are schedule-independent). This is asserted
-// by the determinism tests at 1×1 vs 4×2 under cg and mgpcg.
+// Determinism: class solves fan out through sweep.Run onto any pooled
+// session, but a session carries no numerical state between solves
+// except the carry each class swaps in, each class is evaluated exactly
+// once per outer iteration, and per-loop heats are accumulated in class
+// order from the input-ordered result slice — so a pooled solve is
+// byte-identical to a serial one at any workers × threads split, warm
+// starts included (the per-class solve sequences are
+// schedule-independent). This is asserted by the determinism tests at
+// 1×1 vs 4×2 under cg and mgpcg.
 package datacenter
 
 import (

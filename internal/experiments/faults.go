@@ -112,7 +112,7 @@ type FailurePoint struct {
 // (Threads) while Workers spans scenarios — and results come back
 // input-ordered, so the survival table is byte-identical pooled vs
 // serial. The blade system is shared read-only across workers, exactly as
-// the datacenter solver already shares it across class sessions.
+// the datacenter solver already shares it across its pooled sessions.
 func ExtFailureScenarios(ctx context.Context, cfg RunConfig) ([]FailurePoint, error) {
 	return failureSweep(ctx, cfg, failureRacks, failurePerRack, failureLoops)
 }
