@@ -36,8 +36,8 @@ func main() {
 	waterC := flag.Float64("water", 27, "chiller supply setpoint at zero load (°C)")
 	resFlag := flag.String("res", "coarse", "thermal resolution: coarse|medium|full")
 	solverFlag := flag.String("solver", "cg", "thermal linear solver: cg|mgpcg (mgpcg pays off on fine grids)")
-	workers := flag.Int("workers", 0, "parallel blade-class solves (0 = GOMAXPROCS, 1 = serial)")
-	threads := flag.Int("threads", 0, "intra-solve threads per blade solve (0 = GOMAXPROCS, 1 = serial)")
+	workers := flag.Int("workers", 0, "parallel blade-class solves (0 = auto; unset cores from the GOMAXPROCS budget flow to -threads)")
+	threads := flag.Int("threads", 0, "intra-solve threads per blade solve (0 = auto-split GOMAXPROCS with -workers; set both to 1 for a fully serial run)")
 	faultFlag := flag.String("fault", "", "cooling-fault scenario, e.g. pump:0.5 or bladeloss:0.6:loop0:r0b0 (see internal/faults)")
 	flag.Parse()
 	if err := run(*racks, *blades, *loops, *resFlag, *waterC, *solverFlag, *workers, *threads, *faultFlag); err != nil {
@@ -98,12 +98,7 @@ func run(racks, blades, loops int, resFlag string, waterC float64, solverFlag st
 	if err != nil {
 		return err
 	}
-	s, err := datacenter.New(sys, topo, datacenter.Options{
-		Solver:   solver,
-		Workers:  workers,
-		Threads:  threads,
-		Scenario: &scenario,
-	})
+	s, err := datacenter.New(sys, topo, fleetOptions(&topo, solver, workers, threads, &scenario))
 	if err != nil {
 		return err
 	}
@@ -194,6 +189,15 @@ func run(racks, blades, loops int, resFlag string, waterC float64, solverFlag st
 		rep.ITPowerW, notCounted(rep.FailedBlades), rep.Plant.ChillerPowerW, rep.Plant.MeanCOP, rep.MaxDieC)
 	fmt.Printf("facility PUE: %.3f (paper's prototype 1.05)\n", rep.Plant.PUE)
 	return nil
+}
+
+// fleetOptions resolves -workers and -threads under one GOMAXPROCS core
+// budget split across the fleet's blade classes, as ExtDatacenterScale
+// does for its rungs: a zero field is derived from the other, so a
+// default run fills both the class pool and each solve's thread team.
+func fleetOptions(topo *datacenter.Topology, solver thermal.Solver, workers, threads int, scenario *faults.Scenario) datacenter.Options {
+	b := experiments.RunConfig{Workers: workers, Threads: threads}.SplitBudget(topo.NumClasses())
+	return datacenter.Options{Solver: solver, Workers: b.Workers, Threads: b.Threads, Scenario: scenario}
 }
 
 // operatingCells renders a blade's power, die θmax and TCASE cells. A

@@ -4,8 +4,14 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/datacenter"
+	"repro/internal/power"
+	"repro/internal/rack"
+	"repro/internal/thermal"
 )
 
 // captureStdout runs f with os.Stdout redirected to a pipe and returns
@@ -180,5 +186,33 @@ func testRackplanWorkersFlag(t *testing.T, solver string) {
 	pooled := withWorkers(4)
 	if serial != pooled {
 		t.Fatalf("worker count changed the report:\nserial:\n%s\npooled:\n%s", serial, pooled)
+	}
+}
+
+// TestRackplanDefaultBudget: -workers 0 -threads 0 splits GOMAXPROCS
+// across the blade classes and hands the cores left over to each class
+// solve's thread team, so at 4 procs a 2-class fleet runs 2 workers × 2
+// threads. The threaded report must be byte-identical to a serial one.
+func TestRackplanDefaultBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	states := []power.PackageState{{Freq: power.FMax}, {Freq: power.FMin}}
+	topo, err := datacenter.Uniform(1, 2, 1, rack.SharedLoop{SetpointC: 27}, states)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := topo.NumClasses(); n != 2 {
+		t.Fatalf("fleet has %d classes, want 2", n)
+	}
+	if opt := fleetOptions(&topo, thermal.SolverCG, 0, 0, nil); opt.Workers != 2 || opt.Threads != 2 {
+		t.Fatalf("-workers 0 -threads 0 resolved to %d × %d, want 2 × 2", opt.Workers, opt.Threads)
+	}
+
+	budget := func(workers, threads int) string {
+		return captureStdout(t, func() error {
+			return run(1, 2, 1, "coarse", 27, "cg", workers, threads, "")
+		})
+	}
+	if auto, serial := budget(0, 0), budget(1, 1); auto != serial {
+		t.Fatalf("the default budget changed the report:\nauto:\n%s\nserial:\n%s", auto, serial)
 	}
 }

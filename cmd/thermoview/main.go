@@ -31,10 +31,6 @@ func main() {
 	format := flag.String("format", "ascii", "map output: ascii|csv|pgm|none")
 	solverFlag := flag.String("solver", "cg", "thermal linear solver: cg|mgpcg (mgpcg pays off on fine grids)")
 	threads := flag.Int("threads", 0, "intra-solve threads for the single solve (0 = GOMAXPROCS, 1 = serial)")
-	// Accepted for CLI parity with the other tools so existing invocations
-	// keep working; thermoview's single solve never fans out, so the value
-	// is unused.
-	_ = flag.Int("workers", 0, "accepted for compatibility; thermoview performs a single solve")
 	flag.Parse()
 
 	if err := run(*benchName, workload.QoS(*qosFlag), *policy, *resFlag, *format, *solverFlag, *threads); err != nil {

@@ -19,7 +19,7 @@ import (
 // allocate nothing after warm-up. On top of buffer
 // reuse it carries the previous converged temperature field and heat-flux
 // boundary as the warm start for the next solve: nearby sweep points and
-// consecutive governor/bisection steps are near-identical systems, so the
+// consecutive controller/bisection steps are near-identical systems, so the
 // outer coupling loop and the CG iterations inside it collapse to a few
 // cheap refinement passes.
 //

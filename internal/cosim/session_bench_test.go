@@ -8,7 +8,7 @@ package cosim
 // "fresh" builds a new session (and workspace) for every solve;
 // "session-cold" reuses buffers but seeds every solve like a cold one
 // (the pooled-sweep configuration); "session-warm" additionally carries
-// the previous converged field and flux — the governor/bisection steady
+// the previous converged field and flux — the controller/bisection steady
 // state, where the coupled fixed point collapses to a refinement pass.
 
 import (

@@ -82,17 +82,7 @@ func (ts *TransientSim) Field() *thermal.Field { return ts.field }
 // next Step.
 func (ts *TransientSim) Syphon() *thermosyphon.State { return ts.syph }
 
-// SetOperating changes the cooling operating point (e.g. the controller
-// opened the valve); it takes effect on the next step.
-func (ts *TransientSim) SetOperating(op thermosyphon.Operating) error {
-	if err := op.Validate(); err != nil {
-		return err
-	}
-	ts.op = op
-	return nil
-}
-
-// Operating returns the current cooling operating point.
+// Operating returns the cooling operating point the sim was started at.
 func (ts *TransientSim) Operating() thermosyphon.Operating { return ts.op }
 
 // Step advances the simulation by dt seconds under the given per-block

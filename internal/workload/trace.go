@@ -1,111 +1,6 @@
 package workload
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-	"time"
-)
-
-// Phase is one execution phase of a workload trace: for its duration the
-// benchmark's dynamic power is scaled by DynScale and its memory demand by
-// MemScale (PARSEC workloads alternate compute- and memory-heavy regions).
-type Phase struct {
-	Name     string
-	Duration time.Duration
-	// DynScale multiplies the per-core dynamic power (0.2 … 1.3).
-	DynScale float64
-	// MemScale multiplies the uncore/LLC demand (0.5 … 1.5).
-	MemScale float64
-}
-
-// Trace is a phase-annotated execution of one benchmark, used by the
-// runtime-control simulations to exercise time-varying power.
-type Trace struct {
-	Bench  Benchmark
-	Phases []Phase
-}
-
-// TotalDuration returns the summed phase durations.
-func (t Trace) TotalDuration() time.Duration {
-	var d time.Duration
-	for _, p := range t.Phases {
-		d += p.Duration
-	}
-	return d
-}
-
-// At returns the phase active at the given elapsed time. Times beyond the
-// trace return the last phase (steady tail).
-func (t Trace) At(elapsed time.Duration) Phase {
-	if len(t.Phases) == 0 {
-		return Phase{Name: "idle", DynScale: 0, MemScale: 0, Duration: time.Second}
-	}
-	var acc time.Duration
-	for _, p := range t.Phases {
-		acc += p.Duration
-		if elapsed < acc {
-			return p
-		}
-	}
-	return t.Phases[len(t.Phases)-1]
-}
-
-// Validate checks phase plausibility.
-func (t Trace) Validate() error {
-	if len(t.Phases) == 0 {
-		return fmt.Errorf("workload: trace has no phases")
-	}
-	for i, p := range t.Phases {
-		if p.Duration <= 0 {
-			return fmt.Errorf("workload: phase %d has non-positive duration", i)
-		}
-		if p.DynScale < 0 || p.DynScale > 2 {
-			return fmt.Errorf("workload: phase %d dyn scale %g implausible", i, p.DynScale)
-		}
-		if p.MemScale < 0 || p.MemScale > 2 {
-			return fmt.Errorf("workload: phase %d mem scale %g implausible", i, p.MemScale)
-		}
-	}
-	return nil
-}
-
-// SynthesizeTrace builds a deterministic phase trace for a benchmark: a
-// ramp-up, alternating compute/memory phases whose balance follows the
-// benchmark's memory intensity, and a cooldown. The same seed always
-// yields the same trace.
-func SynthesizeTrace(b Benchmark, seed int64) Trace {
-	rng := rand.New(rand.NewSource(seed))
-	tr := Trace{Bench: b}
-	tr.Phases = append(tr.Phases, Phase{
-		Name:     "ramp",
-		Duration: time.Duration(1+rng.Intn(3)) * time.Second,
-		DynScale: 0.4,
-		MemScale: 0.6,
-	})
-	n := 4 + rng.Intn(5)
-	for i := 0; i < n; i++ {
-		computeHeavy := rng.Float64() > b.MemIntensity
-		p := Phase{Duration: time.Duration(2+rng.Intn(6)) * time.Second}
-		if computeHeavy {
-			p.Name = fmt.Sprintf("compute%d", i)
-			p.DynScale = 0.9 + 0.3*rng.Float64()
-			p.MemScale = 0.5 + 0.3*rng.Float64()
-		} else {
-			p.Name = fmt.Sprintf("memory%d", i)
-			p.DynScale = 0.5 + 0.3*rng.Float64()
-			p.MemScale = 1.0 + 0.5*rng.Float64()
-		}
-		tr.Phases = append(tr.Phases, p)
-	}
-	tr.Phases = append(tr.Phases, Phase{
-		Name:     "cooldown",
-		Duration: time.Duration(1+rng.Intn(2)) * time.Second,
-		DynScale: 0.3,
-		MemScale: 0.4,
-	})
-	return tr
-}
+import "math"
 
 // DiurnalTrace returns hourly fleet-load factors for a 24-hour datacenter
 // day: a nightly valley, a morning ramp, a sustained business-hours

@@ -1,116 +1,6 @@
 package workload
 
-import (
-	"testing"
-	"time"
-)
-
-func TestSynthesizeTraceDeterministic(t *testing.T) {
-	b, _ := ByName("facesim")
-	a := SynthesizeTrace(b, 7)
-	c := SynthesizeTrace(b, 7)
-	if len(a.Phases) != len(c.Phases) {
-		t.Fatal("same seed, different phase counts")
-	}
-	for i := range a.Phases {
-		if a.Phases[i] != c.Phases[i] {
-			t.Fatalf("phase %d differs between identical seeds", i)
-		}
-	}
-	d := SynthesizeTrace(b, 8)
-	same := len(a.Phases) == len(d.Phases)
-	if same {
-		for i := range a.Phases {
-			if a.Phases[i] != d.Phases[i] {
-				same = false
-				break
-			}
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical traces")
-	}
-}
-
-func TestSynthesizeTraceValid(t *testing.T) {
-	for _, b := range All() {
-		tr := SynthesizeTrace(b, 1)
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("%s: %v", b.Name, err)
-		}
-		if tr.Phases[0].Name != "ramp" {
-			t.Fatal("trace must start with a ramp")
-		}
-		if tr.Phases[len(tr.Phases)-1].Name != "cooldown" {
-			t.Fatal("trace must end with a cooldown")
-		}
-		if tr.TotalDuration() <= 0 {
-			t.Fatal("empty duration")
-		}
-	}
-}
-
-func TestTraceAt(t *testing.T) {
-	b, _ := ByName("dedup")
-	tr := Trace{
-		Bench: b,
-		Phases: []Phase{
-			{Name: "a", Duration: 2 * time.Second, DynScale: 1, MemScale: 1},
-			{Name: "b", Duration: 3 * time.Second, DynScale: 0.5, MemScale: 1},
-		},
-	}
-	if got := tr.At(0); got.Name != "a" {
-		t.Fatalf("At(0) = %s", got.Name)
-	}
-	if got := tr.At(2500 * time.Millisecond); got.Name != "b" {
-		t.Fatalf("At(2.5s) = %s", got.Name)
-	}
-	// Past the end: steady tail on the last phase.
-	if got := tr.At(time.Minute); got.Name != "b" {
-		t.Fatalf("At(1m) = %s", got.Name)
-	}
-	var empty Trace
-	if got := empty.At(0); got.Name != "idle" {
-		t.Fatalf("empty trace At = %s", got.Name)
-	}
-}
-
-func TestTraceValidate(t *testing.T) {
-	b, _ := ByName("dedup")
-	bad := []Trace{
-		{Bench: b},
-		{Bench: b, Phases: []Phase{{Name: "x", Duration: 0, DynScale: 1, MemScale: 1}}},
-		{Bench: b, Phases: []Phase{{Name: "x", Duration: time.Second, DynScale: 5, MemScale: 1}}},
-		{Bench: b, Phases: []Phase{{Name: "x", Duration: time.Second, DynScale: 1, MemScale: -1}}},
-	}
-	for i, tr := range bad {
-		if err := tr.Validate(); err == nil {
-			t.Fatalf("case %d should fail validation", i)
-		}
-	}
-}
-
-func TestMemoryBoundBenchmarksGetMemoryPhases(t *testing.T) {
-	// canneal (mem 0.70) should synthesize more memory phases than
-	// swaptions (mem 0.05) across a handful of seeds.
-	canneal, _ := ByName("canneal")
-	swaptions, _ := ByName("swaptions")
-	count := func(b Benchmark) int {
-		var n int
-		for seed := int64(0); seed < 10; seed++ {
-			tr := SynthesizeTrace(b, seed)
-			for _, p := range tr.Phases {
-				if len(p.Name) > 6 && p.Name[:6] == "memory" {
-					n++
-				}
-			}
-		}
-		return n
-	}
-	if count(canneal) <= count(swaptions) {
-		t.Fatal("memory-bound benchmark should synthesize more memory phases")
-	}
-}
+import "testing"
 
 func TestDiurnalTrace(t *testing.T) {
 	tr := DiurnalTrace(24)
