@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/baselines"
-	"repro/internal/core"
 	"repro/internal/cosim"
 	"repro/internal/experiments"
 	"repro/internal/render"
@@ -22,6 +20,13 @@ import (
 	"repro/internal/thermosyphon"
 	"repro/internal/workload"
 )
+
+// policies maps the -policy spellings onto the Table II stacks.
+var policies = map[string]experiments.Approach{
+	"proposed": experiments.Proposed,
+	"coskun":   experiments.SoACoskun,
+	"sabry":    experiments.SoASabry,
+}
 
 func main() {
 	benchName := flag.String("bench", "x264", "PARSEC benchmark name")
@@ -53,33 +58,16 @@ func run(benchName string, qos workload.QoS, policy, resFlag, format, solverFlag
 		return err
 	}
 
-	design := thermosyphon.DefaultDesign()
-	var mapping core.Mapping
-	switch policy {
-	case "proposed":
-		mapping, err = core.Plan(bench, qos)
-	case "coskun":
-		design = baselines.SeuretDesign()
-		var cfg workload.Config
-		cfg, err = baselines.PackAndCapConfig(bench, qos)
-		if err == nil {
-			mapping, err = baselines.CoskunMapping(bench, cfg)
-		}
-	case "sabry":
-		design = baselines.SeuretDesign()
-		var cfg workload.Config
-		cfg, err = baselines.PackAndCapConfig(bench, qos)
-		if err == nil {
-			mapping, err = baselines.SabryMapping(bench, cfg, design.Orientation)
-		}
-	default:
+	approach, ok := policies[policy]
+	if !ok {
 		return fmt.Errorf("unknown policy %q", policy)
 	}
+	mapping, err := approach.Plan(bench, qos)
 	if err != nil {
 		return err
 	}
 
-	sys, err := experiments.NewSystem(design, res)
+	sys, err := experiments.NewSystem(approach.Design(), res)
 	if err != nil {
 		return err
 	}

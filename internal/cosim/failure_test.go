@@ -29,25 +29,20 @@ func TestSessionErrorInvalidatesWarmStart(t *testing.T) {
 		t.Fatal("session not warm after a successful solve")
 	}
 
-	// Force a numerical failure: NaN-poison the MG preconditioner with the
-	// escalation ladder disabled, so the solve error surfaces.
-	ses.ws.SetEscalation(false)
-	ses.ws.InjectMGFault(true)
-	_, err = ses.SolveSteady(nil, st, op)
-	if err == nil {
-		t.Fatal("poisoned solve succeeded")
-	}
+	// Force a failure through the pass budget: doubling the dynamic power
+	// moves the flux far more than the outer tolerance, so one pass
+	// cannot converge even from the carry.
+	hot := sys.Power.BlockPowers(fullLoadState(4.4))
+	_, err = ses.solveCoupled(nil, hot, op, outerTol, innerForcing, 1, nil)
 	if !errors.Is(err, linalg.ErrNotConverged) {
-		t.Fatalf("poisoned solve error %v does not unwrap to ErrNotConverged", err)
+		t.Fatalf("failed solve returned %v, want an error wrapping ErrNotConverged", err)
 	}
 	if ses.warm {
 		t.Fatal("failed solve left the warm-start carry armed")
 	}
 
-	// Heal the solver: the next solve must seed cold and match a cold
-	// same-solver reference byte for byte.
-	ses.ws.SetEscalation(true)
-	ses.ws.InjectMGFault(false)
+	// The next solve must seed cold and match a cold same-solver
+	// reference byte for byte.
 	got, err := ses.SolveSteady(nil, st, op)
 	if err != nil {
 		t.Fatal(err)
@@ -66,34 +61,5 @@ func TestSessionErrorInvalidatesWarmStart(t *testing.T) {
 			t.Fatalf("post-failure solve differs from fresh cold solve at cell %d: %v vs %v",
 				i, got.Field.T[i], fresh.Field.T[i])
 		}
-	}
-}
-
-// TestSessionEscalationsSurfaced: a session whose solves escalate must
-// report the descents through the accessor, and the rescued solve must
-// still converge and re-arm the warm start.
-func TestSessionEscalationsSurfaced(t *testing.T) {
-	sys, err := NewSystem(coarseConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	op := thermosyphon.DefaultOperating()
-	st := fullLoadState(2.2)
-
-	ses := sys.NewSession(WithSolver(thermal.SolverMGPCG))
-	ses.ws.InjectMGFault(true)
-	if _, err := ses.SolveSteady(nil, st, op); err != nil {
-		t.Fatalf("ladder did not rescue the poisoned session solve: %v", err)
-	}
-	if !ses.warm {
-		t.Fatal("rescued solve did not re-arm the warm start")
-	}
-	esc := ses.Escalations()
-	if len(esc) == 0 {
-		t.Fatal("session escalations not surfaced")
-	}
-	if ses.SolverStats().Escalations != len(esc) {
-		t.Fatalf("SolverStats().Escalations = %d but Escalations() lists %d",
-			ses.SolverStats().Escalations, len(esc))
 	}
 }

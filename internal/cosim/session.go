@@ -126,21 +126,6 @@ func (ses *Session) Close() error {
 // iterations, operator applications) this session has spent.
 func (ses *Session) SolverStats() thermal.SolveStats { return ses.ws.Stats() }
 
-// Escalations returns every solver-ladder descent this session's solves
-// have taken, in order (see thermal.Workspace.Escalations). Surfacing
-// them is part of the graceful-degradation contract: a solve that had to
-// fall back to a safer solver is reported, never hidden.
-func (ses *Session) Escalations() []thermal.Escalation { return ses.ws.Escalations() }
-
-// InjectMGFault arms (or disarms) the workspace's solver fault-injection
-// hook (thermal.Workspace.InjectMGFault): while armed, multigrid-family
-// solves poison their preconditioner and the escalation ladder has to
-// rescue them. It exists for fault drills: the internal/serve tests
-// sabotage pooled sessions through it (wrapping the server's solve seam)
-// to prove the breaker and the ladder telemetry behave under solver
-// faults.
-func (ses *Session) InjectMGFault(on bool) { ses.ws.InjectMGFault(on) }
-
 // Design returns the thermosyphon design this session solves with: the
 // WithDesign override when set, the system's design otherwise.
 func (ses *Session) Design() *thermosyphon.Design {
@@ -336,8 +321,6 @@ func (ses *Session) rasterize(blockPower map[string]float64) (float64, error) {
 // the solve stops only once those powers have settled as well.
 func (ses *Session) solveCoupled(ctx context.Context, blockPower map[string]float64, op thermosyphon.Operating, outer, forcing float64, passes int, lk *leakTerm) (*Result, error) {
 	s := ses.sys
-	// The solver escalation ladder observes ctx between rungs.
-	ses.ws.SetContext(ctx)
 	total, err := ses.rasterize(blockPower)
 	if err != nil {
 		return nil, err

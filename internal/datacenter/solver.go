@@ -262,16 +262,6 @@ type fixedPointState struct {
 	failed    bool // some class was infeasible at these operating points
 }
 
-// escalationCount sums the solver-ladder descents across every pooled
-// session.
-func (s *Solver) escalationCount() int {
-	var n int
-	for _, ses := range s.sessions {
-		n += ses.SolverStats().Escalations
-	}
-	return n
-}
-
 // Solve runs the nested fixed point at nominal load.
 func (s *Solver) Solve(ctx context.Context) (*Report, error) { return s.SolveScaled(ctx, 1) }
 
@@ -296,7 +286,6 @@ func (s *Solver) SolveScaled(ctx context.Context, dynScale float64) (*Report, er
 	if dynScale < 0 {
 		return nil, fmt.Errorf("datacenter: negative load scale %g", dynScale)
 	}
-	baseEsc := s.escalationCount()
 	steps := make([]int, len(s.classes))      // DVFS steps applied per class
 	reasons := make([]string, len(s.classes)) // permanent-infeasibility diagnostics
 
@@ -348,7 +337,7 @@ func (s *Solver) SolveScaled(ctx context.Context, dynScale float64) (*Report, er
 			break
 		}
 	}
-	return s.report(fp, steps, reasons, s.escalationCount()-baseEsc)
+	return s.report(fp, steps, reasons)
 }
 
 // runFixedPoint runs the damped outer fixed point over the loop supply
@@ -469,14 +458,13 @@ func throttledState(st power.PackageState, n int) power.PackageState {
 }
 
 // report assembles the converged fleet state into a Report.
-func (s *Solver) report(fp fixedPointState, steps []int, reasons []string, escalations int) (*Report, error) {
+func (s *Solver) report(fp fixedPointState, steps []int, reasons []string) (*Report, error) {
 	rep := &Report{
 		OuterIterations: fp.outer,
 		Converged:       fp.converged,
 		ResidualC:       fp.residual,
 		Classes:         len(s.classes),
 		BladeSolves:     fp.outer * len(s.classes),
-		Escalations:     escalations,
 	}
 	if s.opt.Scenario != nil {
 		rep.Scenario = s.opt.Scenario.Name
@@ -636,9 +624,6 @@ type Report struct {
 	// Scenario names the fault scenario the fleet was solved under ("" =
 	// healthy).
 	Scenario string
-	// Escalations counts solver-ladder descents across every blade solve
-	// of this call (surfaced, never hidden).
-	Escalations int
 	// ThrottledBlades counts blades the degraded mode stepped down;
 	// MaxThrottleSteps is the deepest step taken.
 	ThrottledBlades  int

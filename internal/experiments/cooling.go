@@ -65,11 +65,11 @@ func CoolingPowerStudy(ctx context.Context, cfg RunConfig) (*CoolingResult, erro
 	// belongs to each solve's worker team.
 	cfg = cfg.SplitBudgetDepthFirst(2)
 	setups, err := sweep.Run(ctx, []Approach{Proposed, SoACoskun}, func(a Approach) (setup, error) {
-		sys, err := NewSystem(a.design(), cfg.Resolution)
+		sys, err := NewSystem(a.Design(), cfg.Resolution)
 		if err != nil {
 			return setup{}, err
 		}
-		m, err := a.plan(bench, qos)
+		m, err := a.Plan(bench, qos)
 		if err != nil {
 			return setup{}, err
 		}

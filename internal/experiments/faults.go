@@ -93,8 +93,6 @@ type FailurePoint struct {
 	Converged bool
 	// OuterIterations is the final throttle round's fixed-point length.
 	OuterIterations int
-	// Escalations counts solver-ladder descents across every blade solve.
-	Escalations int
 	// ThrottledBlades / MaxThrottleSteps: degraded-mode DVFS actuation;
 	// InfeasibleBlades counts blades with no feasible point at any level.
 	ThrottledBlades  int
@@ -153,7 +151,6 @@ func failureSweep(ctx context.Context, cfg RunConfig, racks, perRack, loops int)
 				Feasible:         rep.Feasible(),
 				Converged:        rep.Converged,
 				OuterIterations:  rep.OuterIterations,
-				Escalations:      rep.Escalations,
 				ThrottledBlades:  rep.ThrottledBlades,
 				MaxThrottleSteps: rep.MaxThrottleSteps,
 				InfeasibleBlades: len(rep.Infeasible),

@@ -464,14 +464,14 @@ func faultsResult(points []FailurePoint, cfg RunConfig) *Result {
 	out := newResult("faults", "extension — cooling-failure survival sweep (1000-blade fleet, graceful degradation)", cfg)
 	t := Table{Name: "survival", Columns: []Column{
 		Col("scenario", -1), Col("feasible", -1), Col("converged", -1),
-		Col("outer", -1), Col("escalations", -1),
+		Col("outer", -1),
 		Col("throttled", -1), Col("max steps", -1), Col("infeasible", -1),
 		Col("IT kW", 2), Col("die θmax", 1), Col("supply θmax", 2), Col("PUE", 3),
 	}}
 	var worst FailurePoint
 	for _, p := range points {
 		t.AddRow(p.Scenario, p.Feasible, p.Converged,
-			p.OuterIterations, p.Escalations,
+			p.OuterIterations,
 			p.ThrottledBlades, p.MaxThrottleSteps, p.InfeasibleBlades,
 			p.ITPowerW/1000, p.MaxDieC, p.MaxSupplyC, p.PUE)
 		if p.MaxDieC > worst.MaxDieC {

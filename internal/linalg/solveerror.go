@@ -6,11 +6,10 @@ import (
 )
 
 // Cause classifies why an iterative solve stopped without converging.
-// The distinction matters to callers: a MaxIter failure means "needs more
-// work or a better preconditioner" (retrying the same solver is
-// pointless but the iterate is still meaningful), while NaN and Breakdown
-// mean the iterate is poisoned and any warm-start state derived from it
-// must be discarded before retrying on a safer solver.
+// A MaxIter failure leaves a meaningful (if unconverged) iterate, while
+// NaN and Breakdown mean the iterate is poisoned. Callers treat every
+// cause alike: the solve failed, and any warm-start state derived from
+// its iterate is discarded.
 type Cause int
 
 // Failure causes.
@@ -19,7 +18,7 @@ const (
 	// met. The final iterate is the best approximation produced.
 	CauseMaxIter Cause = iota
 	// CauseNaN: a NaN or Inf contaminated the recurrence (overflow, a
-	// poisoned warm-start seed, or a fault-injected preconditioner). The
+	// poisoned warm-start seed, or a bad preconditioner output). The
 	// iterate is unusable.
 	CauseNaN
 	// CauseBreakdown: the Krylov recurrence observed pᵀAp ≤ 0, i.e. the
@@ -67,12 +66,6 @@ func (e *SolveError) Error() string {
 
 // Unwrap makes errors.Is(err, ErrNotConverged) hold for every SolveError.
 func (e *SolveError) Unwrap() error { return ErrNotConverged }
-
-// Recoverable reports whether the iterate the solver left behind is still
-// a meaningful approximation: true for a plain iteration-budget failure,
-// false when the recurrence itself broke (NaN, SPD breakdown) and the
-// iterate — plus any warm-start state seeded from it — must be discarded.
-func (e *SolveError) Recoverable() bool { return e.Cause == CauseMaxIter }
 
 // failure builds the diagnostic error for one solver failure.
 func failure(method string, cause Cause, res CGResult) error {

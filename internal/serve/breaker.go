@@ -42,15 +42,12 @@ const (
 	// counting for or against the breaker.
 	outcomeNeutral breakerOutcome = iota
 	outcomeGood
-	// outcomeBad: a hard solver failure or an escalation-ladder rescue.
+	// outcomeBad: a hard solver failure.
 	outcomeBad
 )
 
 // breaker is the per-proposal-class trip state. A "bad" outcome is a
-// solver failure or a solve the escalation ladder had to rescue — an
-// escalation storm on a class is a leading indicator that its solves are
-// expensive or about to fail, so consecutive escalated solves trip the
-// breaker just like consecutive hard failures do.
+// hard solver failure; consecutive failures on a class trip the breaker.
 type breaker struct {
 	state    breakerState
 	bad      int // consecutive bad outcomes

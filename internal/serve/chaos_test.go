@@ -22,7 +22,7 @@ import (
 // ChaosConfig arms deterministic infrastructure-fault injection around a
 // Server — the service-layer extension of the internal/faults idea: where
 // a faults.Scenario derates pumps and condensers, chaos derates the
-// *service* (latency, panics, sabotaged and failed solves). Every
+// *service* (latency, panics, failed solves). Every
 // decision is drawn from one seeded PRNG, so a chaos run replays the
 // same fault sequence for the same seed; the chaos tests lean on that to
 // assert invariants (bounded error rates, byte-deterministic successes,
@@ -37,10 +37,6 @@ type ChaosConfig struct {
 	// PanicRate is the probability a request panics mid-handler — the
 	// recovery middleware must turn it into a structured 500.
 	PanicRate float64
-	// SabotageRate is the probability a steady solve runs with the
-	// multigrid fault hook armed (cosim.Session.InjectMGFault): the
-	// escalation ladder rescues the solve, and the breaker sees the storm.
-	SabotageRate float64
 	// FailRate is the probability a steady solve fails outright with an
 	// injected solver error (counted by the breaker, session closed).
 	FailRate float64
@@ -70,12 +66,7 @@ func armChaos(s *Server, cfg ChaosConfig) (*chaos, http.Handler) {
 	c := newChaos(cfg)
 	solve := s.solve
 	s.solve = func(ctx context.Context, ses *cosim.Session, p *steadyProposal) (*SteadyResponse, error) {
-		sabotage, fail := c.solveFaults()
-		if sabotage {
-			ses.InjectMGFault(true)
-			defer ses.InjectMGFault(false)
-		}
-		if fail {
+		if c.solveFails() {
 			return nil, errChaosFail
 		}
 		return solve(ctx, ses, p)
@@ -112,15 +103,15 @@ func (c *chaos) requestFaults() (time.Duration, bool) {
 	return delay, c.draw(c.cfg.PanicRate)
 }
 
-// solveFaults draws whether a solve is sabotaged and whether it fails.
-func (c *chaos) solveFaults() (sabotage, fail bool) {
+// solveFails draws whether a solve fails.
+func (c *chaos) solveFails() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.draw(c.cfg.SabotageRate), c.draw(c.cfg.FailRate)
+	return c.draw(c.cfg.FailRate)
 }
 
 // TestChaosHarness is the service-layer chaos drill: with every injector
-// armed (latency, handler panics, solver sabotage, hard solve failures)
+// armed (latency, handler panics, hard solve failures)
 // a storm of concurrent proposals must uphold the service invariants —
 // successful bodies stay byte-deterministic per proposal, refusals stay
 // structured (only known status codes, panics recovered and counted), a
@@ -139,12 +130,11 @@ func TestChaosHarness(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, h := armChaos(s, ChaosConfig{
-		Seed:         42,
-		LatencyRate:  0.2,
-		MaxLatency:   2 * time.Millisecond,
-		PanicRate:    0.1,
-		SabotageRate: 0.15,
-		FailRate:     0.1,
+		Seed:        42,
+		LatencyRate: 0.2,
+		MaxLatency:  2 * time.Millisecond,
+		PanicRate:   0.1,
+		FailRate:    0.1,
 	})
 	ts := httptest.NewServer(h)
 
@@ -310,11 +300,11 @@ func TestChaosDeterministicDraws(t *testing.T) {
 	var seqA, seqB bytes.Buffer
 	for i := 0; i < 200; i++ {
 		d, p := a.requestFaults()
-		sab, fail := a.solveFaults()
-		fmt.Fprintf(&seqA, "%v%v%v%v;", d, p, sab, fail)
+		fail := a.solveFails()
+		fmt.Fprintf(&seqA, "%v%v%v;", d, p, fail)
 		d, p = b.requestFaults()
-		sab, fail = b.solveFaults()
-		fmt.Fprintf(&seqB, "%v%v%v%v;", d, p, sab, fail)
+		fail = b.solveFails()
+		fmt.Fprintf(&seqB, "%v%v%v;", d, p, fail)
 	}
 	if seqA.String() != seqB.String() {
 		t.Fatal("same seed drew different chaos sequences")

@@ -59,8 +59,7 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ExperimentRunRequest
-	if err := s.decode(w, r, &req, true); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decode(w, r, &req, true) {
 		return
 	}
 	cfg := experiments.RunConfig{

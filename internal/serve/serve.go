@@ -86,8 +86,6 @@ type Config struct {
 	// deadline threads through the ctx-aware solve loops, so a timed-out
 	// solve aborts between coupling iterations.
 	RequestTimeout time.Duration
-	// MaxBodyBytes caps request bodies (0 = 1 MiB).
-	MaxBodyBytes int64
 	// CheckpointPath, when set, enables transient-state checkpointing:
 	// POST /v1/checkpoint snapshots on demand, Close snapshots on drain,
 	// and CheckpointEvery (when positive) snapshots periodically. The
@@ -98,10 +96,10 @@ type Config struct {
 	// during New: every checkpointed blade resumes at its exact simulated
 	// time. A missing file is a fresh boot; a corrupt file fails New.
 	RestoreOnStart bool
-	// BreakerThreshold is the consecutive bad solve outcomes (hard
-	// failures or escalation-ladder rescues) that trip a proposal class's
-	// circuit breaker (0 = 3); BreakerCooldown is how long a tripped
-	// breaker refuses with 503 before half-open probing (0 = 5 s).
+	// BreakerThreshold is the consecutive hard solve failures that trip a
+	// proposal class's circuit breaker (0 = 3); BreakerCooldown is how
+	// long a tripped breaker refuses with 503 before half-open probing
+	// (0 = 5 s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 }
@@ -124,9 +122,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSteps <= 0 {
 		c.MaxSteps = 10000
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
@@ -376,24 +371,37 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Snapshot())
 }
 
+// maxBodyBytes caps request bodies.
+const maxBodyBytes = 1 << 20
+
 // decode parses a JSON request body holding exactly one JSON value into
-// dst with unknown fields rejected, enforcing the body cap. An empty body
-// leaves dst zero when allowEmpty is set — the convention for "all
-// defaults" POSTs; a truncated value or trailing data is a bad request.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any, allowEmpty bool) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+// dst with unknown fields rejected. An empty body leaves dst zero when
+// allowEmpty is set — the convention for "all defaults" POSTs. On failure
+// it writes the error response and returns false: 413 for a body over
+// maxBodyBytes, 400 for a malformed, truncated or trailing value.
+func decode(w http.ResponseWriter, r *http.Request, dst any, allowEmpty bool) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		if allowEmpty && errors.Is(err, io.EOF) {
-			return nil
+	var tooBig *http.MaxBytesError
+	err := dec.Decode(dst)
+	if allowEmpty && errors.Is(err, io.EOF) {
+		return true
+	}
+	if err == nil {
+		if err = dec.Decode(&json.RawMessage{}); errors.Is(err, io.EOF) {
+			return true
 		}
-		return fmt.Errorf("bad request body: %w", err)
+		if !errors.As(err, &tooBig) {
+			err = errors.New("data after the JSON value")
+		}
 	}
-	if err := dec.Decode(&json.RawMessage{}); !errors.Is(err, io.EOF) {
-		return errors.New("bad request body: data after the JSON value")
+	status := http.StatusBadRequest
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
 	}
-	return nil
+	writeError(w, status, "bad request body: "+err.Error())
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

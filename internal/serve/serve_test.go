@@ -187,6 +187,28 @@ func TestDecodeBodies(t *testing.T) {
 	}
 }
 
+// TestBodyCap: a body of exactly maxBodyBytes is read in full, and one
+// byte more answers 413 whether the excess is inside the JSON value or
+// trailing it.
+func TestBodyCap(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	const value = `{"benchmark":"x264"}`
+	pad := func(n int) string { return value + strings.Repeat(" ", n-len(value)) }
+	if w := post(t, h, "/v1/steady", pad(maxBodyBytes)); w.Code != http.StatusOK {
+		t.Fatalf("body of exactly the cap: %d %s", w.Code, w.Body)
+	}
+	long := `{"benchmark":"` + strings.Repeat("x", maxBodyBytes+1-len(`{"benchmark":""}`)) + `"}`
+	for name, body := range map[string]string{"trailing": pad(maxBodyBytes + 1), "inside the value": long} {
+		if len(body) != maxBodyBytes+1 {
+			t.Fatalf("%s: body is %d bytes, want %d", name, len(body), maxBodyBytes+1)
+		}
+		if w := post(t, h, "/v1/steady", body); w.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: over-cap body answered %d, want 413 (%s)", name, w.Code, w.Body)
+		}
+	}
+}
+
 // TestSteadyConcurrentDeterminism is the service-level byte-determinism
 // contract: concurrent clients asking the same question get byte-identical
 // bodies, a recompute after memo eviction matches, and a fresh server

@@ -102,7 +102,6 @@ type SteadyResponse struct {
 	Blocks      []BlockTempJSON `json:"blocks"`
 	TotalPowerW float64         `json:"total_power_w"`
 	Iterations  int             `json:"iterations"`
-	Escalations int             `json:"escalations"`
 	DryoutCells int             `json:"dryout_cells"`
 	Feasible    bool            `json:"feasible"`
 	Cooling     SteadyCooling   `json:"cooling"`
@@ -297,7 +296,6 @@ func (p *steadyProposal) operatingFor() thermosyphon.Operating {
 func (s *Server) solveSteady(ctx context.Context, ses *cosim.Session, p *steadyProposal) (*SteadyResponse, error) {
 	op := p.operatingFor()
 	sys := ses.System()
-	escBefore := len(ses.Escalations())
 	var (
 		res *cosim.Result
 		err error
@@ -341,7 +339,6 @@ func (s *Server) solveSteady(ctx context.Context, ses *cosim.Session, p *steadyP
 		TCaseC:      tcase,
 		TotalPowerW: res.TotalPowerW,
 		Iterations:  res.Iterations,
-		Escalations: len(ses.Escalations()) - escBefore,
 		DryoutCells: res.Syphon.DryoutCells,
 		Feasible:    tcase <= sched.TCaseMax && res.Syphon.DryoutCells == 0,
 		Cooling: SteadyCooling{
@@ -372,8 +369,7 @@ func (s *Server) handleSteady(w http.ResponseWriter, r *http.Request) {
 	}
 	s.stats.steadyRequests.Add(1)
 	var req SteadyRequest
-	if err := s.decode(w, r, &req, false); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decode(w, r, &req, false) {
 		return
 	}
 	p, err := s.normalizeSteady(req)
@@ -464,12 +460,10 @@ func (s *Server) solveProposal(ctx context.Context, p *steadyProposal) ([]byte, 
 	poisoned := true
 	defer func() { s.pools.release(pl, ses, poisoned) }()
 	resp, err := s.solve(ctx, ses, p)
-	// The breaker counts hard solver failures and escalation-ladder
-	// rescues as bad; client cancellations and deadlines are not the
-	// solver's fault and stay neutral.
+	// The breaker counts hard solver failures as bad; client
+	// cancellations and deadlines are not the solver's fault and stay
+	// neutral.
 	switch {
-	case err == nil && resp.Escalations > 0:
-		outcome = outcomeBad
 	case err == nil:
 		outcome = outcomeGood
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):

@@ -247,8 +247,7 @@ func validateRegistration(blade string, initialC float64) error {
 
 func (s *Server) handleTransientRegister(w http.ResponseWriter, r *http.Request) {
 	var req TransientRegisterRequest
-	if err := s.decode(w, r, &req, false); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decode(w, r, &req, false) {
 		return
 	}
 	p, err := s.normalizeSteady(req.SteadyRequest)
@@ -364,8 +363,7 @@ func (s *Server) handleTransientOp(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleTransientStep(w http.ResponseWriter, r *http.Request, name string) {
 	var req TransientStepRequest
-	if err := s.decode(w, r, &req, false); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+	if !decode(w, r, &req, false) {
 		return
 	}
 	if req.DtS <= 0 {

@@ -49,7 +49,7 @@ func solveWithTol(t testing.TB, m *Model, s Solver, power [][]float64, bc TopBou
 	}
 	x := make(linalg.Vector, m.n)
 	x.Fill(m.Env.AmbientC)
-	if err := w.solve(x, tol, reseedAmbient); err != nil {
+	if err := w.solve(x, tol); err != nil {
 		t.Fatalf("%v solve: %v", s, err)
 	}
 	return x, w.Stats()

@@ -44,36 +44,6 @@ func ParseSolver(s string) (Solver, error) {
 	}
 }
 
-// nextRung returns the solver the escalation ladder falls back to after s
-// fails, and whether a rung below s exists. The ladder ends on the
-// terminal Jacobi-CG rung — the solver with the least numerical machinery
-// (no V-cycle) and hence the least that can break:
-//
-//	mgpcg → cg
-//	cg    (terminal)
-func nextRung(s Solver) (Solver, bool) {
-	if s == SolverMGPCG {
-		return SolverCG, true
-	}
-	return s, false
-}
-
-// Escalation records one rung descent of the solver escalation ladder: the
-// solver that failed, the one the solve retried on, and the linalg cause
-// of the failure. Escalations are surfaced, never hidden — workspaces
-// accumulate them (Workspace.Escalations) and SolveStats counts them.
-type Escalation struct {
-	From, To Solver
-	// Cause is the linalg failure cause of the abandoned rung
-	// (maxiter / nan / breakdown).
-	Cause string
-}
-
-// String renders the descent, e.g. "mgpcg→cg (breakdown)".
-func (e Escalation) String() string {
-	return fmt.Sprintf("%s→%s (%s)", e.From, e.To, e.Cause)
-}
-
 // SolveStats accumulates linear-solver effort over a workspace's lifetime,
 // letting experiments compare solvers by work rather than wall time.
 type SolveStats struct {
@@ -84,7 +54,9 @@ type SolveStats struct {
 	// Applies counts fine-grid operator applications as reported by the
 	// linalg drivers (see linalg.CGResult.Applies).
 	Applies int
-	// Escalations counts ladder descents: solves that abandoned the
-	// configured solver for a lower rung after a failure.
+	// Escalations is always 0: a workspace runs its configured solver
+	// once and never falls back to another. It stays only because
+	// bench/thermbench still reads it; the bench-only change that
+	// ROADMAP item 3 waits on deletes it.
 	Escalations int
 }

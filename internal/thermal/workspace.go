@@ -1,10 +1,7 @@
 package thermal
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"math"
 	"runtime"
 
 	"repro/internal/linalg"
@@ -41,18 +38,6 @@ type Workspace struct {
 
 	stats SolveStats
 
-	// Escalation-ladder state: noEscalate disables the ladder (zero value
-	// = enabled); esc accumulates the descents taken; seed snapshots the
-	// transient warm start so a retry can discard the poisoned iterate;
-	// ctx, when set, is observed between ladder rungs; poisonMG arms the
-	// fault-injection wrapper around the multigrid preconditioner.
-	noEscalate bool
-	esc        []Escalation
-	seed       linalg.Vector
-	ctx        context.Context
-	poisonMG   bool
-	poison     poisonPrecond
-
 	bc   TopBoundary
 	a, b *Field
 }
@@ -77,9 +62,6 @@ func (w *Workspace) Model() *Model { return w.m }
 // through the geometric multigrid hierarchy, which is built once on first
 // use and reused (allocation-free) afterwards.
 func (w *Workspace) SetSolver(s Solver) { w.solver = s }
-
-// Solver returns the workspace's selected linear solver.
-func (w *Workspace) Solver() Solver { return w.solver }
 
 // SetThreads sets the intra-solve thread count: the stencil kernels, the
 // multigrid transfers and the fused CG vector ops of every subsequent
@@ -148,125 +130,20 @@ func (w *Workspace) ensureHierarchy() error {
 	return nil
 }
 
-// poisonPrecond is the fault-injection wrapper InjectMGFault arms: it
-// forwards to the V-cycle, then writes a NaN into the output — the
-// numerical signature of an SPD preconditioner gone bad — so the
-// escalation ladder can be exercised deterministically.
-type poisonPrecond struct{ inner *linalg.Multigrid }
-
-func (p *poisonPrecond) Apply(r, z linalg.Vector) {
-	p.inner.Apply(r, z)
-	z[0] = math.NaN()
-}
-
-func (p *poisonPrecond) ApplyCost() int { return p.inner.ApplyCost() }
-
-// reseedMode tells a ladder retry how to rebuild the initial iterate after
-// discarding the failed rung's (possibly NaN-poisoned) one.
-type reseedMode int
-
-const (
-	// reseedAmbient refills the iterate with the ambient temperature — the
-	// cold start of a steady solve, deliberately ignoring any warm-start
-	// seed (the seed itself may be what poisoned the first rung).
-	reseedAmbient reseedMode = iota
-	// reseedSeed restores the snapshot taken before the first rung — the
-	// previous-step field a transient step must integrate from.
-	reseedSeed
-)
-
-// SetEscalation enables or disables the solver escalation ladder
-// (enabled by default). With the ladder off, a failed solve returns its
-// diagnostic error directly — the pre-ladder behavior.
-func (w *Workspace) SetEscalation(on bool) { w.noEscalate = !on }
-
-// SetContext attaches a context the escalation ladder observes between
-// rungs (individual linear solves are not interruptible). nil detaches.
-func (w *Workspace) SetContext(ctx context.Context) { w.ctx = ctx }
-
-// Escalations returns a copy of every ladder descent taken since the
-// workspace was created, in order. Empty means no solve ever escalated.
-func (w *Workspace) Escalations() []Escalation {
-	return append([]Escalation(nil), w.esc...)
-}
-
-// InjectMGFault arms (or disarms) the fault-injection hook: while armed,
-// the multigrid preconditioner is wrapped so its output is NaN-poisoned,
-// forcing the mgpcg rung of the escalation ladder to fail and the solve to
-// degrade to the terminal Jacobi-CG rung. Test/demo knob for
-// proving the ladder works; it never changes the converged answer, only
-// which solver produces it.
-func (w *Workspace) InjectMGFault(on bool) { w.poisonMG = on }
-
-// canEscalate reports whether a failed solve has a rung to fall to.
-func (w *Workspace) canEscalate() bool {
-	if w.noEscalate {
-		return false
-	}
-	_, ok := nextRung(w.solver)
-	return ok
-}
-
 // solve runs the selected linear solver on the already-assembled system
 // (fillOperator and rhsLayersInto must have run), updating x in place and
-// the workspace's solve statistics — descending the escalation ladder on
-// numerical failure. Each descent is recorded (never hidden), the failed
-// rung's iterate is discarded per rm, and the configured solver is left
-// untouched: the next solve starts back at the top of the ladder. Only
-// *linalg.SolveError failures escalate; setup errors (an unbuildable
-// hierarchy) surface immediately. Between rungs the ladder observes the
-// context installed by SetContext, so cancellation is honored even when
-// every rung is failing slowly.
-func (w *Workspace) solve(x linalg.Vector, tol float64, rm reseedMode) error {
-	cur := w.solver
-	for {
-		err := w.solveWith(cur, x, tol)
-		if err == nil || w.noEscalate {
-			return err
-		}
-		var se *linalg.SolveError
-		if !errors.As(err, &se) {
-			return err
-		}
-		next, ok := nextRung(cur)
-		if !ok {
-			return err
-		}
-		if w.ctx != nil {
-			if cerr := w.ctx.Err(); cerr != nil {
-				return cerr
-			}
-		}
-		w.stats.Escalations++
-		w.esc = append(w.esc, Escalation{From: cur, To: next, Cause: se.Cause.String()})
-		switch rm {
-		case reseedSeed:
-			copy(x, w.seed)
-		default:
-			x.Fill(w.m.Env.AmbientC)
-		}
-		cur = next
-	}
-}
-
-// solveWith runs one ladder rung: solver s on the assembled system. The
-// multigrid path re-derives its coarse diagonals from whatever
-// fillOperator assembled, so steady and transient systems need no extra
-// plumbing here.
-func (w *Workspace) solveWith(s Solver, x linalg.Vector, tol float64) error {
+// the workspace's solve statistics. The multigrid path re-derives its
+// coarse diagonals from whatever fillOperator assembled, so steady and
+// transient systems need no extra plumbing here. A numerical failure
+// returns its *linalg.SolveError, which wraps linalg.ErrNotConverged.
+func (w *Workspace) solve(x linalg.Vector, tol float64) error {
 	pre := linalg.Preconditioner(&w.pre)
-	if s == SolverMGPCG {
+	if w.solver == SolverMGPCG {
 		if err := w.ensureHierarchy(); err != nil {
 			return err
 		}
 		w.hier.refresh()
 		pre = w.hier.mg
-		if w.poisonMG {
-			// The terminal Jacobi rung never takes this branch, so it
-			// stays fault-free by construction.
-			w.poison.inner = w.hier.mg
-			pre = &w.poison
-		}
 	}
 	res, err := linalg.CGWith(&w.op, w.rhs, x, linalg.CGOptions{
 		Tol:     tol,
@@ -359,7 +236,7 @@ func (w *Workspace) SteadySolveLayersTolInto(dst, init *Field, layers [][]float6
 	} else {
 		dst.T.Fill(m.Env.AmbientC)
 	}
-	if err := w.solve(dst.T, tol, reseedAmbient); err != nil {
+	if err := w.solve(dst.T, tol); err != nil {
 		return fmt.Errorf("thermal: steady solve: %w", err)
 	}
 	return nil
@@ -395,17 +272,7 @@ func (w *Workspace) StepTransientLayersInto(dst, prev *Field, dt float64, layers
 	if dst != prev {
 		copy(dst.T, prev.T)
 	}
-	if w.canEscalate() {
-		// Snapshot the previous-step field (dst may alias prev, so it must
-		// be taken before CG mutates the iterate): a ladder retry restores
-		// it instead of integrating from a poisoned iterate.
-		if cap(w.seed) < m.n {
-			w.seed = make(linalg.Vector, m.n)
-		}
-		w.seed = w.seed[:m.n]
-		copy(w.seed, dst.T)
-	}
-	if err := w.solve(dst.T, 1e-9, reseedSeed); err != nil {
+	if err := w.solve(dst.T, 1e-9); err != nil {
 		return fmt.Errorf("thermal: transient step: %w", err)
 	}
 	return nil
