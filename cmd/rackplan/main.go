@@ -17,12 +17,9 @@ import (
 	"sort"
 	"strconv"
 
-	"repro/internal/core"
 	"repro/internal/datacenter"
 	"repro/internal/experiments"
 	"repro/internal/faults"
-	"repro/internal/power"
-	"repro/internal/rack"
 	"repro/internal/render"
 	"repro/internal/thermal"
 	"repro/internal/thermosyphon"
@@ -74,22 +71,12 @@ func run(racks, blades, loops int, resFlag string, waterC float64, solverFlag st
 		return fmt.Errorf("-fault: %w", err)
 	}
 
-	// The fleet runs the PARSEC roster round-robin: each blade fully
-	// loaded with one benchmark at FMax, POLL idles.
-	wcfg := workload.Config{Cores: 8, Threads: 8, Freq: power.FMax}
-	m := experiments.FullLoadMapping(wcfg, power.POLL)
+	// The fleet is the datacenter studies' own: the PARSEC roster
+	// round-robin on their shared loop, with -water as the setpoint.
 	benches := workload.All()
-	states := make([]power.PackageState, len(benches))
-	for i, b := range benches {
-		states[i] = core.PackageState(b, m)
-	}
-	loop := rack.SharedLoop{
-		SetpointC:       waterC,
-		ApproachKPerKW:  0.3,
-		PerBladeFlowKgH: 7,
-		AmbientC:        35,
-	}
-	topo, err := datacenter.Uniform(racks, blades, loops, loop, states)
+	loop := experiments.DatacenterLoop()
+	loop.SetpointC = waterC
+	topo, err := datacenter.Uniform(racks, blades, loops, loop, experiments.DatacenterStates())
 	if err != nil {
 		return err
 	}

@@ -21,10 +21,11 @@ import (
 // cost and convergence vs fleet size up to 1000 blades) and a diurnal
 // 24-hour quasi-static transient driven by a workload trace.
 
-// datacenterLoop is the shared-loop parameter set of both studies: the
-// paper's §VI-C water point (per-blade flow, ~27 °C class supply) plus a
-// finite plant approach so supply genuinely rises with load.
-func datacenterLoop() rack.SharedLoop {
+// DatacenterLoop is the shared-loop parameter set of both studies and of
+// cmd/rackplan: the paper's §VI-C water point (per-blade flow, ~27 °C
+// class supply) plus a finite plant approach so supply genuinely rises
+// with load.
+func DatacenterLoop() rack.SharedLoop {
 	op := thermosyphon.DefaultOperating()
 	return rack.SharedLoop{
 		SetpointC:       op.WaterInC - 3, // chiller setpoint; load lifts supply back up
@@ -34,11 +35,11 @@ func datacenterLoop() rack.SharedLoop {
 	}
 }
 
-// datacenterStates is the fleet's blade mix: each PARSEC benchmark fully
+// DatacenterStates is the fleet's blade mix: each PARSEC benchmark fully
 // loads a blade at FMax with POLL idles, assigned round-robin across the
-// fleet. The fixed 13-state roster bounds the class count, which is what
-// keeps the 1000-blade solve affordable.
-func datacenterStates() []power.PackageState {
+// fleet; state i runs workload.All()[i]. The fixed 13-state roster bounds
+// the class count, which is what keeps the 1000-blade solve affordable.
+func DatacenterStates() []power.PackageState {
 	wcfg := workload.Config{Cores: 8, Threads: 8, Freq: power.FMax}
 	m := FullLoadMapping(wcfg, power.POLL)
 	benches := workload.All()
@@ -88,10 +89,10 @@ func ExtDatacenterScale(ctx context.Context, cfg RunConfig) ([]DatacenterScalePo
 	if err != nil {
 		return nil, err
 	}
-	states := datacenterStates()
+	states := DatacenterStates()
 	out := make([]DatacenterScalePoint, 0, len(datacenterLadder))
 	for _, rung := range datacenterLadder {
-		topo, err := datacenter.Uniform(rung.racks, rung.perRack, rung.loops, datacenterLoop(), states)
+		topo, err := datacenter.Uniform(rung.racks, rung.perRack, rung.loops, DatacenterLoop(), states)
 		if err != nil {
 			return nil, err
 		}
@@ -153,7 +154,7 @@ func ExtDatacenterDiurnal(ctx context.Context, cfg RunConfig) ([]DatacenterHour,
 	if err != nil {
 		return nil, err
 	}
-	topo, err := datacenter.Uniform(4, 8, 2, datacenterLoop(), datacenterStates())
+	topo, err := datacenter.Uniform(4, 8, 2, DatacenterLoop(), DatacenterStates())
 	if err != nil {
 		return nil, err
 	}

@@ -20,13 +20,18 @@ type OrientationResult struct {
 	Die, Pkg    metrics.MapStats
 	// PkgMap is the package-layer map for rendering Fig. 5a/5b.
 	PkgMap []float64
+	// Worst is the evaporator channel closest to dryout (the highest exit
+	// quality) under the solved heat flux.
+	Worst thermosyphon.ChannelSummary
 }
 
 // Fig5Orientation reproduces the §VI-A orientation study: all cores equally
 // loaded, comparing evaporator orientations. The paper's Design 1
 // (east-west channels) yields pkg 52.7/50.3 °C ∇0.33 versus Design 2
-// (north-south) 53.5/50.6 °C ∇0.43; die 73.2 vs 79.4 °C. The four designs
-// are independent full co-simulations, so they run through the sweep pool.
+// (north-south) 53.5/50.6 °C ∇0.43; die 73.2 vs 79.4 °C. Each design also
+// reports its worst channel, marched through the same solve's top-surface
+// heat. The four designs are independent full co-simulations, so they run
+// through the sweep pool.
 func Fig5Orientation(ctx context.Context, cfg RunConfig) ([]OrientationResult, error) {
 	bench, wcfg := workload.WorstCase()
 	m := FullLoadMapping(wcfg, power.POLL)
@@ -39,11 +44,20 @@ func Fig5Orientation(ctx context.Context, cfg RunConfig) ([]OrientationResult, e
 			return OrientationResult{}, err
 		}
 		defer ses.Close()
-		die, pkg, r, err := SolveMappingSession(ctx, ses, bench, m, thermosyphon.DefaultOperating())
+		op := thermosyphon.DefaultOperating()
+		die, pkg, r, err := SolveMappingSession(ctx, ses, bench, m, op)
 		if err != nil {
 			return OrientationResult{}, fmt.Errorf("orientation %v: %w", o, err)
 		}
 		pkgMap, err := r.Field.LayerByName("spreader")
+		if err != nil {
+			return OrientationResult{}, err
+		}
+		report, err := d.ChannelReport(ses.System().Thermal.Grid(), r.Field.TopHeatPerCell(r.BC), op)
+		if err != nil {
+			return OrientationResult{}, fmt.Errorf("orientation %v: %w", o, err)
+		}
+		worst, err := thermosyphon.WorstChannel(report)
 		if err != nil {
 			return OrientationResult{}, err
 		}
@@ -52,6 +66,7 @@ func Fig5Orientation(ctx context.Context, cfg RunConfig) ([]OrientationResult, e
 			Die:         die,
 			Pkg:         pkg,
 			PkgMap:      append([]float64(nil), pkgMap...),
+			Worst:       worst,
 		}, nil
 	}, cfg.sweepOpts()...)
 }

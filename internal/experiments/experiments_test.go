@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/power"
@@ -128,6 +129,35 @@ func TestFig5OrientationOrdering(t *testing.T) {
 	}
 	if len(w.PkgMap) == 0 {
 		t.Fatal("package map missing")
+	}
+}
+
+// TestFig5ChannelColumns pins the coarse worst-channel view: in every
+// orientation the hottest channel nears the critical quality and dries
+// out partway along, earliest under inlet-west.
+func TestFig5ChannelColumns(t *testing.T) {
+	res, err := runFig5(nil, At(Coarse))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rows := res.Tables[0].strings()
+	want := [][]string{
+		{"inlet-west", "5", "7.3", "0.99", "0.32"},
+		{"inlet-east", "5", "7.2", "0.99", "0.58"},
+		{"inlet-north", "4", "5.8", "0.99", "0.40"},
+		{"inlet-south", "4", "5.8", "0.99", "0.53"},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("got %d orientation rows, want %d", len(rows), len(want))
+	}
+	for i, row := range rows {
+		got := append([]string{row[0]}, row[len(row)-4:]...)
+		if strings.Join(got, " ") != strings.Join(want[i], " ") {
+			t.Errorf("row %d channel columns %q, want %q", i, got, want[i])
+		}
+	}
+	if note := res.Notes[len(res.Notes)-1]; !strings.Contains(note, "chosen orientation: inlet-west") {
+		t.Errorf("last note %q does not choose inlet-west", note)
 	}
 }
 

@@ -124,11 +124,11 @@ func failureSweep(ctx context.Context, cfg RunConfig, racks, perRack, loops int)
 	}
 	scenarios := failureScenarios(cfg.Resolution, cfg.Scenario)
 	rcfg := cfg.SplitBudget(len(scenarios))
-	states := datacenterStates()
+	states := DatacenterStates()
 
 	return sweep.Run(ctx, scenarios,
 		func(sc faults.Scenario) (FailurePoint, error) {
-			topo, err := datacenter.Uniform(racks, perRack, loops, datacenterLoop(), states)
+			topo, err := datacenter.Uniform(racks, perRack, loops, DatacenterLoop(), states)
 			if err != nil {
 				return FailurePoint{}, err
 			}

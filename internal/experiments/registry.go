@@ -201,22 +201,31 @@ func runFig5(ctx context.Context, cfg RunConfig) (*Result, error) {
 	}
 	out := newResult("fig5", "Fig. 5 — thermosyphon orientation study, all cores loaded", cfg)
 	out.notef("(paper: Design1 E-W pkg 52.7 ∇0.33, die 73.2; Design2 N-S pkg 53.5 ∇0.43, die 79.4)")
+	// The channel columns are the worst channel's index, heat, exit
+	// quality and dryout point as a share of its length (1.00 = none).
 	t := Table{Name: "orientations", Columns: []Column{
 		Col("orientation", -1),
 		Col("die θmax", 1), Col("die θavg", 1), Col("die ∇θmax", 2),
 		Col("pkg θmax", 1), Col("pkg θavg", 1), Col("pkg ∇θmax", 2),
+		Col("worst ch", -1), Col("ch W", 1), Col("exit x", 2), Col("dryout at", 2),
 	}}
 	grid := cfg.Resolution.Grid()
+	best := rows[0]
 	for _, r := range rows {
 		t.AddRow(r.Orientation.String(),
 			r.Die.MaxC, r.Die.MeanC, r.Die.MaxGradCPerMM,
-			r.Pkg.MaxC, r.Pkg.MeanC, r.Pkg.MaxGradCPerMM)
+			r.Pkg.MaxC, r.Pkg.MeanC, r.Pkg.MaxGradCPerMM,
+			r.Worst.Channel, r.Worst.HeatW, r.Worst.ExitQuality, r.Worst.DryoutPos)
+		if r.Die.MaxC < best.Die.MaxC {
+			best = r
+		}
 		if r.Orientation.Horizontal() {
 			if err := out.addMap(cfg, "fig5_pkg_"+r.Orientation.String(), grid, r.PkgMap); err != nil {
 				return nil, err
 			}
 		}
 	}
+	out.notef("chosen orientation: %v (lowest die θmax)", best.Orientation)
 	out.Tables = append(out.Tables, t)
 	return out, nil
 }

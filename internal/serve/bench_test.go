@@ -72,10 +72,11 @@ func BenchmarkServeSteady(b *testing.B) {
 // BenchmarkServeTransientStep measures one transient step through the
 // service path (validation + admission + step + sample), coarse grid.
 func BenchmarkServeTransientStep(b *testing.B) {
-	s, err := New(Config{MaxSteps: 1 << 20})
+	s, err := New(Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	s.maxSteps = 1 << 20
 	defer s.Close()
 	h := s.Handler()
 	w := httptest.NewRecorder()

@@ -193,7 +193,8 @@ func TestBreakerTripsOnInjectedFailures(t *testing.T) {
 	debugLogWriter = io.Discard
 	defer func() { debugLogWriter = old }()
 
-	s := newTestServer(t, Config{BreakerThreshold: 3, BreakerCooldown: time.Minute})
+	s := newTestServer(t, Config{})
+	s.breakers.cooldown = time.Minute
 	clock := time.Unix(2000, 0)
 	s.breakers.now = func() time.Time { return clock }
 	c, h := armChaos(s, ChaosConfig{Seed: 7, FailRate: 1})
@@ -245,7 +246,8 @@ func TestBreakerSurvivesCancelledProbe(t *testing.T) {
 	debugLogWriter = io.Discard
 	defer func() { debugLogWriter = old }()
 
-	s := newTestServer(t, Config{BreakerThreshold: 2, BreakerCooldown: time.Minute})
+	s := newTestServer(t, Config{})
+	s.breakers.threshold, s.breakers.cooldown = 2, time.Minute
 	clock := time.Unix(3000, 0)
 	s.breakers.now = func() time.Time { return clock }
 	c, h := armChaos(s, ChaosConfig{Seed: 11, FailRate: 1})

@@ -125,10 +125,11 @@ func TestChaosHarness(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	ckpt := filepath.Join(t.TempDir(), "ckpt.json")
-	s, err := New(Config{Workers: 2, CheckpointPath: ckpt, BreakerThreshold: 100})
+	s, err := New(Config{Workers: 2, CheckpointPath: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.breakers.threshold = 100
 	c, h := armChaos(s, ChaosConfig{
 		Seed:        42,
 		LatencyRate: 0.2,

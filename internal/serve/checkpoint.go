@@ -199,36 +199,15 @@ func (s *Server) restoreBlade(cb *checkpointBlade) error {
 	if err != nil {
 		return err
 	}
-	ses, err := s.pools.own(p.class.poolKey)
-	if err != nil {
-		return err
-	}
-	sys := ses.System()
-	sim, err := ses.Transient(p.operatingFor(), cb.InitialC)
-	if err != nil {
-		ses.Close()
-		return err
-	}
-	if err := sim.ImportState(&cb.State); err != nil {
-		ses.Close()
-		return err
-	}
 	b := &transientBlade{
 		name:     cb.Blade,
-		sys:      sys,
-		ses:      ses,
-		sim:      sim,
-		base:     basePower(sys, p),
 		req:      p.req,
 		initialC: cb.InitialC,
 		lastSeq:  cb.LastSeq,
 		lastBody: append([]byte(nil), cb.LastBody...),
 	}
-	if err := s.trans.add(b); err != nil {
-		ses.Close()
-		return err
-	}
-	return nil
+	_, err = s.addBlade(b, p, &cb.State)
+	return err
 }
 
 // checkpointLoop periodically snapshots the registry until stopped.

@@ -117,7 +117,7 @@ func FuzzCheckpointPayload(f *testing.F) {
 }
 
 // FuzzTransientStep checks step-chunk handling against arbitrary request
-// bodies. Each input runs on a fresh coarse server (MaxSteps 4) with one
+// bodies. Each input runs on a fresh coarse server (maxSteps 4) with one
 // registered blade and is posted twice, so a seq-numbered chunk also
 // meets its own retry. No post panics; a refused or replayed chunk leaves
 // the blade's time_s where it was; and an applied chunk returns one
@@ -127,7 +127,8 @@ func FuzzCheckpointPayload(f *testing.F) {
 // testdata/fuzz/FuzzTransientStep.
 func FuzzTransientStep(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
-		s := newTestServer(t, Config{MaxSteps: 4})
+		s := newTestServer(t, Config{})
+		s.maxSteps = 4
 		h := s.Handler()
 		if w := post(t, h, "/v1/transient", `{"blade":"b0","benchmark":"x264"}`); w.Code != http.StatusCreated {
 			t.Fatalf("register: %d %s", w.Code, w.Body)

@@ -80,8 +80,6 @@ type Config struct {
 	MemoEntries int
 	// Transients caps concurrently registered transient blades (0 = 16).
 	Transients int
-	// MaxSteps caps the steps of one transient chunk (0 = 10000).
-	MaxSteps int
 	// RequestTimeout bounds each request's solve (0 = no limit). The
 	// deadline threads through the ctx-aware solve loops, so a timed-out
 	// solve aborts between coupling iterations.
@@ -96,13 +94,17 @@ type Config struct {
 	// during New: every checkpointed blade resumes at its exact simulated
 	// time. A missing file is a fresh boot; a corrupt file fails New.
 	RestoreOnStart bool
-	// BreakerThreshold is the consecutive hard solve failures that trip a
-	// proposal class's circuit breaker (0 = 3); BreakerCooldown is how
-	// long a tripped breaker refuses with 503 before half-open probing
-	// (0 = 5 s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 }
+
+const (
+	// maxSteps caps the steps of one transient chunk.
+	maxSteps = 10000
+	// breakerThreshold is the consecutive hard solve failures that trip a
+	// proposal class's circuit breaker; breakerCooldown is how long a
+	// tripped breaker refuses with 503 before half-open probing.
+	breakerThreshold = 3
+	breakerCooldown  = 5 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	rc := experiments.RunConfig{Workers: c.Workers, Threads: c.Threads}.
@@ -119,15 +121,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Transients <= 0 {
 		c.Transients = 16
-	}
-	if c.MaxSteps <= 0 {
-		c.MaxSteps = 10000
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
 	}
 	return c
 }
@@ -194,6 +187,9 @@ type Server struct {
 	adm      *admission
 	breakers *breakerSet
 	stats    counters
+	// maxSteps is the transient chunk cap, New's copy of the package
+	// constant; tests override it.
+	maxSteps int
 	draining atomic.Bool
 	closed   atomic.Bool
 	// dieBlocks is the valid block-name set of the served floorplan, for
@@ -222,7 +218,8 @@ func New(cfg Config) (*Server, error) {
 		memo:     newMemo(cfg.MemoEntries),
 		flights:  newFlights(),
 		adm:      newAdmission(cfg.Workers, cfg.QueueDepth),
-		breakers: newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		breakers: newBreakerSet(breakerThreshold, breakerCooldown),
+		maxSteps: maxSteps,
 	}
 	s.solve = s.solveSteady
 	s.pools = newSessionPools(cfg.Sessions, s.newSession, &s.stats)

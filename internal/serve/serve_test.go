@@ -517,7 +517,8 @@ func TestTransientLifecycle(t *testing.T) {
 }
 
 func TestTransientValidation(t *testing.T) {
-	s := newTestServer(t, Config{Transients: 1, MaxSteps: 4})
+	s := newTestServer(t, Config{Transients: 1})
+	s.maxSteps = 4
 	h := s.Handler()
 	if w := post(t, h, "/v1/transient", `{"benchmark":"x264"}`); w.Code != http.StatusBadRequest {
 		t.Fatalf("nameless register: %d, want 400", w.Code)

@@ -174,7 +174,10 @@ type TransientStatus struct {
 	BasePowerW float64 `json:"base_power_w"`
 }
 
+// status snapshots the blade under its step lock.
 func (b *transientBlade) status() (TransientStatus, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	dieMax, err := b.sim.DieMax()
 	if err != nil {
 		return TransientStatus{}, err
@@ -200,9 +203,7 @@ func (s *Server) handleTransientList(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				continue
 			}
-			b.mu.Lock()
 			st, err := b.status()
-			b.mu.Unlock()
 			if err != nil {
 				writeError(w, http.StatusInternalServerError, err.Error())
 				return
@@ -273,41 +274,51 @@ func (s *Server) handleTransientRegister(w http.ResponseWriter, r *http.Request)
 	}
 	defer release()
 
-	ses, err := s.pools.own(p.class.poolKey)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	sys := ses.System()
-	sim, err := ses.Transient(p.operatingFor(), initial)
-	if err != nil {
-		ses.Close()
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	b := &transientBlade{
-		name: req.Blade, sys: sys, ses: ses, sim: sim, base: basePower(sys, p),
-		req: p.req, initialC: initial,
-	}
-	if err := s.trans.add(b); err != nil {
-		ses.Close()
-		status := http.StatusConflict
+	b := &transientBlade{name: req.Blade, req: p.req, initialC: initial}
+	if status, err := s.addBlade(b, p, nil); err != nil {
 		retryAfter := 0
-		if err == errTransientsFull {
-			status = http.StatusTooManyRequests
+		if status == http.StatusTooManyRequests {
 			retryAfter = s.retryAfterSecs()
 		}
 		writeError(w, status, err.Error(), retryAfter)
 		return
 	}
-	b.mu.Lock()
 	st, err := b.status()
-	b.mu.Unlock()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusCreated, st)
+}
+
+// addBlade gives b its dedicated session and TransientSim, built from the
+// normalized proposal p at b.initialC, imports state when a checkpoint
+// restore supplies one, and registers the blade. Registration and
+// restore share it. The session is closed on every failure, and the
+// returned status is the HTTP code a registration answers it with.
+func (s *Server) addBlade(b *transientBlade, p *steadyProposal, state *cosim.TransientState) (int, error) {
+	ses, err := s.pools.own(p.class.poolKey)
+	if err != nil {
+		return http.StatusInternalServerError, err
+	}
+	sim, err := ses.Transient(p.operatingFor(), b.initialC)
+	if err == nil && state != nil {
+		err = sim.ImportState(state)
+	}
+	if err != nil {
+		ses.Close()
+		return http.StatusBadRequest, err
+	}
+	b.sys, b.ses, b.sim = ses.System(), ses, sim
+	b.base = basePower(b.sys, p)
+	if err := s.trans.add(b); err != nil {
+		ses.Close()
+		if err == errTransientsFull {
+			return http.StatusTooManyRequests, err
+		}
+		return http.StatusConflict, err
+	}
+	return http.StatusCreated, nil
 }
 
 // basePower is the per-block power map (W) a blade's load factors scale,
@@ -340,9 +351,7 @@ func (s *Server) handleTransientOp(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, fmt.Sprintf("blade %q not registered", name))
 			return
 		}
-		b.mu.Lock()
 		st, err := b.status()
-		b.mu.Unlock()
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err.Error())
 			return
@@ -374,9 +383,9 @@ func (s *Server) handleTransientStep(w http.ResponseWriter, r *http.Request, nam
 		writeError(w, http.StatusBadRequest, "steps required")
 		return
 	}
-	if len(req.Steps) > s.cfg.MaxSteps {
+	if len(req.Steps) > s.maxSteps {
 		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("chunk of %d steps exceeds the %d-step cap; split the trace", len(req.Steps), s.cfg.MaxSteps))
+			fmt.Sprintf("chunk of %d steps exceeds the %d-step cap; split the trace", len(req.Steps), s.maxSteps))
 		return
 	}
 	b, ok := s.trans.get(name)

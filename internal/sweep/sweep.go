@@ -49,6 +49,23 @@ func closeState(st any) {
 	}
 }
 
+// pool runs work(w) for every worker w in [0, workers) and returns once
+// all have retired. Worker 0 runs on the calling goroutine, as in
+// linalg.Team, so only workers−1 goroutines start: a one-worker sweep
+// starts none, and a panic in worker 0 unwinds into the caller.
+func pool(workers int, work func(w int)) {
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			work(w)
+		}(w)
+	}
+	work(0)
+	wg.Wait()
+}
+
 // Option configures one Run/RunState/First call.
 type Option func(*config)
 
@@ -57,8 +74,8 @@ type config struct {
 }
 
 // Workers fixes the worker count for one call (<= 0 means GOMAXPROCS).
-// One worker forces the fully serial path, which is also the baseline the
-// sweep benchmarks compare against.
+// One worker runs every point on the calling goroutine, which is also the
+// serial baseline the sweep benchmarks compare against.
 func Workers(n int) Option {
 	return func(c *config) { c.workers = n }
 }
@@ -103,64 +120,39 @@ func RunState[S, P, R any](ctx context.Context, points []P, newState func() (S, 
 	if len(points) == 0 {
 		return results, ctx.Err()
 	}
-	if workers <= 1 {
-		st, err := newState()
-		if err != nil {
-			return nil, fmt.Errorf("sweep: worker state: %w", err)
-		}
-		defer closeState(st)
-		for i, p := range points {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			r, err := eval(st, p)
-			if err != nil {
-				return nil, fmt.Errorf("sweep: point %d: %w", i, err)
-			}
-			results[i] = r
-		}
-		return results, nil
-	}
-
 	var (
 		next     atomic.Int64 // next unclaimed point index
 		done     atomic.Int64 // successfully evaluated points
 		stop     atomic.Bool  // fail-fast: stop claiming new points
-		wg       sync.WaitGroup
 		pointErr = make([]error, len(points))
 		stateErr = make([]error, workers)
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st, err := newState()
+	pool(workers, func(w int) {
+		st, err := newState()
+		if err != nil {
+			stateErr[w] = err
+			stop.Store(true)
+			return
+		}
+		defer closeState(st)
+		for !stop.Load() && ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= len(points) {
+				return
+			}
+			r, err := eval(st, points[i])
 			if err != nil {
-				stateErr[w] = err
+				pointErr[i] = err
 				stop.Store(true)
 				return
 			}
-			defer closeState(st)
-			for !stop.Load() && ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= len(points) {
-					return
-				}
-				r, err := eval(st, points[i])
-				if err != nil {
-					pointErr[i] = err
-					stop.Store(true)
-					return
-				}
-				results[i] = r
-				done.Add(1)
-			}
-		}(w)
-	}
-	wg.Wait()
+			results[i] = r
+			done.Add(1)
+		}
+	})
 
 	// A sweep that finished every point succeeded, full stop — matching
-	// the serial path, where a cancellation arriving after the last
+	// a serial loop, where a cancellation arriving after the last
 	// evaluation is never observed.
 	if int(done.Load()) == len(points) {
 		return results, nil
@@ -207,34 +199,12 @@ func First[S, P, R any](ctx context.Context, points []P, newState func() (S, err
 	if len(points) == 0 {
 		return 0, zero, false, ctx.Err()
 	}
-	if workers <= 1 {
-		st, err := newState()
-		if err != nil {
-			return 0, zero, false, fmt.Errorf("sweep: worker state: %w", err)
-		}
-		defer closeState(st)
-		for i, p := range points {
-			if err := ctx.Err(); err != nil {
-				return 0, zero, false, err
-			}
-			r, err := eval(st, p)
-			if err != nil {
-				return 0, zero, false, fmt.Errorf("sweep: point %d: %w", i, err)
-			}
-			if accept(r) {
-				return i, r, true, nil
-			}
-		}
-		return 0, zero, false, nil
-	}
-
 	var (
 		next atomic.Int64
 		// bound is the lowest index at which a serial scan would stop —
 		// an acceptance or an error; len(points) means no terminator yet.
 		bound    atomic.Int64
 		stop     atomic.Bool // a worker-state constructor failed
-		wg       sync.WaitGroup
 		results  = make([]R, len(points))
 		pointErr = make([]error, len(points))
 		stateErr = make([]error, workers)
@@ -248,38 +218,33 @@ func First[S, P, R any](ctx context.Context, points []P, newState func() (S, err
 			}
 		}
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st, err := newState()
-			if err != nil {
-				stateErr[w] = err
-				stop.Store(true)
+	pool(workers, func(w int) {
+		st, err := newState()
+		if err != nil {
+			stateErr[w] = err
+			stop.Store(true)
+			return
+		}
+		defer closeState(st)
+		for !stop.Load() && ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			// Claims are monotonic, so every index below the final
+			// bound is claimed before any worker stops here.
+			if i >= len(points) || int64(i) > bound.Load() {
 				return
 			}
-			defer closeState(st)
-			for !stop.Load() && ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				// Claims are monotonic, so every index below the final
-				// bound is claimed before any worker stops here.
-				if i >= len(points) || int64(i) > bound.Load() {
-					return
-				}
-				r, err := eval(st, points[i])
-				if err != nil {
-					pointErr[i] = err
-					lower(i)
-					continue
-				}
-				if accept(r) {
-					results[i] = r
-					lower(i)
-				}
+			r, err := eval(st, points[i])
+			if err != nil {
+				pointErr[i] = err
+				lower(i)
+				continue
 			}
-		}(w)
-	}
-	wg.Wait()
+			if accept(r) {
+				results[i] = r
+				lower(i)
+			}
+		}
+	})
 	for _, err := range stateErr {
 		if err != nil {
 			return 0, zero, false, fmt.Errorf("sweep: worker state: %w", err)

@@ -3,7 +3,8 @@
 //
 //	go test -bench=Sweep -benchmem
 //
-// compares the §VI-B/C design-space grid and the Fig. 6 scenario sweep
+// compares the §VI-B/C design-space grid, the Fig. 5 orientation study and
+// the Fig. 6 scenario sweep
 // evaluated by one worker against the full pool. The tests assert that
 // the parallel sweeps return byte-identical results to the serial ones;
 // run them with -race to also prove the pool is data-race free. Worker
@@ -53,6 +54,22 @@ func TestSweepDesignSpaceDeterministic(t *testing.T) {
 	}
 	if got, want := fmt.Sprintf("%+v", parallel), fmt.Sprintf("%+v", serial); got != want {
 		t.Fatalf("parallel design-space result differs from serial:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestSweepFig5Deterministic covers the orientation study, worst-channel
+// view included: the channel march reads each pooled solve's heat flux.
+func TestSweepFig5Deterministic(t *testing.T) {
+	serial, err := experiments.Fig5Orientation(nil, atWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := experiments.Fig5Orientation(nil, atWorkers(poolWorkers()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprintf("%+v", parallel), fmt.Sprintf("%+v", serial); got != want {
+		t.Fatalf("parallel Fig5 result differs from serial:\n got %s\nwant %s", got, want)
 	}
 }
 
