@@ -33,16 +33,16 @@ import (
 // sys.NewSession().SolveSteady(nil, st, op).
 //
 // Results returned by a session alias session-owned buffers (Field,
-// Syphon, BC): they are valid until the next solve on the same session.
-// A caller that keeps results across solves uses a session per kept
-// result, or copies what it needs. A session is NOT safe for concurrent
+// Syphon, BC): they are valid until the next solve or Transient call on
+// the same session, and so is a TransientSim. A caller that keeps results
+// across solves uses a session per kept result, or copies what it needs
+// (a TransientSim's ExportState, a Carry). A session is NOT safe for concurrent
 // use; give each goroutine its own.
 type Session struct {
-	sys       *System
-	ws        *thermal.Workspace
-	carry     bool
-	warm      bool
-	transient bool // a TransientSim owns the workspace's B-side buffers
+	sys   *System
+	ws    *thermal.Workspace
+	carry bool
+	warm  bool
 
 	// design, when non-nil, replaces the system's thermosyphon design for
 	// this session's solves (WithDesign) — how faulted blades share one
@@ -183,8 +183,8 @@ type Carry struct {
 // A zero Carry swaps in a cold start; its field buffer is allocated here
 // on first use. A failed solve drops the warm flag, and swapping out
 // carries that into c too. The Result of a solve aliases the swapped-in
-// field, so read it before swapping out. Not for sessions running a
-// transient simulation.
+// field, so read it before swapping out. Swapping ends a transient
+// simulation running on the session.
 func (ses *Session) SwapCarry(c *Carry) {
 	f := ses.ws.FieldA()
 	if c.t == nil {

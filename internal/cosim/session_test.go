@@ -237,64 +237,110 @@ func TestSessionTransientStepAllocs(t *testing.T) {
 	}
 }
 
-// TestSessionTransientSharesWorkspace: one session can host steady solves
-// and a transient run side by side without cross-talk.
-func TestSessionTransientSharesWorkspace(t *testing.T) {
+// TestTransientChunksShareSession: two blades whose states alternate
+// chunk by chunk on one session (Transient, ImportState, three steps,
+// ExportState), with a steady solve between chunks, step bit-identically
+// to each blade on a session of its own, under both solvers and at one
+// and two threads. Opening a sim drops the warm carry, so each steady
+// solve in between is bit-identical to a cold solve on a fresh session.
+func TestTransientChunksShareSession(t *testing.T) {
 	sys, err := NewSystem(coarseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	op := thermosyphon.DefaultOperating()
-	st := fullLoadState(2.2)
-	ses := sys.NewSession()
-	sim, err := ses.Transient(op, 30)
-	if err != nil {
-		t.Fatal(err)
+	blades := []struct {
+		initialC float64
+		power    map[string]float64
+	}{
+		{30, sys.Power.BlockPowers(fullLoadState(2.2))},
+		{45, sys.Power.BlockPowers(fullLoadState(1.4))},
 	}
-	bp := sys.Power.BlockPowers(st)
-	steady, err := ses.SolveSteady(nil, st, op)
-	if err != nil {
-		t.Fatal(err)
-	}
-	steadyMax, _ := sys.DieStats(steady)
-	for i := 0; i < 80; i++ {
-		if err := sim.Step(0.25, bp); err != nil {
-			t.Fatal(err)
-		}
-		// Interleave a steady solve to prove the buffers are disjoint.
-		if i == 40 {
-			if _, err := ses.SolveSteady(nil, st, op); err != nil {
+	const dt, chunks, steps = 0.25, 3, 3
+	st := fullLoadState(1.8)
+	for _, solver := range []thermal.Solver{thermal.SolverCG, thermal.SolverMGPCG} {
+		for _, threads := range []int{1, 2} {
+			newSession := func() *Session {
+				ses := sys.NewSession(WithSolver(solver), WithThreads(threads))
+				t.Cleanup(func() { ses.Close() })
+				return ses
+			}
+			cold, err := newSession().SolveSteady(nil, st, op)
+			if err != nil {
 				t.Fatal(err)
+			}
+			coldT := append([]float64(nil), cold.Field.T...)
+
+			// want[b][c] is blade b's state after chunk c on its own session.
+			want := make([][]*TransientState, len(blades))
+			for b, bl := range blades {
+				sim, err := newSession().Transient(op, bl.initialC)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for c := 0; c < chunks; c++ {
+					for i := 0; i < steps; i++ {
+						if err := sim.Step(dt, bl.power); err != nil {
+							t.Fatal(err)
+						}
+					}
+					want[b] = append(want[b], sim.ExportState())
+				}
+			}
+
+			shared := newSession()
+			states := make([]*TransientState, len(blades))
+			for b, bl := range blades {
+				sim, err := shared.Transient(op, bl.initialC)
+				if err != nil {
+					t.Fatal(err)
+				}
+				states[b] = sim.ExportState()
+			}
+			for c := 0; c < chunks; c++ {
+				for b, bl := range blades {
+					sim, err := shared.Transient(op, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := sim.ImportState(states[b]); err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < steps; i++ {
+						if err := sim.Step(dt, bl.power); err != nil {
+							t.Fatal(err)
+						}
+					}
+					states[b] = sim.ExportState()
+					if !reflect.DeepEqual(bitsOf(states[b]), bitsOf(want[b][c])) {
+						t.Fatalf("%s/t%d blade %d chunk %d: shared-session state differs from its own session's", solver, threads, b, c)
+					}
+					res, err := shared.SolveSteady(nil, st, op)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, v := range res.Field.T {
+						if math.Float64bits(v) != math.Float64bits(coldT[i]) {
+							t.Fatalf("%s/t%d: steady solve after a chunk differs from a cold solve at cell %d", solver, threads, i)
+						}
+					}
+				}
 			}
 		}
 	}
-	simMax, err := sim.DieMax()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := math.Abs(simMax - steadyMax.MaxC); d > 3 {
-		t.Fatalf("transient (%.1f) and steady (%.1f) diverged sharing a session", simMax, steadyMax.MaxC)
-	}
 }
 
-// TestSessionSingleTransient: a second transient sim on one session would
-// share (and corrupt) the first sim's buffers, so it must be refused.
-func TestSessionSingleTransient(t *testing.T) {
-	sys, err := NewSystem(coarseConfig())
-	if err != nil {
-		t.Fatal(err)
+// bitsOf is a state's float bit patterns, so NaN and -0 compare exactly.
+func bitsOf(st *TransientState) [][]uint64 {
+	out := [][]uint64{{math.Float64bits(st.TimeS)}}
+	for _, v := range [][]float64{st.FieldT, st.BCH, st.BCTFluid} {
+		b := make([]uint64, len(v))
+		for i, x := range v {
+			b[i] = math.Float64bits(x)
+		}
+		out = append(out, b)
 	}
-	ses := sys.NewSession()
-	if _, err := ses.Transient(thermosyphon.DefaultOperating(), 30); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ses.Transient(thermosyphon.DefaultOperating(), 50); err == nil {
-		t.Fatal("second transient on one session must error")
-	}
-	// A fresh session is the documented way to run another sim.
-	if _, err := sys.NewSession().Transient(thermosyphon.DefaultOperating(), 50); err != nil {
-		t.Fatal(err)
-	}
+	return out
 }
 
 // TestSessionReseatWater: re-seating the warm start for a water-inlet

@@ -13,62 +13,45 @@ import (
 // with respect to the chip's thermal time constants (the refrigerant loop
 // settles in well under the RC network's seconds-scale transients).
 //
-// The simulation is workspace-backed: the temperature field, the operator
-// diagonal, the RHS, the CG scratch, the boundary, and the thermosyphon
-// state all live in per-simulation buffers, so a step performs no heap
-// allocations after the first. Field() and Syphon() alias those buffers
-// and are overwritten by the next Step.
+// A sim is a view over its session: the temperature field is the
+// workspace's field buffer, and the damped boundary, the thermosyphon
+// state, the rasterized power map and the flux scratch are the session's
+// own buffers, so a step performs no heap allocations after the first.
+// Like every session Result, a sim is valid until its session's next
+// solve or next Transient call. A caller that interleaves other work on
+// the session exports the sim's state (ExportState) and later resumes it
+// on any session of an equivalent system (Transient, then ImportState);
+// the resumed sim steps bit-identically to one that never stopped.
+// Field() and Syphon() alias the session's buffers and are overwritten by
+// the next Step.
 type TransientSim struct {
-	sys    *System
-	ws     *thermal.Workspace
-	design *thermosyphon.Design // the session's design (Session.Design)
-	op     thermosyphon.Operating
-	field  *thermal.Field
-	bc     thermal.TopBoundary
-	syph   *thermosyphon.State
-	time   float64
-
-	pCells     []float64
-	qBuf       []float64
-	layerPower [][]float64 // dense die-layer injection table (index 0)
+	ses  *Session
+	op   thermosyphon.Operating
+	time float64
 }
 
 // Transient starts a transient simulation from a uniform initial
 // temperature at the given cooling operating point, on the session's
-// workspace and with the session's thermosyphon design (WithDesign): the
-// sim uses the workspace's second field buffer, so steady solves and a
-// transient run can share one session without clobbering each other. A
-// session hosts at most one transient sim — its field, boundary, and
-// scratch buffers live in the shared workspace, so a second sim would
-// silently corrupt the first; start it on its own session instead.
+// buffers and with the session's thermosyphon design (WithDesign). The
+// sim takes the workspace's field buffer, so opening it drops the
+// session's warm-start carry, and it ends any sim the session was running.
 func (ses *Session) Transient(op thermosyphon.Operating, initialC float64) (*TransientSim, error) {
 	if err := op.Validate(); err != nil {
 		return nil, err
 	}
-	if ses.transient {
-		return nil, fmt.Errorf("cosim: session already hosts a transient simulation; use a new session")
-	}
-	sys := ses.sys
-	ts := &TransientSim{
-		sys:        sys,
-		ws:         ses.ws,
-		design:     ses.Design(),
-		op:         op,
-		field:      ses.ws.FieldB(),
-		layerPower: make([][]float64, 1),
-	}
-	ts.field.T.Fill(initialC)
 	// Bootstrap the boundary with a near-idle thermosyphon state.
-	syph, err := ts.design.Evaporate(sys.Thermal.Grid(), make([]float64, sys.Thermal.Cells()), op)
+	m := ses.sys.Thermal
+	syph, err := ses.Design().EvaporateInto(ses.syph, m.Grid(), make([]float64, m.Cells()), op)
 	if err != nil {
 		return nil, err
 	}
-	ts.syph = syph
-	ts.bc = ses.ws.Boundary()
-	copy(ts.bc.H, syph.H)
-	copy(ts.bc.TFluid, syph.TFluid)
-	ses.transient = true
-	return ts, nil
+	ses.syph = syph
+	ses.warm = false
+	ses.ws.FieldA().T.Fill(initialC)
+	bc := ses.ws.Boundary()
+	copy(bc.H, syph.H)
+	copy(bc.TFluid, syph.TFluid)
+	return &TransientSim{ses: ses, op: op}, nil
 }
 
 // Time returns the elapsed simulated seconds.
@@ -76,11 +59,11 @@ func (ts *TransientSim) Time() float64 { return ts.time }
 
 // Field returns the current temperature field. The field is updated in
 // place by Step; Clone it to keep a snapshot.
-func (ts *TransientSim) Field() *thermal.Field { return ts.field }
+func (ts *TransientSim) Field() *thermal.Field { return ts.ses.ws.FieldA() }
 
 // Syphon returns the thermosyphon state of the last step, valid until the
 // next Step.
-func (ts *TransientSim) Syphon() *thermosyphon.State { return ts.syph }
+func (ts *TransientSim) Syphon() *thermosyphon.State { return ts.ses.syph }
 
 // Operating returns the cooling operating point the sim was started at.
 func (ts *TransientSim) Operating() thermosyphon.Operating { return ts.op }
@@ -92,40 +75,39 @@ func (ts *TransientSim) Step(dt float64, blockPower map[string]float64) error {
 	if dt <= 0 {
 		return fmt.Errorf("cosim: non-positive step %g", dt)
 	}
-	pCells, err := ts.sys.coverage.PowerMapInto(ts.pCells, blockPower)
-	if err != nil {
+	ses := ts.ses
+	// The die-layer injection rides in the session's dense table: no
+	// per-step map allocation or lookup on the step hot path.
+	if _, err := ses.rasterize(blockPower); err != nil {
 		return err
 	}
-	ts.pCells = pCells
+	field, bc := ses.ws.FieldA(), ses.ws.Boundary()
 	// Quasi-static thermosyphon update from the flux the current field
 	// pushes through the top boundary (floor at the injected power so a
 	// cold start still circulates).
-	ts.qBuf = ts.field.TopHeatPerCellInto(ts.qBuf, ts.bc)
-	q := ts.qBuf
+	ses.qNew = field.TopHeatPerCellInto(ses.qNew, bc)
+	q := ses.qNew
 	var qTot float64
 	for _, w := range q {
 		qTot += w
 	}
 	if qTot < 1 {
-		q = pCells
+		q = ses.pCells
 	}
-	syph, err := ts.design.EvaporateInto(ts.syph, ts.sys.Thermal.Grid(), q, ts.op)
+	syph, err := ses.Design().EvaporateInto(ses.syph, ses.sys.Thermal.Grid(), q, ts.op)
 	if err != nil {
 		return err
 	}
-	ts.syph = syph
+	ses.syph = syph
 	// Damp the boundary update: the raw quasi-static coupling produces a
 	// small limit cycle near steady state (flux → quality → HTC → flux);
 	// blending successive boundaries removes it without changing the
 	// converged point.
-	for i := range ts.syph.H {
-		ts.bc.H[i] = 0.5*ts.bc.H[i] + 0.5*ts.syph.H[i]
-		ts.bc.TFluid[i] = 0.5*ts.bc.TFluid[i] + 0.5*ts.syph.TFluid[i]
+	for i := range syph.H {
+		bc.H[i] = 0.5*bc.H[i] + 0.5*syph.H[i]
+		bc.TFluid[i] = 0.5*bc.TFluid[i] + 0.5*syph.TFluid[i]
 	}
-	// The die-layer injection rides in a persistent dense table: no
-	// per-step map allocation or lookup on the step hot path.
-	ts.layerPower[0] = pCells
-	if err := ts.ws.StepTransientLayersInto(ts.field, ts.field, dt, ts.layerPower, ts.bc); err != nil {
+	if err := ses.ws.StepTransientLayersInto(field, field, dt, ses.layerPower, bc); err != nil {
 		return err
 	}
 	ts.time += dt
@@ -160,11 +142,13 @@ type TransientState struct {
 // ExportState deep-copies the sim's dynamic state for serialization. The
 // sim remains usable; the returned state does not alias its buffers.
 func (ts *TransientSim) ExportState() *TransientState {
-	st := &TransientState{TimeS: ts.time}
-	st.FieldT = append([]float64(nil), ts.field.T...)
-	st.BCH = append([]float64(nil), ts.bc.H...)
-	st.BCTFluid = append([]float64(nil), ts.bc.TFluid...)
-	return st
+	bc := ts.ses.ws.Boundary()
+	return &TransientState{
+		TimeS:    ts.time,
+		FieldT:   append([]float64(nil), ts.Field().T...),
+		BCH:      append([]float64(nil), bc.H...),
+		BCTFluid: append([]float64(nil), bc.TFluid...),
+	}
 }
 
 // ImportState overwrites the sim's dynamic state with an exported one.
@@ -175,13 +159,14 @@ func (ts *TransientSim) ExportState() *TransientState {
 // import the next Step continues bit-identically to a sim that never
 // stopped.
 func (ts *TransientSim) ImportState(st *TransientState) error {
-	if len(st.FieldT) != len(ts.field.T) {
+	field, bc := ts.Field(), ts.ses.ws.Boundary()
+	if len(st.FieldT) != len(field.T) {
 		return fmt.Errorf("cosim: state field has %d cells, sim expects %d (grid or stack mismatch)",
-			len(st.FieldT), len(ts.field.T))
+			len(st.FieldT), len(field.T))
 	}
-	if len(st.BCH) != len(ts.bc.H) || len(st.BCTFluid) != len(ts.bc.TFluid) {
+	if len(st.BCH) != len(bc.H) || len(st.BCTFluid) != len(bc.TFluid) {
 		return fmt.Errorf("cosim: state boundary has %d/%d cells, sim expects %d",
-			len(st.BCH), len(st.BCTFluid), len(ts.bc.H))
+			len(st.BCH), len(st.BCTFluid), len(bc.H))
 	}
 	for i, v := range st.FieldT {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -198,16 +183,16 @@ func (ts *TransientSim) ImportState(st *TransientState) error {
 	if st.TimeS < 0 {
 		return fmt.Errorf("cosim: negative state time %g s", st.TimeS)
 	}
-	copy(ts.field.T, st.FieldT)
-	copy(ts.bc.H, st.BCH)
-	copy(ts.bc.TFluid, st.BCTFluid)
+	copy(field.T, st.FieldT)
+	copy(bc.H, st.BCH)
+	copy(bc.TFluid, st.BCTFluid)
 	ts.time = st.TimeS
 	return nil
 }
 
 // DieMax returns the current die hot-spot temperature.
 func (ts *TransientSim) DieMax() (float64, error) {
-	temps, err := ts.field.LayerByName(thermal.LayerDie)
+	temps, err := ts.Field().LayerByName(thermal.LayerDie)
 	if err != nil {
 		return 0, err
 	}
@@ -222,7 +207,8 @@ func (ts *TransientSim) DieMax() (float64, error) {
 
 // TCase returns the current case temperature (spreader center).
 func (ts *TransientSim) TCase() float64 {
-	g := ts.sys.Thermal.Grid()
-	l := ts.sys.Thermal.Stack.LayerIndex(thermal.LayerSpreader)
-	return ts.field.SampleAt(l, g.DX*float64(g.NX)/2, g.DY*float64(g.NY)/2)
+	m := ts.ses.sys.Thermal
+	g := m.Grid()
+	l := m.Stack.LayerIndex(thermal.LayerSpreader)
+	return ts.Field().SampleAt(l, g.DX*float64(g.NX)/2, g.DY*float64(g.NY)/2)
 }

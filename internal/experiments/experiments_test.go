@@ -133,8 +133,8 @@ func TestFig5OrientationOrdering(t *testing.T) {
 }
 
 // TestFig5ChannelColumns pins the coarse worst-channel view: in every
-// orientation the hottest channel nears the critical quality and dries
-// out partway along, earliest under inlet-west.
+// orientation several channels saturate at the clamped exit quality, and
+// the tie goes to channel 6, which dries out earliest.
 func TestFig5ChannelColumns(t *testing.T) {
 	res, err := runFig5(nil, At(Coarse))
 	if err != nil {
@@ -142,10 +142,10 @@ func TestFig5ChannelColumns(t *testing.T) {
 	}
 	_, rows := res.Tables[0].strings()
 	want := [][]string{
-		{"inlet-west", "5", "7.3", "0.99", "0.32"},
-		{"inlet-east", "5", "7.2", "0.99", "0.58"},
-		{"inlet-north", "4", "5.8", "0.99", "0.40"},
-		{"inlet-south", "4", "5.8", "0.99", "0.53"},
+		{"inlet-west", "6", "7.4", "0.99", "0.32"},
+		{"inlet-east", "6", "7.3", "0.99", "0.58"},
+		{"inlet-north", "6", "6.8", "0.99", "0.27"},
+		{"inlet-south", "6", "6.8", "0.99", "0.47"},
 	}
 	if len(rows) != len(want) {
 		t.Fatalf("got %d orientation rows, want %d", len(rows), len(want))

@@ -1,94 +1,14 @@
 // Package rack models the rack-level constraint of §V: one chiller per
-// rack supplies every thermosyphon with the same water temperature, so
-// workloads must be allocated across CPUs to balance package temperatures,
-// and the shared water temperature must satisfy the hottest blade.
+// rack supplies every thermosyphon with the same water temperature, so the
+// shared water temperature must satisfy the hottest blade. The loop's
+// supply and return follow from the blade heats it carries.
 package rack
 
 import (
 	"fmt"
-	"sort"
 
-	"repro/internal/chiller"
 	"repro/internal/refrigerant"
-	"repro/internal/workload"
 )
-
-// App is a workload submitted to the rack.
-type App struct {
-	Bench workload.Benchmark
-	QoS   workload.QoS
-}
-
-// Assignment places apps onto one CPU blade.
-type Assignment struct {
-	CPU  int
-	Apps []App
-	// PowerW is the estimated package power of the blade.
-	PowerW float64
-}
-
-// Allocate distributes apps over nCPU blades balancing estimated package
-// power (greedy longest-processing-time), the rack-level prerequisite for
-// balanced package temperatures under a shared water loop.
-func Allocate(apps []App, nCPU int) ([]Assignment, error) {
-	if nCPU <= 0 {
-		return nil, fmt.Errorf("rack: need at least one CPU, got %d", nCPU)
-	}
-	type scored struct {
-		app App
-		p   float64
-	}
-	scoredApps := make([]scored, 0, len(apps))
-	for _, a := range apps {
-		// Estimate with the cheapest QoS-satisfying configuration.
-		prof := workload.NewProfile(a.Bench)
-		best := -1.0
-		for _, e := range prof.Entries {
-			if a.QoS.Satisfied(a.Bench, e.Config) && (best < 0 || e.Power < best) {
-				best = e.Power
-			}
-		}
-		if best < 0 {
-			return nil, fmt.Errorf("rack: %s cannot meet QoS %s on any configuration", a.Bench.Name, a.QoS)
-		}
-		scoredApps = append(scoredApps, scored{app: a, p: best})
-	}
-	sort.SliceStable(scoredApps, func(i, j int) bool { return scoredApps[i].p > scoredApps[j].p })
-
-	out := make([]Assignment, nCPU)
-	for i := range out {
-		out[i].CPU = i
-	}
-	for _, s := range scoredApps {
-		// Place on the least-loaded blade.
-		min := 0
-		for i := 1; i < nCPU; i++ {
-			if out[i].PowerW < out[min].PowerW {
-				min = i
-			}
-		}
-		out[min].Apps = append(out[min].Apps, s.app)
-		out[min].PowerW += s.p
-	}
-	return out, nil
-}
-
-// Imbalance returns the max-min spread of blade power across assignments.
-func Imbalance(assignments []Assignment) float64 {
-	if len(assignments) == 0 {
-		return 0
-	}
-	lo, hi := assignments[0].PowerW, assignments[0].PowerW
-	for _, a := range assignments[1:] {
-		if a.PowerW < lo {
-			lo = a.PowerW
-		}
-		if a.PowerW > hi {
-			hi = a.PowerW
-		}
-	}
-	return hi - lo
-}
 
 // SharedLoop models the shared water loop as a coupled thermal boundary:
 // every blade on the loop receives the same supply temperature, but that
@@ -154,14 +74,4 @@ func (l SharedLoop) Boundary(bladeHeatW []float64) (LoopState, error) {
 		FlowKgH: flow,
 		HeatW:   total,
 	}, nil
-}
-
-// Cost aggregates the loop cooling cost for the given blade heats (W),
-// priced at the load-derived supply temperature.
-func (l SharedLoop) Cost(bladeHeatW []float64) (chiller.Budget, error) {
-	st, err := l.Boundary(bladeHeatW)
-	if err != nil {
-		return chiller.Budget{}, err
-	}
-	return chiller.Assess(st.FlowKgH, st.SupplyC, st.ReturnC, l.AmbientC)
 }

@@ -1,95 +1,17 @@
 package rack
 
-import (
-	"testing"
+import "testing"
 
-	"repro/internal/workload"
-)
-
-func apps(t *testing.T) []App {
-	t.Helper()
-	var out []App
-	for _, b := range workload.All() {
-		out = append(out, App{Bench: b, QoS: workload.QoS2x})
-	}
-	return out
-}
-
-func TestAllocateBalances(t *testing.T) {
-	as, err := Allocate(apps(t), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(as) != 4 {
-		t.Fatalf("got %d assignments", len(as))
-	}
-	var total int
-	for _, a := range as {
-		total += len(a.Apps)
-		if a.PowerW <= 0 && len(a.Apps) > 0 {
-			t.Fatal("loaded blade without power estimate")
-		}
-	}
-	if total != 13 {
-		t.Fatalf("placed %d of 13 apps", total)
-	}
-	// Greedy LPT: imbalance bounded by the largest single app (< 80 W).
-	if im := Imbalance(as); im > 80 {
-		t.Fatalf("imbalance %.1f W too large", im)
-	}
-}
-
-func TestAllocateSingleCPU(t *testing.T) {
-	as, err := Allocate(apps(t), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(as[0].Apps) != 13 {
-		t.Fatal("single blade must take everything")
-	}
-}
-
-func TestAllocateErrors(t *testing.T) {
-	if _, err := Allocate(nil, 0); err == nil {
-		t.Fatal("zero CPUs must error")
-	}
-}
-
-func TestImbalanceEmpty(t *testing.T) {
-	if Imbalance(nil) != 0 {
-		t.Fatal("empty imbalance should be 0")
-	}
-}
-
-func TestSharedLoopCost(t *testing.T) {
+// TestSharedLoopBoundaryErrors: a negative blade heat or a loop without
+// water flow has no boundary.
+func TestSharedLoopBoundaryErrors(t *testing.T) {
 	loop := SharedLoop{SetpointC: 30, PerBladeFlowKgH: 7, AmbientC: 35}
-	b, err := loop.Cost([]float64{60, 70, 55})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.HeatW < 180 || b.HeatW > 190 {
-		t.Fatalf("total heat %v, want ≈185", b.HeatW)
-	}
-	if b.WaterDeltaT <= 0 {
-		t.Fatal("water must warm up")
-	}
-	if _, err := loop.Cost([]float64{-5}); err == nil {
+	if _, err := loop.Boundary([]float64{-5}); err == nil {
 		t.Fatal("negative heat must error")
 	}
 	bad := SharedLoop{SetpointC: 30, PerBladeFlowKgH: 0, AmbientC: 35}
-	if _, err := bad.Cost([]float64{10}); err == nil {
+	if _, err := bad.Boundary([]float64{10}); err == nil {
 		t.Fatal("zero flow must error")
-	}
-}
-
-func TestColderSharedWaterCostsMore(t *testing.T) {
-	warm := SharedLoop{SetpointC: 30, PerBladeFlowKgH: 7, AmbientC: 35}
-	cold := SharedLoop{SetpointC: 20, PerBladeFlowKgH: 7, AmbientC: 35}
-	heats := []float64{70, 70}
-	bw, _ := warm.Cost(heats)
-	bc, _ := cold.Cost(heats)
-	if bc.ChillerPowerW <= bw.ChillerPowerW {
-		t.Fatal("colder shared loop must cost more chiller power")
 	}
 }
 

@@ -25,8 +25,8 @@ const checkpointVersion = 1
 var errCheckpointDisabled = fmt.Errorf("serve: checkpointing disabled (no checkpoint path configured)")
 
 // checkpointBlade is one registered transient blade in a checkpoint: the
-// normalized registration proposal (enough to rebuild the system,
-// session, operating point and base power map deterministically), the
+// normalized registration proposal (enough to rebuild the pool key,
+// operating point and base power map deterministically), the
 // resolved initial temperature, the exactly-once bookkeeping, and the
 // sim's exact dynamic state. Decoding ignores the "base_power_w" field of
 // older files: restore derives the base power map from the proposal.
@@ -81,7 +81,7 @@ func (s *Server) SaveCheckpoint() (int, error) {
 			Proposal: b.req,
 			LastSeq:  b.lastSeq,
 			LastBody: append([]byte(nil), b.lastBody...),
-			State:    *b.sim.ExportState(),
+			State:    *b.state,
 		}
 		b.mu.Unlock()
 		payload.Blades = append(payload.Blades, cb)
@@ -145,10 +145,10 @@ func atomicWrite(path string, data []byte) error {
 }
 
 // RestoreCheckpoint rebuilds the transient blade registry from the
-// configured checkpoint path: each saved blade gets a fresh
-// system+session built from its normalized proposal (exactly the
-// registration path), then its sim state is overwritten with the
-// checkpointed one, so the blade resumes at its exact simulated time —
+// configured checkpoint path: each saved blade is registered from its
+// normalized proposal (exactly the registration path), then its state is
+// replaced with the checkpointed one, so the blade resumes at its exact
+// simulated time —
 // restore-then-step is bit-identical to never having stopped. A missing
 // file is a fresh boot (0, nil); a corrupt, truncated, or
 // version-mismatched file is an error and restores nothing.

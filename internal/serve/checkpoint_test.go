@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -78,8 +79,8 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 }
 
 // TestTransientBladesShareSystem: blades registered at the same
-// (resolution, fault) hold one System, each on its own session, whatever
-// their solver; a different fault gets its own System. Sharing leaks no state: every
+// (resolution, fault) hold one System whatever their solver; a different
+// fault gets its own System. Sharing leaks no state: every
 // blade steps byte-identically to a blade alone on a fresh server, and
 // after a checkpoint restore (which shares the System again) the next
 // chunk matches the uninterrupted run.
@@ -103,8 +104,8 @@ func TestTransientBladesShareSystem(t *testing.T) {
 	}
 	checkShared := func(s *Server) {
 		b0, b1, b2, b3 := blade(s, "b0"), blade(s, "b1"), blade(s, "b2"), blade(s, "b3")
-		if b0.sys != b1.sys || b0.sys != b3.sys || b0.ses == b1.ses {
-			t.Fatal("blades at one (resolution, fault) do not share one System on their own sessions")
+		if b0.sys != b1.sys || b0.sys != b3.sys {
+			t.Fatal("blades at one (resolution, fault) do not share one System")
 		}
 		if b2.sys == b0.sys {
 			t.Fatal("a faulted blade shares the healthy System")
@@ -147,6 +148,55 @@ func TestTransientBladesShareSystem(t *testing.T) {
 	for _, n := range names {
 		if got := stepChunk(t, h2, n, 2, chunk2); !bytes.Equal(ref[n].Bytes(), got.Bytes()) {
 			t.Fatalf("%s: restore-then-step diverged from the uninterrupted run:\nref %s\ngot %s", n, ref[n], got)
+		}
+	}
+}
+
+// TestTransientBladesBorrowPooledSessions: blades hold their state, not a
+// session. Eight blades on a one-worker server borrow one pooled session
+// for every registration and chunk, so the server builds at most one, and
+// every registration and chunk body is byte-identical to a blade alone
+// on a fresh server.
+func TestTransientBladesBorrowPooledSessions(t *testing.T) {
+	benches := []string{"x264", "canneal", "ferret", "vips", "dedup", "blackscholes", "bodytrack", "streamcluster"}
+	chunks := []string{
+		`{"seq":1,"dt_s":0.25,"steps":[{},{"load":1.2}]}`,
+		`{"seq":2,"dt_s":0.25,"steps":[{"load":0.7},{}]}`,
+	}
+	reg := func(i int) string {
+		return fmt.Sprintf(`{"blade":"b%d","benchmark":%q,"initial_c":%d}`, i, benches[i], 25+3*i)
+	}
+	s := newTestServer(t, Config{Workers: 1})
+	h := s.Handler()
+	regBodies := make([][]byte, len(benches))
+	for i := range benches {
+		w := post(t, h, "/v1/transient", reg(i))
+		if w.Code != http.StatusCreated {
+			t.Fatalf("register b%d: %d %s", i, w.Code, w.Body)
+		}
+		regBodies[i] = w.Body.Bytes()
+	}
+	bodies := make([][][]byte, len(benches))
+	for c, chunk := range chunks {
+		for i := range benches {
+			bodies[i] = append(bodies[i], stepChunk(t, h, fmt.Sprintf("b%d", i), c+1, chunk).Bytes())
+		}
+	}
+	st := s.Snapshot()
+	if borrows := len(benches) * (1 + len(chunks)); st.SessionBuilds > 1 || st.SessionBuilds+st.SessionReuses != int64(borrows) {
+		t.Fatalf("%d session builds and %d reuses for %d registrations and chunks on one worker, want at most 1 build and one borrow each",
+			st.SessionBuilds, st.SessionReuses, borrows)
+	}
+	for i := range benches {
+		solo := newTestServer(t, Config{Workers: 1}).Handler()
+		w := post(t, solo, "/v1/transient", reg(i))
+		if w.Code != http.StatusCreated || !bytes.Equal(w.Body.Bytes(), regBodies[i]) {
+			t.Fatalf("b%d registration differs from a solo blade's:\nshared %s\nsolo   %s", i, regBodies[i], w.Body)
+		}
+		for c, chunk := range chunks {
+			if got := stepChunk(t, solo, fmt.Sprintf("b%d", i), c+1, chunk); !bytes.Equal(got.Bytes(), bodies[i][c]) {
+				t.Fatalf("b%d chunk %d differs from a solo blade's:\nshared %s\nsolo   %s", i, c+1, bodies[i][c], got)
+			}
 		}
 	}
 }

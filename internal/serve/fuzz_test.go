@@ -238,7 +238,7 @@ func bladeMarks(s *Server) map[string]bladeMark {
 			continue
 		}
 		b.mu.Lock()
-		out[name] = bladeMark{TimeS: b.sim.Time(), LastSeq: b.lastSeq}
+		out[name] = bladeMark{TimeS: b.state.TimeS, LastSeq: b.lastSeq}
 		b.mu.Unlock()
 	}
 	return out

@@ -90,18 +90,6 @@ func (ps *sessionPools) getLocked(key poolKey) (*pool, error) {
 	return p, nil
 }
 
-// own builds a session the caller keeps: it runs on the pool's shared
-// System but never enters the free list. Each transient blade owns one.
-func (ps *sessionPools) own(key poolKey) (*cosim.Session, error) {
-	ps.mu.Lock()
-	p, err := ps.getLocked(key)
-	ps.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return ps.newSession(key, p.sys), nil
-}
-
 // acquire pops an idle session of the key's pool, or builds one on the
 // pool's System. The caller owns the session until it calls release.
 func (ps *sessionPools) acquire(key poolKey) (*pool, *cosim.Session, error) {

@@ -231,7 +231,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.RestoreOnStart && cfg.CheckpointPath != "" {
 		if _, err := s.RestoreCheckpoint(); err != nil {
-			s.trans.closeAll()
+			s.pools.closeAll()
 			return nil, err
 		}
 	}
@@ -300,7 +300,8 @@ func (s *Server) retryAfterSecs() int {
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
 // Close drains (if not already draining) and retires every pooled solve
-// session and registered transient blade, releasing their worker teams.
+// session, releasing their worker teams, and every registered transient
+// blade.
 // Close is idempotent and must run after http.Server.Shutdown has
 // returned, so no handler still owns a pooled session; one that does is
 // closed by its release, because its pool is retired.

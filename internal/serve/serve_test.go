@@ -406,8 +406,8 @@ func TestPoolEvictsLeastRecentlyUsed(t *testing.T) {
 	if w.Code != http.StatusOK || !bytes.Equal(first, w.Body.Bytes()) {
 		t.Fatalf("evicted class recomputed differently: %d %s", w.Code, w.Body)
 	}
-	// Transient blades never release a session, yet their pools (each
-	// pinning a System) stay under the cap too.
+	// Transient registrations borrow sessions from pools of their own,
+	// and those pools (each pinning a System) stay under the cap too.
 	for i, f := range []string{"pump:0.4", "pump:0.5", "pump:0.6"} {
 		if w := post(t, h, "/v1/transient", fmt.Sprintf(`{"blade":"b%d","benchmark":"x264","fault":%q}`, i, f)); w.Code != http.StatusCreated {
 			t.Fatalf("register %s: %d %s", f, w.Code, w.Body)

@@ -12,20 +12,28 @@ import (
 
 	"repro/internal/cosim"
 	"repro/internal/power"
+	"repro/internal/thermosyphon"
 )
 
-// transientBlade is one registered blade with a persistent TransientSim:
-// its thermal state advances across requests, so a client can stream a
-// power trace in chunks and the blade's temperature history is continuous.
-// Each blade owns a dedicated session (a session hosts at most one
-// transient sim) on the System its (resolution, fault) pool shares;
-// steps serialize through mu.
+// transientBlade is one registered blade: its thermal state advances
+// across requests, so a client can stream a power trace in chunks and the
+// blade's temperature history is continuous. A blade holds values, not a
+// session: each step chunk borrows a session from the blade's pool, opens
+// a TransientSim on it from state, and returns it. Steps serialize
+// through mu.
 type transientBlade struct {
 	mu   sync.Mutex
 	name string
-	sys  *cosim.System
-	ses  *cosim.Session
-	sim  *cosim.TransientSim
+	// sys is the System the blade was registered on, its pool's. key
+	// selects the pool its chunks borrow sessions from, and op is the
+	// derated operating point they step at.
+	sys *cosim.System
+	key poolKey
+	op  thermosyphon.Operating
+	// state is the sim's state after the last committed chunk, and last
+	// is the sample taken at it, which answers status requests.
+	state *cosim.TransientState
+	last  TransientSample
 	// base is the registered per-block power map (W); step entries may
 	// scale it with a load factor instead of respelling the full map.
 	base map[string]float64
@@ -76,8 +84,7 @@ func (t *transients) get(name string) (*transientBlade, bool) {
 	return b, ok
 }
 
-// remove unregisters a blade and closes its session, waiting out any
-// in-flight step chunk.
+// remove unregisters a blade, waiting out any in-flight step chunk.
 func (t *transients) remove(name string) bool {
 	t.mu.Lock()
 	b, ok := t.byName[name]
@@ -89,7 +96,6 @@ func (t *transients) remove(name string) bool {
 	b.mu.Lock()
 	b.dead = true
 	b.mu.Unlock()
-	b.ses.Close()
 	return true
 }
 
@@ -111,8 +117,7 @@ func (t *transients) len() int {
 }
 
 // closeAll retires every blade. The registry lock is dropped before the
-// per-blade locks, so a step chunk finishing concurrently cannot deadlock;
-// the idempotent Session.Close makes the race with remove harmless.
+// per-blade locks, so a step chunk finishing concurrently cannot deadlock.
 func (t *transients) closeAll() {
 	t.mu.Lock()
 	blades := make([]*transientBlade, 0, len(t.byName))
@@ -125,7 +130,6 @@ func (t *transients) closeAll() {
 		b.mu.Lock()
 		b.dead = true
 		b.mu.Unlock()
-		b.ses.Close()
 	}
 }
 
@@ -175,20 +179,25 @@ type TransientStatus struct {
 }
 
 // status snapshots the blade under its step lock.
-func (b *transientBlade) status() (TransientStatus, error) {
+func (b *transientBlade) status() TransientStatus {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	dieMax, err := b.sim.DieMax()
-	if err != nil {
-		return TransientStatus{}, err
-	}
 	return TransientStatus{
 		Blade:      b.name,
-		TimeS:      b.sim.Time(),
-		DieMaxC:    dieMax,
-		TCaseC:     b.sim.TCase(),
+		TimeS:      b.last.TimeS,
+		DieMaxC:    b.last.DieMaxC,
+		TCaseC:     b.last.TCaseC,
 		BasePowerW: power.SumBlockPowers(b.base),
-	}, nil
+	}
+}
+
+// sampleOf reads a sim's clock, die hot spot and case temperature.
+func sampleOf(sim *cosim.TransientSim) (TransientSample, error) {
+	dieMax, err := sim.DieMax()
+	if err != nil {
+		return TransientSample{}, err
+	}
+	return TransientSample{TimeS: sim.Time(), DieMaxC: dieMax, TCaseC: sim.TCase()}, nil
 }
 
 // handleTransientList is /v1/transient: GET lists registered blades, POST
@@ -199,16 +208,9 @@ func (s *Server) handleTransientList(w http.ResponseWriter, r *http.Request) {
 		names := s.trans.names()
 		out := make([]TransientStatus, 0, len(names))
 		for _, n := range names {
-			b, ok := s.trans.get(n)
-			if !ok {
-				continue
+			if b, ok := s.trans.get(n); ok {
+				out = append(out, b.status())
 			}
-			st, err := b.status()
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, err.Error())
-				return
-			}
-			out = append(out, st)
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"blades": out})
 	case http.MethodPost:
@@ -264,9 +266,9 @@ func (s *Server) handleTransientRegister(w http.ResponseWriter, r *http.Request)
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// A registration builds a dedicated session (a session hosts at most
-	// one transient sim) on its pool's shared System, so it pays a cold
-	// build — gate it through admission like any other solve-class request.
+	// A registration borrows a pooled session, possibly building it, to
+	// open the blade's first sim — gate it through admission like any
+	// other solve-class request.
 	release, err := s.adm.acquire(r.Context())
 	if err != nil {
 		s.rejectSolve(w, err)
@@ -283,36 +285,36 @@ func (s *Server) handleTransientRegister(w http.ResponseWriter, r *http.Request)
 		writeError(w, status, err.Error(), retryAfter)
 		return
 	}
-	st, err := b.status()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusCreated, st)
+	writeJSON(w, http.StatusCreated, b.status())
 }
 
-// addBlade gives b its dedicated session and TransientSim, built from the
-// normalized proposal p at b.initialC, imports state when a checkpoint
-// restore supplies one, and registers the blade. Registration and
-// restore share it. The session is closed on every failure, and the
-// returned status is the HTTP code a registration answers it with.
+// addBlade gives b its state, built from the normalized proposal p at
+// b.initialC on a session borrowed from p's pool, replaces it with state
+// when a checkpoint restore supplies one (ImportState validates it), and
+// registers the blade. Registration and restore share it. The returned
+// status is the HTTP code a registration answers a failure with.
 func (s *Server) addBlade(b *transientBlade, p *steadyProposal, state *cosim.TransientState) (int, error) {
-	ses, err := s.pools.own(p.class.poolKey)
+	pl, ses, err := s.pools.acquire(p.class.poolKey)
 	if err != nil {
 		return http.StatusInternalServerError, err
 	}
-	sim, err := ses.Transient(p.operatingFor(), b.initialC)
+	op := p.operatingFor()
+	sim, err := ses.Transient(op, b.initialC)
 	if err == nil && state != nil {
 		err = sim.ImportState(state)
 	}
+	if err == nil {
+		b.last, err = sampleOf(sim)
+	}
+	if err == nil {
+		b.sys, b.key, b.op, b.state = ses.System(), p.class.poolKey, op, sim.ExportState()
+	}
+	s.pools.release(pl, ses, err != nil)
 	if err != nil {
-		ses.Close()
 		return http.StatusBadRequest, err
 	}
-	b.sys, b.ses, b.sim = ses.System(), ses, sim
 	b.base = basePower(b.sys, p)
 	if err := s.trans.add(b); err != nil {
-		ses.Close()
 		if err == errTransientsFull {
 			return http.StatusTooManyRequests, err
 		}
@@ -351,12 +353,7 @@ func (s *Server) handleTransientOp(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, fmt.Sprintf("blade %q not registered", name))
 			return
 		}
-		st, err := b.status()
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
+		writeJSON(w, http.StatusOK, b.status())
 	case op == "" && r.Method == http.MethodDelete:
 		if !s.trans.remove(name) {
 			writeError(w, http.StatusNotFound, fmt.Sprintf("blade %q not registered", name))
@@ -449,37 +446,43 @@ func (s *Server) handleTransientStep(w http.ResponseWriter, r *http.Request, nam
 	// the clock must still resolve dt_s where the chunk leaves it, so the
 	// stream can go on at the same cadence. Replay the clock's
 	// accumulation — one increment per step plus that one more — before
-	// touching the sim, and refuse the whole chunk if any increment fails.
-	for i, t := 0, b.sim.Time(); i <= len(req.Steps); i++ {
+	// opening a sim, and refuse the whole chunk if any increment fails.
+	for i, t := 0, b.state.TimeS; i <= len(req.Steps); i++ {
 		next := t + req.DtS
 		if !(next > t) || math.IsInf(next, 0) {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf(
-				"dt_s %g: the blade clock at %g s cannot take %d more steps of it", req.DtS, b.sim.Time(), len(req.Steps)+1))
+				"dt_s %g: the blade clock at %g s cannot take %d more steps of it", req.DtS, b.state.TimeS, len(req.Steps)+1))
 			return
 		}
 		t = next
 	}
-	// A chunk applies atomically: snapshot the sim before the first step
-	// and roll back to it if anything fails or the client cancels partway
-	// through. Without the rollback a retried chunk would re-apply steps
-	// the failed attempt already took, double-stepping the successful
-	// prefix — the exactly-once contract must hold even for chunks that
-	// die mid-flight.
-	pre := b.sim.ExportState()
-	rollback := func() {
-		if err := b.sim.ImportState(pre); err != nil {
-			// A same-sim snapshot can only fail to import if the state was
-			// corrupted in flight; the blade is unrecoverable — kill it so
-			// clients re-register instead of streaming onto unknown state.
-			b.dead = true
-		}
+	// A chunk applies atomically: it steps a sim opened from the blade's
+	// state on a borrowed session, and the blade takes the sim's new state
+	// only once every step succeeded. A failed or cancelled chunk commits
+	// nothing, so a retry never re-applies steps a failed attempt took —
+	// the exactly-once contract holds even for chunks that die
+	// mid-flight. The session goes back poisoned unless the chunk
+	// committed, like a failed steady solve's.
+	pl, ses, err := s.pools.acquire(b.key)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	poisoned := true
+	defer func() { s.pools.release(pl, ses, poisoned) }()
+	sim, err := ses.Transient(b.op, b.initialC)
+	if err == nil {
+		err = sim.ImportState(b.state)
+	}
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
 	}
 	samples := make([]TransientSample, 0, len(req.Steps))
 	scaled := make(map[string]float64, len(b.base))
 	ctx := r.Context()
 	for i, st := range req.Steps {
 		if err := ctx.Err(); err != nil {
-			rollback()
 			s.solveError(w, err)
 			return
 		}
@@ -492,31 +495,26 @@ func (s *Server) handleTransientStep(w http.ResponseWriter, r *http.Request, nam
 			}
 			pw = scaled
 		}
-		if err := b.sim.Step(req.DtS, pw); err != nil {
-			rollback()
+		if err := sim.Step(req.DtS, pw); err != nil {
 			writeError(w, http.StatusInternalServerError, fmt.Sprintf("step %d: %v", i, err))
 			return
 		}
-		dieMax, err := b.sim.DieMax()
+		sample, err := sampleOf(sim)
 		if err != nil {
-			rollback()
 			writeError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		samples = append(samples, TransientSample{
-			TimeS:   b.sim.Time(),
-			DieMaxC: dieMax,
-			TCaseC:  b.sim.TCase(),
-		})
+		samples = append(samples, sample)
 	}
 	body, err := json.Marshal(map[string]any{"blade": name, "samples": samples})
 	if err != nil {
-		rollback()
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	// The chunk is committed only now: steps are counted and the dedup
-	// cursor advances together, after every step succeeded.
+	// The chunk is committed only now: the state, the step count and the
+	// dedup cursor advance together, after every step succeeded.
+	b.state, b.last = sim.ExportState(), samples[len(samples)-1]
+	poisoned = false
 	s.stats.transientSteps.Add(int64(len(req.Steps)))
 	body = append(body, '\n')
 	if req.Seq > 0 {

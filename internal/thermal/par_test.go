@@ -152,7 +152,7 @@ func TestSolvesByteIdenticalAcrossThreads(t *testing.T) {
 		if err := ref.SteadySolveLayersInto(steady, nil, power, bc); err != nil {
 			t.Fatalf("%v serial steady: %v", solver, err)
 		}
-		step := ref.FieldB()
+		step := m.NewField()
 		step.T.Fill(30)
 		if err := ref.StepTransientLayersInto(step, step, 0.25, power, bc); err != nil {
 			t.Fatalf("%v serial transient: %v", solver, err)
@@ -169,7 +169,7 @@ func TestSolvesByteIdenticalAcrossThreads(t *testing.T) {
 				t.Fatalf("%v steady @%d threads: %v", solver, threads, err)
 			}
 			vecsEqual(t, "steady field", f.T, steady.T)
-			g := w.FieldB()
+			g := m.NewField()
 			g.T.Fill(30)
 			if err := w.StepTransientLayersInto(g, g, 0.25, power, bc); err != nil {
 				t.Fatalf("%v transient @%d threads: %v", solver, threads, err)

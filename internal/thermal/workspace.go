@@ -9,7 +9,7 @@ import (
 
 // Workspace owns every per-solve buffer a Model needs — the operator
 // diagonal and its inverse, the right-hand side, the CG scratch vectors, a
-// reusable top-boundary buffer, and two field buffers — so that repeated
+// reusable top-boundary buffer, and one field buffer — so that repeated
 // solves on the same model perform no allocations. The buffers are fully
 // overwritten by each solve; a reused workspace carries no numerical state
 // between calls (warm starting is the caller's choice via the init/prev
@@ -38,8 +38,8 @@ type Workspace struct {
 
 	stats SolveStats
 
-	bc   TopBoundary
-	a, b *Field
+	bc TopBoundary
+	a  *Field
 }
 
 // NewWorkspace returns a workspace sized for the model. The field,
@@ -156,8 +156,8 @@ func (w *Workspace) solve(x linalg.Vector, tol float64) error {
 	return err
 }
 
-// FieldA returns the workspace's first reusable field buffer, allocating
-// it on first use. The buffer is owned by the workspace: it stays valid
+// FieldA returns the workspace's reusable field buffer, allocating it on
+// first use. The buffer is owned by the workspace: it stays valid
 // across solves, which is exactly what lets a session keep the previous
 // converged field as the next solve's warm start.
 func (w *Workspace) FieldA() *Field {
@@ -165,15 +165,6 @@ func (w *Workspace) FieldA() *Field {
 		w.a = w.m.NewField()
 	}
 	return w.a
-}
-
-// FieldB returns the second reusable field buffer (e.g. for a transient
-// simulation sharing the workspace with steady solves).
-func (w *Workspace) FieldB() *Field {
-	if w.b == nil {
-		w.b = w.m.NewField()
-	}
-	return w.b
 }
 
 // Boundary returns a reusable top-boundary buffer sized to the grid

@@ -91,14 +91,25 @@ func (d *Design) ChannelReport(grid floorplan.Grid, cellHeat []float64, op Opera
 	return out, nil
 }
 
-// WorstChannel returns the channel with the highest exit quality.
+// WorstChannel returns the channel with the highest exit quality. The
+// march clamps quality at 0.99, so several saturated channels can tie;
+// among them the one that dries out earliest is worst, and after that the
+// one carrying the most heat.
 func WorstChannel(report []ChannelSummary) (ChannelSummary, error) {
 	if len(report) == 0 {
 		return ChannelSummary{}, fmt.Errorf("thermosyphon: empty channel report")
 	}
 	worst := report[0]
 	for _, c := range report[1:] {
-		if c.ExitQuality > worst.ExitQuality {
+		if c.ExitQuality != worst.ExitQuality {
+			if c.ExitQuality > worst.ExitQuality {
+				worst = c
+			}
+		} else if c.DryoutPos != worst.DryoutPos {
+			if c.DryoutPos < worst.DryoutPos {
+				worst = c
+			}
+		} else if c.HeatW > worst.HeatW {
 			worst = c
 		}
 	}

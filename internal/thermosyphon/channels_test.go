@@ -113,3 +113,42 @@ func TestChannelReportConsistentWithEvaporate(t *testing.T) {
 		t.Fatalf("report worst quality %v vs state max %v", worst.ExitQuality, st.MaxQuality)
 	}
 }
+
+// TestWorstChannelBreaksTies: among channels at the clamped exit quality
+// the earliest dryout is worst, then the most heat; a higher quality
+// still beats both.
+func TestWorstChannelBreaksTies(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		report []ChannelSummary
+		want   int
+	}{
+		{"quality first", []ChannelSummary{
+			{Channel: 0, ExitQuality: 0.98, DryoutPos: 0.1, HeatW: 9},
+			{Channel: 1, ExitQuality: 0.99, DryoutPos: 0.6, HeatW: 5},
+		}, 1},
+		{"earliest dryout", []ChannelSummary{
+			{Channel: 4, ExitQuality: 0.99, DryoutPos: 0.40, HeatW: 5.8},
+			{Channel: 5, ExitQuality: 0.99, DryoutPos: 0.33, HeatW: 6.5},
+			{Channel: 6, ExitQuality: 0.99, DryoutPos: 0.27, HeatW: 6.8},
+			{Channel: 7, ExitQuality: 0.99, DryoutPos: 0.35, HeatW: 6.9},
+		}, 6},
+		{"most heat", []ChannelSummary{
+			{Channel: 2, ExitQuality: 0.99, DryoutPos: 0.5, HeatW: 6},
+			{Channel: 3, ExitQuality: 0.99, DryoutPos: 0.5, HeatW: 7},
+			{Channel: 4, ExitQuality: 0.99, DryoutPos: 0.5, HeatW: 6.5},
+		}, 3},
+		{"full tie keeps the lowest index", []ChannelSummary{
+			{Channel: 0, ExitQuality: 0.2, DryoutPos: 1, HeatW: 3},
+			{Channel: 1, ExitQuality: 0.2, DryoutPos: 1, HeatW: 3},
+		}, 0},
+	} {
+		worst, err := WorstChannel(tc.report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if worst.Channel != tc.want {
+			t.Errorf("%s: worst channel %d, want %d", tc.name, worst.Channel, tc.want)
+		}
+	}
+}
