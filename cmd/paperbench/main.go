@@ -38,7 +38,7 @@ func main() {
 	list := flag.Bool("list", false, "list the registered experiments and exit")
 	jsonOut := flag.Bool("json", false, "emit results as a JSON array instead of text")
 	maps := flag.Bool("maps", false, "print ASCII thermal maps where available")
-	out := flag.String("outdir", "", "directory for SVG/CSV map artifacts (optional)")
+	out := flag.String("outdir", "", "directory for SVG/CSV map artifacts of a run, not of a -report (optional)")
 	reportPath := flag.String("report", "", "write a markdown reproduction report of the -exp selection to this file and exit")
 	solverFlag := flag.String("solver", "cg", "thermal linear solver for every experiment: cg|mgpcg")
 	faultFlag := flag.String("fault", "", "cooling-fault scenario, e.g. pump:0.5 or pump:0.4,fouling:0.3:loop0 (the faults experiment adds it to its sweep)")
@@ -74,7 +74,6 @@ func main() {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			fatal(err)
 		}
-		cfg.Artifacts = dirSink(*out)
 	}
 
 	ctx, cancel := experiments.WithTimeout(context.Background(), *timeout)
@@ -97,7 +96,7 @@ func main() {
 		return
 	}
 
-	if err := runSelected(ctx, os.Stdout, selected, cfg, *jsonOut, *maps); err != nil {
+	if err := runSelected(ctx, os.Stdout, selected, cfg, *jsonOut, *maps, *out); err != nil {
 		fatal(err)
 	}
 }
@@ -124,8 +123,9 @@ func selectExperiments(flagVal string) ([]experiments.Experiment, error) {
 
 // runSelected runs the experiments and renders their results — one JSON
 // array, or per-experiment text with optional ASCII maps. Timing lines go
-// to stderr in JSON mode so stdout stays parseable.
-func runSelected(ctx context.Context, w io.Writer, selected []experiments.Experiment, cfg experiments.RunConfig, jsonOut, maps bool) error {
+// to stderr in JSON mode so stdout stays parseable. A non-empty outdir
+// receives each experiment's maps as SVG/CSV files once it finishes.
+func runSelected(ctx context.Context, w io.Writer, selected []experiments.Experiment, cfg experiments.RunConfig, jsonOut, maps bool, outdir string) error {
 	var results []*experiments.Result
 	for _, e := range selected {
 		if err := ctx.Err(); err != nil {
@@ -137,6 +137,13 @@ func runSelected(ctx context.Context, w io.Writer, selected []experiments.Experi
 			return fmt.Errorf("%s: %w", e.Name, err)
 		}
 		elapsed := time.Since(start).Round(time.Millisecond)
+		if outdir != "" {
+			for _, m := range r.Maps {
+				if err := saveMap(outdir, m); err != nil {
+					return err
+				}
+			}
+		}
 		if jsonOut {
 			results = append(results, r)
 			fmt.Fprintf(os.Stderr, "[%s done in %v]\n", e.Name, elapsed)
@@ -163,12 +170,10 @@ func runSelected(ctx context.Context, w io.Writer, selected []experiments.Experi
 	return nil
 }
 
-// dirSink writes every map artifact an experiment emits as an SVG heat
-// map and a CSV grid in the given directory.
-type dirSink string
-
-func (d dirSink) SaveMap(m experiments.MapArtifact) error {
-	svg, err := os.Create(filepath.Join(string(d), m.Name+".svg"))
+// saveMap writes a map artifact as an SVG heat map and a CSV grid in
+// dir.
+func saveMap(dir string, m experiments.MapArtifact) error {
+	svg, err := os.Create(filepath.Join(dir, m.Name+".svg"))
 	if err != nil {
 		return err
 	}
@@ -179,7 +184,7 @@ func (d dirSink) SaveMap(m experiments.MapArtifact) error {
 	if err := svg.Close(); err != nil {
 		return err
 	}
-	csv, err := os.Create(filepath.Join(string(d), m.Name+".csv"))
+	csv, err := os.Create(filepath.Join(dir, m.Name+".csv"))
 	if err != nil {
 		return err
 	}

@@ -60,7 +60,7 @@ func TestRunTableIText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runSelected(context.Background(), &buf, sel, experiments.At(experiments.Coarse), false, false); err != nil {
+	if err := runSelected(context.Background(), &buf, sel, experiments.At(experiments.Coarse), false, false, ""); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -75,7 +75,7 @@ func TestRunFig6CoarseText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runSelected(context.Background(), &buf, sel, experiments.At(experiments.Coarse), false, false); err != nil {
+	if err := runSelected(context.Background(), &buf, sel, experiments.At(experiments.Coarse), false, false, ""); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -92,7 +92,7 @@ func TestRunJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runSelected(context.Background(), &buf, sel, experiments.At(experiments.Coarse), true, false); err != nil {
+	if err := runSelected(context.Background(), &buf, sel, experiments.At(experiments.Coarse), true, false, ""); err != nil {
 		t.Fatal(err)
 	}
 	var results []experiments.Result
@@ -115,7 +115,7 @@ func TestRunMapsASCII(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := runSelected(context.Background(), &buf, sel, experiments.At(experiments.Coarse), false, true); err != nil {
+	if err := runSelected(context.Background(), &buf, sel, experiments.At(experiments.Coarse), false, true, ""); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "fig2_die:") {
@@ -125,14 +125,12 @@ func TestRunMapsASCII(t *testing.T) {
 
 func TestDirSink(t *testing.T) {
 	dir := t.TempDir()
-	cfg := experiments.At(experiments.Coarse)
-	cfg.Artifacts = dirSink(dir)
 	sel, err := selectExperiments("fig2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := runSelected(context.Background(), &buf, sel, cfg, false, false); err != nil {
+	if err := runSelected(context.Background(), &buf, sel, experiments.At(experiments.Coarse), false, false, dir); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range []string{"fig2_die.svg", "fig2_die.csv", "fig2_package.svg", "fig2_package.csv"} {

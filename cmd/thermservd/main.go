@@ -51,10 +51,6 @@ type options struct {
 	Solver          string
 	Workers         int
 	Threads         int
-	Queue           int
-	Sessions        int
-	Memo            int
-	Transients      int
 	Timeout         time.Duration
 	DrainWait       time.Duration
 	CheckpointPath  string
@@ -69,10 +65,6 @@ func main() {
 	flag.StringVar(&o.Solver, "solver", "cg", "default linear solver: cg|mgpcg")
 	flag.IntVar(&o.Workers, "workers", 0, "max concurrent solves (0 = auto split of GOMAXPROCS)")
 	flag.IntVar(&o.Threads, "threads", 0, "threads per solve session (0 = auto split)")
-	flag.IntVar(&o.Queue, "queue", 0, "admission queue depth before 429 (0 = 2×workers)")
-	flag.IntVar(&o.Sessions, "sessions", 0, "cap on idle pooled solve sessions and on (solver, resolution, fault) pools (0 = 64)")
-	flag.IntVar(&o.Memo, "memo", 0, "response memo capacity (0 = 4096)")
-	flag.IntVar(&o.Transients, "transients", 0, "max registered transient blades (0 = 16)")
 	flag.DurationVar(&o.Timeout, "timeout", 0, "per-request solve deadline (0 = none), e.g. 30s")
 	flag.DurationVar(&o.DrainWait, "drain", 30*time.Second, "max wait for in-flight requests on shutdown")
 	flag.StringVar(&o.CheckpointPath, "checkpoint", "", "transient checkpoint file (empty = checkpointing off); snapshots on drain and on POST /v1/checkpoint")
@@ -106,10 +98,6 @@ func run(o options, ready chan<- string) error {
 		Solver:          solver,
 		Workers:         o.Workers,
 		Threads:         o.Threads,
-		QueueDepth:      o.Queue,
-		Sessions:        o.Sessions,
-		MemoEntries:     o.Memo,
-		Transients:      o.Transients,
 		RequestTimeout:  o.Timeout,
 		CheckpointPath:  o.CheckpointPath,
 		CheckpointEvery: o.CheckpointEvery,

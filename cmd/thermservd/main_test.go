@@ -20,7 +20,6 @@ func testOptions() options {
 		Solver:     "cg",
 		Workers:    1,
 		Threads:    1,
-		Queue:      4,
 		Timeout:    time.Minute,
 		DrainWait:  30 * time.Second,
 	}
@@ -172,7 +171,7 @@ func TestDaemonCheckpointRestore(t *testing.T) {
 func TestDaemonRejectsBadFlags(t *testing.T) {
 	bad := func(mutate func(*options)) options {
 		o := testOptions()
-		o.Workers, o.Threads, o.Queue, o.Timeout = 0, 0, 0, 0
+		o.Workers, o.Threads, o.Timeout = 0, 0, 0
 		mutate(&o)
 		return o
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/thermal"
@@ -11,8 +12,8 @@ import (
 )
 
 // TestTransientExportImportExact pins the checkpoint/restore contract:
-// stepping N, exporting, importing into a sim on a fresh system, and
-// stepping M more is bit-identical to stepping N+M uninterrupted — for
+// stepping N, exporting, resuming a sim from the state on a fresh system,
+// and stepping M more is bit-identical to stepping N+M uninterrupted — for
 // both the CG and the MG-PCG solvers and across thread counts. The state
 // round-trips through JSON on the way, so the test also proves the
 // serialized form loses no bits.
@@ -22,18 +23,22 @@ func TestTransientExportImportExact(t *testing.T) {
 	for _, solver := range []thermal.Solver{thermal.SolverCG, thermal.SolverMGPCG} {
 		for _, threads := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s-t%d", solver, threads), func(t *testing.T) {
-				newSim := func() (*System, *TransientSim) {
+				newSession := func() *Session {
 					sys, err := NewSystem(coarseConfig())
 					if err != nil {
 						t.Fatal(err)
 					}
 					ses := sys.NewSession(WithSolver(solver), WithThreads(threads))
 					t.Cleanup(func() { ses.Close() })
+					return ses
+				}
+				newSim := func() (*System, *TransientSim) {
+					ses := newSession()
 					sim, err := ses.Transient(op, 30)
 					if err != nil {
 						t.Fatal(err)
 					}
-					return sys, sim
+					return ses.System(), sim
 				}
 				sysRef, ref := newSim()
 				bp := sysRef.Power.BlockPowers(fullLoadState(2.2))
@@ -61,10 +66,12 @@ func TestTransientExportImportExact(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				sysB, simB := newSim()
-				if err := simB.ImportState(&st); err != nil {
+				sesB := newSession()
+				simB, err := sesB.Resume(op, &st)
+				if err != nil {
 					t.Fatal(err)
 				}
+				sysB := sesB.System()
 				if simB.Time() != simA.Time() {
 					t.Fatalf("restored time %v, want %v", simB.Time(), simA.Time())
 				}
@@ -93,55 +100,62 @@ func TestTransientExportImportExact(t *testing.T) {
 	}
 }
 
-// TestTransientImportValidation exercises the ImportState guard rails: a
+// TestTransientImportValidation exercises the Resume guard rails: a
 // state from a different grid, a poisoned field, a negative or
-// non-finite boundary, and a negative time are all refused without
-// touching the sim.
+// non-finite boundary, a negative time and an invalid operating point are
+// all refused without touching the session's running sim.
 func TestTransientImportValidation(t *testing.T) {
 	sys, err := NewSystem(coarseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := sys.NewSession().Transient(thermosyphon.DefaultOperating(), 30)
+	ses := sys.NewSession()
+	op := thermosyphon.DefaultOperating()
+	sim, err := ses.Transient(op, 30)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Step(0.25, sys.Power.BlockPowers(fullLoadState(2.2))); err != nil {
 		t.Fatal(err)
 	}
 	good := sim.ExportState()
 
+	refuse := func(what string, op thermosyphon.Operating, st *TransientState) {
+		t.Helper()
+		if _, err := ses.Resume(op, st); err == nil {
+			t.Fatalf("%s accepted", what)
+		}
+		if !reflect.DeepEqual(bitsOf(sim.ExportState()), bitsOf(good)) {
+			t.Fatalf("refused %s changed the running sim", what)
+		}
+	}
 	bad := *good
 	bad.FieldT = bad.FieldT[:len(bad.FieldT)-1]
-	if err := sim.ImportState(&bad); err == nil {
-		t.Fatal("short field accepted")
-	}
+	refuse("short field", op, &bad)
 	bad = *good
 	bad.BCH = append([]float64(nil), bad.BCH[:1]...)
-	if err := sim.ImportState(&bad); err == nil {
-		t.Fatal("short boundary accepted")
-	}
+	refuse("short boundary", op, &bad)
 	bad = *good
 	bad.FieldT = append([]float64(nil), good.FieldT...)
 	bad.FieldT[3] = math.NaN()
-	if err := sim.ImportState(&bad); err == nil {
-		t.Fatal("NaN field accepted")
-	}
+	refuse("NaN field", op, &bad)
 	bad = *good
 	bad.BCH = append([]float64(nil), good.BCH...)
 	bad.BCH[5] = -1
-	if err := sim.ImportState(&bad); err == nil {
-		t.Fatal("negative boundary HTC accepted")
-	}
+	refuse("negative boundary HTC", op, &bad)
 	bad = *good
 	bad.BCTFluid = append([]float64(nil), good.BCTFluid...)
 	bad.BCTFluid[5] = math.Inf(1)
-	if err := sim.ImportState(&bad); err == nil {
-		t.Fatal("infinite boundary fluid temperature accepted")
-	}
+	refuse("infinite boundary fluid temperature", op, &bad)
 	bad = *good
 	bad.TimeS = -1
-	if err := sim.ImportState(&bad); err == nil {
-		t.Fatal("negative time accepted")
-	}
-	if err := sim.ImportState(good); err != nil {
+	refuse("negative time", op, &bad)
+	refuse("invalid operating point", thermosyphon.Operating{}, good)
+	resumed, err := ses.Resume(op, good)
+	if err != nil {
 		t.Fatalf("valid state refused: %v", err)
+	}
+	if resumed.Time() != good.TimeS {
+		t.Fatalf("resumed at %v s, want %v s", resumed.Time(), good.TimeS)
 	}
 }

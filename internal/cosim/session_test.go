@@ -238,8 +238,7 @@ func TestSessionTransientStepAllocs(t *testing.T) {
 }
 
 // TestTransientChunksShareSession: two blades whose states alternate
-// chunk by chunk on one session (Transient, ImportState, three steps,
-// ExportState), with a steady solve between chunks, step bit-identically
+// chunk by chunk on one session (Resume, three steps, ExportState), with a steady solve between chunks, step bit-identically
 // to each blade on a session of its own, under both solvers and at one
 // and two threads. Opening a sim drops the warm carry, so each steady
 // solve in between is bit-identical to a cold solve on a fresh session.
@@ -299,11 +298,8 @@ func TestTransientChunksShareSession(t *testing.T) {
 			}
 			for c := 0; c < chunks; c++ {
 				for b, bl := range blades {
-					sim, err := shared.Transient(op, 0)
+					sim, err := shared.Resume(op, states[b])
 					if err != nil {
-						t.Fatal(err)
-					}
-					if err := sim.ImportState(states[b]); err != nil {
 						t.Fatal(err)
 					}
 					for i := 0; i < steps; i++ {

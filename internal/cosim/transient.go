@@ -20,10 +20,9 @@ import (
 // Like every session Result, a sim is valid until its session's next
 // solve or next Transient call. A caller that interleaves other work on
 // the session exports the sim's state (ExportState) and later resumes it
-// on any session of an equivalent system (Transient, then ImportState);
-// the resumed sim steps bit-identically to one that never stopped.
-// Field() and Syphon() alias the session's buffers and are overwritten by
-// the next Step.
+// on any session of an equivalent system (Resume); the resumed sim steps
+// bit-identically to one that never stopped. Field() and Syphon() alias
+// the session's buffers and are overwritten by the next Step.
 type TransientSim struct {
 	ses  *Session
 	op   thermosyphon.Operating
@@ -52,6 +51,50 @@ func (ses *Session) Transient(op thermosyphon.Operating, initialC float64) (*Tra
 	copy(bc.H, syph.H)
 	copy(bc.TFluid, syph.TFluid)
 	return &TransientSim{ses: ses, op: op}, nil
+}
+
+// Resume opens a TransientSim from an exported state at the given
+// cooling operating point. The session's system must have the same grid
+// and layer stack as the exporter's (the slice lengths are validated);
+// the operating point and the solver configuration come from the call and
+// the session, not the state — they are configuration, not dynamics. The
+// next Step continues bit-identically to a sim that never stopped. A
+// refused state leaves the session untouched. Like Transient, the sim
+// takes the workspace's field buffer and drops the session's warm-start
+// carry; its Syphon is meaningful only after the first Step.
+func (ses *Session) Resume(op thermosyphon.Operating, st *TransientState) (*TransientSim, error) {
+	if err := op.Validate(); err != nil {
+		return nil, err
+	}
+	field, bc := ses.ws.FieldA(), ses.ws.Boundary()
+	if len(st.FieldT) != len(field.T) {
+		return nil, fmt.Errorf("cosim: state field has %d cells, sim expects %d (grid or stack mismatch)",
+			len(st.FieldT), len(field.T))
+	}
+	if len(st.BCH) != len(bc.H) || len(st.BCTFluid) != len(bc.TFluid) {
+		return nil, fmt.Errorf("cosim: state boundary has %d/%d cells, sim expects %d",
+			len(st.BCH), len(st.BCTFluid), len(bc.H))
+	}
+	for i, v := range st.FieldT {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("cosim: state field cell %d is %g", i, v)
+		}
+	}
+	// A negative heat-transfer coefficient would be a negative conductance
+	// in the step operator.
+	for i, h := range st.BCH {
+		if tf := st.BCTFluid[i]; !(h >= 0) || math.IsInf(h, 1) || math.IsNaN(tf) || math.IsInf(tf, 0) {
+			return nil, fmt.Errorf("cosim: state boundary cell %d has h %g W/m²·K, fluid %g °C", i, h, tf)
+		}
+	}
+	if st.TimeS < 0 {
+		return nil, fmt.Errorf("cosim: negative state time %g s", st.TimeS)
+	}
+	ses.warm = false
+	copy(field.T, st.FieldT)
+	copy(bc.H, st.BCH)
+	copy(bc.TFluid, st.BCTFluid)
+	return &TransientSim{ses: ses, op: op, time: st.TimeS}, nil
 }
 
 // Time returns the elapsed simulated seconds.
@@ -149,45 +192,6 @@ func (ts *TransientSim) ExportState() *TransientState {
 		BCH:      append([]float64(nil), bc.H...),
 		BCTFluid: append([]float64(nil), bc.TFluid...),
 	}
-}
-
-// ImportState overwrites the sim's dynamic state with an exported one.
-// The sim must have been created on a system with the same grid and
-// layer stack (the slice lengths are validated); the operating point and
-// solver configuration come from the sim's own construction, not the
-// state — they are configuration, not dynamics. After a successful
-// import the next Step continues bit-identically to a sim that never
-// stopped.
-func (ts *TransientSim) ImportState(st *TransientState) error {
-	field, bc := ts.Field(), ts.ses.ws.Boundary()
-	if len(st.FieldT) != len(field.T) {
-		return fmt.Errorf("cosim: state field has %d cells, sim expects %d (grid or stack mismatch)",
-			len(st.FieldT), len(field.T))
-	}
-	if len(st.BCH) != len(bc.H) || len(st.BCTFluid) != len(bc.TFluid) {
-		return fmt.Errorf("cosim: state boundary has %d/%d cells, sim expects %d",
-			len(st.BCH), len(st.BCTFluid), len(bc.H))
-	}
-	for i, v := range st.FieldT {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("cosim: state field cell %d is %g", i, v)
-		}
-	}
-	// A negative heat-transfer coefficient would be a negative conductance
-	// in the step operator.
-	for i, h := range st.BCH {
-		if tf := st.BCTFluid[i]; !(h >= 0) || math.IsInf(h, 1) || math.IsNaN(tf) || math.IsInf(tf, 0) {
-			return fmt.Errorf("cosim: state boundary cell %d has h %g W/m²·K, fluid %g °C", i, h, tf)
-		}
-	}
-	if st.TimeS < 0 {
-		return fmt.Errorf("cosim: negative state time %g s", st.TimeS)
-	}
-	copy(field.T, st.FieldT)
-	copy(bc.H, st.BCH)
-	copy(bc.TFluid, st.BCTFluid)
-	ts.time = st.TimeS
-	return nil
 }
 
 // DieMax returns the current die hot-spot temperature.

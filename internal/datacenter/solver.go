@@ -366,7 +366,7 @@ func (s *Solver) runFixedPoint(ctx context.Context, states []power.PackageState)
 		// dying.
 		res, err := sweep.Run(ctx, idx,
 			func(ci int) (classResult, error) { return s.solveClass(ctx, ci, states[ci]) },
-			sweep.Workers(s.opt.Workers))
+			s.opt.Workers)
 		if err != nil {
 			return fp, err
 		}

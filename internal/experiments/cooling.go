@@ -74,7 +74,7 @@ func CoolingPowerStudy(ctx context.Context, cfg RunConfig) (*CoolingResult, erro
 			return setup{}, err
 		}
 		return setup{sys: sys, m: m}, nil
-	}, cfg.sweepOpts()...)
+	}, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/cosim"
 	"repro/internal/metrics"
 	"repro/internal/power"
 	"repro/internal/refrigerant"
@@ -68,7 +67,7 @@ func Fig5Orientation(ctx context.Context, cfg RunConfig) ([]OrientationResult, e
 			PkgMap:      append([]float64(nil), pkgMap...),
 			Worst:       worst,
 		}, nil
-	}, cfg.sweepOpts()...)
+	}, cfg.Workers)
 }
 
 // DesignPoint is one refrigerant/filling-ratio candidate in the §VI-B
@@ -114,9 +113,10 @@ var (
 
 // DesignSpaceStudy sweeps refrigerant × filling ratio at the worst-case
 // workload (§VI-B), then selects the cheapest water operating point that
-// holds TCASE_MAX (§VI-C). Both grids are independent solves and fan out
-// across the sweep pool; results and the selected points are identical to
-// the serial scan because the pool preserves input order.
+// holds TCASE_MAX (§VI-C). The §VI-B grid fans out across the sweep pool
+// and its results are identical to a serial run because the pool
+// preserves input order; the §VI-C scan is serial and stops at the first
+// accepted point.
 func DesignSpaceStudy(ctx context.Context, cfg RunConfig) (*DesignSpaceResult, error) {
 	bench, wcfg := workload.WorstCase()
 	m := FullLoadMapping(wcfg, power.POLL)
@@ -128,13 +128,13 @@ func DesignSpaceStudy(ctx context.Context, cfg RunConfig) (*DesignSpaceResult, e
 	// stack a dozen times, and the session reuses one workspace for all of
 	// those inner solves.
 	grid := sweep.Cross(refrigerant.Candidates(), designFills)
-	cfg = cfg.SplitBudget(len(grid))
+	gcfg := cfg.SplitBudget(len(grid))
 	points, err := sweep.Run(ctx, grid, func(p sweep.Pair[*refrigerant.Fluid, float64]) (DesignPoint, error) {
 		fl, fr := p.A, p.B
 		d := thermosyphon.DefaultDesign()
 		d.Fluid = fl
 		d.FillingRatio = fr
-		ses, err := cfg.NewSweepSession(d)
+		ses, err := gcfg.NewSweepSession(d)
 		if err != nil {
 			return DesignPoint{}, err
 		}
@@ -152,7 +152,7 @@ func DesignSpaceStudy(ctx context.Context, cfg RunConfig) (*DesignSpaceResult, e
 		}
 		pt.Feasible = pt.TCaseC < sched.TCaseMax
 		return pt, nil
-	}, cfg.sweepOpts()...)
+	}, gcfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -166,11 +166,9 @@ func DesignSpaceStudy(ctx context.Context, cfg RunConfig) (*DesignSpaceResult, e
 	out.Best = best
 
 	// §VI-C: fix the best design; scan the flow × water-temperature grid
-	// in cheapest-first order and accept the first combination that meets
-	// the constraint. sweep.First preserves the serial early exit — points
-	// past the accepted one are never required — while evaluating ahead
-	// in parallel; the design is shared, so each worker reuses one solve
-	// session (system + workspace) across all points it claims.
+	// in cheapest-first order on one session and accept the first
+	// combination that meets the constraint. Points past it are never
+	// evaluated.
 	d := thermosyphon.DefaultDesign()
 	fl, err := refrigerant.ByName(best.Fluid)
 	if err != nil {
@@ -178,25 +176,21 @@ func DesignSpaceStudy(ctx context.Context, cfg RunConfig) (*DesignSpaceResult, e
 	}
 	d.Fluid = fl
 	d.FillingRatio = best.FillingRatio
-	ops := sweep.Cross(waterFlows, waterTemps)
-	i, tc, found, err := sweep.First(ctx, ops,
-		func() (*cosim.Session, error) { return cfg.NewSweepSession(d) },
-		func(ses *cosim.Session, p sweep.Pair[float64, float64]) (float64, error) {
-			op := thermosyphon.Operating{WaterInC: p.B, WaterFlowKgH: p.A}
-			_, _, r, err := SolveMappingSession(ctx, ses, bench, m, op)
-			if err != nil {
-				return 0, err
-			}
-			return ses.System().TCase(r), nil
-		},
-		func(tc float64) bool { return tc < sched.TCaseMax },
-		cfg.sweepOpts()...)
+	ses, err := cfg.SplitBudgetDepthFirst(1).NewSweepSession(d)
 	if err != nil {
 		return nil, err
 	}
-	if !found {
-		return nil, fmt.Errorf("experiments: no feasible water operating point found")
+	defer ses.Close()
+	for _, p := range sweep.Cross(waterFlows, waterTemps) {
+		op := thermosyphon.Operating{WaterInC: p.B, WaterFlowKgH: p.A}
+		_, _, r, err := SolveMappingSession(ctx, ses, bench, m, op)
+		if err != nil {
+			return nil, fmt.Errorf("water %g kg/h @ %g °C: %w", p.A, p.B, err)
+		}
+		if tc := ses.System().TCase(r); tc < sched.TCaseMax {
+			out.WaterSelection = WaterChoice{FlowKgH: p.A, WaterInC: p.B, TCaseC: tc}
+			return &out, nil
+		}
 	}
-	out.WaterSelection = WaterChoice{FlowKgH: ops[i].A, WaterInC: ops[i].B, TCaseC: tc}
-	return &out, nil
+	return nil, fmt.Errorf("experiments: no feasible water operating point found")
 }

@@ -23,7 +23,6 @@ import (
 	"repro/internal/floorplan"
 	"repro/internal/metrics"
 	"repro/internal/power"
-	"repro/internal/sweep"
 	"repro/internal/thermal"
 	"repro/internal/thermosyphon"
 	"repro/internal/workload"
@@ -93,7 +92,7 @@ func (r Resolution) Grid() floorplan.Grid {
 
 // RunConfig carries everything a single experiment run needs. A zero
 // value is valid: coarse resolution, the Jacobi-CG solver, GOMAXPROCS
-// sweep workers, and no artifact sink. RunConfig is a value type passed
+// sweep workers, and no fault scenario. RunConfig is a value type passed
 // explicitly through every run — two concurrent runs with different
 // configurations are fully isolated.
 type RunConfig struct {
@@ -118,9 +117,6 @@ type RunConfig struct {
 	// enough to dominate a core each, so a run uses the whole machine
 	// whether its parallelism lives across points or inside one solve.
 	Threads int
-	// Artifacts, when non-nil, receives every map artifact the experiment
-	// emits, as it is produced. The maps are also attached to the Result.
-	Artifacts ArtifactSink
 	// Scenario, when non-nil, is a custom cooling-fault scenario (the
 	// -fault flag). The failure-scenarios experiment appends it to its
 	// sweep; experiments that do not model faults ignore it.
@@ -197,11 +193,6 @@ func (cfg RunConfig) split(points int, depthFirst bool) RunConfig {
 	}
 	cfg.Workers, cfg.Threads = w, t
 	return cfg
-}
-
-// sweepOpts translates the config into per-call sweep engine options.
-func (cfg RunConfig) sweepOpts() []sweep.Option {
-	return []sweep.Option{sweep.Workers(cfg.Workers)}
 }
 
 // sessionOptions returns the solver- and thread-selection option set

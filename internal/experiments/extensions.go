@@ -66,7 +66,7 @@ func ExtOrientationMapping(ctx context.Context, cfg RunConfig) ([]OrientationMap
 			}
 			return OrientationMappingCell{Orientation: o, Scenario: sc.Name, Die: die}, nil
 		},
-		cfg.sweepOpts()...)
+		cfg.Workers)
 }
 
 // RuntimeControlResult summarizes the §VII closed-loop experiment.

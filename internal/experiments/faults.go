@@ -165,5 +165,5 @@ func failureSweep(ctx context.Context, cfg RunConfig, racks, perRack, loops int)
 			}
 			return p, nil
 		},
-		rcfg.sweepOpts()...)
+		rcfg.Workers)
 }

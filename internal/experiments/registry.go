@@ -140,12 +140,8 @@ func runFig2(ctx context.Context, cfg RunConfig) (*Result, error) {
 	t.AddRow("Die", r.Die.MaxC, r.Die.MeanC, r.Die.MaxGradCPerMM)
 	t.AddRow("Package", r.Pkg.MaxC, r.Pkg.MeanC, r.Pkg.MaxGradCPerMM)
 	out.Tables = append(out.Tables, t)
-	if err := out.addMap(cfg, "fig2_die", r.Grid, r.DieMap); err != nil {
-		return nil, err
-	}
-	if err := out.addMap(cfg, "fig2_package", r.Grid, r.PkgMap); err != nil {
-		return nil, err
-	}
+	out.addMap("fig2_die", r.Grid, r.DieMap)
+	out.addMap("fig2_package", r.Grid, r.PkgMap)
 	return out, nil
 }
 
@@ -220,9 +216,7 @@ func runFig5(ctx context.Context, cfg RunConfig) (*Result, error) {
 			best = r
 		}
 		if r.Orientation.Horizontal() {
-			if err := out.addMap(cfg, "fig5_pkg_"+r.Orientation.String(), grid, r.PkgMap); err != nil {
-				return nil, err
-			}
+			out.addMap("fig5_pkg_"+r.Orientation.String(), grid, r.PkgMap)
 		}
 	}
 	out.notef("chosen orientation: %v (lowest die θmax)", best.Orientation)
@@ -282,12 +276,8 @@ func runFig7(ctx context.Context, cfg RunConfig) (*Result, error) {
 	t.AddRow("state of the art", r.SoAMax)
 	out.Tables = append(out.Tables, t)
 	grid := cfg.Resolution.Grid()
-	if err := out.addMap(cfg, "fig7_proposed", grid, r.ProposedMap); err != nil {
-		return nil, err
-	}
-	if err := out.addMap(cfg, "fig7_soa", grid, r.SoAMap); err != nil {
-		return nil, err
-	}
+	out.addMap("fig7_proposed", grid, r.ProposedMap)
+	out.addMap("fig7_soa", grid, r.SoAMap)
 	return out, nil
 }
 

@@ -79,13 +79,6 @@ func (m MapArtifact) Grid() floorplan.Grid {
 	return floorplan.NewGrid(m.NX, m.NY, m.WidthMM, m.HeightMM)
 }
 
-// ArtifactSink receives map artifacts as an experiment emits them.
-// cmd/paperbench implements it as a directory of SVG/CSV files; a nil
-// sink in RunConfig discards nothing — the maps still ride on the Result.
-type ArtifactSink interface {
-	SaveMap(m MapArtifact) error
-}
-
 // newResult stamps the envelope fields every wrapper shares.
 func newResult(name, title string, cfg RunConfig) *Result {
 	return &Result{
@@ -100,21 +93,15 @@ func (r *Result) notef(format string, args ...any) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
 }
 
-// addMap attaches a map artifact to the result and forwards it to the
-// config's artifact sink, if one is set.
-func (r *Result) addMap(cfg RunConfig, name string, grid floorplan.Grid, cellC []float64) error {
-	m := MapArtifact{
+// addMap attaches a map artifact to the result.
+func (r *Result) addMap(name string, grid floorplan.Grid, cellC []float64) {
+	r.Maps = append(r.Maps, MapArtifact{
 		Name: name,
 		NX:   grid.NX, NY: grid.NY,
 		WidthMM:  grid.DX * float64(grid.NX),
 		HeightMM: grid.DY * float64(grid.NY),
 		CellC:    append([]float64(nil), cellC...),
-	}
-	r.Maps = append(r.Maps, m)
-	if cfg.Artifacts != nil {
-		return cfg.Artifacts.SaveMap(m)
-	}
-	return nil
+	})
 }
 
 // formatCell renders one typed cell for the text and markdown emitters.

@@ -115,7 +115,7 @@ func ExtResolutionScaling(ctx context.Context, cfg RunConfig, sizes []int, solve
 			Applies:    stats.Applies,
 			WallMS:     float64(wall.Microseconds()) / 1e3,
 		}, nil
-	}, cfg.sweepOpts()...)
+	}, cfg.Workers)
 }
 
 // cached is one die dimension's reusable solve context in the
@@ -207,5 +207,5 @@ func ExtScalability(ctx context.Context, cfg RunConfig) ([]ScalabilityCell, erro
 				DryoutPct: float64(r.Syphon.DryoutCells) / float64(sys.Thermal.Cells()),
 			}, nil
 		},
-		cfg.sweepOpts()...)
+		cfg.Workers)
 }

@@ -75,5 +75,5 @@ func Fig6MappingScenarios(ctx context.Context, cfg RunConfig) ([]Fig6Result, err
 			}
 			return Fig6Result{Scenario: sc.Name, Idle: idle, Die: die}, nil
 		},
-		cfg.sweepOpts()...)
+		cfg.Workers)
 }

@@ -143,7 +143,7 @@ func TableIIPolicyComparison(ctx context.Context, cfg RunConfig, benches []workl
 			}
 			return cellVal{die: die, pkg: pkg, powerW: r.TotalPowerW}, nil
 		},
-		cfg.sweepOpts()...)
+		cfg.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -376,7 +376,8 @@ func TestSolvePanicReleasesFlightAndLease(t *testing.T) {
 // the same queue-depth hint — present on the drain 503 and on a
 // registry-full 429.
 func TestRetryAfterUnified(t *testing.T) {
-	s := newTestServer(t, Config{Transients: 1})
+	s := newTestServer(t, Config{})
+	s.trans.cap = 1
 	h := s.Handler()
 	if w := post(t, h, "/v1/transient", `{"blade":"b0","benchmark":"x264"}`); w.Code != http.StatusCreated {
 		t.Fatalf("register: %d %s", w.Code, w.Body)

@@ -15,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/cosim"
 )
 
 // stepChunk posts a seq-numbered step chunk and returns the recorder.
@@ -103,11 +105,22 @@ func TestTransientBladesShareSystem(t *testing.T) {
 		return b
 	}
 	checkShared := func(s *Server) {
-		b0, b1, b2, b3 := blade(s, "b0"), blade(s, "b1"), blade(s, "b2"), blade(s, "b3")
-		if b0.sys != b1.sys || b0.sys != b3.sys {
+		// sysOf is the System of the pool a blade's chunks borrow from.
+		sysOf := func(name string) *cosim.System {
+			key := blade(s, name).key
+			s.pools.mu.Lock()
+			defer s.pools.mu.Unlock()
+			el, ok := s.pools.byKey[key]
+			if !ok {
+				t.Fatalf("blade %s has no live pool", name)
+			}
+			return el.Value.(*pool).sys
+		}
+		b0, b1, b2, b3 := sysOf("b0"), sysOf("b1"), sysOf("b2"), sysOf("b3")
+		if b0 != b1 || b0 != b3 {
 			t.Fatal("blades at one (resolution, fault) do not share one System")
 		}
-		if b2.sys == b0.sys {
+		if b2 == b0 {
 			t.Fatal("a faulted blade shares the healthy System")
 		}
 	}

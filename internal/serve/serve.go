@@ -54,8 +54,8 @@ import (
 )
 
 // Config parameterizes a Server. The zero value is usable: coarse
-// resolution, the CG solver, an auto-split core budget, and default cache
-// and queue capacities.
+// resolution, the CG solver and an auto-split core budget. Cache and
+// queue capacities are package constants.
 type Config struct {
 	// Resolution is the default thermal grid density for proposals that
 	// do not select one.
@@ -69,17 +69,6 @@ type Config struct {
 	// GOMAXPROCS, width-first), exactly like a sweep.
 	Workers int
 	Threads int
-	// QueueDepth bounds how many admitted requests may wait for a solve
-	// slot before new ones are refused with 429 (0 = 2×Workers).
-	QueueDepth int
-	// Sessions caps the idle pooled sessions and the session pools, each
-	// of which pins one System (0 = 64). Past it the least recently used
-	// pools are evicted.
-	Sessions int
-	// MemoEntries caps the response memo (0 = 4096 bodies).
-	MemoEntries int
-	// Transients caps concurrently registered transient blades (0 = 16).
-	Transients int
 	// RequestTimeout bounds each request's solve (0 = no limit). The
 	// deadline threads through the ctx-aware solve loops, so a timed-out
 	// solve aborts between coupling iterations.
@@ -97,6 +86,18 @@ type Config struct {
 }
 
 const (
+	// queuePerWorker sizes the admission wait queue: at most
+	// queuePerWorker×Workers admitted requests wait for a solve slot
+	// before new ones are refused with 429.
+	queuePerWorker = 2
+	// maxSessions caps the idle pooled sessions and the session pools,
+	// each of which pins one System. Past it the least recently used
+	// pools are evicted.
+	maxSessions = 64
+	// memoEntries caps the response memo, in bodies.
+	memoEntries = 4096
+	// maxTransients caps concurrently registered transient blades.
+	maxTransients = 16
 	// maxSteps caps the steps of one transient chunk.
 	maxSteps = 10000
 	// breakerThreshold is the consecutive hard solve failures that trip a
@@ -110,18 +111,6 @@ func (c Config) withDefaults() Config {
 	rc := experiments.RunConfig{Workers: c.Workers, Threads: c.Threads}.
 		SplitBudget(runtime.GOMAXPROCS(0))
 	c.Workers, c.Threads = rc.Workers, rc.Threads
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 2 * c.Workers
-	}
-	if c.Sessions <= 0 {
-		c.Sessions = 64
-	}
-	if c.MemoEntries <= 0 {
-		c.MemoEntries = 4096
-	}
-	if c.Transients <= 0 {
-		c.Transients = 16
-	}
 	return c
 }
 
@@ -215,15 +204,15 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
-		memo:     newMemo(cfg.MemoEntries),
+		memo:     newMemo(memoEntries),
 		flights:  newFlights(),
-		adm:      newAdmission(cfg.Workers, cfg.QueueDepth),
+		adm:      newAdmission(cfg.Workers, queuePerWorker*cfg.Workers),
 		breakers: newBreakerSet(breakerThreshold, breakerCooldown),
 		maxSteps: maxSteps,
 	}
 	s.solve = s.solveSteady
-	s.pools = newSessionPools(cfg.Sessions, s.newSession, &s.stats)
-	s.trans = newTransients(cfg.Transients)
+	s.pools = newSessionPools(maxSessions, s.newSession, &s.stats)
+	s.trans = newTransients(maxTransients)
 	fp := floorplan.BroadwellEP()
 	s.dieBlocks = make(map[string]bool, len(fp.Blocks))
 	for _, b := range fp.Blocks {

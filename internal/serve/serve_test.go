@@ -266,7 +266,8 @@ func TestSteadyConcurrentDeterminism(t *testing.T) {
 // solve slot held and the wait queue full, a new proposal is refused with
 // 429 + Retry-After instead of queueing unboundedly.
 func TestSteadyBackpressure(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, Threads: 1, QueueDepth: 1})
+	s := newTestServer(t, Config{Workers: 1, Threads: 1})
+	s.adm = newAdmission(1, 1)
 	h := s.Handler()
 
 	// Hold the only solve slot directly.
@@ -373,11 +374,12 @@ func TestPoolBoundsSessions(t *testing.T) {
 }
 
 // TestPoolEvictsLeastRecentlyUsed: every fault string is its own pool and
-// System, so distinct faults beyond the Sessions cap evict the least
+// System, so distinct faults beyond the pool cap evict the least
 // recently used pools, the idle sessions stay at or under the cap, and an
 // evicted class answers byte-identically when it is solved again.
 func TestPoolEvictsLeastRecentlyUsed(t *testing.T) {
-	s := newTestServer(t, Config{Sessions: 2})
+	s := newTestServer(t, Config{})
+	s.pools.cap = 2
 	h := s.Handler()
 	var first []byte
 	for i, f := range []string{"pump:0.1", "pump:0.2", "pump:0.3", "fouling:0.2", "htc:0.2"} {
@@ -517,7 +519,8 @@ func TestTransientLifecycle(t *testing.T) {
 }
 
 func TestTransientValidation(t *testing.T) {
-	s := newTestServer(t, Config{Transients: 1})
+	s := newTestServer(t, Config{})
+	s.trans.cap = 1
 	s.maxSteps = 4
 	h := s.Handler()
 	if w := post(t, h, "/v1/transient", `{"benchmark":"x264"}`); w.Code != http.StatusBadRequest {

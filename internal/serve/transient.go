@@ -24,10 +24,8 @@ import (
 type transientBlade struct {
 	mu   sync.Mutex
 	name string
-	// sys is the System the blade was registered on, its pool's. key
-	// selects the pool its chunks borrow sessions from, and op is the
+	// key selects the pool its chunks borrow sessions from, and op is the
 	// derated operating point they step at.
-	sys *cosim.System
 	key poolKey
 	op  thermosyphon.Operating
 	// state is the sim's state after the last committed chunk, and last
@@ -288,9 +286,9 @@ func (s *Server) handleTransientRegister(w http.ResponseWriter, r *http.Request)
 	writeJSON(w, http.StatusCreated, b.status())
 }
 
-// addBlade gives b its state, built from the normalized proposal p at
-// b.initialC on a session borrowed from p's pool, replaces it with state
-// when a checkpoint restore supplies one (ImportState validates it), and
+// addBlade gives b its state, on a session borrowed from the normalized
+// proposal p's pool: a sim opened at b.initialC, or resumed from state
+// when a checkpoint restore supplies one (Resume validates it). It then
 // registers the blade. Registration and restore share it. The returned
 // status is the HTTP code a registration answers a failure with.
 func (s *Server) addBlade(b *transientBlade, p *steadyProposal, state *cosim.TransientState) (int, error) {
@@ -299,21 +297,23 @@ func (s *Server) addBlade(b *transientBlade, p *steadyProposal, state *cosim.Tra
 		return http.StatusInternalServerError, err
 	}
 	op := p.operatingFor()
-	sim, err := ses.Transient(op, b.initialC)
-	if err == nil && state != nil {
-		err = sim.ImportState(state)
+	var sim *cosim.TransientSim
+	if state != nil {
+		sim, err = ses.Resume(op, state)
+	} else {
+		sim, err = ses.Transient(op, b.initialC)
 	}
 	if err == nil {
 		b.last, err = sampleOf(sim)
 	}
 	if err == nil {
-		b.sys, b.key, b.op, b.state = ses.System(), p.class.poolKey, op, sim.ExportState()
+		b.key, b.op, b.state = p.class.poolKey, op, sim.ExportState()
+		b.base = basePower(ses.System(), p)
 	}
 	s.pools.release(pl, ses, err != nil)
 	if err != nil {
 		return http.StatusBadRequest, err
 	}
-	b.base = basePower(b.sys, p)
 	if err := s.trans.add(b); err != nil {
 		if err == errTransientsFull {
 			return http.StatusTooManyRequests, err
@@ -470,10 +470,7 @@ func (s *Server) handleTransientStep(w http.ResponseWriter, r *http.Request, nam
 	}
 	poisoned := true
 	defer func() { s.pools.release(pl, ses, poisoned) }()
-	sim, err := ses.Transient(b.op, b.initialC)
-	if err == nil {
-		err = sim.ImportState(b.state)
-	}
+	sim, err := ses.Resume(b.op, b.state)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return

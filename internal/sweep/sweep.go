@@ -22,9 +22,10 @@
 //     threads own goroutine teams, and the engine releases them so a
 //     sweep leaves no goroutines behind.
 //
-// The worker count is an explicit per-call option (Workers); without it a
-// call uses GOMAXPROCS. There is deliberately no process-wide override:
-// concurrent sweeps with different worker budgets must not see each
+// The worker count is an explicit per-call parameter (<= 0 means
+// GOMAXPROCS; one worker runs every point on the calling goroutine, the
+// serial baseline the sweep benchmarks compare against). There is
+// deliberately no process-wide override: concurrent sweeps with different worker budgets must not see each
 // other's configuration. The core budget is shared with the intra-solve
 // worker teams: callers split GOMAXPROCS between sweep workers and
 // per-solve threads (see experiments.RunConfig) so the two layers of
@@ -66,55 +67,29 @@ func pool(workers int, work func(w int)) {
 	wg.Wait()
 }
 
-// Option configures one Run/RunState/First call.
-type Option func(*config)
-
-type config struct {
-	workers int
-}
-
-// Workers fixes the worker count for one call (<= 0 means GOMAXPROCS).
-// One worker runs every point on the calling goroutine, which is also the
-// serial baseline the sweep benchmarks compare against.
-func Workers(n int) Option {
-	return func(c *config) { c.workers = n }
-}
-
-func resolve(opts []Option, points int) int {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
-	workers := cfg.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > points {
-		workers = points
-	}
-	return workers
-}
-
 // Run evaluates eval over every point concurrently and returns the
 // results in input order. Evaluations must be independent; eval may run
 // on any goroutine but never concurrently with itself on the same index.
 // Cancelling ctx stops the sweep between points and returns ctx.Err().
-func Run[P, R any](ctx context.Context, points []P, eval func(P) (R, error), opts ...Option) ([]R, error) {
+func Run[P, R any](ctx context.Context, points []P, eval func(P) (R, error), workers int) ([]R, error) {
 	return RunState(ctx, points,
 		func() (struct{}, error) { return struct{}{}, nil },
 		func(_ struct{}, p P) (R, error) { return eval(p) },
-		opts...)
+		workers)
 }
 
 // RunState is Run with per-worker reusable state: newState runs once per
 // worker (on the worker's goroutine) and its value is passed to every
 // evaluation that worker performs. Use it to amortize expensive solver
 // construction — each worker owns its state, so eval needs no locking.
-func RunState[S, P, R any](ctx context.Context, points []P, newState func() (S, error), eval func(S, P) (R, error), opts ...Option) ([]R, error) {
+func RunState[S, P, R any](ctx context.Context, points []P, newState func() (S, error), eval func(S, P) (R, error), workers int) ([]R, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	workers := resolve(opts, len(points))
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(points))
 
 	results := make([]R, len(points))
 	if len(points) == 0 {
@@ -176,97 +151,6 @@ func RunState[S, P, R any](ctx context.Context, points []P, newState func() (S, 
 		}
 	}
 	return results, nil
-}
-
-// First evaluates points across the worker pool in claim order and
-// returns the first point, in INPUT order, whose result satisfies accept —
-// the parallel equivalent of a serial scan with an early exit. Exact
-// serial semantics are preserved: evaluation errors at indices past the
-// accepted point are ignored (a serial scan would never have reached
-// them), while an error before it fails the search with the lowest-index
-// error. Workers stop claiming once no lower-index acceptance is possible,
-// so the overshoot past the accepted point is bounded by the pool size.
-// Cancelling ctx stops the scan between points and returns ctx.Err(),
-// except when an acceptance has already settled — a found result the
-// serial scan would have returned wins over a late cancellation.
-// Returns found=false with no error when no point is accepted.
-func First[S, P, R any](ctx context.Context, points []P, newState func() (S, error), eval func(S, P) (R, error), accept func(R) bool, opts ...Option) (idx int, res R, found bool, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	workers := resolve(opts, len(points))
-	var zero R
-	if len(points) == 0 {
-		return 0, zero, false, ctx.Err()
-	}
-	var (
-		next atomic.Int64
-		// bound is the lowest index at which a serial scan would stop —
-		// an acceptance or an error; len(points) means no terminator yet.
-		bound    atomic.Int64
-		stop     atomic.Bool // a worker-state constructor failed
-		results  = make([]R, len(points))
-		pointErr = make([]error, len(points))
-		stateErr = make([]error, workers)
-	)
-	bound.Store(int64(len(points)))
-	lower := func(i int) {
-		for {
-			cur := bound.Load()
-			if int64(i) >= cur || bound.CompareAndSwap(cur, int64(i)) {
-				return
-			}
-		}
-	}
-	pool(workers, func(w int) {
-		st, err := newState()
-		if err != nil {
-			stateErr[w] = err
-			stop.Store(true)
-			return
-		}
-		defer closeState(st)
-		for !stop.Load() && ctx.Err() == nil {
-			i := int(next.Add(1)) - 1
-			// Claims are monotonic, so every index below the final
-			// bound is claimed before any worker stops here.
-			if i >= len(points) || int64(i) > bound.Load() {
-				return
-			}
-			r, err := eval(st, points[i])
-			if err != nil {
-				pointErr[i] = err
-				lower(i)
-				continue
-			}
-			if accept(r) {
-				results[i] = r
-				lower(i)
-			}
-		}
-	})
-	for _, err := range stateErr {
-		if err != nil {
-			return 0, zero, false, fmt.Errorf("sweep: worker state: %w", err)
-		}
-	}
-	// Every index below the final bound was evaluated and neither accepted
-	// nor errored, so the terminator at the bound is exactly where the
-	// serial scan would have stopped. An ACCEPTANCE at the bound therefore
-	// wins over a late cancellation: the serial scan would have returned
-	// this result before ever observing ctx — claims are monotonic, so all
-	// lower indices completed cleanly before the accept settled.
-	b := int(bound.Load())
-	if b < len(points) && pointErr[b] == nil {
-		return b, results[b], true, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, zero, false, err
-	}
-	if b >= len(points) {
-		return 0, zero, false, nil
-	}
-	return 0, zero, false, fmt.Errorf("sweep: point %d: %w", b, pointErr[b])
 }
 
 // Pair couples two sweep axes into one point.

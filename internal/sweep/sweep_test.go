@@ -19,7 +19,7 @@ func TestRunOrdered(t *testing.T) {
 		points[i] = i
 	}
 	for _, workers := range []int{1, 2, 3, 8, 64, 200} {
-		got, err := Run(bg, points, func(p int) (int, error) { return p * p, nil }, Workers(workers))
+		got, err := Run(bg, points, func(p int) (int, error) { return p * p, nil }, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,11 +40,11 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		points[i] = float64(i) * 0.37
 	}
 	eval := func(p float64) (float64, error) { return p*p + 1/(p+1), nil }
-	serial, err := Run(bg, points, eval, Workers(1))
+	serial, err := Run(bg, points, eval, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(bg, points, eval, Workers(7))
+	parallel, err := Run(bg, points, eval, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +55,11 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestRunEmptyAndSingle(t *testing.T) {
-	got, err := Run(bg, nil, func(p int) (int, error) { return p, nil })
+	got, err := Run(bg, nil, func(p int) (int, error) { return p, nil }, 0)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty run: %v, %v", got, err)
 	}
-	got, err = Run(bg, []int{41}, func(p int) (int, error) { return p + 1, nil }, Workers(16))
+	got, err = Run(bg, []int{41}, func(p int) (int, error) { return p + 1, nil }, 16)
 	if err != nil || len(got) != 1 || got[0] != 42 {
 		t.Fatalf("single run: %v, %v", got, err)
 	}
@@ -67,7 +67,7 @@ func TestRunEmptyAndSingle(t *testing.T) {
 
 func TestRunNilContext(t *testing.T) {
 	// A nil context means "not cancellable", matching context.Background().
-	got, err := Run(nil, []int{1, 2}, func(p int) (int, error) { return p, nil }, Workers(2))
+	got, err := Run(nil, []int{1, 2}, func(p int) (int, error) { return p, nil }, 2)
 	if err != nil || len(got) != 2 {
 		t.Fatalf("nil ctx run: %v, %v", got, err)
 	}
@@ -86,7 +86,7 @@ func TestRunFailFast(t *testing.T) {
 			return 0, boom
 		}
 		return p, nil
-	}, Workers(4))
+	}, 4)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -105,7 +105,7 @@ func TestRunSerialErrorIndex(t *testing.T) {
 			return 0, boom
 		}
 		return p, nil
-	}, Workers(1))
+	}, 1)
 	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "point 1") {
 		t.Fatalf("err = %v, want point 1", err)
 	}
@@ -124,7 +124,7 @@ func TestRunStateReuse(t *testing.T) {
 			*st++ // worker-private: must never race
 			return *st, nil
 		},
-		Workers(workers))
+		workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,14 +147,14 @@ func TestRunStateConstructorError(t *testing.T) {
 	_, err := RunState(bg, []int{1, 2, 3},
 		func() (int, error) { return 0, boom },
 		func(int, int) (int, error) { return 0, nil },
-		Workers(2))
+		2)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want state error", err)
 	}
 	_, err = RunState(bg, []int{1, 2, 3},
 		func() (int, error) { return 0, boom },
 		func(int, int) (int, error) { return 0, nil },
-		Workers(1))
+		1)
 	if !errors.Is(err, boom) {
 		t.Fatalf("serial err = %v, want state error", err)
 	}
@@ -197,7 +197,7 @@ func TestRunCancelMidSweep(t *testing.T) {
 			}
 			time.Sleep(100 * time.Microsecond)
 			return p, nil
-		}, Workers(workers))
+		}, workers)
 		cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
@@ -225,36 +225,10 @@ func TestRunCompletedSweepWinsOverLateCancel(t *testing.T) {
 				cancel() // fires inside the last evaluation
 			}
 			return p, nil
-		}, Workers(workers))
+		}, workers)
 		cancel()
 		if err != nil || len(got) != len(points) {
 			t.Fatalf("workers=%d: completed sweep lost to late cancel: %v, %v", workers, got, err)
-		}
-	}
-}
-
-func TestFirstAcceptWinsOverLateCancel(t *testing.T) {
-	// An acceptance that settles before the cancellation is a result the
-	// serial scan would have returned — it must survive workers observing
-	// ctx while they drain.
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(bg)
-		points := make([]int, 200)
-		for i := range points {
-			points[i] = i
-		}
-		idx, res, found, err := First(ctx, points, noState,
-			func(_ struct{}, p int) (int, error) {
-				if p == 2 {
-					cancel() // cancel from inside the accepting evaluation
-				}
-				return p, nil
-			},
-			func(r int) bool { return r == 2 },
-			Workers(workers))
-		cancel()
-		if err != nil || !found || idx != 2 || res != 2 {
-			t.Fatalf("workers=%d: accepted result lost to late cancel: idx=%d found=%v err=%v", workers, idx, found, err)
 		}
 	}
 }
@@ -267,7 +241,7 @@ func TestRunPreCancelled(t *testing.T) {
 		_, err := Run(ctx, []int{1, 2, 3, 4, 5, 6, 7, 8}, func(p int) (int, error) {
 			evals.Add(1)
 			return p, nil
-		}, Workers(workers))
+		}, workers)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -291,7 +265,7 @@ func TestRunStateCancel(t *testing.T) {
 			time.Sleep(100 * time.Microsecond)
 			return p, nil
 		},
-		Workers(4))
+		4)
 	cancel()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -300,150 +274,6 @@ func TestRunStateCancel(t *testing.T) {
 		t.Fatalf("cancellation did not stop the sweep (%d evaluations)", n)
 	}
 	check()
-}
-
-func TestFirstCancel(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		check := leakCheck(t)
-		ctx, cancel := context.WithCancel(bg)
-		points := make([]int, 1000)
-		for i := range points {
-			points[i] = i
-		}
-		var evals atomic.Int64
-		_, _, found, err := First(ctx, points, noState,
-			func(_ struct{}, p int) (int, error) {
-				if evals.Add(1) == 3 {
-					cancel()
-				}
-				time.Sleep(100 * time.Microsecond)
-				return p, nil
-			},
-			func(int) bool { return false }, // never accepts: only ctx stops the scan early
-			Workers(workers))
-		cancel()
-		if found || !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: found=%v err=%v, want context.Canceled", workers, found, err)
-		}
-		if n := evals.Load(); n >= int64(len(points))/2 {
-			t.Fatalf("workers=%d: cancellation did not stop the scan (%d evaluations)", workers, n)
-		}
-		check()
-	}
-}
-
-func noState() (struct{}, error) { return struct{}{}, nil }
-
-func TestFirstFindsLowestAccepted(t *testing.T) {
-	points := make([]int, 100)
-	for i := range points {
-		points[i] = i
-	}
-	for _, workers := range []int{1, 2, 7, 32} {
-		idx, res, found, err := First(bg, points, noState,
-			func(_ struct{}, p int) (int, error) { return p * 10, nil },
-			func(r int) bool { return r >= 370 }, // first true at index 37
-			Workers(workers))
-		if err != nil || !found {
-			t.Fatalf("workers=%d: found=%v err=%v", workers, found, err)
-		}
-		if idx != 37 || res != 370 {
-			t.Fatalf("workers=%d: got (%d, %d), want (37, 370)", workers, idx, res)
-		}
-	}
-}
-
-func TestFirstNotFound(t *testing.T) {
-	points := []int{1, 2, 3}
-	_, _, found, err := First(bg, points, noState,
-		func(_ struct{}, p int) (int, error) { return p, nil },
-		func(int) bool { return false },
-		Workers(2))
-	if err != nil || found {
-		t.Fatalf("found=%v err=%v, want not found", found, err)
-	}
-}
-
-func TestFirstErrorBeforeAcceptWins(t *testing.T) {
-	boom := errors.New("boom")
-	points := make([]int, 50)
-	for i := range points {
-		points[i] = i
-	}
-	for _, workers := range []int{1, 4} {
-		// Error at index 5, acceptance only at index 20: the serial scan
-		// stops at the error, so the search must fail.
-		_, _, _, err := First(bg, points, noState,
-			func(_ struct{}, p int) (int, error) {
-				if p == 5 {
-					return 0, boom
-				}
-				return p, nil
-			},
-			func(r int) bool { return r == 20 },
-			Workers(workers))
-		if !errors.Is(err, boom) || !strings.Contains(err.Error(), "point 5") {
-			t.Fatalf("workers=%d: err = %v, want point 5", workers, err)
-		}
-	}
-}
-
-func TestFirstErrorAfterAcceptIgnored(t *testing.T) {
-	boom := errors.New("boom")
-	points := make([]int, 50)
-	for i := range points {
-		points[i] = i
-	}
-	for _, workers := range []int{1, 4} {
-		// Acceptance at index 3, error at index 30: the serial scan exits
-		// at 3 and never reaches 30, so the parallel search must too.
-		idx, _, found, err := First(bg, points, noState,
-			func(_ struct{}, p int) (int, error) {
-				if p == 30 {
-					return 0, boom
-				}
-				return p, nil
-			},
-			func(r int) bool { return r == 3 },
-			Workers(workers))
-		if err != nil || !found || idx != 3 {
-			t.Fatalf("workers=%d: idx=%d found=%v err=%v, want (3, true, nil)", workers, idx, found, err)
-		}
-	}
-}
-
-func TestFirstBoundedOvershoot(t *testing.T) {
-	points := make([]int, 1000)
-	for i := range points {
-		points[i] = i
-	}
-	const workers = 4
-	var evals atomic.Int64
-	idx, _, found, err := First(bg, points, noState,
-		func(_ struct{}, p int) (int, error) {
-			evals.Add(1)
-			return p, nil
-		},
-		func(r int) bool { return r >= 2 },
-		Workers(workers))
-	if err != nil || !found || idx != 2 {
-		t.Fatalf("idx=%d found=%v err=%v", idx, found, err)
-	}
-	// Workers stop claiming once the bound is set. The exact overshoot
-	// depends on scheduling (claims issued while the accepting eval is in
-	// flight), so only assert the scan clearly did not run to completion.
-	if n := evals.Load(); n >= int64(len(points))/2 {
-		t.Fatalf("early exit did not bound the scan: %d of %d evaluations", n, len(points))
-	}
-}
-
-func TestFirstEmpty(t *testing.T) {
-	_, _, found, err := First(bg, nil, noState,
-		func(_ struct{}, p int) (int, error) { return p, nil },
-		func(int) bool { return true })
-	if err != nil || found {
-		t.Fatalf("found=%v err=%v on empty input", found, err)
-	}
 }
 
 func TestCrossOrder(t *testing.T) {
@@ -471,8 +301,8 @@ func (c *closerState) Close() error {
 }
 
 // TestRunStateClosesStates: per-worker states implementing io.Closer are
-// closed exactly once per constructed state, on the serial path, the
-// pooled path, and through First — the lifecycle hook that lets solve
+// closed exactly once per constructed state, on the serial path and the
+// pooled path — the lifecycle hook that lets solve
 // sessions release their worker teams.
 func TestRunStateClosesStates(t *testing.T) {
 	points := make([]int, 50)
@@ -484,31 +314,18 @@ func TestRunStateClosesStates(t *testing.T) {
 		}
 		_, err := RunState(bg, points, newState,
 			func(st *closerState, p int) (int, error) { return p, nil },
-			Workers(workers))
+			workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if built.Load() == 0 || closes.Load() != built.Load() {
 			t.Fatalf("workers=%d: %d states built, %d closed", workers, built.Load(), closes.Load())
 		}
-
-		built.Store(0)
-		closes.Store(0)
-		_, _, found, err := First(bg, points, newState,
-			func(st *closerState, p int) (int, error) { return p, nil },
-			func(int) bool { return true },
-			Workers(workers))
-		if err != nil || !found {
-			t.Fatalf("workers=%d: First found=%v err=%v", workers, found, err)
-		}
-		if built.Load() == 0 || closes.Load() != built.Load() {
-			t.Fatalf("workers=%d: First %d states built, %d closed", workers, built.Load(), closes.Load())
-		}
 	}
 	// Non-closer states keep working untouched.
 	if _, err := RunState(bg, points,
 		func() (int, error) { return 0, nil },
-		func(int, int) (int, error) { return 1, nil }); err != nil {
+		func(int, int) (int, error) { return 1, nil }, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -520,14 +337,14 @@ func BenchmarkSweepEngineOverhead(b *testing.B) {
 	eval := func(p int) (int, error) { return p + 1, nil }
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(bg, points, eval, Workers(1)); err != nil {
+			if _, err := Run(bg, points, eval, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("pooled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := Run(bg, points, eval, Workers(runtime.GOMAXPROCS(0))); err != nil {
+			if _, err := Run(bg, points, eval, runtime.GOMAXPROCS(0)); err != nil {
 				b.Fatal(err)
 			}
 		}
