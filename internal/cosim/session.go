@@ -91,7 +91,8 @@ func WithSolver(s thermal.Solver) SessionOption {
 // thermal model, power model, and every buffer stay shared. This is how a
 // fault scenario gives some blades a degraded cooling loop (reduced fill,
 // fouled condenser, eroded HTC) without rebuilding a System per blade. The
-// design must already be validated by the caller.
+// design must already be validated by the caller; Pool.Get validates
+// the designs it applies.
 func WithDesign(d thermosyphon.Design) SessionOption {
 	return func(ses *Session) { ses.design = &d }
 }
@@ -101,16 +102,14 @@ func WithDesign(d thermosyphon.Design) SessionOption {
 // persistent worker team of this width (n <= 0 selects GOMAXPROCS).
 // Like WithSolver it is a pure performance knob — solves are
 // byte-identical at any thread count — but the team holds goroutines, so
-// sessions configured with threads should be Closed when retired (the
-// sweep engine closes its worker sessions automatically).
+// sessions configured with threads should be Closed when retired (a
+// Pool's Close closes every session it built).
 func WithThreads(n int) SessionOption {
 	return func(ses *Session) { ses.ws.SetThreads(n) }
 }
 
 // Close releases the session's worker team (if any). The session stays
-// usable afterwards, solving serially. It implements io.Closer so the
-// sweep engine can retire worker-state sessions; the returned error is
-// always nil.
+// usable afterwards, solving serially. The returned error is always nil.
 //
 // Close is idempotent: closing an already-closed session is a no-op, and
 // concurrent calls are safe. Owners that retire sessions on more than one

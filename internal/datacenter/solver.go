@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/chiller"
 	"repro/internal/cosim"
@@ -92,11 +91,11 @@ type classKey struct {
 // each class's warm start (and the converged loop temperatures) across
 // Solve calls, so a series of solves — the hours of a diurnal sweep, a
 // what-if re-plan — warm-starts from the previous converged fleet state.
-// The classes share a pool of solve sessions, one free list per
-// thermosyphon design: a session is taken for one class solve and
-// returned after it, so at most Workers sessions per distinct design are
-// ever built, however many classes the fleet has. A Solver is not safe
-// for concurrent use; Close releases the pooled sessions.
+// The classes share one cosim.Pool of solve sessions: a session is taken
+// for one class solve and returned after it, so at most Workers sessions
+// per distinct thermosyphon design are ever built, however many classes
+// the fleet has. A Solver is not safe for concurrent use; Close releases
+// the pooled sessions.
 type Solver struct {
 	topo Topology
 	sys  *cosim.System
@@ -111,11 +110,7 @@ type Solver struct {
 
 	temps []float64 // per-loop supply temperatures (carried across Solve calls)
 
-	// mu guards the session pool, which the sweep workers share: idle
-	// holds the free sessions per design, sessions every one built.
-	mu       sync.Mutex
-	idle     map[thermosyphon.Design][]*cosim.Session
-	sessions []*cosim.Session
+	pool *cosim.Pool // the class solves' sessions, shared by the sweep workers
 
 	// New sets these from the package constants; in-package tests lower
 	// them or hook every outer iteration.
@@ -188,7 +183,11 @@ func New(sys *cosim.System, topo Topology, opt Options) (*Solver, error) {
 			s.bladeClass = append(s.bladeClass, ci)
 		}
 	}
-	s.idle = make(map[thermosyphon.Design][]*cosim.Session)
+	opts := []cosim.SessionOption{cosim.WithSolver(opt.Solver)}
+	if opt.Threads > 1 {
+		opts = append(opts, cosim.WithThreads(opt.Threads))
+	}
+	s.pool = sys.NewPool(opts...)
 	s.temps = make([]float64, len(topo.Loops))
 	for i := range s.loops {
 		s.temps[i] = s.loops[i].SupplyC(0)
@@ -207,40 +206,7 @@ func New(sys *cosim.System, topo Topology, opt Options) (*Solver, error) {
 func (s *Solver) Classes() int { return len(s.classes) }
 
 // Close releases every pooled session's worker team.
-func (s *Solver) Close() error {
-	for _, ses := range s.sessions {
-		ses.Close()
-	}
-	return nil
-}
-
-// acquire takes an idle session solving with design d from the pool, or
-// builds one.
-func (s *Solver) acquire(d thermosyphon.Design) *cosim.Session {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if free := s.idle[d]; len(free) > 0 {
-		s.idle[d] = free[:len(free)-1]
-		return free[len(free)-1]
-	}
-	opts := []cosim.SessionOption{cosim.WithSolver(s.opt.Solver)}
-	if d != s.sys.Design {
-		opts = append(opts, cosim.WithDesign(d))
-	}
-	if s.opt.Threads > 1 {
-		opts = append(opts, cosim.WithThreads(s.opt.Threads))
-	}
-	ses := s.sys.NewSession(opts...)
-	s.sessions = append(s.sessions, ses)
-	return ses
-}
-
-// release returns a session taken by acquire for design d to the pool.
-func (s *Solver) release(d thermosyphon.Design, ses *cosim.Session) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.idle[d] = append(s.idle[d], ses)
-}
+func (s *Solver) Close() error { return s.pool.Close() }
 
 // classResult is what one class solve contributes to the outer update.
 type classResult struct {
@@ -425,8 +391,11 @@ func (s *Solver) solveClass(ctx context.Context, ci int, st power.PackageState) 
 		WaterInC:     waterC,
 		WaterFlowKgH: s.loops[c.loop].PerBladeFlowKgH * c.flowScale,
 	}
-	ses := s.acquire(c.design)
-	defer s.release(c.design, ses)
+	ses, err := s.pool.Get(c.design)
+	if err != nil {
+		return classResult{}, err
+	}
+	defer s.pool.Put(ses)
 	ses.SwapCarry(&c.carry)
 	defer ses.SwapCarry(&c.carry)
 	ses.ReseatWater(waterC - c.lastWaterC)

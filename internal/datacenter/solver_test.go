@@ -1,6 +1,7 @@
 package datacenter
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/power"
 	"repro/internal/rack"
 	"repro/internal/thermal"
-	"repro/internal/thermosyphon"
 )
 
 // testSystem builds one coarse-grid blade system shared by every blade in
@@ -176,7 +176,9 @@ func TestSolverPooledByteIdentical(t *testing.T) {
 
 // TestSolverSessionPool: classes share pooled sessions, so a fleet of
 // many classes builds at most Workers sessions per thermosyphon design,
-// and a second solve builds none.
+// and a second solve builds none. At Threads: 2 every session owns one
+// team goroutine, which is how the test counts the sessions the solver's
+// pool has built.
 func TestSolverSessionPool(t *testing.T) {
 	sys := testSystem(t)
 	var states []power.PackageState
@@ -190,7 +192,8 @@ func TestSolverSessionPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := faults.Scenario{Faults: []faults.Fault{{Kind: faults.PartialDryout, Severity: 0.4, Blade: "r0b13"}}}
-	s, err := New(sys, topo, Options{Workers: 2, Scenario: &sc})
+	base := settledTeamWorkers()
+	s, err := New(sys, topo, Options{Workers: 2, Threads: 2, Scenario: &sc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,25 +204,47 @@ func TestSolverSessionPool(t *testing.T) {
 	if _, err := s.Solve(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	built := len(s.sessions)
+	built := settledTeamWorkers() - base
+	if built < 2 || built > 4 {
+		t.Fatalf("%d sessions built for 2 designs at 2 workers, want 2 to 4", built)
+	}
 	if _, err := s.SolveScaled(context.Background(), 1.2); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.sessions) != built {
-		t.Fatalf("the second solve built %d more sessions", len(s.sessions)-built)
+	if n := settledTeamWorkers() - base; n != built {
+		t.Fatalf("the second solve built %d more sessions", n-built)
 	}
-	perDesign := map[thermosyphon.Design]int{}
-	for _, ses := range s.sessions {
-		perDesign[*ses.Design()]++
+	s.Close()
+	if n := settledTeamWorkers() - base; n != 0 {
+		t.Fatalf("%d session teams left after Close", n)
 	}
-	if len(perDesign) != 2 {
-		t.Fatalf("sessions solve %d designs, want 2", len(perDesign))
-	}
-	for _, n := range perDesign {
-		if n > 2 {
-			t.Fatalf("%d sessions built for one design at 2 workers", n)
+}
+
+// teamWorkers counts the live goroutines of intra-solve worker teams.
+func teamWorkers() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return bytes.Count(buf[:n], []byte("linalg.NewTeam.func"))
 		}
+		buf = make([]byte, 2*len(buf))
 	}
+}
+
+// settledTeamWorkers is teamWorkers once the count has held still for
+// 20 ms: a closed team's goroutines exit asynchronously.
+func settledTeamWorkers() int {
+	n := teamWorkers()
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		time.Sleep(20 * time.Millisecond)
+		m := teamWorkers()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
 }
 
 // TestSolverCancellation cancels the context from the progress callback

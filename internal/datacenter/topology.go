@@ -26,9 +26,10 @@
 //   - Warm-start carry: each class keeps its converged field and flux (a
 //     cosim.Carry) across outer iterations (and across successive Solve
 //     calls, e.g. the hours of a diurnal sweep). Class solves run on
-//     sessions pooled per thermosyphon design: a solve swaps its class's
-//     carry into an idle session, re-seats it by the supply-temperature
-//     delta (Session.ReseatWater), solves and swaps it back out, so outer
+//     sessions from the solver's cosim.Pool, which keeps one free list
+//     per thermosyphon design: a solve swaps its class's carry into an
+//     idle session, re-seats it by the supply-temperature delta
+//     (Session.ReseatWater), solves and swaps it back out, so outer
 //     iterations after the first cost a few refinement passes while at
 //     most workers × designs sessions exist, not one per class.
 //

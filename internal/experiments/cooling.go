@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cosim"
 	"repro/internal/linalg"
-	"repro/internal/sweep"
 	"repro/internal/thermosyphon"
 	"repro/internal/workload"
 )
@@ -33,9 +32,9 @@ type CoolingResult struct {
 // 7 kg/h water flow and 35 °C data-center ambient: solve the proposed stack
 // at 30 °C water, then find the water temperature at which the baseline
 // stack ([8]+[27]+[9]) reaches the same die hot spot, and compare cooling
-// powers via Eq. (1) and the chiller COP model. The two stacks are set up
-// in parallel; the solves then run on per-stack warm-started sessions —
-// the bisection probes differ only in water temperature, so every probe
+// powers via Eq. (1) and the chiller COP model. The two stacks solve on
+// one System, each on a warm-started session of its own design: the
+// bisection probes differ only in water temperature, so every probe
 // after the first starts from the previous converged field and costs a
 // few refinement iterations instead of a cold solve. The probe sequence
 // is serial and fixed, so the warm starts are deterministic.
@@ -50,41 +49,33 @@ func CoolingPowerStudy(ctx context.Context, cfg RunConfig) (*CoolingResult, erro
 		return nil, err
 	}
 
-	// Build each approach's system and mapping once; each gets its own
-	// warm-started session for the serial solve sequence below. The
-	// sessions themselves (which may own worker teams) are created only
-	// after the sweep succeeds, so a failed setup cannot strand a team.
-	type setup struct {
-		sys *cosim.System
-		ses *cosim.Session
-		m   core.Mapping
-	}
-	// Depth-first split: the setup sweep below performs no thermal solves
-	// (systems and plans only), and the bisection that dominates this
-	// experiment solves one session at a time — so the whole core budget
-	// belongs to each solve's worker team.
-	cfg = cfg.SplitBudgetDepthFirst(2)
-	setups, err := sweep.Run(ctx, []Approach{Proposed, SoACoskun}, func(a Approach) (setup, error) {
-		sys, err := NewSystem(a.Design(), cfg.Resolution)
-		if err != nil {
-			return setup{}, err
-		}
-		m, err := a.Plan(bench, qos)
-		if err != nil {
-			return setup{}, err
-		}
-		return setup{sys: sys, m: m}, nil
-	}, cfg.Workers)
+	// The solves run one session at a time, so the whole core budget
+	// belongs to each solve's worker team. The sessions carry their warm
+	// starts: they come from a pool without CarryWarmStart(false), and
+	// neither is returned to it.
+	cfg = cfg.SplitBudgetDepthFirst(1)
+	sys, err := NewSystem(Proposed.Design(), cfg.Resolution)
 	if err != nil {
 		return nil, err
 	}
-	prop, base := setups[0], setups[1]
-	prop.ses = prop.sys.NewSession(cfg.sessionOptions()...)
-	defer prop.ses.Close()
-	base.ses = base.sys.NewSession(cfg.sessionOptions()...)
-	defer base.ses.Close()
+	type setup struct {
+		a   Approach
+		m   core.Mapping
+		ses *cosim.Session
+	}
+	pool := sys.NewPool(cfg.sessionOptions()...)
+	defer pool.Close()
+	prop, base := &setup{a: Proposed}, &setup{a: SoACoskun}
+	for _, s := range []*setup{prop, base} {
+		if s.m, err = s.a.Plan(bench, qos); err != nil {
+			return nil, err
+		}
+		if s.ses, err = pool.Get(s.a.Design()); err != nil {
+			return nil, err
+		}
+	}
 
-	solveAt := func(s setup, waterC float64) (dieMax float64, waterOut float64, err error) {
+	solveAt := func(s *setup, waterC float64) (dieMax float64, waterOut float64, err error) {
 		op := thermosyphon.Operating{WaterInC: waterC, WaterFlowKgH: flowKgH}
 		die, _, r, err := SolveMappingSession(ctx, s.ses, bench, s.m, op)
 		if err != nil {

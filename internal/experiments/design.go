@@ -29,20 +29,26 @@ type OrientationResult struct {
 // (east-west channels) yields pkg 52.7/50.3 °C ∇0.33 versus Design 2
 // (north-south) 53.5/50.6 °C ∇0.43; die 73.2 vs 79.4 °C. Each design also
 // reports its worst channel, marched through the same solve's top-surface
-// heat. The four designs are independent full co-simulations, so they run
-// through the sweep pool.
+// heat. The four designs are independent full co-simulations on one
+// System, so they run through the sweep pool.
 func Fig5Orientation(ctx context.Context, cfg RunConfig) ([]OrientationResult, error) {
 	bench, wcfg := workload.WorstCase()
 	m := FullLoadMapping(wcfg, power.POLL)
 	cfg = cfg.SplitBudget(len(thermosyphon.Orientations()))
+	sys, err := NewSystem(thermosyphon.DefaultDesign(), cfg.Resolution)
+	if err != nil {
+		return nil, err
+	}
+	pool := cfg.newPool(sys)
+	defer pool.Close()
 	return sweep.Run(ctx, thermosyphon.Orientations(), func(o thermosyphon.Orientation) (OrientationResult, error) {
 		d := thermosyphon.DefaultDesign()
 		d.Orientation = o
-		ses, err := cfg.NewSweepSession(d)
+		ses, err := pool.Get(d)
 		if err != nil {
 			return OrientationResult{}, err
 		}
-		defer ses.Close()
+		defer pool.Put(ses)
 		op := thermosyphon.DefaultOperating()
 		die, pkg, r, err := SolveMappingSession(ctx, ses, bench, m, op)
 		if err != nil {
@@ -52,7 +58,7 @@ func Fig5Orientation(ctx context.Context, cfg RunConfig) ([]OrientationResult, e
 		if err != nil {
 			return OrientationResult{}, err
 		}
-		report, err := d.ChannelReport(ses.System().Thermal.Grid(), r.Field.TopHeatPerCell(r.BC), op)
+		report, err := d.ChannelReport(sys.Thermal.Grid(), r.Field.TopHeatPerCell(r.BC), op)
 		if err != nil {
 			return OrientationResult{}, fmt.Errorf("orientation %v: %w", o, err)
 		}
@@ -116,29 +122,32 @@ var (
 // holds TCASE_MAX (§VI-C). The §VI-B grid fans out across the sweep pool
 // and its results are identical to a serial run because the pool
 // preserves input order; the §VI-C scan is serial and stops at the first
-// accepted point.
+// accepted point. Both stages solve on one System.
 func DesignSpaceStudy(ctx context.Context, cfg RunConfig) (*DesignSpaceResult, error) {
 	bench, wcfg := workload.WorstCase()
 	m := FullLoadMapping(wcfg, power.POLL)
 	var out DesignSpaceResult
+	sys, err := NewSystem(thermosyphon.DefaultDesign(), cfg.Resolution)
+	if err != nil {
+		return nil, err
+	}
 
-	// §VI-B: every (fluid, fill) pair is its own design, hence its own
-	// system; build it inside the evaluation. Even a single-point session
-	// pays for itself here: the coupled fixed point re-solves the thermal
-	// stack a dozen times, and the session reuses one workspace for all of
-	// those inner solves.
+	// §VI-B: every (fluid, fill) pair is its own design; each point
+	// takes a session of its design from the pool.
 	grid := sweep.Cross(refrigerant.Candidates(), designFills)
 	gcfg := cfg.SplitBudget(len(grid))
+	gpool := gcfg.newPool(sys)
+	defer gpool.Close()
 	points, err := sweep.Run(ctx, grid, func(p sweep.Pair[*refrigerant.Fluid, float64]) (DesignPoint, error) {
 		fl, fr := p.A, p.B
 		d := thermosyphon.DefaultDesign()
 		d.Fluid = fl
 		d.FillingRatio = fr
-		ses, err := gcfg.NewSweepSession(d)
+		ses, err := gpool.Get(d)
 		if err != nil {
 			return DesignPoint{}, err
 		}
-		defer ses.Close()
+		defer gpool.Put(ses)
 		die, _, r, err := SolveMappingSession(ctx, ses, bench, m, thermosyphon.DefaultOperating())
 		if err != nil {
 			return DesignPoint{}, fmt.Errorf("%s fill %.2f: %w", fl.Name(), fr, err)
@@ -147,7 +156,7 @@ func DesignSpaceStudy(ctx context.Context, cfg RunConfig) (*DesignSpaceResult, e
 			Fluid:        fl.Name(),
 			FillingRatio: fr,
 			DieMaxC:      die.MaxC,
-			TCaseC:       ses.System().TCase(r),
+			TCaseC:       sys.TCase(r),
 			DryoutCells:  r.Syphon.DryoutCells,
 		}
 		pt.Feasible = pt.TCaseC < sched.TCaseMax
@@ -168,7 +177,8 @@ func DesignSpaceStudy(ctx context.Context, cfg RunConfig) (*DesignSpaceResult, e
 	// §VI-C: fix the best design; scan the flow × water-temperature grid
 	// in cheapest-first order on one session and accept the first
 	// combination that meets the constraint. Points past it are never
-	// evaluated.
+	// evaluated. The scan is serial, so its pool gives the whole core
+	// budget to the one session's team.
 	d := thermosyphon.DefaultDesign()
 	fl, err := refrigerant.ByName(best.Fluid)
 	if err != nil {
@@ -176,18 +186,19 @@ func DesignSpaceStudy(ctx context.Context, cfg RunConfig) (*DesignSpaceResult, e
 	}
 	d.Fluid = fl
 	d.FillingRatio = best.FillingRatio
-	ses, err := cfg.SplitBudgetDepthFirst(1).NewSweepSession(d)
+	spool := cfg.SplitBudgetDepthFirst(1).newPool(sys)
+	defer spool.Close()
+	ses, err := spool.Get(d)
 	if err != nil {
 		return nil, err
 	}
-	defer ses.Close()
 	for _, p := range sweep.Cross(waterFlows, waterTemps) {
 		op := thermosyphon.Operating{WaterInC: p.B, WaterFlowKgH: p.A}
 		_, _, r, err := SolveMappingSession(ctx, ses, bench, m, op)
 		if err != nil {
 			return nil, fmt.Errorf("water %g kg/h @ %g °C: %w", p.A, p.B, err)
 		}
-		if tc := ses.System().TCase(r); tc < sched.TCaseMax {
+		if tc := sys.TCase(r); tc < sched.TCaseMax {
 			out.WaterSelection = WaterChoice{FlowKgH: p.A, WaterInC: p.B, TCaseC: tc}
 			return &out, nil
 		}

@@ -6,10 +6,11 @@
 // The package is organized as a catalog of self-describing experiments:
 // each scenario is one Experiment entry (name, description, a typed
 // Run(ctx, RunConfig) entry point) and every consumer — cmd/paperbench,
-// internal/report, the benchmarks — renders the uniform Result it
-// returns. Configuration travels exclusively through RunConfig; there is
-// deliberately no process-wide mutable state, so concurrent runs with
-// different solvers or worker budgets cannot observe each other.
+// internal/report and thermservd's /v1/experiments endpoint — renders the
+// uniform Result it returns. Configuration travels exclusively through
+// RunConfig; there is deliberately no process-wide mutable state, so
+// concurrent runs with different solvers or worker budgets cannot
+// observe each other.
 package experiments
 
 import (
@@ -206,6 +207,18 @@ func (cfg RunConfig) sessionOptions(extra ...cosim.SessionOption) []cosim.Sessio
 	return append(opts, extra...)
 }
 
+// newPool returns a pool of solve sessions on sys with the run's solver
+// and threads and the cross-solve warm start disabled. Pooled sweeps
+// claim points in a schedule-dependent order, so a session that carried
+// its warm start from one point to the next would make a parallel run
+// differ from the serial one. Without the carry every solve is
+// bit-identical to a cold solve on a fresh session, while the pool still
+// reuses each session's buffers across the points. The caller closes
+// the pool.
+func (cfg RunConfig) newPool(sys *cosim.System) *cosim.Pool {
+	return sys.NewPool(cfg.sessionOptions(cosim.CarryWarmStart(false))...)
+}
+
 // NewSystem builds a co-simulation system with the given thermosyphon
 // design at the resolution.
 func NewSystem(design thermosyphon.Design, res Resolution) (*cosim.System, error) {
@@ -227,8 +240,6 @@ func FullLoadMapping(cfg workload.Config, idle power.CState) core.Mapping {
 
 // SolveMappingSession runs the coupled solve for a benchmark under a
 // mapping on a solve session and returns die and package statistics.
-// Pooled studies hand each sweep worker one session, so the worker
-// amortizes its solver workspace across all the points it claims.
 // Cancelling ctx aborts the coupled solve between outer iterations. The
 // returned result aliases session buffers and is valid until the
 // session's next solve.
@@ -245,34 +256,4 @@ func SolveMappingSession(ctx context.Context, ses *cosim.Session, b workload.Ben
 	}
 	pkg, err = sys.PackageStats(res)
 	return
-}
-
-// sessionCache is a per-worker cache of solve sessions keyed by sweep
-// axis. It implements io.Closer, so the sweep engine releases every
-// cached session's worker team when the worker retires.
-type sessionCache[K comparable] map[K]*cosim.Session
-
-// Close releases every cached session's worker team.
-func (c sessionCache[K]) Close() error {
-	for _, ses := range c {
-		ses.Close()
-	}
-	return nil
-}
-
-// NewSweepSession builds a system and wraps it in a session with the
-// cross-solve warm start disabled: pooled sweeps claim points in a
-// schedule-dependent order, so carrying state across points would make a
-// parallel run differ from the serial one. A non-carrying session keeps
-// the byte-identical determinism contract while still reusing every solve
-// buffer the worker owns. The session solves with the config's solver;
-// extra options are applied on top.
-func (cfg RunConfig) NewSweepSession(design thermosyphon.Design, extra ...cosim.SessionOption) (*cosim.Session, error) {
-	sys, err := NewSystem(design, cfg.Resolution)
-	if err != nil {
-		return nil, err
-	}
-	opts := cfg.sessionOptions(extra...)
-	opts = append(opts, cosim.CarryWarmStart(false))
-	return sys.NewSession(opts...), nil
 }

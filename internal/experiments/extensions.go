@@ -31,9 +31,10 @@ type OrientationMappingCell struct {
 // ("one hot core per channel") is orientation-relative, so the staggered
 // mapping's advantage should persist across orientations while the
 // clustered mapping's penalty should depend on whether the cluster shares
-// channels. The twelve cells run through the sweep pool; each worker
-// caches the per-orientation solve sessions it builds, so no orientation's
-// system or workspace is assembled more than once per worker.
+// channels. The twelve cells run through the sweep pool on one System;
+// each takes a session of its orientation's design from the session
+// pool, so no orientation's workspace is built more than once per
+// concurrent holder.
 func ExtOrientationMapping(ctx context.Context, cfg RunConfig) ([]OrientationMappingCell, error) {
 	bench, err := workload.ByName("facesim")
 	if err != nil {
@@ -42,31 +43,28 @@ func ExtOrientationMapping(ctx context.Context, cfg RunConfig) ([]OrientationMap
 	wcfg := workload.Config{Cores: 4, Threads: 8, Freq: power.FMax}
 	cells := sweep.Cross(thermosyphon.Orientations(), Fig6Scenarios())
 	cfg = cfg.SplitBudget(len(cells))
-	return sweep.RunState(ctx, cells,
-		func() (sessionCache[thermosyphon.Orientation], error) {
-			return sessionCache[thermosyphon.Orientation]{}, nil
-		},
-		func(cache sessionCache[thermosyphon.Orientation], p sweep.Pair[thermosyphon.Orientation, Fig6Scenario]) (OrientationMappingCell, error) {
-			o, sc := p.A, p.B
-			ses := cache[o]
-			if ses == nil {
-				d := thermosyphon.DefaultDesign()
-				d.Orientation = o
-				var err error
-				ses, err = cfg.NewSweepSession(d)
-				if err != nil {
-					return OrientationMappingCell{}, err
-				}
-				cache[o] = ses
-			}
-			m := core.Mapping{ActiveCores: sc.Active, IdleState: power.C1, Config: wcfg}
-			die, _, _, err := SolveMappingSession(ctx, ses, bench, m, thermosyphon.DefaultOperating())
-			if err != nil {
-				return OrientationMappingCell{}, fmt.Errorf("%v/%s: %w", o, sc.Name, err)
-			}
-			return OrientationMappingCell{Orientation: o, Scenario: sc.Name, Die: die}, nil
-		},
-		cfg.Workers)
+	sys, err := NewSystem(thermosyphon.DefaultDesign(), cfg.Resolution)
+	if err != nil {
+		return nil, err
+	}
+	pool := cfg.newPool(sys)
+	defer pool.Close()
+	return sweep.Run(ctx, cells, func(p sweep.Pair[thermosyphon.Orientation, Fig6Scenario]) (OrientationMappingCell, error) {
+		o, sc := p.A, p.B
+		d := thermosyphon.DefaultDesign()
+		d.Orientation = o
+		ses, err := pool.Get(d)
+		if err != nil {
+			return OrientationMappingCell{}, err
+		}
+		defer pool.Put(ses)
+		m := core.Mapping{ActiveCores: sc.Active, IdleState: power.C1, Config: wcfg}
+		die, _, _, err := SolveMappingSession(ctx, ses, bench, m, thermosyphon.DefaultOperating())
+		if err != nil {
+			return OrientationMappingCell{}, fmt.Errorf("%v/%s: %w", o, sc.Name, err)
+		}
+		return OrientationMappingCell{Orientation: o, Scenario: sc.Name, Die: die}, nil
+	}, cfg.Workers)
 }
 
 // RuntimeControlResult summarizes the §VII closed-loop experiment.

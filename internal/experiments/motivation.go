@@ -29,18 +29,22 @@ type Fig2Result struct {
 func Fig2DieVsPackage(ctx context.Context, cfg RunConfig) (*Fig2Result, error) {
 	// A single coupled solve: the whole core budget goes to the solve team.
 	cfg = cfg.SplitBudgetDepthFirst(1)
-	ses, err := cfg.NewSweepSession(baselines.SeuretDesign())
+	sys, err := NewSystem(baselines.SeuretDesign(), cfg.Resolution)
 	if err != nil {
 		return nil, err
 	}
-	defer ses.Close()
+	pool := cfg.newPool(sys)
+	defer pool.Close()
+	ses, err := pool.Get(sys.Design)
+	if err != nil {
+		return nil, err
+	}
 	bench, wcfg := workload.WorstCase()
 	m := FullLoadMapping(wcfg, power.POLL)
 	die, pkg, r, err := SolveMappingSession(ctx, ses, bench, m, thermosyphon.DefaultOperating())
 	if err != nil {
 		return nil, err
 	}
-	sys := ses.System()
 	dieMap := append([]float64(nil), sys.DieTemps(r)...)
 	pkgMap, err := r.Field.LayerByName("spreader")
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -121,10 +122,11 @@ func TestRegistryRoundTrip(t *testing.T) {
 // TestExperimentCancellation: a pre-cancelled context must abort every
 // solving experiment promptly with context.Canceled — the cancellation
 // threads from RunConfig through the sweep pool into the coupled solves.
+// A run cancelled midway must also release every session's worker team.
 func TestExperimentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, name := range []string{"fig2", "fig3", "tablei", "fig5", "fig6", "tableii", "design", "cooling", "scaling", "datacenter", "diurnal", "faults"} {
+	for _, name := range []string{"fig2", "fig3", "tablei", "fig5", "fig6", "tableii", "fig7", "design", "cooling", "scaling", "orientmap", "scalability", "runtime", "datacenter", "diurnal", "faults"} {
 		e, ok := Lookup(name)
 		if !ok {
 			t.Fatalf("experiment %q missing", name)
@@ -137,6 +139,25 @@ func TestExperimentCancellation(t *testing.T) {
 		if el := time.Since(start); el > 5*time.Second {
 			t.Fatalf("%s: cancelled run took %v", name, el)
 		}
+	}
+
+	// Mid-run: two workers whose sessions each own a two-thread team.
+	before := runtime.NumGoroutine()
+	e, _ := Lookup("tableii")
+	ctx, cancel = context.WithCancel(context.Background())
+	stop := time.AfterFunc(20*time.Millisecond, cancel)
+	defer stop.Stop()
+	_, err := e.Run(ctx, RunConfig{Resolution: Coarse, Workers: 2, Threads: 2})
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("tableii cancelled mid-run: err = %v, want context.Canceled", err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after the cancelled run", before, runtime.NumGoroutine())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

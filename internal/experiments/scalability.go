@@ -118,94 +118,82 @@ func ExtResolutionScaling(ctx context.Context, cfg RunConfig, sizes []int, solve
 	}, cfg.Workers)
 }
 
-// cached is one die dimension's reusable solve context in the
-// scalability study.
-type cached struct {
-	ses  *cosim.Session
-	spec floorplan.GridSpec
-}
-
-// scaledCache is the per-worker session cache of the scalability study;
-// Close lets the sweep engine release each session's worker team when
-// the worker retires.
-type scaledCache map[[2]int]*cached
-
-// Close releases every cached session's worker team.
-func (c scaledCache) Close() error {
-	for _, v := range c {
-		v.ses.Close()
-	}
-	return nil
-}
-
 // ExtScalability exercises the mapping rule on a scaled 16-core die (the
 // §III note that the evaporator scales with the CPU dimension): half the
 // cores run a fixed per-core load, placed either with the generalized
 // row-exclusive stagger or clustered into adjacent columns. The staggered
-// placement should keep its advantage as the die grows. The four (die,
-// mapping) cells run through the sweep pool; each worker caches the custom
-// systems (wrapped in non-carrying solve sessions) it builds per die
-// dimension.
+// placement should keep its advantage as the die grows. The two custom
+// systems, one per die dimension, are built up front with a session pool
+// each, and the four (die, mapping) cells run through the sweep pool.
 func ExtScalability(ctx context.Context, cfg RunConfig) ([]ScalabilityCell, error) {
-	cells := sweep.Cross([][2]int{{4, 2}, {4, 4}}, []string{"staggered", "clustered"})
+	type scaled struct {
+		sys  *cosim.System
+		pool *cosim.Pool
+		spec floorplan.GridSpec
+	}
+	dimsAxis := [][2]int{{4, 2}, {4, 4}}
+	cells := sweep.Cross(dimsAxis, []string{"staggered", "clustered"})
 	cfg = cfg.SplitBudget(len(cells))
-	return sweep.RunState(ctx, cells,
-		func() (scaledCache, error) { return scaledCache{}, nil },
-		func(cache scaledCache, p sweep.Pair[[2]int, string]) (ScalabilityCell, error) {
-			dims, name := p.A, p.B
-			c := cache[dims]
-			if c == nil {
-				sys, spec, err := scaledSystem(dims, cfg.Resolution)
-				if err != nil {
-					return ScalabilityCell{}, err
-				}
-				c = &cached{ses: sys.NewSession(cfg.sessionOptions(cosim.CarryWarmStart(false))...), spec: spec}
-				cache[dims] = c
-			}
-			n := dims[0] * dims[1]
-			active := n / 2
+	systems := make(map[[2]int]scaled, len(dimsAxis))
+	for _, dims := range dimsAxis {
+		sys, spec, err := scaledSystem(dims, cfg.Resolution)
+		if err != nil {
+			return nil, err
+		}
+		pool := cfg.newPool(sys)
+		defer pool.Close()
+		systems[dims] = scaled{sys: sys, pool: pool, spec: spec}
+	}
+	return sweep.Run(ctx, cells, func(p sweep.Pair[[2]int, string]) (ScalabilityCell, error) {
+		dims, name := p.A, p.B
+		c := systems[dims]
+		n := dims[0] * dims[1]
+		active := n / 2
 
-			var cores []int
-			if name == "staggered" {
-				cores = floorplan.GenericRowExclusiveOrder(c.spec)[:active]
+		var cores []int
+		if name == "staggered" {
+			cores = floorplan.GenericRowExclusiveOrder(c.spec)[:active]
+		} else {
+			cores = make([]int, active)
+			for i := range cores {
+				cores[i] = i // column-major: fills adjacent east columns
+			}
+		}
+		bp := map[string]float64{
+			"LLC":     2,
+			"MemCtrl": 6.3,
+			"Uncore":  7.7,
+		}
+		activeSet := map[int]bool{}
+		for _, core := range cores {
+			activeSet[core] = true
+		}
+		for i := 0; i < n; i++ {
+			blk := fmt.Sprintf("Core%d", i+1)
+			if activeSet[i] {
+				bp[blk] = 7.5 // POLL baseline + heavy dynamic
 			} else {
-				cores = make([]int, active)
-				for i := range cores {
-					cores[i] = i // column-major: fills adjacent east columns
-				}
+				bp[blk] = 2.0 // C1-parked
 			}
-			bp := map[string]float64{
-				"LLC":     2,
-				"MemCtrl": 6.3,
-				"Uncore":  7.7,
-			}
-			activeSet := map[int]bool{}
-			for _, core := range cores {
-				activeSet[core] = true
-			}
-			for i := 0; i < n; i++ {
-				blk := fmt.Sprintf("Core%d", i+1)
-				if activeSet[i] {
-					bp[blk] = 7.5 // POLL baseline + heavy dynamic
-				} else {
-					bp[blk] = 2.0 // C1-parked
-				}
-			}
-			r, err := c.ses.SolveSteadyPower(ctx, bp, thermosyphon.DefaultOperating())
-			if err != nil {
-				return ScalabilityCell{}, fmt.Errorf("%dx%d/%s: %w", dims[0], dims[1], name, err)
-			}
-			sys := c.ses.System()
-			die, err := sys.DieStats(r)
-			if err != nil {
-				return ScalabilityCell{}, err
-			}
-			return ScalabilityCell{
-				Cores:     n,
-				Mapping:   name,
-				Die:       die,
-				DryoutPct: float64(r.Syphon.DryoutCells) / float64(sys.Thermal.Cells()),
-			}, nil
-		},
-		cfg.Workers)
+		}
+		ses, err := c.pool.Get(c.sys.Design)
+		if err != nil {
+			return ScalabilityCell{}, err
+		}
+		defer c.pool.Put(ses)
+		r, err := ses.SolveSteadyPower(ctx, bp, thermosyphon.DefaultOperating())
+		if err != nil {
+			return ScalabilityCell{}, fmt.Errorf("%dx%d/%s: %w", dims[0], dims[1], name, err)
+		}
+		die, err := c.sys.DieStats(r)
+		if err != nil {
+			return ScalabilityCell{}, err
+		}
+		return ScalabilityCell{
+			Cores:     n,
+			Mapping:   name,
+			Die:       die,
+			DryoutPct: float64(r.Syphon.DryoutCells) / float64(c.sys.Thermal.Cells()),
+		}, nil
+	}, cfg.Workers)
 }

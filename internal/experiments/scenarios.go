@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/cosim"
 	"repro/internal/floorplan"
 	"repro/internal/metrics"
 	"repro/internal/power"
@@ -51,9 +50,9 @@ type Fig6Result struct {
 // C1 idle states, reporting die hot spot, average, and maximum gradient.
 // The paper's headline ordering: with POLL the corner balancing (scenario
 // 2) wins; with C1 the staggered mapping (scenario 1) wins; the clustered
-// mapping (scenario 3) is always worst. All six cells share one design, so
-// each sweep worker builds a single solve session and reuses its system
-// and workspace across every cell it claims.
+// mapping (scenario 3) is always worst. All six cells share one design,
+// so the sweep workers share one System and reuse the pool's sessions
+// across every cell they claim.
 func Fig6MappingScenarios(ctx context.Context, cfg RunConfig) ([]Fig6Result, error) {
 	// A mid-roster benchmark at (4,8,fmax), per the paper's setup of four
 	// loaded cores.
@@ -64,16 +63,24 @@ func Fig6MappingScenarios(ctx context.Context, cfg RunConfig) ([]Fig6Result, err
 	wcfg := workload.Config{Cores: 4, Threads: 8, Freq: power.FMax}
 	cells := sweep.Cross([]power.CState{power.POLL, power.C1}, Fig6Scenarios())
 	cfg = cfg.SplitBudget(len(cells))
-	return sweep.RunState(ctx, cells,
-		func() (*cosim.Session, error) { return cfg.NewSweepSession(thermosyphon.DefaultDesign()) },
-		func(ses *cosim.Session, p sweep.Pair[power.CState, Fig6Scenario]) (Fig6Result, error) {
-			idle, sc := p.A, p.B
-			m := core.Mapping{ActiveCores: sc.Active, IdleState: idle, Config: wcfg}
-			die, _, _, err := SolveMappingSession(ctx, ses, bench, m, thermosyphon.DefaultOperating())
-			if err != nil {
-				return Fig6Result{}, fmt.Errorf("%s/%v: %w", sc.Name, idle, err)
-			}
-			return Fig6Result{Scenario: sc.Name, Idle: idle, Die: die}, nil
-		},
-		cfg.Workers)
+	sys, err := NewSystem(thermosyphon.DefaultDesign(), cfg.Resolution)
+	if err != nil {
+		return nil, err
+	}
+	pool := cfg.newPool(sys)
+	defer pool.Close()
+	return sweep.Run(ctx, cells, func(p sweep.Pair[power.CState, Fig6Scenario]) (Fig6Result, error) {
+		idle, sc := p.A, p.B
+		ses, err := pool.Get(sys.Design)
+		if err != nil {
+			return Fig6Result{}, err
+		}
+		defer pool.Put(ses)
+		m := core.Mapping{ActiveCores: sc.Active, IdleState: idle, Config: wcfg}
+		die, _, _, err := SolveMappingSession(ctx, ses, bench, m, thermosyphon.DefaultOperating())
+		if err != nil {
+			return Fig6Result{}, fmt.Errorf("%s/%v: %w", sc.Name, idle, err)
+		}
+		return Fig6Result{Scenario: sc.Name, Idle: idle, Die: die}, nil
+	}, cfg.Workers)
 }

@@ -92,9 +92,9 @@ type TableIIRow struct {
 // TableIIPolicyComparison reproduces Table II over the given benchmarks
 // (nil = the full PARSEC roster) at the three QoS levels. Every (approach,
 // QoS, benchmark) cell is an independent plan + co-simulation, so the
-// full 117-solve grid fans out across the sweep pool; each worker lazily
-// builds and reuses one solve session per approach, amortizing the system
-// and the solver workspace over all the cells it claims. The cells come
+// full 117-solve grid fans out across the sweep pool on one System; each
+// cell takes a session of its approach's design from the session pool,
+// so the solver workspaces are reused across the cells. The cells come
 // back in input order, so the per-row averages accumulate in exactly the
 // serial order and the rows are bit-identical to the sequential sweep
 // (the sessions do not carry warm starts across cells for that reason).
@@ -121,29 +121,28 @@ func TableIIPolicyComparison(ctx context.Context, cfg RunConfig, benches []workl
 		}
 	}
 	cfg = cfg.SplitBudget(len(cells))
-	vals, err := sweep.RunState(ctx, cells,
-		func() (sessionCache[Approach], error) { return sessionCache[Approach]{}, nil },
-		func(sessions sessionCache[Approach], c cellKey) (cellVal, error) {
-			ses := sessions[c.a]
-			if ses == nil {
-				var err error
-				ses, err = cfg.NewSweepSession(c.a.Design())
-				if err != nil {
-					return cellVal{}, err
-				}
-				sessions[c.a] = ses
-			}
-			m, err := c.a.Plan(c.b, c.q)
-			if err != nil {
-				return cellVal{}, fmt.Errorf("%v @%s %s: %w", c.a, c.q, c.b.Name, err)
-			}
-			die, pkg, r, err := SolveMappingSession(ctx, ses, c.b, m, thermosyphon.DefaultOperating())
-			if err != nil {
-				return cellVal{}, fmt.Errorf("%v @%s %s: %w", c.a, c.q, c.b.Name, err)
-			}
-			return cellVal{die: die, pkg: pkg, powerW: r.TotalPowerW}, nil
-		},
-		cfg.Workers)
+	sys, err := NewSystem(thermosyphon.DefaultDesign(), cfg.Resolution)
+	if err != nil {
+		return nil, err
+	}
+	pool := cfg.newPool(sys)
+	defer pool.Close()
+	vals, err := sweep.Run(ctx, cells, func(c cellKey) (cellVal, error) {
+		m, err := c.a.Plan(c.b, c.q)
+		if err != nil {
+			return cellVal{}, fmt.Errorf("%v @%s %s: %w", c.a, c.q, c.b.Name, err)
+		}
+		ses, err := pool.Get(c.a.Design())
+		if err != nil {
+			return cellVal{}, err
+		}
+		defer pool.Put(ses)
+		die, pkg, r, err := SolveMappingSession(ctx, ses, c.b, m, thermosyphon.DefaultOperating())
+		if err != nil {
+			return cellVal{}, fmt.Errorf("%v @%s %s: %w", c.a, c.q, c.b.Name, err)
+		}
+		return cellVal{die: die, pkg: pkg, powerW: r.TotalPowerW}, nil
+	}, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -194,13 +193,18 @@ func Fig7ThermalMaps(ctx context.Context, cfg RunConfig) (*Fig7Result, error) {
 	const q = workload.QoS2x
 	out := &Fig7Result{ProposedBench: bench.Name}
 	cfg = cfg.SplitBudgetDepthFirst(1)
+	sys, err := NewSystem(thermosyphon.DefaultDesign(), cfg.Resolution)
+	if err != nil {
+		return nil, err
+	}
+	pool := cfg.newPool(sys)
+	defer pool.Close()
 	for _, a := range []Approach{Proposed, SoACoskun} {
-		ses, err := cfg.NewSweepSession(a.Design())
+		m, err := a.Plan(bench, q)
 		if err != nil {
 			return nil, err
 		}
-		defer ses.Close()
-		m, err := a.Plan(bench, q)
+		ses, err := pool.Get(a.Design())
 		if err != nil {
 			return nil, err
 		}
@@ -208,8 +212,8 @@ func Fig7ThermalMaps(ctx context.Context, cfg RunConfig) (*Fig7Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		sys := ses.System()
 		dieMap := append([]float64(nil), sys.DieTemps(r)...)
+		pool.Put(ses)
 		if a == Proposed {
 			out.ProposedMap, out.ProposedMax = dieMap, die.MaxC
 			out.Grid.NX, out.Grid.NY = sys.Thermal.Grid().NX, sys.Thermal.Grid().NY

@@ -16,12 +16,12 @@ type ExperimentInfo struct {
 }
 
 // ExperimentRunRequest tunes one experiment run; every field defaults to
-// the server configuration. An empty body runs the defaults.
+// the server configuration. An empty body runs the defaults. A run
+// always splits GOMAXPROCS between its sweep workers and solve threads
+// itself: the core budget is the server's, not the client's.
 type ExperimentRunRequest struct {
 	Resolution string `json:"resolution,omitempty"`
 	Solver     string `json:"solver,omitempty"`
-	Workers    int    `json:"workers,omitempty"`
-	Threads    int    `json:"threads,omitempty"`
 }
 
 // handleExperimentsList is GET /v1/experiments: the PR 4 registry over
@@ -65,8 +65,6 @@ func (s *Server) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 	cfg := experiments.RunConfig{
 		Resolution: s.cfg.Resolution,
 		Solver:     s.cfg.Solver,
-		Workers:    req.Workers,
-		Threads:    req.Threads,
 	}
 	if req.Resolution != "" {
 		res, err := experiments.ParseResolution(req.Resolution)

@@ -681,6 +681,12 @@ func TestExperimentsEndpoints(t *testing.T) {
 	if w := post(t, h, "/v1/experiments/tablei", `{"resolution":"ultra"}`); w.Code != http.StatusBadRequest {
 		t.Fatalf("bad override: %d, want 400", w.Code)
 	}
+	// The core budget is the server's: a body naming one is refused.
+	for _, body := range []string{`{"workers":2}`, `{"threads":2}`} {
+		if w := post(t, h, "/v1/experiments/tablei", body); w.Code != http.StatusBadRequest {
+			t.Fatalf("%s: %d, want 400", body, w.Code)
+		}
+	}
 	if st := s.Snapshot(); st.ExperimentRuns != 1 {
 		t.Fatalf("experimentRuns = %d, want 1", st.ExperimentRuns)
 	}

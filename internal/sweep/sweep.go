@@ -1,9 +1,9 @@
 // Package sweep is the parallel evaluation engine behind every
 // embarrassingly parallel study in this repository: the design-space
 // grids, the orientation and mapping scenario sweeps, the Table II policy
-// comparison and the per-frequency plan search are all independent
-// evaluations of a point list, so they fan out across a bounded worker
-// pool here instead of looping serially.
+// comparison and the datacenter's per-class blade solves are all
+// independent evaluations of a point list, so they fan out across a
+// bounded worker pool here instead of looping serially.
 //
 // The engine guarantees:
 //
@@ -14,13 +14,11 @@
 //     lowest input index among those evaluated. Context cancellation is
 //     part of the same contract: workers observe ctx between points, stop
 //     claiming as soon as it is done, and the call reports ctx.Err().
-//   - Per-worker reusable state: RunState gives each worker one state
-//     value (a solver, a system cache) built once and reused across all
-//     points that worker claims, so operators and scratch vectors are not
-//     rebuilt per point. A state that implements io.Closer is closed when
-//     its worker retires — solve sessions configured with intra-solve
-//     threads own goroutine teams, and the engine releases them so a
-//     sweep leaves no goroutines behind.
+//
+// The engine keeps no per-worker state. An evaluation that needs a solve
+// session takes one from a cosim.Pool and returns it, so sessions (and
+// the worker teams they own) are reused across points and released by
+// the pool's owner.
 //
 // The worker count is an explicit per-call parameter (<= 0 means
 // GOMAXPROCS; one worker runs every point on the calling goroutine, the
@@ -35,35 +33,25 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// closeState releases a per-worker state that holds external resources:
-// any state implementing io.Closer (a cosim.Session owning a worker team,
-// for instance) is closed when its worker retires.
-func closeState(st any) {
-	if c, ok := st.(io.Closer); ok {
-		c.Close()
-	}
-}
-
-// pool runs work(w) for every worker w in [0, workers) and returns once
-// all have retired. Worker 0 runs on the calling goroutine, as in
-// linalg.Team, so only workers−1 goroutines start: a one-worker sweep
-// starts none, and a panic in worker 0 unwinds into the caller.
-func pool(workers int, work func(w int)) {
+// pool runs work() on workers goroutines and returns once all have
+// retired. One worker runs on the calling goroutine, as in linalg.Team,
+// so only workers−1 goroutines start: a one-worker sweep starts none,
+// and a panic in that worker unwinds into the caller.
+func pool(workers int, work func()) {
 	var wg sync.WaitGroup
 	wg.Add(workers - 1)
 	for w := 1; w < workers; w++ {
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			work(w)
-		}(w)
+			work()
+		}()
 	}
-	work(0)
+	work()
 	wg.Wait()
 }
 
@@ -72,17 +60,6 @@ func pool(workers int, work func(w int)) {
 // on any goroutine but never concurrently with itself on the same index.
 // Cancelling ctx stops the sweep between points and returns ctx.Err().
 func Run[P, R any](ctx context.Context, points []P, eval func(P) (R, error), workers int) ([]R, error) {
-	return RunState(ctx, points,
-		func() (struct{}, error) { return struct{}{}, nil },
-		func(_ struct{}, p P) (R, error) { return eval(p) },
-		workers)
-}
-
-// RunState is Run with per-worker reusable state: newState runs once per
-// worker (on the worker's goroutine) and its value is passed to every
-// evaluation that worker performs. Use it to amortize expensive solver
-// construction — each worker owns its state, so eval needs no locking.
-func RunState[S, P, R any](ctx context.Context, points []P, newState func() (S, error), eval func(S, P) (R, error), workers int) ([]R, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -100,22 +77,14 @@ func RunState[S, P, R any](ctx context.Context, points []P, newState func() (S, 
 		done     atomic.Int64 // successfully evaluated points
 		stop     atomic.Bool  // fail-fast: stop claiming new points
 		pointErr = make([]error, len(points))
-		stateErr = make([]error, workers)
 	)
-	pool(workers, func(w int) {
-		st, err := newState()
-		if err != nil {
-			stateErr[w] = err
-			stop.Store(true)
-			return
-		}
-		defer closeState(st)
+	pool(workers, func() {
 		for !stop.Load() && ctx.Err() == nil {
 			i := int(next.Add(1)) - 1
 			if i >= len(points) {
 				return
 			}
-			r, err := eval(st, points[i])
+			r, err := eval(points[i])
 			if err != nil {
 				pointErr[i] = err
 				stop.Store(true)
@@ -143,11 +112,6 @@ func RunState[S, P, R any](ctx context.Context, points []P, newState func() (S, 
 	for i, err := range pointErr {
 		if err != nil {
 			return nil, fmt.Errorf("sweep: point %d: %w", i, err)
-		}
-	}
-	for _, err := range stateErr {
-		if err != nil {
-			return nil, fmt.Errorf("sweep: worker state: %w", err)
 		}
 	}
 	return results, nil

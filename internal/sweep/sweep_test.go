@@ -111,55 +111,6 @@ func TestRunSerialErrorIndex(t *testing.T) {
 	}
 }
 
-func TestRunStateReuse(t *testing.T) {
-	var built atomic.Int64
-	points := make([]int, 64)
-	const workers = 4
-	got, err := RunState(bg, points,
-		func() (*int, error) {
-			built.Add(1)
-			return new(int), nil
-		},
-		func(st *int, _ int) (int, error) {
-			*st++ // worker-private: must never race
-			return *st, nil
-		},
-		workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := built.Load(); n > workers || n < 1 {
-		t.Fatalf("built %d states for %d workers", n, workers)
-	}
-	var total int
-	for _, g := range got {
-		total += g
-	}
-	// Each worker's state counts 1..k for the k points it claimed; the
-	// per-worker sums of 1..k always total at least len(points).
-	if total < len(points) {
-		t.Fatalf("state reuse accounting broken: total %d", total)
-	}
-}
-
-func TestRunStateConstructorError(t *testing.T) {
-	boom := errors.New("no state")
-	_, err := RunState(bg, []int{1, 2, 3},
-		func() (int, error) { return 0, boom },
-		func(int, int) (int, error) { return 0, nil },
-		2)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want state error", err)
-	}
-	_, err = RunState(bg, []int{1, 2, 3},
-		func() (int, error) { return 0, boom },
-		func(int, int) (int, error) { return 0, nil },
-		1)
-	if !errors.Is(err, boom) {
-		t.Fatalf("serial err = %v, want state error", err)
-	}
-}
-
 // leakCheck returns a func that fails the test if the goroutine count has
 // not returned to (near) its starting value — the engine must not leave
 // workers behind after a cancelled sweep.
@@ -251,31 +202,6 @@ func TestRunPreCancelled(t *testing.T) {
 	}
 }
 
-func TestRunStateCancel(t *testing.T) {
-	check := leakCheck(t)
-	ctx, cancel := context.WithCancel(bg)
-	points := make([]int, 500)
-	var evals atomic.Int64
-	_, err := RunState(ctx, points,
-		func() (int, error) { return 0, nil },
-		func(_ int, p int) (int, error) {
-			if evals.Add(1) == 2 {
-				cancel()
-			}
-			time.Sleep(100 * time.Microsecond)
-			return p, nil
-		},
-		4)
-	cancel()
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n := evals.Load(); n >= int64(len(points))/2 {
-		t.Fatalf("cancellation did not stop the sweep (%d evaluations)", n)
-	}
-	check()
-}
-
 func TestCrossOrder(t *testing.T) {
 	got := Cross([]string{"a", "b"}, []int{1, 2, 3})
 	want := []Pair[string, int]{
@@ -289,44 +215,6 @@ func TestCrossOrder(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("pair %d = %v, want %v", i, got[i], want[i])
 		}
-	}
-}
-
-// closerState counts Close calls for the state-lifecycle tests.
-type closerState struct{ closes *atomic.Int64 }
-
-func (c *closerState) Close() error {
-	c.closes.Add(1)
-	return nil
-}
-
-// TestRunStateClosesStates: per-worker states implementing io.Closer are
-// closed exactly once per constructed state, on the serial path and the
-// pooled path — the lifecycle hook that lets solve
-// sessions release their worker teams.
-func TestRunStateClosesStates(t *testing.T) {
-	points := make([]int, 50)
-	for _, workers := range []int{1, 4} {
-		var built, closes atomic.Int64
-		newState := func() (*closerState, error) {
-			built.Add(1)
-			return &closerState{closes: &closes}, nil
-		}
-		_, err := RunState(bg, points, newState,
-			func(st *closerState, p int) (int, error) { return p, nil },
-			workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if built.Load() == 0 || closes.Load() != built.Load() {
-			t.Fatalf("workers=%d: %d states built, %d closed", workers, built.Load(), closes.Load())
-		}
-	}
-	// Non-closer states keep working untouched.
-	if _, err := RunState(bg, points,
-		func() (int, error) { return 0, nil },
-		func(int, int) (int, error) { return 1, nil }, 0); err != nil {
-		t.Fatal(err)
 	}
 }
 
