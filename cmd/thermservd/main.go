@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	thermservd -addr :8080 -res medium -solver mgpcg
+//	thermservd -addr :8080 -res medium -solver cg
 //	thermservd -addr :8080 -checkpoint /var/lib/thermservd/ckpt.json -checkpoint-every 30s -restore
 //	curl -s localhost:8080/v1/steady -d '{"benchmark":"x264"}'
 //	curl -s localhost:8080/v1/experiments
@@ -31,6 +31,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -60,28 +61,33 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.Addr, "addr", ":8080", "listen address (use :0 for an ephemeral port)")
-	flag.StringVar(&o.Resolution, "res", "coarse", "default thermal resolution: coarse|medium|full")
-	flag.StringVar(&o.Solver, "solver", "cg", "default linear solver: cg|mgpcg")
-	flag.IntVar(&o.Workers, "workers", 0, "max concurrent solves (0 = auto split of GOMAXPROCS)")
-	flag.IntVar(&o.Threads, "threads", 0, "threads per solve session (0 = auto split)")
-	flag.DurationVar(&o.Timeout, "timeout", 0, "per-request solve deadline (0 = none), e.g. 30s")
-	flag.DurationVar(&o.DrainWait, "drain", 30*time.Second, "max wait for in-flight requests on shutdown")
-	flag.StringVar(&o.CheckpointPath, "checkpoint", "", "transient checkpoint file (empty = checkpointing off); snapshots on drain and on POST /v1/checkpoint")
-	flag.DurationVar(&o.CheckpointEvery, "checkpoint-every", 0, "periodic checkpoint interval (0 = only on drain/demand)")
-	flag.BoolVar(&o.Restore, "restore", false, "restore the transient registry from -checkpoint at boot")
+	registerFlags(flag.CommandLine, &o)
 	flag.Parse()
 
-	if err := run(o, nil); err != nil {
+	if err := run(o, os.Stdout, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "thermservd:", err)
 		os.Exit(1)
 	}
 }
 
-// run starts the daemon and blocks until SIGTERM/SIGINT (or ready is
-// closed with a test-driven shutdown; ready, when non-nil, receives the
-// bound address once the listener is up).
-func run(o options, ready chan<- string) error {
+// registerFlags defines every daemon flag on fs, parsing into o.
+func registerFlags(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.Addr, "addr", ":8080", "listen address (use :0 for an ephemeral port)")
+	fs.StringVar(&o.Resolution, "res", "coarse", "default thermal resolution: coarse|medium|full")
+	fs.StringVar(&o.Solver, "solver", "mgpcg", "default linear solver: mgpcg (multigrid-preconditioned CG) or cg (Jacobi-CG)")
+	fs.IntVar(&o.Workers, "workers", 0, "max concurrent solves (0 = auto split of GOMAXPROCS)")
+	fs.IntVar(&o.Threads, "threads", 0, "threads per solve session (0 = auto split)")
+	fs.DurationVar(&o.Timeout, "timeout", 0, "per-request solve deadline (0 = none), e.g. 30s")
+	fs.DurationVar(&o.DrainWait, "drain", 30*time.Second, "max wait for in-flight requests on shutdown")
+	fs.StringVar(&o.CheckpointPath, "checkpoint", "", "transient checkpoint file (empty = checkpointing off); snapshots on drain and on POST /v1/checkpoint")
+	fs.DurationVar(&o.CheckpointEvery, "checkpoint-every", 0, "periodic checkpoint interval (0 = only on drain/demand)")
+	fs.BoolVar(&o.Restore, "restore", false, "restore the transient registry from -checkpoint at boot")
+}
+
+// run starts the daemon, printing its status lines to stdout, and blocks
+// until SIGTERM/SIGINT (ready, when non-nil, receives the bound address
+// once the listener is up).
+func run(o options, stdout io.Writer, ready chan<- string) error {
 	res, err := experiments.ParseResolution(o.Resolution)
 	if err != nil {
 		return err
@@ -114,10 +120,10 @@ func run(o options, ready chan<- string) error {
 	}
 	httpSrv := &http.Server{Handler: s.Handler()}
 	cfg := s.Config()
-	fmt.Printf("thermservd listening on %s (res=%s solver=%s workers=%d threads=%d)\n",
+	fmt.Fprintf(stdout, "thermservd listening on %s (res=%s solver=%s workers=%d threads=%d)\n",
 		ln.Addr(), res, solver, cfg.Workers, cfg.Threads)
 	if o.Restore {
-		fmt.Printf("thermservd: restored %d transient blade(s) from %s\n",
+		fmt.Fprintf(stdout, "thermservd: restored %d transient blade(s) from %s\n",
 			s.Snapshot().CheckpointBladesRestored, o.CheckpointPath)
 	}
 
@@ -134,7 +140,7 @@ func run(o options, ready chan<- string) error {
 	go func() { errc <- httpSrv.Serve(ln) }()
 	select {
 	case sig := <-sigc:
-		fmt.Printf("thermservd: %v, draining\n", sig)
+		fmt.Fprintf(stdout, "thermservd: %v, draining\n", sig)
 	case err := <-errc:
 		return err
 	}
@@ -152,6 +158,6 @@ func run(o options, ready chan<- string) error {
 	if err := s.Close(); err != nil {
 		return err
 	}
-	fmt.Println("thermservd: drained, bye")
+	fmt.Fprintln(stdout, "thermservd: drained, bye")
 	return nil
 }

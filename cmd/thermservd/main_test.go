@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
 	"io"
 	"net/http"
 	"path/filepath"
@@ -28,9 +30,16 @@ func testOptions() options {
 // bootDaemon starts run(o) in a goroutine and waits for the bound address.
 func bootDaemon(t *testing.T, o options) (addr string, done chan error) {
 	t.Helper()
+	return bootDaemonTo(t, o, io.Discard)
+}
+
+// bootDaemonTo is bootDaemon with the daemon's status lines written to
+// stdout; read it only after done has delivered.
+func bootDaemonTo(t *testing.T, o options, stdout io.Writer) (addr string, done chan error) {
+	t.Helper()
 	ready := make(chan string, 1)
 	done = make(chan error, 1)
-	go func() { done <- run(o, ready) }()
+	go func() { done <- run(o, stdout, ready) }()
 	select {
 	case addr = <-ready:
 	case err := <-done:
@@ -175,16 +184,38 @@ func TestDaemonRejectsBadFlags(t *testing.T) {
 		mutate(&o)
 		return o
 	}
-	if err := run(bad(func(o *options) { o.Resolution = "ultra" }), nil); err == nil {
+	if err := run(bad(func(o *options) { o.Resolution = "ultra" }), io.Discard, nil); err == nil {
 		t.Fatal("bad resolution accepted")
 	}
-	if err := run(bad(func(o *options) { o.Solver = "gauss" }), nil); err == nil {
+	if err := run(bad(func(o *options) { o.Solver = "gauss" }), io.Discard, nil); err == nil {
 		t.Fatal("bad solver accepted")
 	}
-	if err := run(bad(func(o *options) { o.Addr = "256.0.0.1:99999" }), nil); err == nil {
+	if err := run(bad(func(o *options) { o.Addr = "256.0.0.1:99999" }), io.Discard, nil); err == nil {
 		t.Fatal("bad address accepted")
 	}
-	if err := run(bad(func(o *options) { o.Restore = true }), nil); err == nil {
+	if err := run(bad(func(o *options) { o.Restore = true }), io.Discard, nil); err == nil {
 		t.Fatal("-restore without -checkpoint accepted")
+	}
+}
+
+// TestDaemonDefaultsAnnounceMGPCG: with no -solver flag the daemon serves
+// on MG-PCG, and its listening line (the one thermbench parses to replay
+// with the daemon's solver) says so.
+func TestDaemonDefaultsAnnounceMGPCG(t *testing.T) {
+	fs := flag.NewFlagSet("thermservd", flag.ContinueOnError)
+	var o options
+	registerFlags(fs, &o)
+	if err := fs.Parse([]string{"-addr", "127.0.0.1:0", "-workers", "1", "-threads", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	if o.Solver != "mgpcg" {
+		t.Fatalf("default -solver = %q, want mgpcg", o.Solver)
+	}
+	var out bytes.Buffer
+	_, done := bootDaemonTo(t, o, &out)
+	sigtermDrain(t, done)
+	first, _, _ := strings.Cut(out.String(), "\n")
+	if !strings.HasPrefix(first, "thermservd listening on ") || !strings.Contains(first, " solver=mgpcg ") {
+		t.Fatalf("listening line %q does not announce solver=mgpcg", first)
 	}
 }

@@ -50,23 +50,23 @@ type MGLevel struct {
 // V-cycle from a zero initial guess.
 //
 // Every level is smoothed by one forward sweep on the way down and one
-// reverse sweep on the way up, and the coarsest level by coarseSweeps
-// symmetric sweep pairs, so the cycle is a symmetric linear operator,
-// which is what makes MG-PCG legitimate. A Multigrid is not safe for
-// concurrent use.
+// reverse sweep on the way up, and the coarsest level is solved exactly
+// by a banded Cholesky factorization. The exact inverse of an SPD matrix
+// is itself a fixed SPD linear map, so the cycle stays a symmetric
+// linear operator, which is what makes MG-PCG legitimate. The factor
+// reflects the coarsest operator as it was at the last Factor call. A
+// Multigrid is not safe for concurrent use.
 type Multigrid struct {
 	levels []MGLevel
+	coarse *bandCholesky // factor of the coarsest level's operator
 
 	b, x, r []Vector // per-level scratch; index 0 of b/x unused
 }
 
-// coarseSweeps is the number of symmetric (forward+reverse) sweep pairs
-// that solve the coarsest level. A fixed count keeps the cycle a fixed
-// linear map.
-const coarseSweeps = 32
-
 // NewMultigrid builds a V-cycle solver over the hierarchy, finest level
-// first. It allocates every per-level buffer up front.
+// first. The coarsest level's operator must implement Banded. It
+// allocates every per-level buffer and the coarsest level's band factor
+// up front, and factors that level once.
 func NewMultigrid(levels []MGLevel) (*Multigrid, error) {
 	if len(levels) == 0 {
 		return nil, fmt.Errorf("linalg: multigrid needs at least one level")
@@ -79,8 +79,13 @@ func NewMultigrid(levels []MGLevel) (*Multigrid, error) {
 			return nil, fmt.Errorf("linalg: multigrid level %d transfer mismatch", i)
 		}
 	}
+	coarsest, ok := levels[len(levels)-1].A.(Banded)
+	if !ok {
+		return nil, fmt.Errorf("linalg: multigrid coarsest level does not expose its band")
+	}
 	mg := &Multigrid{
 		levels: levels,
+		coarse: newBandCholesky(coarsest),
 		b:      make([]Vector, len(levels)),
 		x:      make([]Vector, len(levels)),
 		r:      make([]Vector, len(levels)),
@@ -91,29 +96,38 @@ func NewMultigrid(levels []MGLevel) (*Multigrid, error) {
 			mg.b[k] = make(Vector, n)
 			mg.x[k] = make(Vector, n)
 		}
-		mg.r[k] = make(Vector, n)
+		if k < len(levels)-1 {
+			mg.r[k] = make(Vector, n)
+		}
 	}
+	mg.Factor()
 	return mg, nil
 }
 
 // Levels returns the depth of the hierarchy.
 func (mg *Multigrid) Levels() int { return len(mg.levels) }
 
+// Factor refactors the coarsest level from its operator's current band.
+// Call it whenever that operator's coefficients change (a solve-dependent
+// diagonal, for instance) before the next cycle. It is allocation-free.
+// A coarsest operator that is not positive definite (a non-positive or
+// NaN pivot) leaves the factor poisoned: cycles then return NaN, which
+// CG reports as a CauseNaN *SolveError.
+func (mg *Multigrid) Factor() {
+	mg.coarse.factor()
+}
+
 // Cycle performs one V-cycle improving x toward A·x = b on the finest
 // level. It is allocation-free.
 func (mg *Multigrid) Cycle(b, x Vector) { mg.vcycle(0, b, x) }
 
 func (mg *Multigrid) vcycle(k int, b, x Vector) {
-	a := mg.levels[k].A
 	if k == len(mg.levels)-1 {
-		// Coarsest level: symmetric sweep pairs stand in for a direct
-		// solve — the grid is small enough that this is exhaustive.
-		for s := 0; s < coarseSweeps; s++ {
-			a.Smooth(b, x, false)
-			a.Smooth(b, x, true)
-		}
+		// Coarsest level: the exact solve x = A⁻¹·b.
+		mg.coarse.solve(b, x)
 		return
 	}
+	a := mg.levels[k].A
 	a.SmoothResidual(b, x, mg.r[k])
 	down := mg.levels[k].Down
 	down.Restrict(mg.r[k], mg.b[k+1])

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -44,6 +45,18 @@ func (l lap1DLevel) Apply(x, y Vector) {
 		}
 		y[i] = s
 	}
+}
+
+// Bandwidth implements Banded: a chain couples only nearest neighbors.
+func (l lap1DLevel) Bandwidth() int { return 1 }
+
+// LowerBand implements Banded.
+func (l lap1DLevel) LowerBand(i int, row Vector) {
+	row[0] = 0
+	if i > 0 {
+		row[0] = -l.g
+	}
+	row[1] = l.diag(i)
 }
 
 func (l lap1DLevel) Residual(b, x, r Vector) {
@@ -186,8 +199,9 @@ func TestMGPreconditionedCG(t *testing.T) {
 
 // TestMGPreconditionerSymmetric: the V-cycle must be a symmetric linear
 // map (⟨u, M⁻¹v⟩ == ⟨M⁻¹u, v⟩) — the property CG requires of its
-// preconditioner, guaranteed by the forward/reverse smoothing pairing and
-// transposed transfers.
+// preconditioner, guaranteed by the forward/reverse smoothing pairing,
+// transposed transfers and the exact coarsest-level solve, refactored
+// before every pair of applications as a solve would.
 func TestMGPreconditionerSymmetric(t *testing.T) {
 	const n = 96
 	mg := buildLap1DMG(t, n)
@@ -201,6 +215,7 @@ func TestMGPreconditionerSymmetric(t *testing.T) {
 			u[i] = rng.NormFloat64()
 			v[i] = rng.NormFloat64()
 		}
+		mg.Factor()
 		mg.Apply(u, mu)
 		mg.Apply(v, mv)
 		left := u.Dot(mv)
@@ -211,8 +226,9 @@ func TestMGPreconditionerSymmetric(t *testing.T) {
 	}
 }
 
-// TestMGCycleZeroAllocs: cycles and preconditioner applications must not
-// touch the heap once the hierarchy exists.
+// TestMGCycleZeroAllocs: cycles, preconditioner applications and the
+// coarsest level's refactorization must not touch the heap once the
+// hierarchy exists.
 func TestMGCycleZeroAllocs(t *testing.T) {
 	const n = 128
 	mg := buildLap1DMG(t, n)
@@ -222,13 +238,19 @@ func TestMGCycleZeroAllocs(t *testing.T) {
 	}
 	b := poissonRHS(n, want)
 	x := make(Vector, n)
-	cycle := func() { mg.Cycle(b, x) }
+	cycle := func() {
+		mg.Factor()
+		mg.Cycle(b, x)
+	}
 	cycle() // warm-up
 	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
 		t.Fatalf("V-cycle allocated %.1f times per run, want 0", allocs)
 	}
 	z := make(Vector, n)
-	apply := func() { mg.Apply(b, z) }
+	apply := func() {
+		mg.Factor()
+		mg.Apply(b, z)
+	}
 	apply()
 	if allocs := testing.AllocsPerRun(20, apply); allocs != 0 {
 		t.Fatalf("preconditioner Apply allocated %.1f times per run, want 0", allocs)
@@ -249,4 +271,115 @@ func TestNewMultigridValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("fine level without a transfer must error")
 	}
+	if _, err := NewMultigrid([]MGLevel{{A: smootherOnly{lap1DLevel{n: 4, g: 1, wall: 1}}}}); err == nil {
+		t.Fatal("coarsest level without a band must error")
+	}
+}
+
+// TestBandCholeskyMatchesDense: the banded factor must solve a banded SPD
+// system to the dense LU solution, for a band wider than the chain's and
+// for rows whose band starts left of column 0.
+func TestBandCholeskyMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, c := range []struct{ n, w int }{{1, 0}, {9, 1}, {40, 6}, {12, 20}} {
+		a := randomBandSPD(rng, c.n, c.w)
+		f := newBandCholesky(a)
+		f.factor()
+		b := make(Vector, c.n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		want, err := SolveDense(a.d, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make(Vector, c.n)
+		f.solve(b, x)
+		for i := range x {
+			if math.Abs(x[i]-want[i]) > 1e-12*(math.Abs(want[i])+1) {
+				t.Fatalf("n=%d w=%d: x[%d] = %.17g, dense %.17g", c.n, c.w, i, x[i], want[i])
+			}
+		}
+		// In place: b and x may alias.
+		f.solve(b, b)
+		for i := range b {
+			if b[i] != x[i] {
+				t.Fatalf("n=%d w=%d: aliased solve differs at %d", c.n, c.w, i)
+			}
+		}
+	}
+}
+
+// TestMGNonSPDCoarsestFailsCG: a coarsest level that is not positive
+// definite poisons the factor, and CG must report that as a CauseNaN
+// *SolveError — never a panic, never a silent answer.
+func TestMGNonSPDCoarsestFailsCG(t *testing.T) {
+	for _, wall := range []float64{-3, math.NaN()} {
+		const n = 32
+		op := lap1DLevel{n: n, g: 1, wall: 1}
+		mg, err := NewMultigrid([]MGLevel{
+			{A: op, Down: lap1DTransfer{nf: n, nc: n / 2}},
+			{A: lap1DLevel{n: n / 2, g: 0.5, wall: wall}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := make(Vector, n)
+		b.Fill(1)
+		x := make(Vector, n)
+		_, err = CG(op, b, x, CGOptions{Tol: 1e-10, Precond: mg})
+		var se *SolveError
+		if !errors.As(err, &se) || se.Cause != CauseNaN || !errors.Is(err, ErrNotConverged) {
+			t.Fatalf("wall %v: err = %v, want a CauseNaN *SolveError", wall, err)
+		}
+	}
+}
+
+// smootherOnly hides a level's Banded methods.
+type smootherOnly struct{ l lap1DLevel }
+
+func (s smootherOnly) Size() int                        { return s.l.Size() }
+func (s smootherOnly) Apply(x, y Vector)                { s.l.Apply(x, y) }
+func (s smootherOnly) Smooth(b, x Vector, reverse bool) { s.l.Smooth(b, x, reverse) }
+func (s smootherOnly) SmoothResidual(b, x, r Vector)    { s.l.SmoothResidual(b, x, r) }
+
+// bandDense is a dense symmetric matrix exposed through Banded.
+type bandDense struct {
+	d *Dense
+	w int
+}
+
+func (a bandDense) Size() int         { return a.d.Rows }
+func (a bandDense) Apply(x, y Vector) { a.d.MulVec(x, y) }
+func (a bandDense) Bandwidth() int    { return a.w }
+func (a bandDense) LowerBand(i int, row Vector) {
+	for k := range row {
+		row[k] = 0
+		if j := i - a.w + k; j >= 0 {
+			row[k] = a.d.At(i, j)
+		}
+	}
+}
+
+// randomBandSPD draws a symmetric, strictly diagonally dominant (hence
+// SPD) n×n matrix with half-bandwidth w.
+func randomBandSPD(rng *rand.Rand, n, w int) bandDense {
+	d := NewDense(n, n)
+	for i := 0; i < n; i++ {
+		for j := max(0, i-w); j < i; j++ {
+			v := rng.Float64() - 0.5
+			d.Set(i, j, v)
+			d.Set(j, i, v)
+		}
+	}
+	for i := 0; i < n; i++ {
+		var s float64
+		for j := 0; j < n; j++ {
+			if j != i {
+				s += math.Abs(d.At(i, j))
+			}
+		}
+		d.Set(i, i, s+1+rng.Float64())
+	}
+	return bandDense{d: d, w: w}
 }

@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/floorplan"
 	"repro/internal/linalg"
@@ -61,6 +62,11 @@ type Model struct {
 	// topHalf is the conduction half-resistance (K/W)⁻¹ precursor for the
 	// top layer: per-cell conductance from cell center to the top face.
 	topHalf []float64
+
+	// mgOnce guards mgGeo, the multigrid geometry every workspace's
+	// hierarchy shares; it is built on the first MG-PCG solve.
+	mgOnce sync.Once
+	mgGeo  *mgGeometry
 }
 
 // NewModel assembles the RC network for the stack.
@@ -156,6 +162,13 @@ func NewModel(stack *Stack, env Environment) (*Model, error) {
 	}
 
 	return m, nil
+}
+
+// mgGeometry returns the model's shared multigrid geometry, building it
+// on first use. Safe for concurrent use.
+func (m *Model) mgGeometry() *mgGeometry {
+	m.mgOnce.Do(func() { m.mgGeo = newMGGeometry(m) })
+	return m.mgGeo
 }
 
 // Cells returns the number of cells per layer.

@@ -23,8 +23,9 @@ import (
 // world as the fine cells they aggregate.
 
 // coarsestCells is the per-layer cell count below which the hierarchy
-// stops coarsening; the coarsest system is then solved exhaustively by
-// symmetric Gauss-Seidel sweep pairs inside the V-cycle.
+// stops coarsening; the V-cycle then solves the coarsest system exactly
+// by a banded Cholesky factorization whose half-bandwidth is one
+// layer's cells (stencil.Bandwidth).
 const coarsestCells = 32
 
 // axisMap is the 1-D index pattern of a cell-centered 2:1 coarsening
@@ -101,9 +102,9 @@ func (t *transfer) parallel() bool {
 
 // transferJob adapts one transfer pass to linalg.Task.
 type transferJob struct {
-	t        *transfer
-	mode     int
-	src, dst linalg.Vector
+	t              *transfer
+	mode           int
+	src, base, dst linalg.Vector
 }
 
 const (
@@ -123,7 +124,7 @@ func (j *transferJob) Do(worker, workers int) {
 		j.t.prolongRows(j.src, j.dst, lo, hi)
 	case jobBlockSum:
 		lo, hi := linalg.Band(j.t.nl, worker, workers)
-		j.t.blockSumLayers(j.src, j.dst, lo, hi)
+		j.t.blockSumLayers(j.src, j.base, j.dst, lo, hi)
 	}
 }
 
@@ -273,18 +274,21 @@ func (t *transfer) prolongRows(coarse, fine linalg.Vector, rowLo, rowHi int) {
 
 // blockSum restricts an extensive per-unknown quantity (boundary
 // conductance, heat capacity) by summing each coarse cell's children.
-func (t *transfer) blockSum(fine, coarse linalg.Vector) {
+// With a non-nil base it sums fine − base instead, each difference
+// rounded before it is added, exactly as if fine − base had been stored
+// first.
+func (t *transfer) blockSum(fine, base, coarse linalg.Vector) {
 	if t.parallel() {
-		t.job = transferJob{t: t, mode: jobBlockSum, src: fine, dst: coarse}
+		t.job = transferJob{t: t, mode: jobBlockSum, src: fine, base: base, dst: coarse}
 		t.team.Run(&t.job)
 		return
 	}
-	t.blockSumLayers(fine, coarse, 0, t.nl)
+	t.blockSumLayers(fine, base, coarse, 0, t.nl)
 }
 
 // blockSumLayers block-sums the layer-slab [lLo, lHi); like restriction,
 // the scatter never leaves the layer, so slabs are write-disjoint.
-func (t *transfer) blockSumLayers(fine, coarse linalg.Vector, lLo, lHi int) {
+func (t *transfer) blockSumLayers(fine, base, coarse linalg.Vector, lLo, lHi int) {
 	coarse[lLo*t.cellsC : lHi*t.cellsC].Fill(0)
 	for l := lLo; l < lHi; l++ {
 		baseF := l * t.cellsF
@@ -293,24 +297,27 @@ func (t *transfer) blockSumLayers(fine, coarse linalg.Vector, lLo, lHi int) {
 			rowC := baseC + t.ym.parent[iy]*t.nxc
 			rowF := baseF + iy*t.nxf
 			for ix := 0; ix < t.nxf; ix++ {
-				coarse[rowC+t.xm.parent[ix]] += fine[rowF+ix]
+				v := fine[rowF+ix]
+				if base != nil {
+					v -= base[rowF+ix]
+				}
+				coarse[rowC+t.xm.parent[ix]] += v
 			}
 		}
 	}
 }
 
 // coarsen rediscretizes a stencil on the 2:1-coarsened grid. Only the
-// conductances are built here; the diagonal is assembled per solve by
-// hierarchy.refresh (it depends on the boundary condition and time step).
+// conductances are built here; each workspace assembles the diagonal per
+// solve in hierarchy.refresh (it depends on the boundary condition and
+// time step).
 func coarsen(f *stencil) (*stencil, *transfer) {
 	nxc := (f.nx + 1) / 2
 	nyc := (f.ny + 1) / 2
 	c := &stencil{
 		nx: nxc, ny: nyc, nl: f.nl,
-		cells:   nxc * nyc,
-		n:       nxc * nyc * f.nl,
-		diag:    make(linalg.Vector, nxc*nyc*f.nl),
-		invDiag: make(linalg.Vector, nxc*nyc*f.nl),
+		cells: nxc * nyc,
+		n:     nxc * nyc * f.nl,
 	}
 	c.gx = make([]float64, c.n)
 	c.gy = make([]float64, c.n)
@@ -399,46 +406,87 @@ func baseDiagOf(s *stencil) linalg.Vector {
 	return d
 }
 
-// mgLevel is one level of the hierarchy: its stencil plus the per-solve
-// external diagonal (boundary conductances and capacitive terms) that
-// refresh() rebuilds, and the transfer to the next coarser level.
-type mgLevel struct {
-	st       *stencil
-	baseDiag linalg.Vector // sum of incident conductances (constant)
-	extDiag  linalg.Vector // boundary + capacitive terms (per solve)
-	down     *transfer     // nil on the coarsest level
+// mgGeometry is the read-only part of a Model's multigrid hierarchy:
+// each level's grid and conductances, its conductance-sum diagonal, and
+// the transfer weights and axis maps to the next coarser level. It
+// depends only on the Model, so the Model builds it once
+// (Model.mgGeometry) and every workspace's hierarchy shares it; nothing
+// writes it after the build, which is what lets pooled sessions of one
+// System solve on it concurrently.
+type mgGeometry struct {
+	levels []geoLevel
 }
 
-// hierarchy is a model's multigrid ladder. The finest level aliases the
-// owning workspace's operator stencil, so fillOperator's diagonal is the
-// one the fine smoother sees; coarse levels own rediscretized stencils.
-// Geometry is built once; only diagonals change between solves.
+// geoLevel is one level of the shared geometry. st holds the grid and
+// conductances only (no diagonal, no team); the fine level's aliases the
+// Model's. down has no team either and is nil on the coarsest level.
+type geoLevel struct {
+	st       stencil
+	baseDiag linalg.Vector // sum of incident conductances
+	down     *transfer
+}
+
+// newMGGeometry coarsens the model's grid in (nx, ny) until the per-layer
+// grid is small enough for the coarsest level's exact solve.
+func newMGGeometry(m *Model) *mgGeometry {
+	cur := &stencil{
+		nx: m.nx, ny: m.ny, nl: m.nl, cells: m.cells, n: m.n,
+		gx: m.gx, gy: m.gy, gz: m.gz,
+	}
+	g := &mgGeometry{levels: []geoLevel{{st: *cur}}}
+	for cur.cells > coarsestCells && cur.nx > 2 && cur.ny > 2 {
+		c, t := coarsen(cur)
+		g.levels[len(g.levels)-1].down = t
+		g.levels = append(g.levels, geoLevel{st: *c})
+		cur = c
+	}
+	for k := range g.levels {
+		g.levels[k].baseDiag = baseDiagOf(&g.levels[k].st)
+	}
+	return g
+}
+
+// mgLevel is one level of a workspace's hierarchy: shells over the
+// shared geometry that own only what a solve writes and the worker team
+// the kernels dispatch on.
+type mgLevel struct {
+	st      *stencil      // shared conductances, own diagonal and team
+	extDiag linalg.Vector // boundary + capacitive terms; nil on the fine level
+	down    *transfer     // shared weights, own team; nil on the coarsest level
+}
+
+// hierarchy is a workspace's multigrid ladder. The finest level aliases
+// the owning workspace's operator stencil, so fillOperator's diagonal is
+// the one the fine smoother sees; coarse levels own their diagonals over
+// the Model's shared conductances. Only diagonals and the coarsest
+// level's factor change between solves.
 type hierarchy struct {
-	m      *Model
-	levels []*mgLevel
+	geo    *mgGeometry
+	levels []mgLevel
 	mg     *linalg.Multigrid
 }
 
-// newHierarchy builds the level ladder for a model over the given fine
-// stencil, coarsening in (nx, ny) until the per-layer grid is small
-// enough for the in-cycle exhaustive solve.
+// newHierarchy builds a workspace's level ladder over its fine stencil
+// and the model's shared geometry.
 func newHierarchy(m *Model, fine *stencil) (*hierarchy, error) {
-	h := &hierarchy{m: m}
-	h.levels = append(h.levels, &mgLevel{st: fine})
-	cur := fine
-	for cur.cells > coarsestCells && cur.nx > 2 && cur.ny > 2 {
-		c, t := coarsen(cur)
-		h.levels[len(h.levels)-1].down = t
-		h.levels = append(h.levels, &mgLevel{st: c})
-		cur = c
-	}
-	mls := make([]linalg.MGLevel, len(h.levels))
-	for i, lv := range h.levels {
-		lv.baseDiag = baseDiagOf(lv.st)
-		lv.extDiag = make(linalg.Vector, lv.st.n)
-		mls[i] = linalg.MGLevel{A: lv.st}
-		if lv.down != nil {
-			mls[i].Down = lv.down
+	geo := m.mgGeometry()
+	h := &hierarchy{geo: geo, levels: make([]mgLevel, len(geo.levels))}
+	mls := make([]linalg.MGLevel, len(geo.levels))
+	for k := range geo.levels {
+		gl, lv := &geo.levels[k], &h.levels[k]
+		lv.st = fine
+		if k > 0 {
+			st := gl.st // the copy shares the conductance arrays
+			st.diag = make(linalg.Vector, st.n)
+			st.invDiag = make(linalg.Vector, st.n)
+			lv.st = &st
+			lv.extDiag = make(linalg.Vector, st.n)
+		}
+		mls[k].A = lv.st
+		if gl.down != nil {
+			t := *gl.down // the copy shares the weights and axis maps
+			lv.down = &t
+			mls[k].Down = lv.down
 		}
 	}
 	mg, err := linalg.NewMultigrid(mls)
@@ -464,26 +512,28 @@ func (h *hierarchy) setTeam(t *linalg.Team) {
 }
 
 // refresh rebuilds every coarse level's diagonal from the fine diagonal
-// fillOperator has already assembled for this solve. The fine external
-// terms (boundary conductances, capacitive C/dt) are recovered by
-// subtracting the precomputed conductance sum from the filled diagonal —
-// baseDiagOf mirrors fillOperator's accumulation order, so the
-// subtraction is exact for interior cells and, crucially, any term a
-// future fillOperator adds flows into extDiag (and down the ladder)
-// automatically instead of silently desynchronizing the coarse levels.
-// Allocation-free.
+// fillOperator has already assembled for this solve, then refactors the
+// coarsest level. The fine external terms (boundary conductances,
+// capacitive C/dt) are recovered by subtracting the precomputed
+// conductance sum from the filled diagonal — baseDiagOf mirrors
+// fillOperator's accumulation order, so the subtraction is exact for
+// interior cells and, crucially, any term a future fillOperator adds
+// flows down the ladder automatically instead of silently
+// desynchronizing the coarse levels. Allocation-free.
 func (h *hierarchy) refresh() {
-	f := h.levels[0]
-	for i, d := range f.st.diag {
-		f.extDiag[i] = d - f.baseDiag[i]
-	}
 	for k := 1; k < len(h.levels); k++ {
 		finer, lv := h.levels[k-1], h.levels[k]
-		finer.down.blockSum(finer.extDiag, lv.extDiag)
+		if k == 1 {
+			finer.down.blockSum(finer.st.diag, h.geo.levels[0].baseDiag, lv.extDiag)
+		} else {
+			finer.down.blockSum(finer.extDiag, nil, lv.extDiag)
+		}
+		base := h.geo.levels[k].baseDiag
 		for i := range lv.st.diag {
-			d := lv.baseDiag[i] + lv.extDiag[i]
+			d := base[i] + lv.extDiag[i]
 			lv.st.diag[i] = d
 			lv.st.invDiag[i] = 1 / d
 		}
 	}
+	h.mg.Factor()
 }

@@ -82,11 +82,38 @@ func (j *stencilJob) Do(worker, workers int) {
 	}
 }
 
-// The stencil is the V-cycle's level operator.
-var _ linalg.Smoother = (*stencil)(nil)
+// The stencil is the V-cycle's level operator, and lists its band for
+// the coarsest level's exact solve.
+var (
+	_ linalg.Smoother = (*stencil)(nil)
+	_ linalg.Banded   = (*stencil)(nil)
+)
 
 // Size returns the dimension of the operator.
 func (s *stencil) Size() int { return s.n }
+
+// Bandwidth implements linalg.Banded: in layer-major order the farthest
+// lower neighbor of a cell is the same cell one layer down, one layer's
+// cells away.
+func (s *stencil) Bandwidth() int { return s.cells }
+
+// LowerBand implements linalg.Banded: row i of the lower band holds the
+// below, south and west couplings and the diagonal.
+func (s *stencil) LowerBand(i int, row linalg.Vector) {
+	w, nx := s.cells, s.nx
+	row.Fill(0)
+	c := i % w
+	if i >= w {
+		row[0] = -s.gz[i-w]
+	}
+	if c >= nx {
+		row[w-nx] = -s.gy[i-nx]
+	}
+	if c%nx != 0 {
+		row[w-1] = -s.gx[i-1]
+	}
+	row[w] = s.diag[i]
+}
 
 // Apply computes y = A·x for the assembled stencil, banding the grid rows
 // across the worker team when one is attached.
