@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -47,7 +49,10 @@ type checkpointPayload struct {
 
 // checkpointFile is the on-disk envelope: a version gate, a SHA-256 over
 // the exact payload bytes (a torn or bit-rotted file is detected, not
-// half-restored), and the payload itself.
+// half-restored), and the payload itself. A save writes the keys in the
+// order version, payload, checksum_sha256, because the checksum is only
+// known once the payload has streamed past the hasher; a restore decodes
+// into this struct, so it accepts the keys in any order.
 type checkpointFile struct {
 	Version  int             `json:"version"`
 	Checksum string          `json:"checksum_sha256"`
@@ -75,6 +80,8 @@ func (s *Server) SaveCheckpoint() (int, error) {
 			b.mu.Unlock()
 			continue
 		}
+		// A shallow copy of the state is enough: every committed chunk
+		// installs a freshly exported state and never mutates the old one.
 		cb := checkpointBlade{
 			Blade:    b.name,
 			InitialC: b.initialC,
@@ -86,40 +93,54 @@ func (s *Server) SaveCheckpoint() (int, error) {
 		b.mu.Unlock()
 		payload.Blades = append(payload.Blades, cb)
 	}
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return 0, err
-	}
-	sum := sha256.Sum256(raw)
-	envelope, err := json.Marshal(checkpointFile{
-		Version:  checkpointVersion,
-		Checksum: hex.EncodeToString(sum[:]),
-		Payload:  raw,
-	})
-	if err != nil {
-		return 0, err
-	}
-	if err := atomicWrite(s.cfg.CheckpointPath, envelope); err != nil {
+	if err := atomicWrite(s.cfg.CheckpointPath, payload.writeFile); err != nil {
 		return 0, err
 	}
 	s.stats.checkpointSaves.Add(1)
 	return len(payload.Blades), nil
 }
 
-// atomicWrite writes data to path through a temp file in the same
-// directory, fsyncs, renames, and fsyncs the directory — the crash-safe
-// publish idiom. The final directory sync is what makes a *successful*
-// save durable: without it a power loss can undo the rename itself, so
-// the previous checkpoint would survive but the save the caller was told
-// succeeded would silently not.
-func atomicWrite(path string, data []byte) error {
+// writeFile streams p as a checkpoint envelope to w. Blades are encoded
+// one at a time through one buffered writer, and only the payload bytes
+// also pass through the hasher, so neither the payload nor the envelope
+// is ever held in memory whole. The payload's keys are those of
+// checkpointPayload's tags; each encoded blade ends in the newline the
+// encoder appends, which the checksum covers like any other payload byte.
+// A write error sticks in the buffered writer and surfaces at Flush.
+func (p *checkpointPayload) writeFile(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	sum := sha256.New()
+	pw := io.MultiWriter(bw, sum)
+	fmt.Fprintf(bw, `{"version":%d,"payload":`, checkpointVersion)
+	fmt.Fprintf(pw, `{"saved_unix":%d,"blades":[`, p.SavedUnix)
+	enc := json.NewEncoder(pw)
+	for i := range p.Blades {
+		if i > 0 {
+			io.WriteString(pw, ",")
+		}
+		if err := enc.Encode(&p.Blades[i]); err != nil {
+			return err
+		}
+	}
+	io.WriteString(pw, "]}")
+	fmt.Fprintf(bw, `,"checksum_sha256":"%x"}`, sum.Sum(nil))
+	return bw.Flush()
+}
+
+// atomicWrite streams a file to path through write, into a temp file in
+// the same directory, then fsyncs, renames, and fsyncs the directory —
+// the crash-safe publish idiom. The final directory sync is what makes a
+// *successful* save durable: without it a power loss can undo the rename
+// itself, so the previous checkpoint would survive but the save the
+// caller was told succeeded would silently not.
+func atomicWrite(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".ckpt-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		return err
 	}

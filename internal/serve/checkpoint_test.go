@@ -7,10 +7,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -361,8 +363,96 @@ func TestCheckpointPeriodic(t *testing.T) {
 	}
 }
 
+// checksumFirst rewrites a checkpoint file in the envelope layout that
+// puts the checksum before the payload (the layout the fuzz harness
+// builds), keeping the payload bytes exactly.
+func checksumFirst(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	var env checkpointFile
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Appendf(nil, `{"version":%d,"checksum_sha256":%q,"payload":%s}`,
+		env.Version, env.Checksum, env.Payload)
+}
+
+// TestCheckpointEnvelopeLayouts: a save writes the envelope keys in the
+// order version, payload, checksum_sha256, the checksum is the SHA-256 of
+// the payload bytes exactly as the file holds them, and a restore accepts
+// the checksum-first layout too: both layouts of one payload restore to
+// blades that step byte-identically.
+func TestCheckpointEnvelopeLayouts(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "ckpt.json")
+	s := newTestServer(t, Config{CheckpointPath: ckpt})
+	h := s.Handler()
+	for _, b := range []string{"b0", "b1"} {
+		if w := post(t, h, "/v1/transient", `{"blade":"`+b+`","benchmark":"x264"}`); w.Code != http.StatusCreated {
+			t.Fatalf("register %s: %d %s", b, w.Code, w.Body)
+		}
+		stepChunk(t, h, b, 1, `{"seq":1,"dt_s":0.25,"steps":[{},{"load":1.2}]}`)
+	}
+	if _, err := s.SaveCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	var keys []string
+	if _, err := dec.Token(); err != nil {
+		t.Fatal(err)
+	}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := strings.Join(keys, ","); got != "version,payload,checksum_sha256" {
+		t.Fatalf("envelope keys %s, want version,payload,checksum_sha256", got)
+	}
+	var env checkpointFile
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(env.Payload); hex.EncodeToString(sum[:]) != env.Checksum {
+		t.Fatalf("checksum %s is not the SHA-256 of the payload bytes", env.Checksum)
+	}
+
+	old := filepath.Join(dir, "old.json")
+	if err := os.WriteFile(old, checksumFirst(t, raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	chunk2 := `{"seq":2,"dt_s":0.25,"steps":[{"load":0.7},{}]}`
+	var steps []string
+	for _, path := range []string{ckpt, old} {
+		r := newTestServer(t, Config{CheckpointPath: path, RestoreOnStart: true})
+		if got := r.Snapshot().CheckpointBladesRestored; got != 2 {
+			t.Fatalf("%s: restored %d blades, want 2", filepath.Base(path), got)
+		}
+		var out bytes.Buffer
+		for _, b := range []string{"b0", "b1"} {
+			out.Write(get(t, r.Handler(), "/v1/transient/"+b).Body.Bytes())
+			out.Write(stepChunk(t, r.Handler(), b, 2, chunk2).Bytes())
+		}
+		steps = append(steps, out.String())
+	}
+	if steps[0] != steps[1] {
+		t.Fatalf("checksum-first restore diverged from payload-first:\nnew %s\nold %s", steps[0], steps[1])
+	}
+}
+
 // TestCheckpointRejectsCorruption: a flipped payload byte fails the
-// checksum and a restoring boot refuses to start half-right.
+// checksum in either envelope layout, and a restoring boot refuses to
+// start half-right.
 func TestCheckpointRejectsCorruption(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "ckpt.json")
 	s := newTestServer(t, Config{CheckpointPath: ckpt})
@@ -373,20 +463,23 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	if _, err := s.SaveCheckpoint(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(ckpt)
+	saved, err := os.ReadFile(ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip one digit inside the payload's time field region.
-	corrupted := bytes.Replace(raw, []byte(`"blade":"b0"`), []byte(`"blade":"bX"`), 1)
-	if bytes.Equal(corrupted, raw) {
-		t.Fatal("corruption did not apply")
-	}
-	if err := os.WriteFile(ckpt, corrupted, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(Config{CheckpointPath: ckpt, RestoreOnStart: true}); err == nil {
-		t.Fatal("corrupt checkpoint accepted")
+	for name, raw := range map[string][]byte{"payload-first": saved, "checksum-first": checksumFirst(t, saved)} {
+		// Flip one byte of the blade name inside the payload.
+		corrupted := bytes.Replace(raw, []byte(`"blade":"b0"`), []byte(`"blade":"bX"`), 1)
+		if bytes.Equal(corrupted, raw) {
+			t.Fatalf("%s: corruption did not apply", name)
+		}
+		if err := os.WriteFile(ckpt, corrupted, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := New(Config{CheckpointPath: ckpt, RestoreOnStart: true})
+		if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+			t.Fatalf("%s: corrupt checkpoint: err %v, want a checksum mismatch", name, err)
+		}
 	}
 
 	// A missing file is a fresh boot, not an error.
@@ -398,6 +491,84 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 		t.Fatalf("missing checkpoint should be a fresh boot: %v", err)
 	}
 	s2.Close()
+}
+
+// TestCheckpointFailedSaveKeepsPrevious: a save that fails part-way
+// through streaming the file (a blade state JSON cannot encode) returns
+// the error, leaves the previous checkpoint byte-identical and leaves no
+// temp file behind.
+func TestCheckpointFailedSaveKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "ckpt.json")
+	s := newTestServer(t, Config{CheckpointPath: ckpt})
+	h := s.Handler()
+	for _, b := range []string{"b0", "b1"} {
+		if w := post(t, h, "/v1/transient", `{"blade":"`+b+`","benchmark":"x264"}`); w.Code != http.StatusCreated {
+			t.Fatalf("register %s: %d %s", b, w.Code, w.Body)
+		}
+	}
+	if _, err := s.SaveCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := s.trans.get("b1")
+	b.mu.Lock()
+	bad := *b.state
+	bad.FieldT = append([]float64(nil), bad.FieldT...)
+	bad.FieldT[0] = math.NaN()
+	b.state = &bad
+	b.mu.Unlock()
+	if _, err := s.SaveCheckpoint(); err == nil {
+		t.Fatal("a state with NaN saved")
+	}
+	if now, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(now, good) {
+		t.Fatalf("failed save touched the previous checkpoint (err %v)", err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, ".ckpt-*")); len(left) != 0 {
+		t.Fatalf("failed save left temp files %v", left)
+	}
+}
+
+// TestCheckpointSaveAllocs bounds what one save allocates with four
+// medium mgpcg blades registered and stepped one chunk each, as the
+// transient-stream benchmark runs them. The save streams the file, so it
+// allocates about one blade's encoding buffer (the file is about 590 KB);
+// encoding the payload and then an envelope around it in memory
+// allocated about three times this bound.
+func TestCheckpointSaveAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("registers four medium-resolution blades")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops the encoder's buffers")
+	}
+	s := newTestServer(t, Config{CheckpointPath: filepath.Join(t.TempDir(), "ckpt.json")})
+	h := s.Handler()
+	chunk := `{"seq":1,"dt_s":0.1,"steps":[{},{},{},{},{},{},{},{},{},{"load":1.1}]}`
+	for i, bench := range []string{"x264", "canneal", "ferret", "vips"} {
+		b := fmt.Sprintf("b%d", i)
+		reg := `{"blade":"` + b + `","benchmark":"` + bench + `","resolution":"medium","solver":"mgpcg"}`
+		if w := post(t, h, "/v1/transient", reg); w.Code != http.StatusCreated {
+			t.Fatalf("register %s: %d %s", b, w.Code, w.Body)
+		}
+		stepChunk(t, h, b, 1, chunk)
+	}
+	const bound = 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n, err := s.SaveCheckpoint()
+	runtime.ReadMemStats(&after)
+	if err != nil || n != 4 {
+		t.Fatalf("save: %d blades, %v", n, err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Fatalf("one save allocated %d bytes, bound %d", got, bound)
+	} else {
+		t.Logf("one save allocated %d bytes", got)
+	}
 }
 
 // TestStepExactlyOnce: a retried chunk replays the cached body without

@@ -61,7 +61,7 @@ func (d *Design) ChannelReport(grid floorplan.Grid, cellHeat []float64, op Opera
 	mCh := loop.MassFlowKgS / float64(nCh)
 	hfg := d.Fluid.Hfg(cond.TsatC)
 	cellArea := grid.DX * grid.DY
-	xc := d.CritQuality()
+	boil := d.boilingAt(cond.TsatC)
 
 	out := make([]ChannelSummary, nCh)
 	for ch := 0; ch < nCh; ch++ {
@@ -72,7 +72,7 @@ func (d *Design) ChannelReport(grid floorplan.Grid, cellHeat []float64, op Opera
 			w := math.Max(cellHeat[c], 0)
 			sum.HeatW += w
 			xMid := linalg.Clamp(x+0.5*w/(mCh*hfg), 0, 0.99)
-			h := d.BoilingHTC(xMid, w/cellArea, cond.TsatC) * d.AreaEnhancement
+			h := boil.htc(xMid, w/cellArea) * d.AreaEnhancement
 			if h < sum.MinH {
 				sum.MinH = h
 			}
@@ -80,7 +80,7 @@ func (d *Design) ChannelReport(grid floorplan.Grid, cellHeat []float64, op Opera
 				sum.MaxH = h
 			}
 			xNew := linalg.Clamp(x+w/(mCh*hfg), 0, 0.99)
-			if x <= xc && xNew > xc && sum.DryoutPos == 1 {
+			if x <= boil.xc && xNew > boil.xc && sum.DryoutPos == 1 {
 				sum.DryoutPos = float64(pos) / float64(len(path))
 			}
 			x = xNew

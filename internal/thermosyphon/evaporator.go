@@ -33,17 +33,37 @@ type State struct {
 // (W/m²): a nucleate term (Cooper-style q″^0.7) plus a convective term
 // enhanced by vapor acceleration, rolled off beyond the dryout quality.
 func (d *Design) BoilingHTC(x, qFlux, tsatC float64) float64 {
+	return d.boilingAt(tsatC).htc(x, qFlux)
+}
+
+// boiling holds BoilingHTC's terms that depend only on the saturation
+// temperature, so a channel march evaluates them once, not per cell.
+type boiling struct {
+	hl  float64 // liquid-only convective HTC (W/m²·K)
+	acc float64 // vapor-acceleration factor (ρl/ρv)^0.35
+	xc  float64 // dryout onset quality
+}
+
+// boilingAt evaluates the saturation-only terms of BoilingHTC at tsatC.
+func (d *Design) boilingAt(tsatC float64) boiling {
 	fl := d.Fluid
-	hl := 4.36 * fl.KLiquid(tsatC) / d.ChannelHydraulicDiam
+	return boiling{
+		hl:  4.36 * fl.KLiquid(tsatC) / d.ChannelHydraulicDiam,
+		acc: math.Pow(fl.RhoLiquid(tsatC)/fl.RhoVapor(tsatC), 0.35),
+		xc:  d.CritQuality(),
+	}
+}
+
+// htc is BoilingHTC at the boiling's saturation temperature.
+func (b boiling) htc(x, qFlux float64) float64 {
 	hnb := 2.2 * math.Pow(math.Max(qFlux, 1000), 0.7)
-	ratio := fl.RhoLiquid(tsatC) / fl.RhoVapor(tsatC)
 	x = linalg.Clamp(x, 0, 1)
-	hcv := hl * (1 + 2.2*math.Pow(x, 0.8)*math.Pow(ratio, 0.35))
+	hcv := b.hl * (1 + 2.2*math.Pow(x, 0.8)*b.acc)
 	h := hnb + hcv
 	// Past the critical quality the liquid film breaks down: the HTC
 	// falls steeply toward a 25 % vapor-convection floor.
-	if xc := d.CritQuality(); x > xc {
-		h *= math.Max(0.25, 1-1.5*(x-xc))
+	if x > b.xc {
+		h *= math.Max(0.25, 1-1.5*(x-b.xc))
 	}
 	return h
 }
@@ -162,7 +182,7 @@ func (d *Design) evaporate(st *State, grid floorplan.Grid, cellHeat []float64, o
 	mCh := loop.MassFlowKgS / float64(nCh)
 	hfg := d.Fluid.Hfg(cond.TsatC)
 	cellArea := grid.DX * grid.DY
-	xc := d.CritQuality()
+	boil := d.boilingAt(cond.TsatC)
 
 	for ch := 0; ch < nCh; ch++ {
 		start, stride, n := channelSpan(d.Orientation, grid, ch)
@@ -173,7 +193,7 @@ func (d *Design) evaporate(st *State, grid floorplan.Grid, cellHeat []float64, o
 			xMid := x + 0.5*w/(mCh*hfg)
 			xMid = linalg.Clamp(xMid, 0, 0.99)
 			qFlux := w / cellArea
-			st.H[c] = d.BoilingHTC(xMid, qFlux, cond.TsatC) * d.AreaEnhancement
+			st.H[c] = boil.htc(xMid, qFlux) * d.AreaEnhancement
 			// Inlet subcooling decays over the first SubcoolFraction of
 			// the channel.
 			frac := float64(pos) / float64(n)
@@ -182,7 +202,7 @@ func (d *Design) evaporate(st *State, grid floorplan.Grid, cellHeat []float64, o
 				sub = d.InletSubcoolC * (1 - frac/d.SubcoolFraction)
 			}
 			st.TFluid[c] = cond.TsatC - sub
-			if xMid > xc {
+			if xMid > boil.xc {
 				st.DryoutCells++
 			}
 			x = linalg.Clamp(x+w/(mCh*hfg), 0, 0.99)

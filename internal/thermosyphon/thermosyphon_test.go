@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/floorplan"
+	"repro/internal/linalg"
 	"repro/internal/refrigerant"
 )
 
@@ -190,6 +191,49 @@ func TestBoilingHTCBehaviour(t *testing.T) {
 	// Magnitude: several kW/m²K in the boiling regime.
 	if h2 < 3e3 || h2 > 5e4 {
 		t.Fatalf("HTC %v outside plausible band", h2)
+	}
+}
+
+// boilingHTCPerCall is BoilingHTC as it was before its saturation-only
+// terms were hoisted into boilingAt: every term evaluated on every call.
+func boilingHTCPerCall(d *Design, x, qFlux, tsatC float64) float64 {
+	fl := d.Fluid
+	hl := 4.36 * fl.KLiquid(tsatC) / d.ChannelHydraulicDiam
+	hnb := 2.2 * math.Pow(math.Max(qFlux, 1000), 0.7)
+	ratio := fl.RhoLiquid(tsatC) / fl.RhoVapor(tsatC)
+	x = linalg.Clamp(x, 0, 1)
+	hcv := hl * (1 + 2.2*math.Pow(x, 0.8)*math.Pow(ratio, 0.35))
+	h := hnb + hcv
+	if xc := d.CritQuality(); x > xc {
+		h *= math.Max(0.25, 1-1.5*(x-xc))
+	}
+	return h
+}
+
+// TestBoilingHoistBitIdentical: the march's hoisted HTC equals the
+// per-call formula bit for bit across quality (clamped, below and above
+// the critical quality), heat flux (below and above the 1000 W/m² floor)
+// and saturation temperature (inside R236fa's table and at and past its
+// clamped edges), at a fill whose critical quality is capped as well.
+func TestBoilingHoistBitIdentical(t *testing.T) {
+	for _, fill := range []float64{0.55, 0.95} {
+		d := DefaultDesign()
+		d.FillingRatio = fill
+		xc := d.CritQuality()
+		lo, hi := d.Fluid.TempRange()
+		for _, tsat := range []float64{lo - 5, lo, 23.7, 40, 61.3, hi, hi + 5} {
+			boil := d.boilingAt(tsat)
+			for _, x := range []float64{-0.1, 0, 0.05, xc - 1e-9, xc, xc + 1e-9, 0.7, 0.9, 0.99, 1, 1.2} {
+				for _, q := range []float64{0, 400, 999.9, 1000, 1000.1, 3e4, 1.2e5, 1e6} {
+					want := boilingHTCPerCall(&d, x, q, tsat)
+					for name, got := range map[string]float64{"hoisted": boil.htc(x, q), "BoilingHTC": d.BoilingHTC(x, q, tsat)} {
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("fill %g tsat %g x %g q %g: %s %v, per-call %v", fill, tsat, x, q, name, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
