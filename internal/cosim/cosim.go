@@ -140,11 +140,11 @@ func (s *System) PackageStats(r *Result) (metrics.MapStats, error) {
 
 // BlockTemp is the temperature summary of one floorplan block on the die
 // layer: the block-area-weighted mean and the hottest cell the block
-// touches.
+// touches. thermservd's steady responses carry it as is.
 type BlockTemp struct {
-	Name  string
-	MeanC float64
-	MaxC  float64
+	Name  string  `json:"name"`
+	MeanC float64 `json:"mean_c"`
+	MaxC  float64 `json:"max_c"`
 }
 
 // BlockTemps summarizes the die-layer temperatures of a result per

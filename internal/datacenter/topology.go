@@ -26,7 +26,7 @@
 //   - Warm-start carry: each class keeps its converged field and flux (a
 //     cosim.Carry) across outer iterations (and across successive Solve
 //     calls, e.g. the hours of a diurnal sweep). Class solves run on
-//     sessions from the solver's cosim.Pool, which keeps one free list
+//     sessions from the solver's cosim.Pool, which hands out sessions
 //     per thermosyphon design: a solve swaps its class's carry into an
 //     idle session, re-seats it by the supply-temperature delta
 //     (Session.ReseatWater), solves and swaps it back out, so outer

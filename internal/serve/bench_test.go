@@ -57,12 +57,10 @@ func BenchmarkServeSteady(b *testing.B) {
 		}
 	})
 	b.Run("cold-miss", func(b *testing.B) {
-		s, h := mk(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			s.memo.reset()
-			s.pools.closeAll()
+			_, h := mk(b)
 			b.StartTimer()
 			do(b, h, "miss")
 		}

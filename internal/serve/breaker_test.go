@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/cosim"
-	"repro/internal/refrigerant"
 )
 
 // TestBreakerStateMachine drives one breaker through the full closed →
@@ -322,16 +321,11 @@ func TestSolvePanicReleasesFlightAndLease(t *testing.T) {
 
 	s := newTestServer(t, Config{})
 	h := s.Handler()
-	newSession := s.pools.newSession
+	solve := s.solve
 	sabotaged := map[*cosim.Session]bool{}
-	s.pools.newSession = func(k poolKey, sys *cosim.System) *cosim.Session {
-		// A refrigerant without property tables panics on its first
-		// lookup, inside the coupled solve.
-		d := sys.Design
-		d.Fluid = &refrigerant.Fluid{}
-		ses := sys.NewSession(cosim.WithDesign(d), cosim.CarryWarmStart(false))
+	s.solve = func(ctx context.Context, ses *cosim.Session, p steadyProposal) (*SteadyResponse, error) {
 		sabotaged[ses] = true
-		return ses
+		panic("sabotaged solve")
 	}
 	const body = `{"benchmark":"x264"}`
 	for i := 1; i <= 2; i++ {
@@ -354,21 +348,17 @@ func TestSolvePanicReleasesFlightAndLease(t *testing.T) {
 		t.Fatalf("after two panicked solves: %d idle, %d builds, %d reuses, %d evictions; want 0, 2, 0, 2 (poisoned)",
 			st.Sessions, st.SessionBuilds, st.SessionReuses, st.Evictions)
 	}
-	s.pools.newSession = newSession
+	s.solve = func(ctx context.Context, ses *cosim.Session, p steadyProposal) (*SteadyResponse, error) {
+		if sabotaged[ses] {
+			t.Error("a poisoned session went back to its pool")
+		}
+		return solve(ctx, ses, p)
+	}
 	if w := post(t, h, "/v1/steady", body); w.Code != http.StatusOK {
 		t.Fatalf("server did not recover from the panicked solves: %d %s", w.Code, w.Body)
 	}
 	if st := s.Snapshot(); st.SessionBuilds != 3 || st.SessionReuses != 0 {
 		t.Fatalf("recovery solve: %d builds, %d reuses; want a fresh session (3, 0)", st.SessionBuilds, st.SessionReuses)
-	}
-	s.pools.mu.Lock()
-	defer s.pools.mu.Unlock()
-	for el := s.pools.lru.Front(); el != nil; el = el.Next() {
-		for _, ses := range el.Value.(*pool).free {
-			if sabotaged[ses] {
-				t.Fatal("a poisoned session went back to its pool")
-			}
-		}
 	}
 }
 

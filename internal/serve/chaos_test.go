@@ -65,7 +65,7 @@ func newChaos(cfg ChaosConfig) *chaos {
 func armChaos(s *Server, cfg ChaosConfig) (*chaos, http.Handler) {
 	c := newChaos(cfg)
 	solve := s.solve
-	s.solve = func(ctx context.Context, ses *cosim.Session, p *steadyProposal) (*SteadyResponse, error) {
+	s.solve = func(ctx context.Context, ses *cosim.Session, p steadyProposal) (*SteadyResponse, error) {
 		if c.solveFails() {
 			return nil, errChaosFail
 		}

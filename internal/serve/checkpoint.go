@@ -80,14 +80,15 @@ func (s *Server) SaveCheckpoint() (int, error) {
 			b.mu.Unlock()
 			continue
 		}
-		// A shallow copy of the state is enough: every committed chunk
-		// installs a freshly exported state and never mutates the old one.
+		// Shallow copies of the state and the last body are enough: every
+		// committed chunk installs a freshly exported state and a fresh
+		// body, and never mutates the old ones.
 		cb := checkpointBlade{
 			Blade:    b.name,
 			InitialC: b.initialC,
 			Proposal: b.req,
 			LastSeq:  b.lastSeq,
-			LastBody: append([]byte(nil), b.lastBody...),
+			LastBody: b.lastBody,
 			State:    *b.state,
 		}
 		b.mu.Unlock()
@@ -225,9 +226,9 @@ func (s *Server) restoreBlade(cb *checkpointBlade) error {
 		req:      p.req,
 		initialC: cb.InitialC,
 		lastSeq:  cb.LastSeq,
-		lastBody: append([]byte(nil), cb.LastBody...),
+		lastBody: cb.LastBody,
 	}
-	_, err = s.addBlade(b, p, &cb.State)
+	_, err = s.addBlade(b, &p, &cb.State)
 	return err
 }
 

@@ -83,8 +83,8 @@ func TestCheckpointRestoreByteIdentical(t *testing.T) {
 }
 
 // TestTransientBladesShareSystem: blades registered at the same
-// (resolution, fault) hold one System whatever their solver; a different
-// fault gets its own System. Sharing leaks no state: every
+// (solver, resolution) hold one System whatever their fault; another
+// solver gets its own System. Sharing leaks no state: every
 // blade steps byte-identically to a blade alone on a fresh server, and
 // after a checkpoint restore (which shares the System again) the next
 // chunk matches the uninterrupted run.
@@ -109,21 +109,20 @@ func TestTransientBladesShareSystem(t *testing.T) {
 	checkShared := func(s *Server) {
 		// sysOf is the System of the pool a blade's chunks borrow from.
 		sysOf := func(name string) *cosim.System {
-			key := blade(s, name).key
-			s.pools.mu.Lock()
-			defer s.pools.mu.Unlock()
-			el, ok := s.pools.byKey[key]
-			if !ok {
-				t.Fatalf("blade %s has no live pool", name)
+			b := blade(s, name)
+			pool, ses, err := s.session(b.key, b.design)
+			if err != nil {
+				t.Fatal(err)
 			}
-			return el.Value.(*pool).sys
+			defer pool.Put(ses)
+			return ses.System()
 		}
 		b0, b1, b2, b3 := sysOf("b0"), sysOf("b1"), sysOf("b2"), sysOf("b3")
-		if b0 != b1 || b0 != b3 {
-			t.Fatal("blades at one (resolution, fault) do not share one System")
+		if b0 != b1 || b0 != b2 {
+			t.Fatal("blades at one (solver, resolution) do not share one System")
 		}
-		if b2 == b0 {
-			t.Fatal("a faulted blade shares the healthy System")
+		if b3 == b0 {
+			t.Fatal("a blade on another solver shares the System")
 		}
 	}
 
@@ -168,18 +167,21 @@ func TestTransientBladesShareSystem(t *testing.T) {
 }
 
 // TestTransientBladesBorrowPooledSessions: blades hold their state, not a
-// session. Eight blades on a one-worker server borrow one pooled session
-// for every registration and chunk, so the server builds at most one, and
-// every registration and chunk body is byte-identical to a blade alone
-// on a fresh server.
+// session. Eight blades on a one-worker server, one of them under a pump
+// fault and one under condenser fouling, borrow pooled sessions for
+// every registration and chunk. A pump fault derates only the water
+// flow, so its blade borrows the healthy session, and the server builds
+// at most one session per design: two. Every registration and chunk
+// body is byte-identical to a blade alone on a fresh server.
 func TestTransientBladesBorrowPooledSessions(t *testing.T) {
 	benches := []string{"x264", "canneal", "ferret", "vips", "dedup", "blackscholes", "bodytrack", "streamcluster"}
+	faults := map[int]string{5: "pump:0.5", 7: "fouling:0.4"}
 	chunks := []string{
 		`{"seq":1,"dt_s":0.25,"steps":[{},{"load":1.2}]}`,
 		`{"seq":2,"dt_s":0.25,"steps":[{"load":0.7},{}]}`,
 	}
 	reg := func(i int) string {
-		return fmt.Sprintf(`{"blade":"b%d","benchmark":%q,"initial_c":%d}`, i, benches[i], 25+3*i)
+		return fmt.Sprintf(`{"blade":"b%d","benchmark":%q,"initial_c":%d,"fault":%q}`, i, benches[i], 25+3*i, faults[i])
 	}
 	s := newTestServer(t, Config{Workers: 1})
 	h := s.Handler()
@@ -198,8 +200,8 @@ func TestTransientBladesBorrowPooledSessions(t *testing.T) {
 		}
 	}
 	st := s.Snapshot()
-	if borrows := len(benches) * (1 + len(chunks)); st.SessionBuilds > 1 || st.SessionBuilds+st.SessionReuses != int64(borrows) {
-		t.Fatalf("%d session builds and %d reuses for %d registrations and chunks on one worker, want at most 1 build and one borrow each",
+	if borrows := len(benches) * (1 + len(chunks)); st.SessionBuilds != 2 || st.SessionBuilds+st.SessionReuses != int64(borrows) {
+		t.Fatalf("%d session builds and %d reuses for %d registrations and chunks of two designs on one worker, want 2 builds and one borrow each",
 			st.SessionBuilds, st.SessionReuses, borrows)
 	}
 	for i := range benches {

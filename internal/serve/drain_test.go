@@ -116,7 +116,7 @@ func TestDrainUnderLoad(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if got := s.pools.len(); got != 0 {
+	if got := s.Snapshot().Sessions; got != 0 {
 		t.Fatalf("%d sessions survive Close", got)
 	}
 	if got := s.trans.len(); got != 0 {

@@ -8,13 +8,15 @@
 //
 // The subsystem has four moving parts:
 //
-//   - Session pools (pool.go): one pool per (solver, resolution, fault),
-//     each a shared cosim.System and a free list of non-carrying
-//     sessions. A request owns its session from acquire to release, so
-//     distinct mappings share sessions and only as many exist as solves
-//     ran at once. An LRU over the pools bounds the idle sessions, and a
-//     failed or panicked solve closes its session instead of pooling it:
-//     a poisoned session never serves another request.
+//   - Session pools: one cosim.Pool of non-carrying sessions per
+//     (solver, resolution), on one System built with the healthy design.
+//     A fault reaches the pool as a derated design, so every fault at
+//     one resolution shares the System. A request owns its session from
+//     Get to Put, so distinct mappings share sessions and only as many
+//     exist per design as solves ran at once. The pool caps its idle
+//     sessions, and a failed or panicked solve discards its session
+//     instead of returning it: a poisoned session never serves another
+//     request.
 //   - A response memo (memo.go) with single-flight misses (flight.go): an
 //     LRU of canonical proposal → response body bytes. Identical proposals
 //     return byte-identical bodies across cache hit/miss and across
@@ -44,6 +46,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -51,6 +54,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/floorplan"
 	"repro/internal/thermal"
+	"repro/internal/thermosyphon"
 )
 
 // Config parameterizes a Server. The zero value is usable: coarse
@@ -90,10 +94,6 @@ const (
 	// queuePerWorker×Workers admitted requests wait for a solve slot
 	// before new ones are refused with 429.
 	queuePerWorker = 2
-	// maxSessions caps the idle pooled sessions and the session pools,
-	// each of which pins one System. Past it the least recently used
-	// pools are evicted.
-	maxSessions = 64
 	// memoEntries caps the response memo, in bodies.
 	memoEntries = 4096
 	// maxTransients caps concurrently registered transient blades.
@@ -120,9 +120,9 @@ type Stats struct {
 	SteadyRequests int64 `json:"steady_requests"`
 	MemoHits       int64 `json:"memo_hits"`
 	MemoMisses     int64 `json:"memo_misses"`
-	// A steady miss reuses an idle pooled session or builds one.
-	// Evictions counts pooled sessions closed before drain: poisoned,
-	// over the cap, or in an evicted pool. Sessions is the idle ones now.
+	// A solve reuses an idle pooled session or builds one. Evictions
+	// counts pooled sessions closed before drain: poisoned or over the
+	// cap. Sessions is the idle ones now. Each sums the session pools.
 	SessionReuses  int64 `json:"session_reuses"`
 	SessionBuilds  int64 `json:"session_builds"`
 	Evictions      int64 `json:"evictions"`
@@ -149,9 +149,6 @@ type counters struct {
 	steadyRequests atomic.Int64
 	memoHits       atomic.Int64
 	memoMisses     atomic.Int64
-	sessionReuses  atomic.Int64
-	sessionBuilds  atomic.Int64
-	evictions      atomic.Int64
 	rejected       atomic.Int64
 	transientSteps atomic.Int64
 	experimentRuns atomic.Int64
@@ -168,8 +165,11 @@ type counters struct {
 // an http.Server, and on shutdown call BeginDrain, then
 // http.Server.Shutdown, then Close.
 type Server struct {
-	cfg      Config
-	pools    *sessionPools
+	cfg Config
+	// poolsMu guards pools, the session pool of each (solver,
+	// resolution) served so far.
+	poolsMu  sync.Mutex
+	pools    map[systemKey]*cosim.Pool
 	memo     *memo
 	flights  *flights
 	trans    *transients
@@ -188,7 +188,7 @@ type Server struct {
 	// solve runs one proposal on a pooled session the caller owns. New
 	// sets it to solveSteady; it is the one seam tests wrap to inject
 	// solver faults.
-	solve func(context.Context, *cosim.Session, *steadyProposal) (*SteadyResponse, error)
+	solve func(context.Context, *cosim.Session, steadyProposal) (*SteadyResponse, error)
 
 	// ckptStop/ckptDone bracket the periodic checkpoint goroutine.
 	ckptStop chan struct{}
@@ -209,9 +209,9 @@ func New(cfg Config) (*Server, error) {
 		adm:      newAdmission(cfg.Workers, queuePerWorker*cfg.Workers),
 		breakers: newBreakerSet(breakerThreshold, breakerCooldown),
 		maxSteps: maxSteps,
+		pools:    make(map[systemKey]*cosim.Pool),
 	}
 	s.solve = s.solveSteady
-	s.pools = newSessionPools(maxSessions, s.newSession, &s.stats)
 	s.trans = newTransients(maxTransients)
 	fp := floorplan.BroadwellEP()
 	s.dieBlocks = make(map[string]bool, len(fp.Blocks))
@@ -220,7 +220,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.RestoreOnStart && cfg.CheckpointPath != "" {
 		if _, err := s.RestoreCheckpoint(); err != nil {
-			s.pools.closeAll()
+			s.closePools()
 			return nil, err
 		}
 	}
@@ -292,8 +292,8 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 // session, releasing their worker teams, and every registered transient
 // blade.
 // Close is idempotent and must run after http.Server.Shutdown has
-// returned, so no handler still owns a pooled session; one that does is
-// closed by its release, because its pool is retired.
+// returned, so no handler still owns a pooled session; one that does has
+// its worker team released all the same.
 // A configured checkpoint path gets a final on-drain snapshot first, so
 // a graceful shutdown preserves every streaming blade for the next boot.
 func (s *Server) Close() error {
@@ -310,19 +310,95 @@ func (s *Server) Close() error {
 		_, saveErr = s.SaveCheckpoint()
 	}
 	s.trans.closeAll()
-	s.pools.closeAll()
+	s.closePools()
 	return saveErr
+}
+
+// systemKey selects a System and its session pool. A fault changes only
+// the thermosyphon design and the water flow, never the package, the
+// grid or the floorplan, so every fault at one resolution solves on one
+// System. The solver shapes the sessions the pool builds.
+type systemKey struct {
+	solver     thermal.Solver
+	resolution experiments.Resolution
+}
+
+// session takes a session solving with design d from the key's pool,
+// building the pool and its System (with the healthy design) on first
+// use. A System build holds poolsMu; it is paid once per key, and there
+// are at most two solvers × three resolutions. The caller owns the
+// session until it hands it back with giveBack.
+func (s *Server) session(key systemKey, d thermosyphon.Design) (pool *cosim.Pool, ses *cosim.Session, err error) {
+	s.poolsMu.Lock()
+	pool, ok := s.pools[key]
+	if !ok {
+		var sys *cosim.System
+		if sys, err = experiments.NewSystem(thermosyphon.DefaultDesign(), key.resolution); err != nil {
+			s.poolsMu.Unlock()
+			return nil, nil, err
+		}
+		// Sessions never carry a warm start across solves, so every
+		// response is reproducible.
+		opts := []cosim.SessionOption{cosim.WithSolver(key.solver), cosim.CarryWarmStart(false)}
+		if s.cfg.Threads > 1 {
+			opts = append(opts, cosim.WithThreads(s.cfg.Threads))
+		}
+		pool = sys.NewPool(opts...)
+		s.pools[key] = pool
+	}
+	s.poolsMu.Unlock()
+	if ses, err = pool.Get(d); err != nil {
+		return nil, nil, err
+	}
+	return pool, ses, nil
+}
+
+// giveBack returns a session taken by session to its pool, or discards it
+// when poisoned (its solve failed or panicked), so no later request
+// inherits what a failed solve left behind.
+func giveBack(pool *cosim.Pool, ses *cosim.Session, poisoned bool) {
+	if poisoned {
+		pool.Discard(ses)
+	} else {
+		pool.Put(ses)
+	}
+}
+
+// poolStats sums the counters of every session pool.
+func (s *Server) poolStats() cosim.PoolStats {
+	s.poolsMu.Lock()
+	defer s.poolsMu.Unlock()
+	var sum cosim.PoolStats
+	for _, p := range s.pools {
+		st := p.Stats()
+		sum.Builds += st.Builds
+		sum.Reuses += st.Reuses
+		sum.Evictions += st.Evictions
+		sum.Idle += st.Idle
+	}
+	return sum
+}
+
+// closePools closes every session pool, releasing its sessions' worker
+// teams. The pools stay, so their counters still reach Stats.
+func (s *Server) closePools() {
+	s.poolsMu.Lock()
+	defer s.poolsMu.Unlock()
+	for _, p := range s.pools {
+		p.Close()
+	}
 }
 
 // Snapshot returns the current Stats.
 func (s *Server) Snapshot() Stats {
+	pools := s.poolStats()
 	return Stats{
 		SteadyRequests: s.stats.steadyRequests.Load(),
 		MemoHits:       s.stats.memoHits.Load(),
 		MemoMisses:     s.stats.memoMisses.Load(),
-		SessionReuses:  s.stats.sessionReuses.Load(),
-		SessionBuilds:  s.stats.sessionBuilds.Load(),
-		Evictions:      s.stats.evictions.Load(),
+		SessionReuses:  pools.Reuses,
+		SessionBuilds:  pools.Builds,
+		Evictions:      pools.Evictions,
 		Rejected:       s.stats.rejected.Load(),
 		TransientSteps: s.stats.transientSteps.Load(),
 		ExperimentRuns: s.stats.experimentRuns.Load(),
@@ -335,7 +411,7 @@ func (s *Server) Snapshot() Stats {
 		CheckpointSaves:          s.stats.checkpointSaves.Load(),
 		CheckpointBladesRestored: s.stats.checkpointRestored.Load(),
 
-		Sessions:   s.pools.len(),
+		Sessions:   pools.Idle,
 		Transients: s.trans.len(),
 		Draining:   s.draining.Load(),
 	}

@@ -347,10 +347,11 @@ func postAll(t *testing.T, h http.Handler, bodies []string, conc int) [][]byte {
 	return out
 }
 
-// TestPoolBoundsSessions: 26 distinct mappings at one (solver,
-// resolution, fault) solve on one pool, so a two-worker server builds at
-// most two sessions and keeps at most two idle, however many mappings it
-// has seen.
+// TestPoolBoundsSessions: 26 distinct mappings, and the 13 benchmarks
+// again under a pump fault, solve on one (solver, resolution) pool with
+// one design, because a pump fault derates only the water flow. So a
+// two-worker server builds at most two sessions and keeps at most two
+// idle, however many mappings it has seen.
 func TestPoolBoundsSessions(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 2, Threads: 1})
 	var bodies []string
@@ -359,66 +360,126 @@ func TestPoolBoundsSessions(t *testing.T) {
 			bodies = append(bodies, fmt.Sprintf(`{"benchmark":%q,"idle":%q}`, b, idle))
 		}
 	}
+	for _, b := range parsecBenchmarks {
+		bodies = append(bodies, fmt.Sprintf(`{"benchmark":%q,"fault":"pump:0.5"}`, b))
+	}
 	postAll(t, s.Handler(), bodies, 2)
 	st := s.Snapshot()
-	if st.MemoMisses != 26 {
-		t.Fatalf("%d misses for 26 distinct mappings", st.MemoMisses)
+	n := int64(len(bodies))
+	if st.MemoMisses != n {
+		t.Fatalf("%d misses for %d distinct proposals", st.MemoMisses, n)
 	}
 	if st.SessionBuilds > 2 || st.Sessions > 2 {
-		t.Fatalf("26 mappings through 2 workers: %d session builds, %d idle sessions; want at most 2 each",
-			st.SessionBuilds, st.Sessions)
+		t.Fatalf("%d proposals through 2 workers: %d session builds, %d idle sessions; want at most 2 each",
+			n, st.SessionBuilds, st.Sessions)
 	}
-	if st.SessionBuilds+st.SessionReuses != 26 || st.Evictions != 0 {
-		t.Fatalf("%d builds + %d reuses for 26 solves, %d evictions", st.SessionBuilds, st.SessionReuses, st.Evictions)
+	if st.SessionBuilds+st.SessionReuses != n || st.Evictions != 0 {
+		t.Fatalf("%d builds + %d reuses for %d solves, %d evictions", st.SessionBuilds, st.SessionReuses, n, st.Evictions)
 	}
 }
 
-// TestPoolEvictsLeastRecentlyUsed: every fault string is its own pool and
-// System, so distinct faults beyond the pool cap evict the least
-// recently used pools, the idle sessions stay at or under the cap, and an
-// evicted class answers byte-identically when it is solved again.
+// idleCap is cosim's cap on the idle sessions of one pool.
+const idleCap = 64
+
+// TestPoolEvictsLeastRecentlyUsed: every design-changing fault gets
+// sessions of its own on the one pool, so distinct faults beyond the
+// pool's idle cap evict the oldest idle session, the idle sessions stay
+// at the cap, and an evicted class answers byte-identically when it is
+// solved again. A pump fault changes no design and reuses the healthy
+// session.
 func TestPoolEvictsLeastRecentlyUsed(t *testing.T) {
-	s := newTestServer(t, Config{})
-	s.pools.cap = 2
+	s := newTestServer(t, Config{Workers: 1})
 	h := s.Handler()
-	var first []byte
-	for i, f := range []string{"pump:0.1", "pump:0.2", "pump:0.3", "fouling:0.2", "htc:0.2"} {
-		w := post(t, h, "/v1/steady", fmt.Sprintf(`{"benchmark":"x264","fault":%q}`, f))
+	steady := func(fault string) []byte {
+		t.Helper()
+		w := post(t, h, "/v1/steady", fmt.Sprintf(`{"benchmark":"x264","fault":%q}`, fault))
 		if w.Code != http.StatusOK {
-			t.Fatalf("%s: %d %s", f, w.Code, w.Body)
+			t.Fatalf("%s: %d %s", fault, w.Code, w.Body)
 		}
-		if i == 0 {
-			first = w.Body.Bytes()
-		}
-		if n := s.Snapshot().Sessions; n > 2 {
-			t.Fatalf("after %s: %d idle sessions, cap is 2", f, n)
+		return w.Body.Bytes()
+	}
+	fouling := func(i int) string { return fmt.Sprintf("fouling:%.3f", 0.005*float64(i+1)) }
+	steady("")
+	steady("pump:0.5")
+	if st := s.Snapshot(); st.SessionBuilds != 1 || st.SessionReuses != 1 {
+		t.Fatalf("healthy then pump:0.5: %d builds, %d reuses; want 1, 1", st.SessionBuilds, st.SessionReuses)
+	}
+	first := steady(fouling(0))
+	for i := 1; i < idleCap; i++ {
+		steady(fouling(i))
+		if n := s.Snapshot().Sessions; n > idleCap {
+			t.Fatalf("after %s: %d idle sessions, cap is %d", fouling(i), n, idleCap)
 		}
 	}
+	// 1 + idleCap designs: the healthy session, the oldest idle one, went.
 	st := s.Snapshot()
-	if st.Evictions != 3 || st.SessionBuilds != 5 {
-		t.Fatalf("5 faults through a 2-session cap: %d evictions, %d builds; want 3, 5", st.Evictions, st.SessionBuilds)
+	if st.Evictions != 1 || st.SessionBuilds != 1+idleCap || st.Sessions != idleCap {
+		t.Fatalf("%d designs through a %d-session cap: %d evictions, %d builds, %d idle; want 1, %d, %d",
+			1+idleCap, idleCap, st.Evictions, st.SessionBuilds, st.Sessions, 1+idleCap, idleCap)
 	}
-	// The memo outlives the evicted pool, and a recompute matches.
-	w := post(t, h, "/v1/steady", `{"benchmark":"x264","fault":"pump:0.1"}`)
-	if got := w.Header().Get("X-Cache"); got != "hit" {
-		t.Fatalf("memo should outlive pool eviction, got X-Cache=%q", got)
+	// The memo outlives the evicted session.
+	healthy := post(t, h, "/v1/steady", `{"benchmark":"x264"}`)
+	if got := healthy.Header().Get("X-Cache"); got != "hit" {
+		t.Fatalf("memo should outlive session eviction, got X-Cache=%q", got)
 	}
+	// The oldest fault's session is idle still, and reused.
 	s.memo.reset()
-	w = post(t, h, "/v1/steady", `{"benchmark":"x264","fault":"pump:0.1"}`)
-	if w.Code != http.StatusOK || !bytes.Equal(first, w.Body.Bytes()) {
-		t.Fatalf("evicted class recomputed differently: %d %s", w.Code, w.Body)
+	if got := steady(fouling(0)); !bytes.Equal(first, got) {
+		t.Fatalf("a reused session answered differently:\nfirst %s\nagain %s", first, got)
 	}
-	// Transient registrations borrow sessions from pools of their own,
-	// and those pools (each pinning a System) stay under the cap too.
-	for i, f := range []string{"pump:0.4", "pump:0.5", "pump:0.6"} {
+	if st := s.Snapshot(); st.SessionReuses != 2 || st.SessionBuilds != 1+idleCap {
+		t.Fatalf("re-solving an idle design: %d reuses, %d builds; want 2, %d", st.SessionReuses, st.SessionBuilds, 1+idleCap)
+	}
+	// A recompute of the evicted class on a fresh session matches a
+	// fresh server; the rebuild evicts the now oldest idle session.
+	fresh := newTestServer(t, Config{Workers: 1}).Handler()
+	if got, want := steady(""), post(t, fresh, "/v1/steady", `{"benchmark":"x264"}`).Body.Bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("evicted class recomputed differently:\ngot  %s\nwant %s", got, want)
+	}
+	if st := s.Snapshot(); st.SessionBuilds != 2+idleCap || st.Evictions != 2 || st.Sessions != idleCap {
+		t.Fatalf("re-solving an evicted design: %d builds, %d evictions, %d idle; want %d, 2, %d",
+			st.SessionBuilds, st.Evictions, st.Sessions, 2+idleCap, idleCap)
+	}
+	// Transient registrations borrow sessions from the same pool, under
+	// the same cap.
+	for i, f := range []string{"htc:0.1", "htc:0.2", "htc:0.3"} {
 		if w := post(t, h, "/v1/transient", fmt.Sprintf(`{"blade":"b%d","benchmark":"x264","fault":%q}`, i, f)); w.Code != http.StatusCreated {
 			t.Fatalf("register %s: %d %s", f, w.Code, w.Body)
 		}
 	}
-	s.pools.mu.Lock()
-	defer s.pools.mu.Unlock()
-	if n := s.pools.lru.Len(); n > 2 {
-		t.Fatalf("%d pools alive, cap is 2", n)
+	if st := s.Snapshot(); st.Sessions != idleCap || st.Evictions != 5 {
+		t.Fatalf("after 3 faulted registrations: %d idle, %d evictions; want %d, 5", st.Sessions, st.Evictions, idleCap)
+	}
+}
+
+// TestFaultsShareOneSystem: eight distinct design-changing faults at
+// medium build one System, on which each design gets a session of its
+// own, and each faulted body matches a server that saw only that fault.
+func TestFaultsShareOneSystem(t *testing.T) {
+	cfg := Config{Resolution: experiments.Medium, Workers: 1, Threads: 1}
+	s := newTestServer(t, cfg)
+	h := s.Handler()
+	faults := []string{"fouling:0.2", "fouling:0.4", "dryout:0.2", "dryout:0.4", "htc:0.2", "htc:0.4",
+		"dryout:0.3,fouling:0.3", "pump:0.5,htc:0.3"}
+	for i, f := range faults {
+		body := fmt.Sprintf(`{"benchmark":"x264","fault":%q}`, f)
+		w := post(t, h, "/v1/steady", body)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", f, w.Code, w.Body)
+		}
+		if i%3 == 0 {
+			solo := newTestServer(t, cfg).Handler()
+			if want := post(t, solo, "/v1/steady", body).Body.Bytes(); !bytes.Equal(w.Body.Bytes(), want) {
+				t.Fatalf("%s on the shared System differs from a solo server:\nshared %s\nsolo   %s", f, w.Body, want)
+			}
+		}
+	}
+	s.poolsMu.Lock()
+	systems := len(s.pools)
+	s.poolsMu.Unlock()
+	if st := s.Snapshot(); systems != 1 || st.SessionBuilds != int64(len(faults)) || st.Evictions != 0 {
+		t.Fatalf("%d design-changing faults at medium: %d Systems, %d session builds, %d evictions; want 1, %d, 0",
+			len(faults), systems, st.SessionBuilds, st.Evictions, len(faults))
 	}
 }
 
@@ -741,7 +802,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 			t.Fatalf("Close #%d: %v", i+1, err)
 		}
 	}
-	if got := s.pools.len(); got != 0 {
+	if got := s.Snapshot().Sessions; got != 0 {
 		t.Fatalf("%d sessions survive Close", got)
 	}
 }
@@ -753,13 +814,11 @@ func TestWarmHitSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	s := newTestServer(t, Config{Resolution: experiments.Medium})
-	h := s.Handler()
+	cfg := Config{Resolution: experiments.Medium}
 	body := `{"benchmark":"x264"}`
 
 	coldest := func() time.Duration {
-		s.memo.reset()
-		s.pools.closeAll()
+		h := newTestServer(t, cfg).Handler()
 		t0 := time.Now()
 		w := post(t, h, "/v1/steady", body)
 		if w.Code != http.StatusOK {
@@ -773,6 +832,7 @@ func TestWarmHitSpeedup(t *testing.T) {
 			cold = d
 		}
 	}
+	h := newTestServer(t, cfg).Handler()
 	post(t, h, "/v1/steady", body) // prime
 	var hit time.Duration
 	for i := 0; i < 20; i++ {

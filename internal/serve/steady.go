@@ -72,13 +72,6 @@ type SteadyRequest struct {
 	Resolution string `json:"resolution,omitempty"`
 }
 
-// BlockTempJSON is one per-block die temperature of a steady response.
-type BlockTempJSON struct {
-	Name  string  `json:"name"`
-	MeanC float64 `json:"mean_c"`
-	MaxC  float64 `json:"max_c"`
-}
-
 // SteadyCooling is the cooling-budget section of a steady response.
 type SteadyCooling struct {
 	WaterOutC     float64 `json:"water_out_c"`
@@ -92,39 +85,43 @@ type SteadyCooling struct {
 // order is fixed and every value is produced deterministically, so
 // identical proposals marshal to byte-identical bodies.
 type SteadyResponse struct {
-	Proposal    SteadyRequest   `json:"proposal"`
-	DieMaxC     float64         `json:"die_max_c"`
-	DieMeanC    float64         `json:"die_mean_c"`
-	DieGradCPmm float64         `json:"die_grad_c_per_mm"`
-	PkgMaxC     float64         `json:"pkg_max_c"`
-	PkgMeanC    float64         `json:"pkg_mean_c"`
-	TCaseC      float64         `json:"tcase_c"`
-	Blocks      []BlockTempJSON `json:"blocks"`
-	TotalPowerW float64         `json:"total_power_w"`
-	Iterations  int             `json:"iterations"`
-	DryoutCells int             `json:"dryout_cells"`
-	Feasible    bool            `json:"feasible"`
-	Cooling     SteadyCooling   `json:"cooling"`
-	MaxQuality  float64         `json:"max_quality"`
-	FlowKgHUsed float64         `json:"flow_kgh_used"`
+	Proposal    SteadyRequest     `json:"proposal"`
+	DieMaxC     float64           `json:"die_max_c"`
+	DieMeanC    float64           `json:"die_mean_c"`
+	DieGradCPmm float64           `json:"die_grad_c_per_mm"`
+	PkgMaxC     float64           `json:"pkg_max_c"`
+	PkgMeanC    float64           `json:"pkg_mean_c"`
+	TCaseC      float64           `json:"tcase_c"`
+	Blocks      []cosim.BlockTemp `json:"blocks"`
+	TotalPowerW float64           `json:"total_power_w"`
+	Iterations  int               `json:"iterations"`
+	DryoutCells int               `json:"dryout_cells"`
+	Feasible    bool              `json:"feasible"`
+	Cooling     SteadyCooling     `json:"cooling"`
+	MaxQuality  float64           `json:"max_quality"`
+	FlowKgHUsed float64           `json:"flow_kgh_used"`
 }
 
 // steadyProposal is a validated, normalized proposal ready to solve.
 type steadyProposal struct {
-	req      SteadyRequest // canonical form
-	key      string        // canonical JSON — the memo key
-	class    classKey
-	st       power.PackageState
-	bp       map[string]float64
-	op       thermosyphon.Operating
-	scenario faults.Scenario
+	req   SteadyRequest // canonical form
+	key   string        // canonical JSON — the memo key
+	class classKey
+	st    power.PackageState
+	bp    map[string]float64
+	// op and design are the operating point and the thermosyphon design
+	// the proposal solves at: the requested coolant flow and the healthy
+	// design, both derated by the fault.
+	op     thermosyphon.Operating
+	design thermosyphon.Design
 }
 
-// classKey is a proposal class: its session pool plus its mapping (the
-// benchmark configuration or the explicit block powers). Circuit
+// classKey is a proposal class: its System, its fault and its mapping
+// (the benchmark configuration or the explicit block powers). Circuit
 // breakers trip per class.
 type classKey struct {
-	poolKey
+	systemKey
+	fault   string
 	mapping string
 }
 
@@ -148,14 +145,15 @@ const (
 )
 
 // normalizeSteady validates a request, fills defaults, and derives the
-// canonical cache keys and solver inputs.
-func (s *Server) normalizeSteady(req SteadyRequest) (*steadyProposal, error) {
-	p := &steadyProposal{}
+// canonical cache keys and solver inputs. The proposal is returned by
+// value, and the solve seam takes a copy, so a steady request keeps it
+// on its stack instead of allocating it.
+func (s *Server) normalizeSteady(req SteadyRequest) (p steadyProposal, err error) {
 	if req.Benchmark != "" && len(req.BlockPowerW) > 0 {
-		return nil, errors.New("benchmark and block_power_w are mutually exclusive")
+		return p, errors.New("benchmark and block_power_w are mutually exclusive")
 	}
 	if req.Benchmark == "" && len(req.BlockPowerW) == 0 {
-		return nil, errors.New("a proposal needs a benchmark or an explicit block_power_w map")
+		return p, errors.New("a proposal needs a benchmark or an explicit block_power_w map")
 	}
 
 	if req.Resolution == "" {
@@ -163,14 +161,14 @@ func (s *Server) normalizeSteady(req SteadyRequest) (*steadyProposal, error) {
 	}
 	res, err := experiments.ParseResolution(req.Resolution)
 	if err != nil {
-		return nil, err
+		return p, err
 	}
 	if req.Solver == "" {
 		req.Solver = s.cfg.Solver.String()
 	}
 	solver, err := thermal.ParseSolver(req.Solver)
 	if err != nil {
-		return nil, err
+		return p, err
 	}
 
 	if req.WaterC == 0 && req.WaterFlowKgH == 0 {
@@ -179,24 +177,28 @@ func (s *Server) normalizeSteady(req SteadyRequest) (*steadyProposal, error) {
 	}
 	p.op = thermosyphon.Operating{WaterInC: req.WaterC, WaterFlowKgH: req.WaterFlowKgH}
 	if err := p.op.Validate(); err != nil {
-		return nil, err
+		return p, err
 	}
 	if req.WaterFlowKgH > maxWaterFlowKgH {
-		return nil, fmt.Errorf("water flow %g kg/h over the %g kg/h limit", req.WaterFlowKgH, maxWaterFlowKgH)
+		return p, fmt.Errorf("water flow %g kg/h over the %g kg/h limit", req.WaterFlowKgH, maxWaterFlowKgH)
 	}
 
 	req.Fault = strings.TrimSpace(req.Fault)
 	sc, err := faults.Parse(req.Fault)
 	if err != nil {
-		return nil, err
+		return p, err
 	}
-	p.scenario = sc
+	// Pump and blade-level cooling faults derate the flow, as the
+	// datacenter solver derates a faulted fleet's.
+	l := sc.ApplyLoop(rack.SharedLoop{PerBladeFlowKgH: p.op.WaterFlowKgH}, serveLoopName)
+	p.op.WaterFlowKgH = l.PerBladeFlowKgH * sc.FlowScale(serveLoopName, serveBladeName)
+	p.design = sc.ApplyDesign(thermosyphon.DefaultDesign(), serveLoopName, serveBladeName)
 
 	var mappingKey string
 	if req.Benchmark != "" {
 		b, err := workload.ByName(req.Benchmark)
 		if err != nil {
-			return nil, err
+			return p, err
 		}
 		if req.Cores == 0 {
 			req.Cores = 8
@@ -209,7 +211,7 @@ func (s *Server) normalizeSteady(req SteadyRequest) (*steadyProposal, error) {
 		}
 		wcfg := workload.Config{Cores: req.Cores, Threads: req.Threads, Freq: power.Frequency(req.FreqGHz)}
 		if !wcfg.Valid() {
-			return nil, fmt.Errorf("invalid execution config %s: want 1..8 cores, threads = cores or 2×cores, freq in {2.6, 2.9, 3.2}", wcfg)
+			return p, fmt.Errorf("invalid execution config %s: want 1..8 cores, threads = cores or 2×cores, freq in {2.6, 2.9, 3.2}", wcfg)
 		}
 		if len(req.ActiveCores) == 0 {
 			for i := 0; i < req.Cores; i++ {
@@ -217,15 +219,15 @@ func (s *Server) normalizeSteady(req SteadyRequest) (*steadyProposal, error) {
 			}
 		}
 		if len(req.ActiveCores) != req.Cores {
-			return nil, fmt.Errorf("active_cores lists %d cores for a %d-core config", len(req.ActiveCores), req.Cores)
+			return p, fmt.Errorf("active_cores lists %d cores for a %d-core config", len(req.ActiveCores), req.Cores)
 		}
 		sort.Ints(req.ActiveCores)
 		for i, c := range req.ActiveCores {
 			if c < 0 || c > 7 {
-				return nil, fmt.Errorf("active core %d out of range 0..7", c)
+				return p, fmt.Errorf("active core %d out of range 0..7", c)
 			}
 			if i > 0 && req.ActiveCores[i-1] == c {
-				return nil, fmt.Errorf("active core %d listed twice", c)
+				return p, fmt.Errorf("active core %d listed twice", c)
 			}
 		}
 		if req.Idle == "" {
@@ -233,7 +235,7 @@ func (s *Server) normalizeSteady(req SteadyRequest) (*steadyProposal, error) {
 		}
 		idle, err := parseIdle(req.Idle)
 		if err != nil {
-			return nil, err
+			return p, err
 		}
 		m := core.Mapping{ActiveCores: req.ActiveCores, IdleState: idle, Config: wcfg}
 		p.st = core.PackageState(b, m)
@@ -242,59 +244,38 @@ func (s *Server) normalizeSteady(req SteadyRequest) (*steadyProposal, error) {
 	} else {
 		for name, w := range req.BlockPowerW {
 			if !s.dieBlocks[name] {
-				return nil, fmt.Errorf("block_power_w names unknown block %q", name)
+				return p, fmt.Errorf("block_power_w names unknown block %q", name)
 			}
 			if w < 0 {
-				return nil, fmt.Errorf("block %q has negative power %g W", name, w)
+				return p, fmt.Errorf("block %q has negative power %g W", name, w)
 			}
 			if w > maxBlockPowerW {
-				return nil, fmt.Errorf("block %q power %g W over the %g W limit", name, w, maxBlockPowerW)
+				return p, fmt.Errorf("block %q power %g W over the %g W limit", name, w, maxBlockPowerW)
 			}
 		}
 		p.bp = req.BlockPowerW
 		// json.Marshal sorts map keys, so this sub-key is canonical.
 		b, err := canonicalJSON(req.BlockPowerW)
 		if err != nil {
-			return nil, err
+			return p, err
 		}
 		mappingKey = "power=" + string(b)
 	}
 
-	p.class = classKey{poolKey{solver: solver, resolution: res, fault: req.Fault}, mappingKey}
+	p.class = classKey{systemKey{solver: solver, resolution: res}, req.Fault, mappingKey}
 	p.req = req
 	keyBytes, err := canonicalJSON(req)
 	if err != nil {
-		return nil, err
+		return p, err
 	}
 	p.key = string(keyBytes)
 	return p, nil
 }
 
-// newSession is the pools' session factory: a session on sys with the
-// key's solver and the budget's team width. It never carries a warm start
-// across solves, so every response is reproducible.
-func (s *Server) newSession(key poolKey, sys *cosim.System) *cosim.Session {
-	opts := []cosim.SessionOption{cosim.WithSolver(key.solver), cosim.CarryWarmStart(false)}
-	if s.cfg.Threads > 1 {
-		opts = append(opts, cosim.WithThreads(s.cfg.Threads))
-	}
-	return sys.NewSession(opts...)
-}
-
-// operatingFor derates the requested coolant flow by the scenario's pump
-// and blade-level cooling faults, mirroring how the datacenter solver
-// derates a faulted fleet.
-func (p *steadyProposal) operatingFor() thermosyphon.Operating {
-	op := p.op
-	l := p.scenario.ApplyLoop(rack.SharedLoop{PerBladeFlowKgH: op.WaterFlowKgH}, serveLoopName)
-	op.WaterFlowKgH = l.PerBladeFlowKgH * p.scenario.FlowScale(serveLoopName, serveBladeName)
-	return op
-}
-
 // solveSteady runs one proposal on a pooled session the caller owns and
 // renders the response.
-func (s *Server) solveSteady(ctx context.Context, ses *cosim.Session, p *steadyProposal) (*SteadyResponse, error) {
-	op := p.operatingFor()
+func (s *Server) solveSteady(ctx context.Context, ses *cosim.Session, p steadyProposal) (*SteadyResponse, error) {
+	op := p.op
 	sys := ses.System()
 	var (
 		res *cosim.Result
@@ -337,6 +318,7 @@ func (s *Server) solveSteady(ctx context.Context, ses *cosim.Session, p *steadyP
 		PkgMaxC:     pkg.MaxC,
 		PkgMeanC:    pkg.MeanC,
 		TCaseC:      tcase,
+		Blocks:      blocks,
 		TotalPowerW: res.TotalPowerW,
 		Iterations:  res.Iterations,
 		DryoutCells: res.Syphon.DryoutCells,
@@ -350,10 +332,6 @@ func (s *Server) solveSteady(ctx context.Context, ses *cosim.Session, p *steadyP
 		},
 		MaxQuality:  res.Syphon.MaxQuality,
 		FlowKgHUsed: op.WaterFlowKgH,
-	}
-	out.Blocks = make([]BlockTempJSON, len(blocks))
-	for i, b := range blocks {
-		out.Blocks[i] = BlockTempJSON{Name: b.Name, MeanC: b.MeanC, MaxC: b.MaxC}
 	}
 	return out, nil
 }
@@ -402,7 +380,7 @@ func (s *Server) handleSteady(w http.ResponseWriter, r *http.Request) {
 		s.writeFailure(w, f.status, f.errMsg, f.retryAfter)
 		return
 	}
-	s.leadFlight(ctx, p, f)
+	s.leadFlight(ctx, &p, f)
 	if f.body != nil {
 		s.stats.memoMisses.Add(1)
 		writeCached(w, f.body, "miss")
@@ -450,7 +428,7 @@ func (s *Server) solveProposal(ctx context.Context, p *steadyProposal) ([]byte, 
 	s.stats.inFlight.Add(1)
 	defer s.stats.inFlight.Add(-1)
 
-	pl, ses, err := s.pools.acquire(p.class.poolKey)
+	pool, ses, err := s.session(p.class.systemKey, p.design)
 	if err != nil {
 		return nil, http.StatusInternalServerError, err.Error(), 0
 	}
@@ -458,8 +436,8 @@ func (s *Server) solveProposal(ctx context.Context, p *steadyProposal) ([]byte, 
 	// but a clean success releases it poisoned, so no later request
 	// inherits a session a failed or panicked solve left behind.
 	poisoned := true
-	defer func() { s.pools.release(pl, ses, poisoned) }()
-	resp, err := s.solve(ctx, ses, p)
+	defer func() { giveBack(pool, ses, poisoned) }()
+	resp, err := s.solve(ctx, ses, *p)
 	// The breaker counts hard solver failures as bad; client
 	// cancellations and deadlines are not the solver's fault and stay
 	// neutral.

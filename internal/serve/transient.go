@@ -24,10 +24,12 @@ import (
 type transientBlade struct {
 	mu   sync.Mutex
 	name string
-	// key selects the pool its chunks borrow sessions from, and op is the
-	// derated operating point they step at.
-	key poolKey
-	op  thermosyphon.Operating
+	// key selects the pool its chunks borrow sessions from, design is
+	// the derated design those sessions solve with, and op is the derated
+	// operating point they step at.
+	key    systemKey
+	design thermosyphon.Design
+	op     thermosyphon.Operating
 	// state is the sim's state after the last committed chunk, and last
 	// is the sample taken at it, which answers status requests.
 	state *cosim.TransientState
@@ -43,6 +45,8 @@ type transientBlade struct {
 	// lastSeq/lastBody are the exactly-once replay cache: a step chunk
 	// carrying seq == lastSeq is a retry of the last applied chunk and is
 	// answered with the cached body instead of advancing the sim again.
+	// Every committed chunk installs a freshly built body and nothing
+	// mutates one afterwards, so the body is shared, never copied.
 	lastSeq  int64
 	lastBody []byte
 	dead     bool
@@ -275,7 +279,7 @@ func (s *Server) handleTransientRegister(w http.ResponseWriter, r *http.Request)
 	defer release()
 
 	b := &transientBlade{name: req.Blade, req: p.req, initialC: initial}
-	if status, err := s.addBlade(b, p, nil); err != nil {
+	if status, err := s.addBlade(b, &p, nil); err != nil {
 		retryAfter := 0
 		if status == http.StatusTooManyRequests {
 			retryAfter = s.retryAfterSecs()
@@ -292,25 +296,24 @@ func (s *Server) handleTransientRegister(w http.ResponseWriter, r *http.Request)
 // registers the blade. Registration and restore share it. The returned
 // status is the HTTP code a registration answers a failure with.
 func (s *Server) addBlade(b *transientBlade, p *steadyProposal, state *cosim.TransientState) (int, error) {
-	pl, ses, err := s.pools.acquire(p.class.poolKey)
+	pool, ses, err := s.session(p.class.systemKey, p.design)
 	if err != nil {
 		return http.StatusInternalServerError, err
 	}
-	op := p.operatingFor()
 	var sim *cosim.TransientSim
 	if state != nil {
-		sim, err = ses.Resume(op, state)
+		sim, err = ses.Resume(p.op, state)
 	} else {
-		sim, err = ses.Transient(op, b.initialC)
+		sim, err = ses.Transient(p.op, b.initialC)
 	}
 	if err == nil {
 		b.last, err = sampleOf(sim)
 	}
 	if err == nil {
-		b.key, b.op, b.state = p.class.poolKey, op, sim.ExportState()
+		b.key, b.design, b.op, b.state = p.class.systemKey, p.design, p.op, sim.ExportState()
 		b.base = basePower(ses.System(), p)
 	}
-	s.pools.release(pl, ses, err != nil)
+	giveBack(pool, ses, err != nil)
 	if err != nil {
 		return http.StatusBadRequest, err
 	}
@@ -463,13 +466,13 @@ func (s *Server) handleTransientStep(w http.ResponseWriter, r *http.Request, nam
 	// the exactly-once contract holds even for chunks that die
 	// mid-flight. The session goes back poisoned unless the chunk
 	// committed, like a failed steady solve's.
-	pl, ses, err := s.pools.acquire(b.key)
+	pool, ses, err := s.session(b.key, b.design)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	poisoned := true
-	defer func() { s.pools.release(pl, ses, poisoned) }()
+	defer func() { giveBack(pool, ses, poisoned) }()
 	sim, err := ses.Resume(b.op, b.state)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
@@ -518,7 +521,7 @@ func (s *Server) handleTransientStep(w http.ResponseWriter, r *http.Request, nam
 		// Record the applied chunk before responding, so a retry that races
 		// the response replays rather than double-steps.
 		b.lastSeq = req.Seq
-		b.lastBody = append([]byte(nil), body...)
+		b.lastBody = body
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
@@ -534,7 +537,7 @@ func (s *Server) handleTransientStep(w http.ResponseWriter, r *http.Request, nam
 // must resynchronize from GET status.
 func (s *Server) replayStep(w http.ResponseWriter, b *transientBlade, seq int64) bool {
 	switch {
-	case seq == b.lastSeq && b.lastBody != nil:
+	case seq == b.lastSeq && len(b.lastBody) > 0:
 		s.stats.stepsDeduped.Add(1)
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Replayed", "true")
