@@ -117,7 +117,7 @@ type Result struct {
 // PowerCells rasterizes a per-block power map onto the thermal grid's die
 // layer — the injection vector transient simulations need.
 func (s *System) PowerCells(blockPower map[string]float64) ([]float64, error) {
-	return s.coverage.PowerMap(blockPower)
+	return s.coverage.PowerMapInto(nil, blockPower)
 }
 
 // DieStats returns the paper's die-map statistics for a result.

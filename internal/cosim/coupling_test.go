@@ -135,7 +135,7 @@ func TestWarmResolveTripwire(t *testing.T) {
 	all := servedProposals()
 	for _, p := range all {
 		bp := sys.Power.BlockPowers(p.st)
-		ses.Reset()
+		ses.SwapCarry(&Carry{})
 		if _, err := ses.SolveSteadyPower(nil, bp, p.op); err != nil {
 			t.Fatal(err)
 		}

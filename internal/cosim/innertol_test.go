@@ -89,7 +89,7 @@ func TestInexactInnerSolvesAccuracy(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := dieMax(r)
-			warm.Reset()
+			warm.SwapCarry(&Carry{})
 			if _, err := warm.SolveSteady(nil, p.st, thermosyphon.DefaultOperating()); err != nil {
 				t.Fatal(err)
 			}

@@ -162,9 +162,6 @@ func (s *System) NewSession(opts ...SessionOption) *Session {
 // System returns the system the session solves.
 func (ses *Session) System() *System { return ses.sys }
 
-// Reset drops the carried warm-start state; the next solve starts cold.
-func (ses *Session) Reset() { ses.warm = false }
-
 // Carry is a session's warm-start state held outside the session: the
 // converged temperature field, the converged top-surface heat flux, and
 // whether they are valid. It is the only numerical state a steady solve

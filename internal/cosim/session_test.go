@@ -110,8 +110,8 @@ func TestSessionWarmStartConverges(t *testing.T) {
 	}
 }
 
-// TestSessionReset: after Reset the next solve is cold and bit-identical
-// to a fresh session's even on a carrying session.
+// TestSessionReset: swapping a zero Carry into a carrying session resets
+// it, so the next solve is cold and bit-identical to a fresh session's.
 func TestSessionReset(t *testing.T) {
 	sys, err := NewSystem(coarseConfig())
 	if err != nil {
@@ -127,17 +127,17 @@ func TestSessionReset(t *testing.T) {
 	if _, err := ses.SolveSteady(nil, st, op); err != nil {
 		t.Fatal(err)
 	}
-	ses.Reset()
+	ses.SwapCarry(&Carry{})
 	got, err := ses.SolveSteady(nil, st, op)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Iterations != fresh.Iterations {
-		t.Fatalf("post-Reset solve not cold: %d vs %d iterations", got.Iterations, fresh.Iterations)
+		t.Fatalf("post-reset solve not cold: %d vs %d iterations", got.Iterations, fresh.Iterations)
 	}
 	for i := range fresh.Field.T {
 		if fresh.Field.T[i] != got.Field.T[i] {
-			t.Fatalf("post-Reset field differs at cell %d", i)
+			t.Fatalf("post-reset field differs at cell %d", i)
 		}
 	}
 }

@@ -53,7 +53,7 @@ func CoolingPowerStudy(ctx context.Context, cfg RunConfig) (*CoolingResult, erro
 	// belongs to each solve's worker team. The sessions carry their warm
 	// starts: they come from a pool without CarryWarmStart(false), and
 	// neither is returned to it.
-	cfg = cfg.SplitBudgetDepthFirst(1)
+	cfg = cfg.SplitBudget(1)
 	sys, err := NewSystem(Proposed.Design(), cfg.Resolution)
 	if err != nil {
 		return nil, err

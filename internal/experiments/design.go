@@ -58,7 +58,7 @@ func Fig5Orientation(ctx context.Context, cfg RunConfig) ([]OrientationResult, e
 		if err != nil {
 			return OrientationResult{}, err
 		}
-		report, err := d.ChannelReport(sys.Thermal.Grid(), r.Field.TopHeatPerCell(r.BC), op)
+		report, err := d.ChannelReport(sys.Thermal.Grid(), r.Field.TopHeatPerCellInto(nil, r.BC), op)
 		if err != nil {
 			return OrientationResult{}, fmt.Errorf("orientation %v: %w", o, err)
 		}
@@ -186,7 +186,7 @@ func DesignSpaceStudy(ctx context.Context, cfg RunConfig) (*DesignSpaceResult, e
 	}
 	d.Fluid = fl
 	d.FillingRatio = best.FillingRatio
-	spool := cfg.SplitBudgetDepthFirst(1).newPool(sys)
+	spool := cfg.SplitBudget(1).newPool(sys)
 	defer spool.Close()
 	ses, err := spool.Get(d)
 	if err != nil {

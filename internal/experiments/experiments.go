@@ -113,10 +113,9 @@ type RunConfig struct {
 	// byte-identical at any thread count.
 	//
 	// Workers and Threads share one core budget: when either is 0 the run
-	// splits GOMAXPROCS between them (workers × threads ≤ GOMAXPROCS),
-	// width-first for point-heavy sweeps and depth-first for solves big
-	// enough to dominate a core each, so a run uses the whole machine
-	// whether its parallelism lives across points or inside one solve.
+	// splits GOMAXPROCS between them (workers × threads ≤ GOMAXPROCS,
+	// see SplitBudget), so a run uses the whole machine whether its
+	// parallelism lives across points or inside one solve.
 	Threads int
 	// Scenario, when non-nil, is a custom cooling-fault scenario (the
 	// -fault flag). The failure-scenarios experiment appends it to its
@@ -135,7 +134,9 @@ func At(res Resolution) RunConfig { return RunConfig{Resolution: res} }
 // other so that workers × threads ≤ GOMAXPROCS. When both are zero,
 // width-first fills the worker pool up to the point count and hands the
 // leftover cores to each solve's team — a 13-point sweep on 8 cores runs
-// 8 workers × 1 thread, a 2-point study runs 2 workers × 4 threads.
+// 8 workers × 1 thread, a 2-point study runs 2 workers × 4 threads. A
+// study whose solves each fill the machine passes 1 point and runs its
+// points serially through one worker.
 //
 // Beyond the sweep studies, this is the one budget rule every consumer of
 // the solve stack shares: the thermservd lease manager resolves its
@@ -143,18 +144,6 @@ func At(res Resolution) RunConfig { return RunConfig{Resolution: res} }
 // through the same split, so a daemon and a batch sweep divide a machine
 // identically.
 func (cfg RunConfig) SplitBudget(points int) RunConfig {
-	return cfg.split(points, false)
-}
-
-// SplitBudgetDepthFirst is SplitBudget for sweeps whose individual solves
-// are large enough to use the whole machine (the resolution-scaling
-// study's 256×256 grids): all cores go to the solve team and the points
-// run serially through one worker.
-func (cfg RunConfig) SplitBudgetDepthFirst(points int) RunConfig {
-	return cfg.split(points, true)
-}
-
-func (cfg RunConfig) split(points int, depthFirst bool) RunConfig {
 	procs := runtime.GOMAXPROCS(0)
 	if points < 1 {
 		points = 1
@@ -173,9 +162,6 @@ func (cfg RunConfig) split(points int, depthFirst bool) RunConfig {
 		t = procs / w
 	case t > 0:
 		w = procs / t
-	case depthFirst:
-		t = procs
-		w = 1
 	default:
 		w = points
 		if w > procs {

@@ -28,7 +28,7 @@ type Fig2Result struct {
 // mapping, comparing die-level and package-level thermal profiles.
 func Fig2DieVsPackage(ctx context.Context, cfg RunConfig) (*Fig2Result, error) {
 	// A single coupled solve: the whole core budget goes to the solve team.
-	cfg = cfg.SplitBudgetDepthFirst(1)
+	cfg = cfg.SplitBudget(1)
 	sys, err := NewSystem(baselines.SeuretDesign(), cfg.Resolution)
 	if err != nil {
 		return nil, err

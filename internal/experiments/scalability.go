@@ -84,10 +84,11 @@ func ExtResolutionScaling(ctx context.Context, cfg RunConfig, sizes []int, solve
 	bench, cfgW := workload.WorstCase()
 	mapping := FullLoadMapping(cfgW, power.POLL)
 	points := sweep.Cross(sizes, solvers)
-	// Depth-first core split: the biggest grid dominates the study's wall
-	// time, so the budget goes to each solve's worker team rather than to
-	// sweep fan-out — "all cores inside one big solve".
-	cfg = cfg.SplitBudgetDepthFirst(len(points))
+	// The points run serially through one worker: the biggest grid
+	// dominates the study's wall time, so the core budget goes to each
+	// solve's worker team rather than to sweep fan-out — "all cores inside
+	// one big solve".
+	cfg = cfg.SplitBudget(1)
 	return sweep.Run(ctx, points, func(p sweep.Pair[int, thermal.Solver]) (ResolutionCell, error) {
 		n, solver := p.A, p.B
 		ccfg := cosim.DefaultConfig()

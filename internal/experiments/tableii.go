@@ -192,7 +192,7 @@ func Fig7ThermalMaps(ctx context.Context, cfg RunConfig) (*Fig7Result, error) {
 	}
 	const q = workload.QoS2x
 	out := &Fig7Result{ProposedBench: bench.Name}
-	cfg = cfg.SplitBudgetDepthFirst(1)
+	cfg = cfg.SplitBudget(1)
 	sys, err := NewSystem(thermosyphon.DefaultDesign(), cfg.Resolution)
 	if err != nil {
 		return nil, err

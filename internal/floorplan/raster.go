@@ -89,20 +89,13 @@ func Rasterize(fp *Floorplan, grid Grid) *CoverageMap {
 	return cm
 }
 
-// PowerMap distributes the given per-block powers (W) onto the grid,
-// returning per-cell power (W). Blocks absent from the map contribute
-// nothing. An error is reported for powers naming unknown blocks.
-// Accumulation runs in rasterization order, not map order: float addition
-// is not associative and Go randomizes map iteration, so summing in a
-// fixed order is what keeps repeated solves bit-identical.
-func (cm *CoverageMap) PowerMap(blockPower map[string]float64) ([]float64, error) {
-	return cm.PowerMapInto(nil, blockPower)
-}
-
-// PowerMapInto is PowerMap writing into a caller-owned buffer, grown as
-// needed and returned — the allocation-free variant solve sessions use.
-// The buffer is fully overwritten; accumulation order is identical to
-// PowerMap, so the results are bit-identical.
+// PowerMapInto distributes the given per-block powers (W) onto the grid,
+// returning per-cell power (W). It writes into dst, grown as needed and
+// returned (nil allocates), and overwrites every cell. Blocks absent from
+// the map contribute nothing. An error is reported for powers naming
+// unknown blocks. Accumulation runs in rasterization order, not map order:
+// float addition is not associative and Go randomizes map iteration, so
+// summing in a fixed order is what keeps repeated solves bit-identical.
 func (cm *CoverageMap) PowerMapInto(dst []float64, blockPower map[string]float64) ([]float64, error) {
 	for name := range blockPower {
 		if _, ok := cm.frac[name]; !ok {

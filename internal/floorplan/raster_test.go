@@ -44,7 +44,7 @@ func TestRasterizeConservesPower(t *testing.T) {
 			power[b.Name] = p
 			want += p
 		}
-		cells, err := cm.PowerMap(power)
+		cells, err := cm.PowerMapInto(nil, power)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestRasterizeBlockFractionSumsToOne(t *testing.T) {
 func TestPowerMapUnknownBlock(t *testing.T) {
 	fp := BroadwellEP()
 	cm := Rasterize(fp, NewGrid(10, 10, fp.Width, fp.Height))
-	if _, err := cm.PowerMap(map[string]float64{"nope": 1}); err == nil {
+	if _, err := cm.PowerMapInto(nil, map[string]float64{"nope": 1}); err == nil {
 		t.Fatal("unknown block must error")
 	}
 }
@@ -87,7 +87,7 @@ func TestPowerMapUnknownBlock(t *testing.T) {
 func TestPowerMapZeroPowerSkipped(t *testing.T) {
 	fp := BroadwellEP()
 	cm := Rasterize(fp, NewGrid(10, 10, fp.Width, fp.Height))
-	cells, err := cm.PowerMap(map[string]float64{"LLC": 0})
+	cells, err := cm.PowerMapInto(nil, map[string]float64{"LLC": 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestRasterizeDeadAreaHasNoPower(t *testing.T) {
 	for _, b := range fp.Blocks {
 		power[b.Name] = 10
 	}
-	cells, err := cm.PowerMap(power)
+	cells, err := cm.PowerMapInto(nil, power)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestRasterizeConservationProperty(t *testing.T) {
 		}
 		cm := Rasterize(fp, NewGrid(nx, ny, fp.Width, fp.Height))
 		power := map[string]float64{"Core1": pc, "LLC": pl}
-		cells, err := cm.PowerMap(power)
+		cells, err := cm.PowerMapInto(nil, power)
 		if err != nil {
 			return false
 		}
@@ -155,13 +155,13 @@ func TestRasterizeConservationProperty(t *testing.T) {
 	}
 }
 
-// TestPowerMapIntoMatchesPowerMap: the buffer-reusing variant must return
-// bit-identical cell powers and actually recycle the buffer.
+// TestPowerMapIntoMatchesPowerMap: mapping into a dirty buffer must
+// recycle it and return bit-identical cell powers to a fresh map.
 func TestPowerMapIntoMatchesPowerMap(t *testing.T) {
 	fp := BroadwellEP()
 	cm := Rasterize(fp, NewGrid(10, 10, fp.Width, fp.Height))
 	bp := map[string]float64{"Core1": 7.5, "Core5": 3.25, "LLC": 2, "MemCtrl": 6.3}
-	fresh, err := cm.PowerMap(bp)
+	fresh, err := cm.PowerMapInto(nil, bp)
 	if err != nil {
 		t.Fatal(err)
 	}

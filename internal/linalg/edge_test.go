@@ -20,7 +20,7 @@ func TestCGRejectsNonSPD(t *testing.T) {
 	b := make(Vector, n)
 	b.Fill(1)
 	x := make(Vector, n)
-	_, err := CG(negOperator{n}, b, x, CGOptions{})
+	_, err := CGWith(negOperator{n}, b, x, CGOptions{}, &CGWorkspace{})
 	if !errors.Is(err, ErrNotConverged) {
 		t.Fatalf("non-SPD operator should abort with ErrNotConverged, got %v", err)
 	}

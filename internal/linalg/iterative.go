@@ -99,13 +99,6 @@ type CGWorkspace struct {
 	xpbyT  xpbyTask
 }
 
-// NewCGWorkspace returns a workspace pre-sized for operators of dimension n.
-func NewCGWorkspace(n int) *CGWorkspace {
-	ws := &CGWorkspace{}
-	ws.grow(n)
-	return ws
-}
-
 // SetTeam attaches the worker team the fused CG kernels dispatch on (nil
 // = serial). The workspace borrows the team; the caller owns its
 // lifecycle.
@@ -168,15 +161,10 @@ func (ws *CGWorkspace) xpby(p, z Vector, beta float64) {
 	ws.run(&ws.xpbyT, len(p))
 }
 
-// CG solves A·x = b for a symmetric positive-definite operator using the
-// (optionally Jacobi-preconditioned) conjugate-gradient method. x is used
-// as the initial guess and is updated in place.
-func CG(a Operator, b, x Vector, opt CGOptions) (CGResult, error) {
-	return CGWith(a, b, x, opt, &CGWorkspace{})
-}
-
-// CGWith is CG with caller-owned scratch: all intermediate vectors live in
-// ws, so a reused workspace makes the solve allocation-free, and the ws
+// CGWith solves A·x = b for a symmetric positive-definite operator using
+// the (optionally preconditioned) conjugate-gradient method. x is used as
+// the initial guess and is updated in place. All intermediate vectors live
+// in ws, so a reused workspace makes the solve allocation-free, and the ws
 // team (SetTeam) parallelizes the vector work.
 //
 // The iteration body runs on fused kernels to cut memory traffic: the

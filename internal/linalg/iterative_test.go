@@ -55,7 +55,7 @@ func TestCGPoisson(t *testing.T) {
 	op := laplace1D{n}
 	b := poissonRHS(n, want)
 	x := make(Vector, n)
-	res, err := CG(op, b, x, CGOptions{Tol: 1e-10})
+	res, err := CGWith(op, b, x, CGOptions{Tol: 1e-10}, &CGWorkspace{})
 	if err != nil {
 		t.Fatalf("CG failed after %d iters, res %g: %v", res.Iterations, res.Residual, err)
 	}
@@ -77,7 +77,7 @@ func TestCGPreconditioned(t *testing.T) {
 	inv := make(Vector, n)
 	inv.Fill(0.5) // diag of the stencil is 2
 	x := make(Vector, n)
-	res, err := CG(op, b, x, CGOptions{Tol: 1e-10, Precond: &DiagonalPreconditioner{InvDiag: inv}})
+	res, err := CGWith(op, b, x, CGOptions{Tol: 1e-10, Precond: &DiagonalPreconditioner{InvDiag: inv}}, &CGWorkspace{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestCGZeroRHS(t *testing.T) {
 	op := laplace1D{10}
 	x := make(Vector, 10)
 	x.Fill(3)
-	res, err := CG(op, make(Vector, 10), x, CGOptions{})
+	res, err := CGWith(op, make(Vector, 10), x, CGOptions{}, &CGWorkspace{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestCGNonConvergenceBudget(t *testing.T) {
 	}
 	b := poissonRHS(n, want)
 	x := make(Vector, n)
-	_, err := CG(op, b, x, CGOptions{Tol: 1e-14, MaxIter: 3})
+	_, err := CGWith(op, b, x, CGOptions{Tol: 1e-14, MaxIter: 3}, &CGWorkspace{})
 	if !errors.Is(err, ErrNotConverged) {
 		t.Fatalf("expected ErrNotConverged with tiny budget, got %v", err)
 	}
@@ -155,7 +155,7 @@ func TestCGMatchesLUOnRandomSPD(t *testing.T) {
 			t.Fatal(err)
 		}
 		cgX := make(Vector, n)
-		if _, err := CG(denseOperator{a}, b, cgX, CGOptions{Tol: 1e-12, MaxIter: 50 * n}); err != nil {
+		if _, err := CGWith(denseOperator{a}, b, cgX, CGOptions{Tol: 1e-12, MaxIter: 50 * n}, &CGWorkspace{}); err != nil {
 			t.Fatal(err)
 		}
 		for i := range luX {
@@ -267,7 +267,7 @@ func TestCGAppliesAccounting(t *testing.T) {
 	op := &countingOperator{Operator: laplace1D{n}}
 	b := poissonRHS(n, want)
 	x := make(Vector, n)
-	res, err := CG(op, b, x, CGOptions{Tol: 1e-10})
+	res, err := CGWith(op, b, x, CGOptions{Tol: 1e-10}, &CGWorkspace{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestCGAppliesAccounting(t *testing.T) {
 	}
 	// A converged initial guess must cost exactly the initial residual.
 	op.applies = 0
-	res, err = CG(op, b, x, CGOptions{Tol: 1e-10})
+	res, err = CGWith(op, b, x, CGOptions{Tol: 1e-10}, &CGWorkspace{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,8 +378,9 @@ func TestTableMonotoneProperty(t *testing.T) {
 	}
 }
 
-// TestCGWithMatchesCG: the workspace-backed solver must be bit-identical
-// to the allocating one — the workspace only changes where scratch lives.
+// TestCGWithMatchesCG: a workspace holding another system's scratch must
+// solve bit-identically to a fresh one — the workspace only changes where
+// scratch lives.
 func TestCGWithMatchesCG(t *testing.T) {
 	const n = 64
 	rng := rand.New(rand.NewSource(7))
@@ -391,33 +392,30 @@ func TestCGWithMatchesCG(t *testing.T) {
 	b := poissonRHS(n, want)
 
 	x1 := make(Vector, n)
-	res1, err1 := CG(op, b, x1, CGOptions{Tol: 1e-12})
-	x2 := make(Vector, n)
-	ws := NewCGWorkspace(n)
-	res2, err2 := CGWith(op, b, x2, CGOptions{Tol: 1e-12}, ws)
-	if err1 != nil || err2 != nil {
-		t.Fatalf("errors: %v vs %v", err1, err2)
-	}
-	if res1 != res2 {
-		t.Fatalf("results differ: %+v vs %+v", res1, res2)
-	}
-	for i := range x1 {
-		if x1[i] != x2[i] {
-			t.Fatalf("solution differs at %d: %v vs %v", i, x1[i], x2[i])
-		}
-	}
-	// Reusing the workspace (dirty scratch) must not change the answer.
-	x3 := make(Vector, n)
-	res3, err := CGWith(op, b, x3, CGOptions{Tol: 1e-12}, ws)
+	res1, err := CGWith(op, b, x1, CGOptions{Tol: 1e-12}, &CGWorkspace{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res3 != res1 {
-		t.Fatalf("reused workspace changed the result: %+v vs %+v", res3, res1)
+	// Dirty the workspace with a larger solve, then reuse it.
+	ws := &CGWorkspace{}
+	big := make(Vector, 2*n)
+	for i := range big {
+		big[i] = rng.NormFloat64()
+	}
+	if _, err := CGWith(laplace1D{n: 2 * n}, poissonRHS(2*n, big), make(Vector, 2*n), CGOptions{Tol: 1e-12}, ws); err != nil {
+		t.Fatal(err)
+	}
+	x2 := make(Vector, n)
+	res2, err := CGWith(op, b, x2, CGOptions{Tol: 1e-12}, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2 != res1 {
+		t.Fatalf("reused workspace changed the result: %+v vs %+v", res2, res1)
 	}
 	for i := range x1 {
-		if x1[i] != x3[i] {
-			t.Fatalf("reused-workspace solution differs at %d", i)
+		if x1[i] != x2[i] {
+			t.Fatalf("reused-workspace solution differs at %d: %v vs %v", i, x2[i], x1[i])
 		}
 	}
 }
@@ -434,7 +432,7 @@ func TestCGWithZeroAllocs(t *testing.T) {
 	op := laplace1D{n: n}
 	b := poissonRHS(n, want)
 	x := make(Vector, n)
-	ws := NewCGWorkspace(n)
+	ws := &CGWorkspace{}
 	inv := make(Vector, n)
 	inv.Fill(0.5)
 	pre := DiagonalPreconditioner{InvDiag: inv}

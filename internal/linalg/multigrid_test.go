@@ -171,12 +171,12 @@ func TestMGPreconditionedCG(t *testing.T) {
 	xJacobi := make(Vector, n)
 	inv := make(Vector, n)
 	inv.Fill(0.5)
-	resJacobi, err := CG(op, b, xJacobi, CGOptions{Tol: 1e-11, Precond: &DiagonalPreconditioner{InvDiag: inv}})
+	resJacobi, err := CGWith(op, b, xJacobi, CGOptions{Tol: 1e-11, Precond: &DiagonalPreconditioner{InvDiag: inv}}, &CGWorkspace{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	xMG := make(Vector, n)
-	resMG, err := CG(op, b, xMG, CGOptions{Tol: 1e-11, Precond: buildLap1DMG(t, n)})
+	resMG, err := CGWith(op, b, xMG, CGOptions{Tol: 1e-11, Precond: buildLap1DMG(t, n)}, &CGWorkspace{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestMGNonSPDCoarsestFailsCG(t *testing.T) {
 		b := make(Vector, n)
 		b.Fill(1)
 		x := make(Vector, n)
-		_, err = CG(op, b, x, CGOptions{Tol: 1e-10, Precond: mg})
+		_, err = CGWith(op, b, x, CGOptions{Tol: 1e-10, Precond: mg}, &CGWorkspace{})
 		var se *SolveError
 		if !errors.As(err, &se) || se.Cause != CauseNaN || !errors.Is(err, ErrNotConverged) {
 			t.Fatalf("wall %v: err = %v, want a CauseNaN *SolveError", wall, err)

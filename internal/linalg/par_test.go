@@ -55,7 +55,8 @@ func TestReductionKernelsByteIdenticalAcrossTeams(t *testing.T) {
 		invD[i] = 1 / (2 + math.Abs(invD[i]))
 	}
 
-	ws := NewCGWorkspace(n)
+	ws := &CGWorkspace{}
+	ws.grow(n)
 	wantDot := ws.dot(a, b)
 
 	xRef, rRef := a.Clone(), b.Clone()
@@ -66,7 +67,8 @@ func TestReductionKernelsByteIdenticalAcrossTeams(t *testing.T) {
 
 	for _, workers := range []int{2, 3, 5, 8} {
 		team := NewTeam(workers)
-		tws := NewCGWorkspace(n)
+		tws := &CGWorkspace{}
+		tws.grow(n)
 		tws.SetTeam(team)
 		if got := tws.dot(a, b); got != wantDot {
 			t.Errorf("dot at %d workers: %x, serial %x", workers, got, wantDot)
@@ -125,13 +127,13 @@ func TestCGByteIdenticalAcrossTeams(t *testing.T) {
 
 	for _, precond := range []Preconditioner{nil, &DiagonalPreconditioner{InvDiag: invD}} {
 		xRef := make(Vector, n)
-		ref, err := CGWith(op, b, xRef, CGOptions{Tol: 1e-12, Precond: precond}, NewCGWorkspace(n))
+		ref, err := CGWith(op, b, xRef, CGOptions{Tol: 1e-12, Precond: precond}, &CGWorkspace{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 8} {
 			team := NewTeam(workers)
-			ws := NewCGWorkspace(n)
+			ws := &CGWorkspace{}
 			ws.SetTeam(team)
 			x := make(Vector, n)
 			res, err := CGWith(op, b, x, CGOptions{Tol: 1e-12, Precond: precond}, ws)
@@ -160,7 +162,7 @@ func TestCGWithTeamZeroAllocs(t *testing.T) {
 	b := parVec(n, 5)
 	team := NewTeam(4)
 	defer team.Close()
-	ws := NewCGWorkspace(n)
+	ws := &CGWorkspace{}
 	ws.SetTeam(team)
 	x := make(Vector, n)
 	solve := func() {

@@ -64,15 +64,10 @@ func (f *Field) TotalHeatToTop(bc TopBoundary) float64 {
 	return q
 }
 
-// TopHeatPerCell returns the per-cell heat flow (W) leaving through the top
-// boundary, which the thermosyphon's channel-marching model consumes.
-func (f *Field) TopHeatPerCell(bc TopBoundary) []float64 {
-	return f.TopHeatPerCellInto(nil, bc)
-}
-
-// TopHeatPerCellInto is TopHeatPerCell writing into a caller-owned buffer,
-// grown as needed and returned — the allocation-free variant solve
-// sessions use. Every element is overwritten.
+// TopHeatPerCellInto returns the per-cell heat flow (W) leaving through
+// the top boundary, which the thermosyphon's channel march consumes. It
+// writes into dst, grown as needed and returned (nil allocates), and
+// overwrites every element.
 func (f *Field) TopHeatPerCellInto(dst []float64, bc TopBoundary) []float64 {
 	m := f.model
 	top := (m.nl - 1) * m.cells

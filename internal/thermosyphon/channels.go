@@ -26,62 +26,35 @@ type ChannelSummary struct {
 	MinH, MaxH float64
 }
 
-// ChannelReport marches every channel exactly as Evaporate does and
-// returns per-channel summaries. The condenser and loop are solved for the
-// aggregate heat first, so the report is consistent with the State that
-// Evaporate would produce.
+// ChannelReport runs EvaporateInto's march and returns per-channel
+// summaries read from the state it produces: the heat and HTC extremes of
+// each channel's cells, and its quality replayed with the march's own mass
+// flow, latent heat and critical quality. The report therefore describes
+// exactly the boundary condition a solve on the same heat would use.
 func (d *Design) ChannelReport(grid floorplan.Grid, cellHeat []float64, op Operating) ([]ChannelSummary, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	if err := op.Validate(); err != nil {
-		return nil, err
-	}
-	if len(cellHeat) != grid.Cells() {
-		return nil, fmt.Errorf("thermosyphon: heat vector has %d cells, want %d", len(cellHeat), grid.Cells())
-	}
-	var q float64
-	for _, w := range cellHeat {
-		if w > 0 {
-			q += w
-		}
-	}
-	if q < 1 {
-		q = 1
-	}
-	cond, err := d.Condense(q, op)
-	if err != nil {
-		return nil, err
-	}
-	loop, err := d.SolveLoop(q, cond.TsatC)
+	st, err := d.EvaporateInto(nil, grid, cellHeat, op)
 	if err != nil {
 		return nil, err
 	}
 	nCh := channelCount(d.Orientation, grid)
-	mCh := loop.MassFlowKgS / float64(nCh)
-	hfg := d.Fluid.Hfg(cond.TsatC)
-	cellArea := grid.DX * grid.DY
-	boil := d.boilingAt(cond.TsatC)
+	mCh := st.Loop.MassFlowKgS / float64(nCh)
+	hfg := d.Fluid.Hfg(st.Condenser.TsatC)
+	xc := d.CritQuality()
 
 	out := make([]ChannelSummary, nCh)
-	for ch := 0; ch < nCh; ch++ {
-		path := channelPath(d.Orientation, grid, ch)
+	for ch := range out {
+		start, stride, n := channelSpan(d.Orientation, grid, ch)
 		sum := ChannelSummary{Channel: ch, DryoutPos: 1, MinH: math.Inf(1)}
 		x := 0.0
-		for pos, c := range path {
+		for pos := 0; pos < n; pos++ {
+			c := start + pos*stride
 			w := math.Max(cellHeat[c], 0)
 			sum.HeatW += w
-			xMid := linalg.Clamp(x+0.5*w/(mCh*hfg), 0, 0.99)
-			h := boil.htc(xMid, w/cellArea) * d.AreaEnhancement
-			if h < sum.MinH {
-				sum.MinH = h
-			}
-			if h > sum.MaxH {
-				sum.MaxH = h
-			}
+			sum.MinH = math.Min(sum.MinH, st.H[c])
+			sum.MaxH = math.Max(sum.MaxH, st.H[c])
 			xNew := linalg.Clamp(x+w/(mCh*hfg), 0, 0.99)
-			if x <= boil.xc && xNew > boil.xc && sum.DryoutPos == 1 {
-				sum.DryoutPos = float64(pos) / float64(len(path))
+			if x <= xc && xNew > xc && sum.DryoutPos == 1 {
+				sum.DryoutPos = float64(pos) / float64(n)
 			}
 			x = xNew
 		}

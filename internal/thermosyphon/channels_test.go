@@ -96,21 +96,64 @@ func TestChannelReportErrors(t *testing.T) {
 	}
 }
 
+// TestChannelReportConsistentWithEvaporate: under a non-uniform load and
+// every orientation, each channel's heat and HTC extremes are those of the
+// cells its span lists in EvaporateInto's state, and the worst exit
+// quality is the state's MaxQuality.
 func TestChannelReportConsistentWithEvaporate(t *testing.T) {
-	d := DefaultDesign()
 	grid := testGrid()
-	heat := uniformHeat(grid, 70)
-	rep, err := d.ChannelReport(grid, heat, DefaultOperating())
-	if err != nil {
-		t.Fatal(err)
+	heat := make([]float64, grid.Cells())
+	for iy := 0; iy < grid.NY; iy++ {
+		for ix := 0; ix < grid.NX; ix++ {
+			// A west-heavy gradient with a hot spot: some channels dry
+			// out, others stay well below the critical quality.
+			w := 0.02 + 0.1*float64(grid.NX-ix)/float64(grid.NX)
+			if ix >= 5 && ix < 12 && iy >= 8 && iy < 13 {
+				w += 0.6
+			}
+			heat[grid.Index(ix, iy)] = w
+		}
 	}
-	st, err := d.Evaporate(grid, heat, DefaultOperating())
-	if err != nil {
-		t.Fatal(err)
-	}
-	worst, _ := WorstChannel(rep)
-	if math.Abs(worst.ExitQuality-st.MaxQuality) > 1e-9 {
-		t.Fatalf("report worst quality %v vs state max %v", worst.ExitQuality, st.MaxQuality)
+	for _, o := range Orientations() {
+		d := DefaultDesign()
+		d.Orientation = o
+		rep, err := d.ChannelReport(grid, heat, DefaultOperating())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := d.EvaporateInto(nil, grid, heat, DefaultOperating())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep) != channelCount(o, grid) {
+			t.Fatalf("%v: %d channels, want %d", o, len(rep), channelCount(o, grid))
+		}
+		var dried bool
+		for ch, c := range rep {
+			start, stride, n := channelSpan(o, grid, ch)
+			heatW, minH, maxH := 0.0, math.Inf(1), math.Inf(-1)
+			for pos := 0; pos < n; pos++ {
+				cell := start + pos*stride
+				heatW += heat[cell]
+				minH = math.Min(minH, st.H[cell])
+				maxH = math.Max(maxH, st.H[cell])
+			}
+			if c.Channel != ch || c.HeatW != heatW || c.MinH != minH || c.MaxH != maxH {
+				t.Fatalf("%v ch %d: report {ch %d, %v W, H [%v,%v]}, march {%v W, H [%v,%v]}",
+					o, ch, c.Channel, c.HeatW, c.MinH, c.MaxH, heatW, minH, maxH)
+			}
+			dried = dried || c.DryoutPos < 1
+		}
+		if !dried {
+			t.Errorf("%v: no channel dries out; the load does not exercise dryout", o)
+		}
+		worst, err := WorstChannel(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if worst.ExitQuality != st.MaxQuality {
+			t.Fatalf("%v: report worst quality %v vs state max %v", o, worst.ExitQuality, st.MaxQuality)
+		}
 	}
 }
 

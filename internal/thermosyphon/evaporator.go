@@ -28,23 +28,17 @@ type State struct {
 	DryoutCells int
 }
 
-// BoilingHTC returns the local flow-boiling heat transfer coefficient
-// (W/m²·K, per wetted area) at vapor quality x and wall heat flux qFlux
-// (W/m²): a nucleate term (Cooper-style q″^0.7) plus a convective term
-// enhanced by vapor acceleration, rolled off beyond the dryout quality.
-func (d *Design) BoilingHTC(x, qFlux, tsatC float64) float64 {
-	return d.boilingAt(tsatC).htc(x, qFlux)
-}
-
-// boiling holds BoilingHTC's terms that depend only on the saturation
-// temperature, so a channel march evaluates them once, not per cell.
+// boiling holds the terms of the local flow-boiling heat transfer
+// coefficient that depend only on the saturation temperature, so a channel
+// march evaluates them once, not per cell.
 type boiling struct {
 	hl  float64 // liquid-only convective HTC (W/m²·K)
 	acc float64 // vapor-acceleration factor (ρl/ρv)^0.35
 	xc  float64 // dryout onset quality
 }
 
-// boilingAt evaluates the saturation-only terms of BoilingHTC at tsatC.
+// boilingAt evaluates the saturation-only terms of the boiling HTC at
+// tsatC.
 func (d *Design) boilingAt(tsatC float64) boiling {
 	fl := d.Fluid
 	return boiling{
@@ -54,7 +48,10 @@ func (d *Design) boilingAt(tsatC float64) boiling {
 	}
 }
 
-// htc is BoilingHTC at the boiling's saturation temperature.
+// htc returns the local flow-boiling heat transfer coefficient (W/m²·K,
+// per wetted area) at vapor quality x and wall heat flux qFlux (W/m²): a
+// nucleate term (Cooper-style q″^0.7) plus a convective term enhanced by
+// vapor acceleration, rolled off beyond the dryout quality.
 func (b boiling) htc(x, qFlux float64) float64 {
 	hnb := 2.2 * math.Pow(math.Max(qFlux, 1000), 0.7)
 	x = linalg.Clamp(x, 0, 1)
@@ -68,32 +65,6 @@ func (b boiling) htc(x, qFlux float64) float64 {
 	return h
 }
 
-// channelPath yields the marching order of one channel: for horizontal
-// orientations channels are grid rows traversed west→east (InletWest) or
-// east→west; for vertical orientations channels are grid columns.
-func channelPath(o Orientation, grid floorplan.Grid, channel int) []int {
-	var path []int
-	switch o {
-	case InletWest:
-		for ix := 0; ix < grid.NX; ix++ {
-			path = append(path, grid.Index(ix, channel))
-		}
-	case InletEast:
-		for ix := grid.NX - 1; ix >= 0; ix-- {
-			path = append(path, grid.Index(ix, channel))
-		}
-	case InletNorth:
-		for iy := 0; iy < grid.NY; iy++ {
-			path = append(path, grid.Index(channel, iy))
-		}
-	case InletSouth:
-		for iy := grid.NY - 1; iy >= 0; iy-- {
-			path = append(path, grid.Index(channel, iy))
-		}
-	}
-	return path
-}
-
 // channelCount returns the number of parallel channels on the grid.
 func channelCount(o Orientation, grid floorplan.Grid) int {
 	if o.Horizontal() {
@@ -103,8 +74,10 @@ func channelCount(o Orientation, grid floorplan.Grid) int {
 }
 
 // channelSpan describes one channel's marching order without materializing
-// it: cell indices are start, start+stride, … (n cells). It visits exactly
-// the cells channelPath lists, in the same order, allocation-free.
+// it: cell indices are start, start+stride, … (n cells). Horizontal
+// channels are grid rows traversed west→east (InletWest) or east→west;
+// vertical channels are grid columns traversed north→south (InletNorth)
+// or south→north.
 func channelSpan(o Orientation, grid floorplan.Grid, channel int) (start, stride, n int) {
 	switch o {
 	case InletWest:
@@ -118,26 +91,18 @@ func channelSpan(o Orientation, grid floorplan.Grid, channel int) (start, stride
 	}
 }
 
-// Evaporate solves the thermosyphon for the given per-cell absorbed heat
-// (W per grid cell, as extracted from the thermal model's top boundary):
-// condenser sets the saturation temperature, the gravity loop sets the mass
-// flow, and a 1-D quality march along every channel yields the local HTC
-// and fluid temperature fields.
-func (d *Design) Evaporate(grid floorplan.Grid, cellHeat []float64, op Operating) (*State, error) {
-	return d.evaporate(nil, grid, cellHeat, op)
-}
-
-// EvaporateInto is Evaporate reusing a caller-owned state: st's H and
-// TFluid buffers are recycled when correctly sized (st may be nil or
-// mis-sized, in which case fresh buffers are made) and every output field
-// is overwritten, so repeated calls on one state are allocation-free apart
-// from the loop-balance bisection closure. The returned state is st when
-// it was reusable. Values are bit-identical to Evaporate.
+// EvaporateInto solves the thermosyphon for the given per-cell absorbed
+// heat (W per grid cell, as extracted from the thermal model's top
+// boundary): condenser sets the saturation temperature, the gravity loop
+// sets the mass flow, and a 1-D quality march along every channel yields
+// the local HTC and fluid temperature fields.
+//
+// st's H and TFluid buffers are recycled when correctly sized (st may be
+// nil or mis-sized, in which case fresh buffers are made) and every output
+// field is overwritten, so repeated calls on one state are allocation-free
+// apart from the loop-balance bisection closure. The returned state is st
+// when it was reusable.
 func (d *Design) EvaporateInto(st *State, grid floorplan.Grid, cellHeat []float64, op Operating) (*State, error) {
-	return d.evaporate(st, grid, cellHeat, op)
-}
-
-func (d *Design) evaporate(st *State, grid floorplan.Grid, cellHeat []float64, op Operating) (*State, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}

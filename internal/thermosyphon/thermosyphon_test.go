@@ -172,20 +172,20 @@ func TestLoopQualityRisesWithLoad(t *testing.T) {
 
 func TestBoilingHTCBehaviour(t *testing.T) {
 	d := DefaultDesign()
-	const tsat = 40.0
+	boil := d.boilingAt(40)
 	// HTC rises with quality below dryout...
-	h1 := d.BoilingHTC(0.05, 6e4, tsat)
-	h2 := d.BoilingHTC(0.35, 6e4, tsat)
+	h1 := boil.htc(0.05, 6e4)
+	h2 := boil.htc(0.35, 6e4)
 	if h2 <= h1 {
 		t.Fatalf("HTC should rise with quality: %v vs %v", h1, h2)
 	}
 	// ...and collapses past the critical quality.
-	hDry := d.BoilingHTC(0.95, 6e4, tsat)
+	hDry := boil.htc(0.95, 6e4)
 	if hDry >= h2*0.6 {
 		t.Fatalf("dryout HTC %v should collapse versus %v", hDry, h2)
 	}
 	// Nucleate term grows with heat flux.
-	if d.BoilingHTC(0.2, 1.2e5, tsat) <= d.BoilingHTC(0.2, 3e4, tsat) {
+	if boil.htc(0.2, 1.2e5) <= boil.htc(0.2, 3e4) {
 		t.Fatal("HTC should grow with heat flux")
 	}
 	// Magnitude: several kW/m²K in the boiling regime.
@@ -194,8 +194,9 @@ func TestBoilingHTCBehaviour(t *testing.T) {
 	}
 }
 
-// boilingHTCPerCall is BoilingHTC as it was before its saturation-only
-// terms were hoisted into boilingAt: every term evaluated on every call.
+// boilingHTCPerCall is the boiling HTC as it was before its
+// saturation-only terms were hoisted into boilingAt: every term evaluated
+// on every call.
 func boilingHTCPerCall(d *Design, x, qFlux, tsatC float64) float64 {
 	fl := d.Fluid
 	hl := 4.36 * fl.KLiquid(tsatC) / d.ChannelHydraulicDiam
@@ -226,10 +227,8 @@ func TestBoilingHoistBitIdentical(t *testing.T) {
 			for _, x := range []float64{-0.1, 0, 0.05, xc - 1e-9, xc, xc + 1e-9, 0.7, 0.9, 0.99, 1, 1.2} {
 				for _, q := range []float64{0, 400, 999.9, 1000, 1000.1, 3e4, 1.2e5, 1e6} {
 					want := boilingHTCPerCall(&d, x, q, tsat)
-					for name, got := range map[string]float64{"hoisted": boil.htc(x, q), "BoilingHTC": d.BoilingHTC(x, q, tsat)} {
-						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("fill %g tsat %g x %g q %g: %s %v, per-call %v", fill, tsat, x, q, name, got, want)
-						}
+					if got := boil.htc(x, q); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("fill %g tsat %g x %g q %g: hoisted %v, per-call %v", fill, tsat, x, q, got, want)
 					}
 				}
 			}
@@ -268,7 +267,7 @@ func uniformHeat(grid floorplan.Grid, total float64) []float64 {
 func TestEvaporateUniform(t *testing.T) {
 	d := DefaultDesign()
 	grid := testGrid()
-	st, err := d.Evaporate(grid, uniformHeat(grid, 70), DefaultOperating())
+	st, err := d.EvaporateInto(nil, grid, uniformHeat(grid, 70), DefaultOperating())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +295,7 @@ func TestEvaporateUniform(t *testing.T) {
 func TestEvaporateQualityGrowsDownstream(t *testing.T) {
 	d := DefaultDesign() // InletWest: flow west→east
 	grid := testGrid()
-	st, err := d.Evaporate(grid, uniformHeat(grid, 70), DefaultOperating())
+	st, err := d.EvaporateInto(nil, grid, uniformHeat(grid, 70), DefaultOperating())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +322,7 @@ func TestEvaporateOrientationFlowDirection(t *testing.T) {
 	for _, o := range Orientations() {
 		d := DefaultDesign()
 		d.Orientation = o
-		st, err := d.Evaporate(grid, heat, DefaultOperating())
+		st, err := d.EvaporateInto(nil, grid, heat, DefaultOperating())
 		if err != nil {
 			t.Fatalf("%v: %v", o, err)
 		}
@@ -357,14 +356,14 @@ func TestEvaporateConcentratedDryout(t *testing.T) {
 		q[grid.Index(ix, 10)] = perCell
 		q[grid.Index(ix, 11)] = perCell
 	}
-	st, err := d.Evaporate(grid, q, DefaultOperating())
+	st, err := d.EvaporateInto(nil, grid, q, DefaultOperating())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.DryoutCells == 0 {
 		t.Fatal("concentrating 50 W on two channels must cause dryout")
 	}
-	spread, _ := d.Evaporate(grid, uniformHeat(grid, total), DefaultOperating())
+	spread, _ := d.EvaporateInto(nil, grid, uniformHeat(grid, total), DefaultOperating())
 	if spread.DryoutCells >= st.DryoutCells {
 		t.Fatalf("spread load should dry out fewer cells: %d vs %d", spread.DryoutCells, st.DryoutCells)
 	}
@@ -373,19 +372,19 @@ func TestEvaporateConcentratedDryout(t *testing.T) {
 func TestEvaporateErrors(t *testing.T) {
 	d := DefaultDesign()
 	grid := testGrid()
-	if _, err := d.Evaporate(grid, make([]float64, 3), DefaultOperating()); err == nil {
+	if _, err := d.EvaporateInto(nil, grid, make([]float64, 3), DefaultOperating()); err == nil {
 		t.Fatal("wrong heat length must error")
 	}
 	bad := DefaultDesign()
 	bad.FillingRatio = 0
-	if _, err := bad.Evaporate(grid, uniformHeat(grid, 10), DefaultOperating()); err == nil {
+	if _, err := bad.EvaporateInto(nil, grid, uniformHeat(grid, 10), DefaultOperating()); err == nil {
 		t.Fatal("invalid design must error")
 	}
-	if _, err := d.Evaporate(grid, uniformHeat(grid, 10), Operating{}); err == nil {
+	if _, err := d.EvaporateInto(nil, grid, uniformHeat(grid, 10), Operating{}); err == nil {
 		t.Fatal("invalid operating point must error")
 	}
 	// Near-zero heat must still produce a state (idle CPU).
-	st, err := d.Evaporate(grid, make([]float64, grid.Cells()), DefaultOperating())
+	st, err := d.EvaporateInto(nil, grid, make([]float64, grid.Cells()), DefaultOperating())
 	if err != nil || st == nil {
 		t.Fatalf("idle evaporation failed: %v", err)
 	}
@@ -396,7 +395,7 @@ func TestAlternativeRefrigerants(t *testing.T) {
 	for _, fl := range refrigerant.Candidates() {
 		d := DefaultDesign()
 		d.Fluid = fl
-		st, err := d.Evaporate(grid, uniformHeat(grid, 70), DefaultOperating())
+		st, err := d.EvaporateInto(nil, grid, uniformHeat(grid, 70), DefaultOperating())
 		if err != nil {
 			t.Fatalf("%s: %v", fl.Name(), err)
 		}
@@ -432,9 +431,9 @@ func TestSolveProperty(t *testing.T) {
 	}
 }
 
-// TestEvaporateIntoMatchesEvaporate: the state-reusing variant must return
-// bit-identical fields for every orientation, and must actually recycle
-// the buffers it is given.
+// TestEvaporateIntoMatchesEvaporate: evaporating into a state left dirty
+// by a different load must recycle its buffers and return bit-identical
+// fields to a fresh evaporation, for every orientation.
 func TestEvaporateIntoMatchesEvaporate(t *testing.T) {
 	grid := floorplan.NewGrid(10, 8, 0.02, 0.016)
 	q := make([]float64, grid.Cells())
@@ -445,12 +444,11 @@ func TestEvaporateIntoMatchesEvaporate(t *testing.T) {
 	for _, o := range Orientations() {
 		d := DefaultDesign()
 		d.Orientation = o
-		fresh, err := d.Evaporate(grid, q, op)
+		fresh, err := d.EvaporateInto(nil, grid, q, op)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// First call allocates; second call must reuse st's buffers.
-		st, err := d.EvaporateInto(nil, grid, q, op)
+		st, err := d.EvaporateInto(nil, grid, uniformHeat(grid, 90), op)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -474,21 +472,48 @@ func TestEvaporateIntoMatchesEvaporate(t *testing.T) {
 	}
 }
 
-// TestChannelSpanMatchesPath: the allocation-free span iteration must
-// visit exactly the cells channelPath lists, in order.
-func TestChannelSpanMatchesPath(t *testing.T) {
+// TestChannelSpansCoverGrid: each orientation's channels cover every grid
+// cell exactly once, each channel stays in its own row (east-west) or
+// column (north-south), and each starts on the inlet edge.
+func TestChannelSpansCoverGrid(t *testing.T) {
 	grid := floorplan.NewGrid(7, 5, 0.02, 0.016)
 	for _, o := range Orientations() {
+		seen := make([]int, grid.Cells())
 		for ch := 0; ch < channelCount(o, grid); ch++ {
-			path := channelPath(o, grid, ch)
 			start, stride, n := channelSpan(o, grid, ch)
-			if n != len(path) {
-				t.Fatalf("%v ch %d: span length %d vs path %d", o, ch, n, len(path))
+			ix, iy := start%grid.NX, start/grid.NX
+			var onInlet bool
+			switch o {
+			case InletWest:
+				onInlet = ix == 0
+			case InletEast:
+				onInlet = ix == grid.NX-1
+			case InletNorth:
+				onInlet = iy == 0
+			case InletSouth:
+				onInlet = iy == grid.NY-1
 			}
-			for pos, c := range path {
-				if got := start + pos*stride; got != c {
-					t.Fatalf("%v ch %d pos %d: span %d vs path %d", o, ch, pos, got, c)
+			if !onInlet {
+				t.Errorf("%v ch %d: starts at (%d,%d), off the inlet edge", o, ch, ix, iy)
+			}
+			for pos := 0; pos < n; pos++ {
+				c := start + pos*stride
+				if c < 0 || c >= grid.Cells() {
+					t.Fatalf("%v ch %d pos %d: cell %d off the grid", o, ch, pos, c)
 				}
+				line := c / grid.NX // row
+				if !o.Horizontal() {
+					line = c % grid.NX // column
+				}
+				if line != ch {
+					t.Fatalf("%v ch %d pos %d: cell %d on line %d", o, ch, pos, c, line)
+				}
+				seen[c]++
+			}
+		}
+		for c, k := range seen {
+			if k != 1 {
+				t.Errorf("%v: cell %d visited %d times", o, c, k)
 			}
 		}
 	}
