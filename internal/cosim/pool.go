@@ -52,20 +52,17 @@ func (s *System) NewPool(opts ...SessionOption) *Pool {
 
 // Get takes the most recently returned idle session solving with design
 // d, or builds one. A design is validated before a session is built for
-// it, so an invalid design is an error, never a solve. The pool's lock is
-// held only to search and to record: concurrent Gets that miss build
-// their sessions in parallel.
+// it, so an invalid design is an error, never a solve.
 func (p *Pool) Get(d thermosyphon.Design) (*Session, error) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	for i := len(p.idle) - 1; i >= 0; i-- {
 		if ses := p.idle[i]; *ses.Design() == d {
 			p.idle = append(p.idle[:i], p.idle[i+1:]...)
 			p.stats.Reuses++
-			p.mu.Unlock()
 			return ses, nil
 		}
 	}
-	p.mu.Unlock()
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
@@ -74,10 +71,8 @@ func (p *Pool) Get(d thermosyphon.Design) (*Session, error) {
 		opts = append(opts[:len(opts):len(opts)], WithDesign(d))
 	}
 	ses := p.sys.NewSession(opts...)
-	p.mu.Lock()
 	p.live[ses] = struct{}{}
 	p.stats.Builds++
-	p.mu.Unlock()
 	return ses, nil
 }
 
@@ -126,9 +121,8 @@ func (p *Pool) Stats() PoolStats {
 
 // Close releases the worker team of every live session the pool has
 // built and empties the pool; a later Get builds afresh. The sessions
-// stay usable, solving serially (see Session.Close). A session that a Get
-// racing Close builds joins the emptied pool, so the next Close releases
-// it. The returned error is always nil.
+// stay usable, solving serially (see Session.Close). The returned error
+// is always nil.
 func (p *Pool) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()

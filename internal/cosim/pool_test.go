@@ -15,8 +15,7 @@ import (
 // is refused, a discarded session is closed and never handed out again,
 // the idle sessions stay at the cap by evicting the oldest across designs,
 // one-shot designs leave no bookkeeping behind, the counters add up, and
-// Close releases every team the pool's sessions own, those of sessions
-// built by Gets racing an earlier Close included.
+// Close releases every team the pool's sessions own.
 func TestPool(t *testing.T) {
 	sys, err := NewSystem(coarseConfig())
 	if err != nil {
@@ -206,35 +205,6 @@ func TestPool(t *testing.T) {
 		t.Fatalf("%d Gets: %d builds, %d reuses, %d evictions; want builds+reuses = %d and builds-evictions = %d",
 			gets, st.Builds, st.Reuses, st.Evictions, gets, maxIdle)
 	}
-
-	// Gets racing a Close: a session built after Close emptied the pool
-	// joins it, so the next Close releases its team too.
-	var race sync.WaitGroup
-	start := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		race.Add(1)
-		go func(g int) {
-			defer race.Done()
-			<-start
-			for i := 0; i < 3; i++ {
-				d := sys.Design
-				d.CondenserUA *= 1 + 0.001*float64(3*g+i+1)
-				ses, err := pool.Get(d)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if i != 1 {
-					pool.Put(ses)
-				}
-			}
-		}(g)
-	}
-	close(start)
-	if err := pool.Close(); err != nil {
-		t.Fatal(err)
-	}
-	race.Wait()
 
 	// Close releases every team, held sessions' included, and empties the
 	// pool.

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/floorplan"
-	"repro/internal/linalg"
 )
 
 // ChannelSummary describes the state of one evaporator micro-channel under
@@ -37,8 +36,7 @@ func (d *Design) ChannelReport(grid floorplan.Grid, cellHeat []float64, op Opera
 		return nil, err
 	}
 	nCh := channelCount(d.Orientation, grid)
-	mCh := st.Loop.MassFlowKgS / float64(nCh)
-	hfg := d.Fluid.Hfg(st.Condenser.TsatC)
+	mh := d.channelFlowHfg(st, nCh)
 	xc := d.CritQuality()
 
 	out := make([]ChannelSummary, nCh)
@@ -52,7 +50,7 @@ func (d *Design) ChannelReport(grid floorplan.Grid, cellHeat []float64, op Opera
 			sum.HeatW += w
 			sum.MinH = math.Min(sum.MinH, st.H[c])
 			sum.MaxH = math.Max(sum.MaxH, st.H[c])
-			xNew := linalg.Clamp(x+w/(mCh*hfg), 0, 0.99)
+			xNew := qualityAfter(x, w, mh)
 			if x <= xc && xNew > xc && sum.DryoutPos == 1 {
 				sum.DryoutPos = float64(pos) / float64(n)
 			}

@@ -98,8 +98,9 @@ func TestChannelReportErrors(t *testing.T) {
 
 // TestChannelReportConsistentWithEvaporate: under a non-uniform load and
 // every orientation, each channel's heat and HTC extremes are those of the
-// cells its span lists in EvaporateInto's state, and the worst exit
-// quality is the state's MaxQuality.
+// cells its span lists in EvaporateInto's state, each channel's exit
+// quality is its energy balance at the state's mass flow and latent heat,
+// and the worst exit quality is the state's MaxQuality.
 func TestChannelReportConsistentWithEvaporate(t *testing.T) {
 	grid := testGrid()
 	heat := make([]float64, grid.Cells())
@@ -128,6 +129,7 @@ func TestChannelReportConsistentWithEvaporate(t *testing.T) {
 		if len(rep) != channelCount(o, grid) {
 			t.Fatalf("%v: %d channels, want %d", o, len(rep), channelCount(o, grid))
 		}
+		mh := st.Loop.MassFlowKgS / float64(len(rep)) * d.Fluid.Hfg(st.Condenser.TsatC)
 		var dried bool
 		for ch, c := range rep {
 			start, stride, n := channelSpan(o, grid, ch)
@@ -141,6 +143,11 @@ func TestChannelReportConsistentWithEvaporate(t *testing.T) {
 			if c.Channel != ch || c.HeatW != heatW || c.MinH != minH || c.MaxH != maxH {
 				t.Fatalf("%v ch %d: report {ch %d, %v W, H [%v,%v]}, march {%v W, H [%v,%v]}",
 					o, ch, c.Channel, c.HeatW, c.MinH, c.MaxH, heatW, minH, maxH)
+			}
+			// Quality only rises along a channel and stays at the clamp
+			// once there, so the exit quality is the clamped balance.
+			if want := math.Min(heatW/mh, 0.99); math.Abs(c.ExitQuality-want) > 1e-12 {
+				t.Fatalf("%v ch %d: exit quality %v, energy balance %v", o, ch, c.ExitQuality, want)
 			}
 			dried = dried || c.DryoutPos < 1
 		}

@@ -144,8 +144,7 @@ func (d *Design) EvaporateInto(st *State, grid floorplan.Grid, cellHeat []float6
 	st.MaxQuality = 0
 	st.DryoutCells = 0
 	nCh := channelCount(d.Orientation, grid)
-	mCh := loop.MassFlowKgS / float64(nCh)
-	hfg := d.Fluid.Hfg(cond.TsatC)
+	mh := d.channelFlowHfg(st, nCh)
 	cellArea := grid.DX * grid.DY
 	boil := d.boilingAt(cond.TsatC)
 
@@ -155,8 +154,7 @@ func (d *Design) EvaporateInto(st *State, grid floorplan.Grid, cellHeat []float6
 		for pos := 0; pos < n; pos++ {
 			c := start + pos*stride
 			w := math.Max(cellHeat[c], 0)
-			xMid := x + 0.5*w/(mCh*hfg)
-			xMid = linalg.Clamp(xMid, 0, 0.99)
+			xMid := qualityAfter(x, 0.5*w, mh)
 			qFlux := w / cellArea
 			st.H[c] = boil.htc(xMid, qFlux) * d.AreaEnhancement
 			// Inlet subcooling decays over the first SubcoolFraction of
@@ -170,11 +168,26 @@ func (d *Design) EvaporateInto(st *State, grid floorplan.Grid, cellHeat []float6
 			if xMid > boil.xc {
 				st.DryoutCells++
 			}
-			x = linalg.Clamp(x+w/(mCh*hfg), 0, 0.99)
+			x = qualityAfter(x, w, mh)
 		}
 		if x > st.MaxQuality {
 			st.MaxQuality = x
 		}
 	}
 	return st, nil
+}
+
+// channelFlowHfg is the latent-heat capacity of one channel's flow in the
+// march st holds (W per unit quality): the loop's mass flow shared over
+// nCh channels, times the latent heat at the condenser's saturation
+// temperature.
+func (d *Design) channelFlowHfg(st *State, nCh int) float64 {
+	return st.Loop.MassFlowKgS / float64(nCh) * d.Fluid.Hfg(st.Condenser.TsatC)
+}
+
+// qualityAfter is the vapor quality after a channel entering at quality x
+// absorbs w watts, at a flow latent-heat capacity mh (channelFlowHfg),
+// clamped short of pure vapor.
+func qualityAfter(x, w, mh float64) float64 {
+	return linalg.Clamp(x+w/mh, 0, 0.99)
 }

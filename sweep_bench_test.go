@@ -169,9 +169,11 @@ func TestConcurrentRunsIsolated(t *testing.T) {
 	}
 }
 
-// TestResolutionScalingDeterministicMGPCG: the resolution-scaling sweep's
-// deterministic fields (everything except wall time) must be
-// byte-identical between a serial and a pooled run with MG-PCG.
+// TestResolutionScalingDeterministicMGPCG: the resolution-scaling ladder
+// runs its points through one worker (SplitBudget(1)), so what the core
+// budget changes is each solve's team width. Its deterministic fields
+// (everything except wall time) must be byte-identical between serial
+// solves and solves on poolWorkers() threads with MG-PCG.
 func TestResolutionScalingDeterministicMGPCG(t *testing.T) {
 	sizes := []int{16, 24}
 	solvers := []thermal.Solver{thermal.SolverMGPCG}
@@ -181,16 +183,18 @@ func TestResolutionScalingDeterministicMGPCG(t *testing.T) {
 		}
 		return fmt.Sprintf("%+v", cells)
 	}
-	serial, err := experiments.ExtResolutionScaling(nil, atWorkers(1), sizes, solvers)
+	serialCfg, threadedCfg := atWorkers(1), atWorkers(1)
+	serialCfg.Threads, threadedCfg.Threads = 1, poolWorkers()
+	serial, err := experiments.ExtResolutionScaling(nil, serialCfg, sizes, solvers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := experiments.ExtResolutionScaling(nil, atWorkers(poolWorkers()), sizes, solvers)
+	threaded, err := experiments.ExtResolutionScaling(nil, threadedCfg, sizes, solvers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := strip(parallel), strip(serial); got != want {
-		t.Fatalf("pooled resolution sweep differs from serial:\n got %s\nwant %s", got, want)
+	if got, want := strip(threaded), strip(serial); got != want {
+		t.Fatalf("threaded resolution sweep differs from serial:\n got %s\nwant %s", got, want)
 	}
 }
 
