@@ -57,7 +57,7 @@ func TestTransientExportImportExact(t *testing.T) {
 				}
 				// Serialize the exported state and restore from the parsed
 				// bytes, exactly like the thermservd checkpoint file does.
-				raw, err := json.Marshal(simA.ExportState())
+				raw, err := json.Marshal(simA.ExportStateInto(nil))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -118,14 +118,14 @@ func TestTransientImportValidation(t *testing.T) {
 	if err := sim.Step(0.25, sys.Power.BlockPowers(fullLoadState(2.2))); err != nil {
 		t.Fatal(err)
 	}
-	good := sim.ExportState()
+	good := sim.ExportStateInto(nil)
 
 	refuse := func(what string, op thermosyphon.Operating, st *TransientState) {
 		t.Helper()
 		if _, err := ses.Resume(op, st); err == nil {
 			t.Fatalf("%s accepted", what)
 		}
-		if !reflect.DeepEqual(bitsOf(sim.ExportState()), bitsOf(good)) {
+		if !reflect.DeepEqual(bitsOf(sim.ExportStateInto(nil)), bitsOf(good)) {
 			t.Fatalf("refused %s changed the running sim", what)
 		}
 	}
@@ -157,5 +157,39 @@ func TestTransientImportValidation(t *testing.T) {
 	}
 	if resumed.Time() != good.TimeS {
 		t.Fatalf("resumed at %v s, want %v s", resumed.Time(), good.TimeS)
+	}
+}
+
+// TestExportStateIntoRecycles: exporting into a state that holds another
+// sim's state of the same system overwrites every field in place, with
+// no allocation, and gives bit for bit what a fresh ExportStateInto(nil)
+// gives.
+func TestExportStateIntoRecycles(t *testing.T) {
+	sys, err := NewSystem(coarseConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := thermosyphon.DefaultOperating()
+	hot, err := sys.NewSession().Transient(op, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := sys.NewSession().Transient(op, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Step(0.25, sys.Power.BlockPowers(fullLoadState(2.2))); err != nil {
+		t.Fatal(err)
+	}
+	dst := hot.ExportStateInto(nil)
+	field := &dst.FieldT[0]
+	if got := sim.ExportStateInto(dst); got != dst || &got.FieldT[0] != field {
+		t.Fatal("ExportStateInto did not reuse its destination")
+	}
+	if !reflect.DeepEqual(bitsOf(dst), bitsOf(sim.ExportStateInto(nil))) {
+		t.Fatal("recycled state differs from a fresh export")
+	}
+	if n := testing.AllocsPerRun(10, func() { sim.ExportStateInto(dst) }); n != 0 {
+		t.Fatalf("ExportStateInto into a sized state allocated %v times", n)
 	}
 }

@@ -36,7 +36,7 @@ import (
 // Syphon, BC): they are valid until the next solve or Transient call on
 // the same session, and so is a TransientSim. A caller that keeps results
 // across solves uses a session per kept result, or copies what it needs
-// (a TransientSim's ExportState, a Carry). A session is NOT safe for concurrent
+// (a TransientSim's ExportStateInto, a Carry). A session is NOT safe for concurrent
 // use; give each goroutine its own.
 type Session struct {
 	sys   *System

@@ -238,7 +238,7 @@ func TestSessionTransientStepAllocs(t *testing.T) {
 }
 
 // TestTransientChunksShareSession: two blades whose states alternate
-// chunk by chunk on one session (Resume, three steps, ExportState), with a steady solve between chunks, step bit-identically
+// chunk by chunk on one session (Resume, three steps, ExportStateInto), with a steady solve between chunks, step bit-identically
 // to each blade on a session of its own, under both solvers and at one
 // and two threads. Opening a sim drops the warm carry, so each steady
 // solve in between is bit-identical to a cold solve on a fresh session.
@@ -283,7 +283,7 @@ func TestTransientChunksShareSession(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					want[b] = append(want[b], sim.ExportState())
+					want[b] = append(want[b], sim.ExportStateInto(nil))
 				}
 			}
 
@@ -294,7 +294,7 @@ func TestTransientChunksShareSession(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				states[b] = sim.ExportState()
+				states[b] = sim.ExportStateInto(nil)
 			}
 			for c := 0; c < chunks; c++ {
 				for b, bl := range blades {
@@ -307,7 +307,7 @@ func TestTransientChunksShareSession(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					states[b] = sim.ExportState()
+					states[b] = sim.ExportStateInto(states[b])
 					if !reflect.DeepEqual(bitsOf(states[b]), bitsOf(want[b][c])) {
 						t.Fatalf("%s/t%d blade %d chunk %d: shared-session state differs from its own session's", solver, threads, b, c)
 					}

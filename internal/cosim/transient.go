@@ -19,7 +19,7 @@ import (
 // own buffers, so a step performs no heap allocations after the first.
 // Like every session Result, a sim is valid until its session's next
 // solve or next Transient call. A caller that interleaves other work on
-// the session exports the sim's state (ExportState) and later resumes it
+// the session exports the sim's state (ExportStateInto) and later resumes it
 // on any session of an equivalent system (Resume); the resumed sim steps
 // bit-identically to one that never stopped. Field() and Syphon() alias
 // the session's buffers and are overwritten by the next Step.
@@ -171,6 +171,8 @@ func (ts *TransientSim) Step(dt float64, blockPower map[string]float64) error {
 // All fields are exported and JSON-tagged so the state serializes with
 // encoding/json; float64 values round-trip exactly (Go marshals the
 // shortest representation that parses back to the same bits).
+// thermservd's checkpoint writer streams these fields itself under the
+// same keys and in the same order, so a change here changes it too.
 type TransientState struct {
 	// TimeS is the elapsed simulated time (s).
 	TimeS float64 `json:"time_s"`
@@ -182,17 +184,26 @@ type TransientState struct {
 	BCTFluid []float64 `json:"bc_t_fluid"`
 }
 
-// ExportState deep-copies the sim's dynamic state for serialization. The
-// sim remains usable; the returned state does not alias its buffers.
-func (ts *TransientSim) ExportState() *TransientState {
-	bc := ts.ses.ws.Boundary()
-	return &TransientState{
-		TimeS:    ts.time,
-		FieldT:   append([]float64(nil), ts.Field().T...),
-		BCH:      append([]float64(nil), bc.H...),
-		BCTFluid: append([]float64(nil), bc.TFluid...),
+// ExportStateInto copies the sim's dynamic state into dst for
+// serialization, reusing dst's slices (grown as needed; nil allocates),
+// and returns it. The sim remains usable, and the state does not alias
+// its buffers, so a caller that keeps one state per sim exports every
+// chunk into it without allocating.
+func (ts *TransientSim) ExportStateInto(dst *TransientState) *TransientState {
+	if dst == nil {
+		dst = new(TransientState)
 	}
+	bc := ts.ses.ws.Boundary()
+	dst.TimeS = ts.time
+	dst.FieldT = append(dst.FieldT[:0], ts.Field().T...)
+	dst.BCH = append(dst.BCH[:0], bc.H...)
+	dst.BCTFluid = append(dst.BCTFluid[:0], bc.TFluid...)
+	return dst
 }
+
+// ExportState is ExportStateInto(nil). Only the benchmark module
+// (bench/) still calls it.
+func (ts *TransientSim) ExportState() *TransientState { return ts.ExportStateInto(nil) }
 
 // DieMax returns the current die hot-spot temperature.
 func (ts *TransientSim) DieMax() (float64, error) {

@@ -8,9 +8,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"time"
 
 	"repro/internal/cosim"
@@ -33,12 +35,18 @@ var errCheckpointDisabled = fmt.Errorf("serve: checkpointing disabled (no checkp
 // sim's exact dynamic state. Decoding ignores the "base_power_w" field of
 // older files: restore derives the base power map from the proposal.
 type checkpointBlade struct {
-	Blade    string               `json:"blade"`
-	InitialC float64              `json:"initial_c"`
-	Proposal SteadyRequest        `json:"proposal"`
-	LastSeq  int64                `json:"last_seq,omitempty"`
-	LastBody []byte               `json:"last_body,omitempty"`
-	State    cosim.TransientState `json:"state"`
+	bladeHead
+	State cosim.TransientState `json:"state"`
+}
+
+// bladeHead is a checkpointBlade without its state: the part a save
+// encodes with encoding/json before it streams the state's floats.
+type bladeHead struct {
+	Blade    string        `json:"blade"`
+	InitialC float64       `json:"initial_c"`
+	Proposal SteadyRequest `json:"proposal"`
+	LastSeq  int64         `json:"last_seq,omitempty"`
+	LastBody []byte        `json:"last_body,omitempty"`
 }
 
 // checkpointPayload is the checksummed part of a checkpoint file.
@@ -69,6 +77,20 @@ func (s *Server) SaveCheckpoint() (int, error) {
 	if s.cfg.CheckpointPath == "" {
 		return 0, errCheckpointDisabled
 	}
+	payload := s.snapshot()
+	if err := atomicWrite(s.cfg.CheckpointPath, payload.writeFile); err != nil {
+		return 0, err
+	}
+	s.stats.checkpointSaves.Add(1)
+	return len(payload.Blades), nil
+}
+
+// snapshot takes every live blade's checkpoint entry, each under the
+// blade's step lock. The entries are shallow copies: a committed chunk
+// builds a fresh body and never mutates an old one, and it exports into a
+// fresh state once its blade's state is marked shared here, so chunks
+// stepped while the snapshot is encoded never touch what it reads.
+func (s *Server) snapshot() checkpointPayload {
 	payload := checkpointPayload{SavedUnix: time.Now().Unix()}
 	for _, name := range s.trans.names() {
 		b, ok := s.trans.get(name)
@@ -80,52 +102,125 @@ func (s *Server) SaveCheckpoint() (int, error) {
 			b.mu.Unlock()
 			continue
 		}
-		// Shallow copies of the state and the last body are enough: every
-		// committed chunk installs a freshly exported state and a fresh
-		// body, and never mutates the old ones.
+		b.stateShared = true
 		cb := checkpointBlade{
-			Blade:    b.name,
-			InitialC: b.initialC,
-			Proposal: b.req,
-			LastSeq:  b.lastSeq,
-			LastBody: b.lastBody,
-			State:    *b.state,
+			bladeHead: bladeHead{
+				Blade:    b.name,
+				InitialC: b.initialC,
+				Proposal: b.req,
+				LastSeq:  b.lastSeq,
+				LastBody: b.lastBody,
+			},
+			State: *b.state,
 		}
 		b.mu.Unlock()
 		payload.Blades = append(payload.Blades, cb)
 	}
-	if err := atomicWrite(s.cfg.CheckpointPath, payload.writeFile); err != nil {
-		return 0, err
-	}
-	s.stats.checkpointSaves.Add(1)
-	return len(payload.Blades), nil
+	return payload
 }
 
-// writeFile streams p as a checkpoint envelope to w. Blades are encoded
+// writeFile streams p as a checkpoint envelope to w. Blades are written
 // one at a time through one buffered writer, and only the payload bytes
 // also pass through the hasher, so neither the payload nor the envelope
 // is ever held in memory whole. The payload's keys are those of
-// checkpointPayload's tags; each encoded blade ends in the newline the
-// encoder appends, which the checksum covers like any other payload byte.
-// A write error sticks in the buffered writer and surfaces at Flush.
+// checkpointPayload's tags, and each blade is the bytes encoding/json's
+// Encoder writes for it, its closing newline included, which the
+// checksum covers like any other payload byte. A write error sticks in
+// the buffered writer and surfaces at Flush.
 func (p *checkpointPayload) writeFile(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	sum := sha256.New()
 	pw := io.MultiWriter(bw, sum)
 	fmt.Fprintf(bw, `{"version":%d,"payload":`, checkpointVersion)
 	fmt.Fprintf(pw, `{"saved_unix":%d,"blades":[`, p.SavedUnix)
-	enc := json.NewEncoder(pw)
+	bl := bladeWriter{w: pw, buf: make([]byte, 0, 512)}
 	for i := range p.Blades {
 		if i > 0 {
 			io.WriteString(pw, ",")
 		}
-		if err := enc.Encode(&p.Blades[i]); err != nil {
+		if err := bl.write(&p.Blades[i]); err != nil {
 			return err
 		}
 	}
 	io.WriteString(pw, "]}")
 	fmt.Fprintf(bw, `,"checksum_sha256":"%x"}`, sum.Sum(nil))
 	return bw.Flush()
+}
+
+// bladeWriter writes checkpoint blades to w. The head goes through
+// encoding/json; the state's floats go through buf, a small reused
+// buffer, so no blade is ever encoded in memory whole. The first
+// unencodable float sticks in err.
+type bladeWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+// write writes cb followed by a newline, byte for byte as a json.Encoder
+// would. The state's keys are spelled here in cosim.TransientState's
+// field order and tags.
+func (bl *bladeWriter) write(cb *checkpointBlade) error {
+	head, err := json.Marshal(&cb.bladeHead)
+	if err != nil {
+		return err
+	}
+	bl.w.Write(head[:len(head)-1]) // the head without its closing brace
+	st := &cb.State
+	bl.buf = append(bl.buf[:0], `,"state":{"time_s":`...)
+	bl.float(st.TimeS)
+	bl.floats(`,"field_t":`, st.FieldT)
+	bl.floats(`,"bc_h":`, st.BCH)
+	bl.floats(`,"bc_t_fluid":`, st.BCTFluid)
+	bl.buf = append(bl.buf, "}}\n"...)
+	bl.w.Write(bl.buf)
+	return bl.err
+}
+
+// floats appends key and vs as a JSON array, null when nil, writing buf
+// out whenever it nears its capacity.
+func (bl *bladeWriter) floats(key string, vs []float64) {
+	bl.buf = append(bl.buf, key...)
+	if vs == nil {
+		bl.buf = append(bl.buf, "null"...)
+		return
+	}
+	bl.buf = append(bl.buf, '[')
+	for i, v := range vs {
+		if i > 0 {
+			bl.buf = append(bl.buf, ',')
+		}
+		bl.float(v)
+		if len(bl.buf) > cap(bl.buf)-32 {
+			bl.w.Write(bl.buf)
+			bl.buf = bl.buf[:0]
+		}
+	}
+	bl.buf = append(bl.buf, ']')
+}
+
+// float appends v in encoding/json's float64 format: the shortest
+// decimal that parses back to v's bits, in exponent form below 1e-6 and
+// from 1e21 up, with a one-digit negative exponent unpadded (1e-7, not
+// 1e-07). JSON has no NaN or infinity, so those fail, as they fail
+// json.Marshal.
+func (bl *bladeWriter) float(v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		if bl.err == nil {
+			bl.err = fmt.Errorf("serve: checkpoint: unsupported value %v", v)
+		}
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b := strconv.AppendFloat(bl.buf, v, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	bl.buf = b
 }
 
 // atomicWrite streams a file to path through write, into a temp file in
@@ -185,21 +280,9 @@ func (s *Server) RestoreCheckpoint() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var env checkpointFile
-	if err := json.Unmarshal(raw, &env); err != nil {
+	payload, err := readCheckpoint(raw)
+	if err != nil {
 		return 0, fmt.Errorf("serve: checkpoint %s: %w", s.cfg.CheckpointPath, err)
-	}
-	if env.Version != checkpointVersion {
-		return 0, fmt.Errorf("serve: checkpoint %s: version %d, want %d",
-			s.cfg.CheckpointPath, env.Version, checkpointVersion)
-	}
-	sum := sha256.Sum256(env.Payload)
-	if got := hex.EncodeToString(sum[:]); got != env.Checksum {
-		return 0, fmt.Errorf("serve: checkpoint %s: checksum mismatch (file corrupt?)", s.cfg.CheckpointPath)
-	}
-	var payload checkpointPayload
-	if err := json.Unmarshal(env.Payload, &payload); err != nil {
-		return 0, fmt.Errorf("serve: checkpoint %s: payload: %w", s.cfg.CheckpointPath, err)
 	}
 	restored := 0
 	for i := range payload.Blades {
@@ -210,6 +293,28 @@ func (s *Server) RestoreCheckpoint() (int, error) {
 	}
 	s.stats.checkpointRestored.Add(int64(restored))
 	return restored, nil
+}
+
+// readCheckpoint decodes a checkpoint file: the envelope, its version
+// gate, the checksum over the payload bytes as the file holds them, and
+// then the payload.
+func readCheckpoint(raw []byte) (checkpointPayload, error) {
+	var env checkpointFile
+	if err := json.Unmarshal(raw, &env); err != nil {
+		return checkpointPayload{}, err
+	}
+	if env.Version != checkpointVersion {
+		return checkpointPayload{}, fmt.Errorf("version %d, want %d", env.Version, checkpointVersion)
+	}
+	sum := sha256.Sum256(env.Payload)
+	if got := hex.EncodeToString(sum[:]); got != env.Checksum {
+		return checkpointPayload{}, errors.New("checksum mismatch (file corrupt?)")
+	}
+	var payload checkpointPayload
+	if err := json.Unmarshal(env.Payload, &payload); err != nil {
+		return checkpointPayload{}, fmt.Errorf("payload: %w", err)
+	}
+	return payload, nil
 }
 
 // restoreBlade rebuilds one blade from its checkpoint entry.

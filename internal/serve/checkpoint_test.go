@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -536,16 +537,13 @@ func TestCheckpointFailedSaveKeepsPrevious(t *testing.T) {
 
 // TestCheckpointSaveAllocs bounds what one save allocates with four
 // medium mgpcg blades registered and stepped one chunk each, as the
-// transient-stream benchmark runs them. The save streams the file, so it
-// allocates about one blade's encoding buffer (the file is about 590 KB);
-// encoding the payload and then an envelope around it in memory
-// allocated about three times this bound.
+// transient-stream benchmark runs them. The save streams every float
+// through a small buffer, so it allocates a few blade heads and the
+// buffered writer, about 14 KB, against a file of about 590 KB; encoding
+// each blade whole with encoding/json allocated about 0.54 MB.
 func TestCheckpointSaveAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("registers four medium-resolution blades")
-	}
-	if raceEnabled {
-		t.Skip("the race detector's sync.Pool drops the encoder's buffers")
 	}
 	s := newTestServer(t, Config{CheckpointPath: filepath.Join(t.TempDir(), "ckpt.json")})
 	h := s.Handler()
@@ -558,7 +556,7 @@ func TestCheckpointSaveAllocs(t *testing.T) {
 		}
 		stepChunk(t, h, b, 1, chunk)
 	}
-	const bound = 1 << 20
+	const bound = 64 << 10
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	n, err := s.SaveCheckpoint()
@@ -570,6 +568,128 @@ func TestCheckpointSaveAllocs(t *testing.T) {
 		t.Fatalf("one save allocated %d bytes, bound %d", got, bound)
 	} else {
 		t.Logf("one save allocated %d bytes", got)
+	}
+}
+
+// TestCheckpointSnapshotNotAliased: chunks that commit while a checkpoint
+// is being written never change what it writes, although a blade
+// exports each chunk into its own state in place. A save snapshots blade
+// b0 after chunk 2, and its first write to the file blocks until three
+// more chunks have committed. The file then restores a blade whose chunks
+// 3 to 5 are byte-identical to those the live blade stepped from the
+// snapshot.
+func TestCheckpointSnapshotNotAliased(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "ckpt.json")
+	s := newTestServer(t, Config{CheckpointPath: ckpt})
+	h := s.Handler()
+	if w := post(t, h, "/v1/transient", `{"blade":"b0","benchmark":"x264"}`); w.Code != http.StatusCreated {
+		t.Fatalf("register: %d %s", w.Code, w.Body)
+	}
+	chunk := func(seq int) string {
+		return fmt.Sprintf(`{"seq":%d,"dt_s":0.25,"steps":[{"load":%g},{}]}`, seq, 0.4+0.2*float64(seq))
+	}
+	for seq := 1; seq <= 2; seq++ {
+		stepChunk(t, h, "b0", seq, chunk(seq))
+	}
+
+	payload := s.snapshot()
+	f, err := os.Create(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &gatedWriter{w: f, started: make(chan struct{}), resume: make(chan struct{})}
+	saved := make(chan error, 1)
+	go func() { saved <- payload.writeFile(gate) }()
+	<-gate.started
+	var live []string
+	for seq := 3; seq <= 5; seq++ {
+		live = append(live, stepChunk(t, h, "b0", seq, chunk(seq)).String())
+	}
+	close(gate.resume)
+	if err := <-saved; err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := newTestServer(t, Config{CheckpointPath: ckpt, RestoreOnStart: true})
+	for i, seq := 0, 3; seq <= 5; i, seq = i+1, seq+1 {
+		if got := stepChunk(t, r.Handler(), "b0", seq, chunk(seq)).String(); got != live[i] {
+			t.Fatalf("chunk %d after restore diverged from the live blade:\nlive %s\ngot  %s", seq, live[i], got)
+		}
+	}
+}
+
+// gatedWriter passes writes through to w, but its first write closes
+// started and then waits for resume to be closed.
+type gatedWriter struct {
+	w       io.Writer
+	started chan struct{}
+	resume  chan struct{}
+	once    sync.Once
+}
+
+func (g *gatedWriter) Write(p []byte) (int, error) {
+	g.once.Do(func() {
+		close(g.started)
+		<-g.resume
+	})
+	return g.w.Write(p)
+}
+
+// TestTransientChunkAllocs bounds what one committed 10-step chunk
+// allocates once a blade is warm, request and recorder included: the
+// blade exports each chunk into its own state and reuses its load-scaled
+// power map, so nothing a chunk allocates grows with the grid. A coarse
+// and a medium blade allocate the same within a few KB. Exporting a
+// fresh state per chunk and building a scaled map per chunk had cost a
+// coarse chunk about 28 KB and a medium one about 80 KB.
+func TestTransientChunkAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("steps a medium-resolution blade")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops encoding/json's and net/http's buffers")
+	}
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	chunk := func(seq int) string {
+		return fmt.Sprintf(`{"seq":%d,"dt_s":0.1,"steps":[{},{"load":0.5},{},{"load":1.1},{},{},{"load":0.8},{},{},{"load":1.2}]}`, seq)
+	}
+	const (
+		bound = 32 << 10
+		slack = 4 << 10
+	)
+	allocs := map[string]uint64{}
+	for _, res := range []string{"coarse", "medium"} {
+		reg := `{"blade":"` + res + `","benchmark":"x264","resolution":"` + res + `"}`
+		if w := post(t, h, "/v1/transient", reg); w.Code != http.StatusCreated {
+			t.Fatalf("register %s: %d %s", res, w.Code, w.Body)
+		}
+		for seq := 1; seq <= 2; seq++ {
+			stepChunk(t, h, res, seq, chunk(seq))
+		}
+		// The fewest bytes of three chunks: anything else the process
+		// allocates meanwhile only adds.
+		least := uint64(math.MaxUint64)
+		for seq := 3; seq <= 5; seq++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			stepChunk(t, h, res, seq, chunk(seq))
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		allocs[res] = least
+	}
+	t.Logf("one chunk allocated %d bytes at coarse, %d at medium", allocs["coarse"], allocs["medium"])
+	for res, got := range allocs {
+		if got > bound {
+			t.Errorf("a %s chunk allocated %d bytes, bound %d", res, got, bound)
+		}
+	}
+	if c, m := allocs["coarse"], allocs["medium"]; max(c, m)-min(c, m) > slack {
+		t.Errorf("a chunk allocated %d bytes at coarse and %d at medium; they may differ by %d", c, m, slack)
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -13,6 +14,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/cosim"
 )
 
 // FuzzNormalizeSteady checks steady-proposal canonicalization against
@@ -114,6 +117,106 @@ func FuzzCheckpointPayload(f *testing.F) {
 			t.Fatalf("save → restore moved the blades: %v → %v", got, round)
 		}
 	})
+}
+
+// FuzzCheckpointWriter checks the streamed checkpoint writer against
+// encoding/json: for any blade state, writeFile's bytes equal those of
+// the envelope around blades encoded one at a time by a json.Encoder, and
+// reading the file back gives every float bit for bit, -0 included, with
+// nil and empty slices kept apart. A state holding NaN or an infinity
+// fails both. The floats are read 8 bytes at a time from raw and dealt in
+// turn to field_t, bc_h and bc_t_fluid; bit k of nils makes the k-th of
+// those slices nil instead.
+func FuzzCheckpointWriter(f *testing.F) {
+	f.Add("b0", 0.0, float64Bytes(0, math.Copysign(0, -1), 1e-7, 9.99e-7, 1e21, 5e-324, math.MaxFloat64,
+		-math.MaxFloat64, 1, -2, 42, 1e20, 123456789, 1e-6, -1e-7, 0.1), uint8(0))
+	f.Add("b1", math.Copysign(0, -1), float64Bytes(), uint8(0))
+	f.Add("b2", 1e-7, float64Bytes(), uint8(7))
+	f.Add("<&>", 1e21, float64Bytes(1, 2, 3, 4), uint8(2))
+	f.Add("nan", 0.5, float64Bytes(math.NaN()), uint8(0))
+	f.Add("inf", math.Inf(1), float64Bytes(1), uint8(0))
+	f.Fuzz(func(t *testing.T, blade string, timeS float64, raw []byte, nils uint8) {
+		var vs [3][]float64
+		for k := range vs {
+			if nils&(1<<k) == 0 {
+				vs[k] = []float64{}
+			}
+		}
+		for i := 0; 8*i+8 <= len(raw); i++ {
+			if k := i % 3; vs[k] != nil {
+				vs[k] = append(vs[k], math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:])))
+			}
+		}
+		st := cosim.TransientState{TimeS: timeS, FieldT: vs[0], BCH: vs[1], BCTFluid: vs[2]}
+		p := checkpointPayload{SavedUnix: 1700000000, Blades: []checkpointBlade{
+			{bladeHead: bladeHead{Blade: blade, InitialC: 25, LastSeq: 7, LastBody: raw}, State: st},
+			{bladeHead: bladeHead{Blade: "tail", InitialC: 30}, State: cosim.TransientState{TimeS: 1, FieldT: []float64{20.5}}},
+		}}
+		want, wantErr := encodeCheckpoint(&p)
+		var got bytes.Buffer
+		gotErr := p.writeFile(&got)
+		if (gotErr != nil) != (wantErr != nil) {
+			t.Fatalf("writeFile error %v, encoding/json error %v", gotErr, wantErr)
+		}
+		if wantErr != nil {
+			return
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			i := 0
+			for i < min(got.Len(), len(want)) && got.Bytes()[i] == want[i] {
+				i++
+			}
+			t.Fatalf("streamed file differs from encoding/json's at byte %d:\n got %.80q\nwant %.80q",
+				i, got.Bytes()[i:], want[i:])
+		}
+		back, err := readCheckpoint(got.Bytes())
+		if err != nil {
+			t.Fatalf("streamed file does not read back: %v", err)
+		}
+		rs := back.Blades[0].State
+		if math.Float64bits(rs.TimeS) != math.Float64bits(timeS) {
+			t.Fatalf("time_s %v read back as %v", timeS, rs.TimeS)
+		}
+		for k, r := range [][]float64{rs.FieldT, rs.BCH, rs.BCTFluid} {
+			if (r == nil) != (vs[k] == nil) || len(r) != len(vs[k]) {
+				t.Fatalf("slice %d: wrote %d floats (nil %t), read %d (nil %t)", k, len(vs[k]), vs[k] == nil, len(r), r == nil)
+			}
+			for i := range r {
+				if math.Float64bits(r[i]) != math.Float64bits(vs[k][i]) {
+					t.Fatalf("slice %d float %d: wrote %v, read %v", k, i, vs[k][i], r[i])
+				}
+			}
+		}
+	})
+}
+
+// encodeCheckpoint is the checkpoint file writeFile must write for p: an
+// envelope around a payload whose blades a json.Encoder encodes one at
+// a time.
+func encodeCheckpoint(p *checkpointPayload) ([]byte, error) {
+	var payload bytes.Buffer
+	fmt.Fprintf(&payload, `{"saved_unix":%d,"blades":[`, p.SavedUnix)
+	enc := json.NewEncoder(&payload)
+	for i := range p.Blades {
+		if i > 0 {
+			payload.WriteByte(',')
+		}
+		if err := enc.Encode(&p.Blades[i]); err != nil {
+			return nil, err
+		}
+	}
+	payload.WriteString("]}")
+	return fmt.Appendf(nil, `{"version":%d,"payload":%s,"checksum_sha256":"%x"}`,
+		checkpointVersion, payload.Bytes(), sha256.Sum256(payload.Bytes())), nil
+}
+
+// float64Bytes packs vs as little-endian float64 bits.
+func float64Bytes(vs ...float64) []byte {
+	out := make([]byte, 0, 8*len(vs))
+	for _, v := range vs {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+	}
+	return out
 }
 
 // FuzzTransientStep checks step-chunk handling against arbitrary request

@@ -31,12 +31,19 @@ type transientBlade struct {
 	design thermosyphon.Design
 	op     thermosyphon.Operating
 	// state is the sim's state after the last committed chunk, and last
-	// is the sample taken at it, which answers status requests.
-	state *cosim.TransientState
-	last  TransientSample
+	// is the sample taken at it, which answers status requests. The blade
+	// owns state's slices: a committed chunk exports into them in place.
+	// stateShared marks a state a checkpoint snapshot still reads; the
+	// next commit then exports into a fresh state and leaves that one to
+	// the snapshot.
+	state       *cosim.TransientState
+	stateShared bool
+	last        TransientSample
 	// base is the registered per-block power map (W); step entries may
 	// scale it with a load factor instead of respelling the full map.
-	base map[string]float64
+	// scaled holds a load step's scaled copy of it, rewritten per step.
+	base   map[string]float64
+	scaled map[string]float64
 	// req/initialC reproduce the registration for checkpointing: a
 	// restore replays exactly the normalized proposal this blade was
 	// built from.
@@ -169,6 +176,13 @@ type TransientSample struct {
 	TimeS   float64 `json:"time_s"`
 	DieMaxC float64 `json:"die_max_c"`
 	TCaseC  float64 `json:"tcase_c"`
+}
+
+// transientChunk is the response to an applied step chunk: one sample
+// per step.
+type transientChunk struct {
+	Blade   string            `json:"blade"`
+	Samples []TransientSample `json:"samples"`
 }
 
 // TransientStatus describes a registered blade.
@@ -310,8 +324,9 @@ func (s *Server) addBlade(b *transientBlade, p *steadyProposal, state *cosim.Tra
 		b.last, err = sampleOf(sim)
 	}
 	if err == nil {
-		b.key, b.design, b.op, b.state = p.class.systemKey, p.design, p.op, sim.ExportState()
+		b.key, b.design, b.op, b.state = p.class.systemKey, p.design, p.op, sim.ExportStateInto(nil)
 		b.base = basePower(ses.System(), p)
+		b.scaled = make(map[string]float64, len(b.base))
 	}
 	giveBack(pool, ses, err != nil)
 	if err != nil {
@@ -479,7 +494,6 @@ func (s *Server) handleTransientStep(w http.ResponseWriter, r *http.Request, nam
 		return
 	}
 	samples := make([]TransientSample, 0, len(req.Steps))
-	scaled := make(map[string]float64, len(b.base))
 	ctx := r.Context()
 	for i, st := range req.Steps {
 		if err := ctx.Err(); err != nil {
@@ -491,9 +505,9 @@ func (s *Server) handleTransientStep(w http.ResponseWriter, r *http.Request, nam
 			pw = st.BlockPowerW
 		} else if st.Load != nil {
 			for k, v := range b.base {
-				scaled[k] = v * *st.Load
+				b.scaled[k] = v * *st.Load
 			}
-			pw = scaled
+			pw = b.scaled
 		}
 		if err := sim.Step(req.DtS, pw); err != nil {
 			writeError(w, http.StatusInternalServerError, fmt.Sprintf("step %d: %v", i, err))
@@ -506,14 +520,19 @@ func (s *Server) handleTransientStep(w http.ResponseWriter, r *http.Request, nam
 		}
 		samples = append(samples, sample)
 	}
-	body, err := json.Marshal(map[string]any{"blade": name, "samples": samples})
+	body, err := json.Marshal(transientChunk{Blade: name, Samples: samples})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	// The chunk is committed only now: the state, the step count and the
-	// dedup cursor advance together, after every step succeeded.
-	b.state, b.last = sim.ExportState(), samples[len(samples)-1]
+	// dedup cursor advance together, after every step succeeded. The
+	// state is exported into the blade's own buffers unless a checkpoint
+	// snapshot still holds them.
+	if b.stateShared {
+		b.state, b.stateShared = nil, false
+	}
+	b.state, b.last = sim.ExportStateInto(b.state), samples[len(samples)-1]
 	poisoned = false
 	s.stats.transientSteps.Add(int64(len(req.Steps)))
 	body = append(body, '\n')
