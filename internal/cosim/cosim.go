@@ -9,6 +9,7 @@ package cosim
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/floorplan"
 	"repro/internal/metrics"
@@ -27,6 +28,11 @@ type System struct {
 	coverage *floorplan.CoverageMap
 	dieRect  floorplan.Rect
 	dieMask  []bool
+
+	// refMu guards refFlux, the per-watt top flux that seeds every cold
+	// solve (see referenceFlux); nil until the first one runs.
+	refMu   sync.Mutex
+	refFlux []float64
 }
 
 // Config parameterizes system construction.

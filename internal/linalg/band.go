@@ -32,14 +32,21 @@ func newBandCholesky(a Banded) *bandCholesky {
 	return &bandCholesky{a: a, n: n, w: w, l: make(Vector, n*(w+1))}
 }
 
-// factor recomputes L from the operator's current band. A non-positive
-// or NaN pivot means the matrix is not SPD: the factor is marked bad and
-// every later solve returns NaN, which an enclosing CG reports as a
-// CauseNaN *SolveError instead of iterating on garbage.
-func (f *bandCholesky) factor() {
+// factor recomputes rows from..n−1 of L from the operator's current
+// band. Row i of L depends only on rows ≤ i of the operator, so when
+// rows before from are unchanged since the last complete factorization
+// the result is bit-identical to refactoring every row; after a failed
+// one every row is refactored. A non-positive or NaN pivot means the
+// matrix is not SPD: the factor is marked bad and every later solve
+// returns NaN, which an enclosing CG reports as a CauseNaN *SolveError
+// instead of iterating on garbage.
+func (f *bandCholesky) factor(from int) {
 	n, w, w1 := f.n, f.w, f.w+1
+	if f.bad {
+		from = 0
+	}
 	f.bad = false
-	for i := 0; i < n; i++ {
+	for i := max(from, 0); i < n; i++ {
 		ri := f.l[i*w1 : (i+1)*w1]
 		f.a.LowerBand(i, ri)
 		j0 := max(0, i-w)

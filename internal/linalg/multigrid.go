@@ -114,7 +114,15 @@ func (mg *Multigrid) Levels() int { return len(mg.levels) }
 // NaN pivot) leaves the factor poisoned: cycles then return NaN, which
 // CG reports as a CauseNaN *SolveError.
 func (mg *Multigrid) Factor() {
-	mg.coarse.factor()
+	mg.coarse.factor(0)
+}
+
+// FactorFrom is Factor for a coarsest operator whose rows before row are
+// unchanged since the last factorization: it refactors only rows
+// row..n−1, bit-identically to a full Factor. After a factorization that
+// met a bad pivot it refactors every row.
+func (mg *Multigrid) FactorFrom(row int) {
+	mg.coarse.factor(row)
 }
 
 // Cycle performs one V-cycle improving x toward A·x = b on the finest

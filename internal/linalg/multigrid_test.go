@@ -284,7 +284,7 @@ func TestBandCholeskyMatchesDense(t *testing.T) {
 	for _, c := range []struct{ n, w int }{{1, 0}, {9, 1}, {40, 6}, {12, 20}} {
 		a := randomBandSPD(rng, c.n, c.w)
 		f := newBandCholesky(a)
-		f.factor()
+		f.factor(0)
 		b := make(Vector, c.n)
 		for i := range b {
 			b[i] = rng.NormFloat64()

@@ -483,6 +483,37 @@ func TestFaultsShareOneSystem(t *testing.T) {
 	}
 }
 
+// TestAnswersIndependentOfOrder: a cold solve starts from its System's
+// reference flux, which the first cold solve computes. Two servers, one
+// answering A, B and a faulted C, the other C first (so a session with a
+// derated design computes the reference), then B and A, give
+// byte-identical bodies.
+func TestAnswersIndependentOfOrder(t *testing.T) {
+	bodies := []string{
+		`{"benchmark":"x264"}`,
+		`{"benchmark":"canneal","cores":4,"threads":8,"idle":"C6","water_c":25,"water_flow_kgh":9}`,
+		`{"benchmark":"ferret","fault":"fouling:0.5,dryout:0.3"}`,
+	}
+	answer := func(order []int) [][]byte {
+		h := newTestServer(t, Config{Workers: 1, Threads: 1}).Handler()
+		out := make([][]byte, len(bodies))
+		for _, i := range order {
+			w := post(t, h, "/v1/steady", bodies[i])
+			if w.Code != http.StatusOK {
+				t.Fatalf("%s: %d %s", bodies[i], w.Code, w.Body)
+			}
+			out[i] = w.Body.Bytes()
+		}
+		return out
+	}
+	fwd, rev := answer([]int{0, 1, 2}), answer([]int{2, 1, 0})
+	for i, body := range bodies {
+		if !bytes.Equal(fwd[i], rev[i]) {
+			t.Fatalf("%s: answered first-to-last and last-to-first, the bodies differ:\n%s\n%s", body, fwd[i], rev[i])
+		}
+	}
+}
+
 // TestPooledSessionsMatchFreshServers: distinct proposals solved
 // concurrently on the pooled sessions of one shared System answer
 // byte-identically to one request per fresh Server. Run it under -race:

@@ -27,12 +27,12 @@ func TestCoarsestBandSolveMatchesDense(t *testing.T) {
 			t.Run(fmt.Sprintf("%dx%d/capOverDt=%g", g.nx, g.ny, capOverDt), func(t *testing.T) {
 				m, _, bc := xvalModel(t, floorplan.XeonE5Package(), g.nx, g.ny)
 				w := m.NewWorkspace()
-				m.fillOperator(&w.op, bc, capOverDt)
+				m.fillOperator(&w.op, bc, capOverDt, 0)
 				h, err := newHierarchy(m, &w.op)
 				if err != nil {
 					t.Fatal(err)
 				}
-				h.refresh()
+				h.refresh(0)
 				cs := h.levels[len(h.levels)-1].st
 				if cs.cells > coarsestCells {
 					t.Fatalf("coarsest level has %d cells per layer, want ≤ %d", cs.cells, coarsestCells)
@@ -210,5 +210,72 @@ func TestHierarchyFootprint(t *testing.T) {
 	t.Logf("second medium workspace hierarchy: %d float64s", got)
 	if got > maxFloats {
 		t.Fatalf("a second medium workspace allocates %d float64s for its hierarchy, want ≤ %d", got, maxFloats)
+	}
+}
+
+// TestPartialRefreshMatchesFull: a workspace refills and refreshes only
+// from the first layer whose diagonal changed since the last solve (the
+// top layer, when only the boundary moved). Through steady → transient
+// (dt₁) → steady → steady → transient (dt₂) → transient (dt₂), each with
+// a new boundary, its fine and coarse diagonals and the V-cycle (which
+// ends on the coarsest factor) must equal a full fill and refresh on a
+// fresh workspace bit for bit, serially and on two threads. A dt₂ step
+// refused after its fill (a malformed power table) precedes the first
+// dt₂ step, so that step's fill finds C/dt unchanged while the hierarchy
+// still holds the steady diagonals.
+func TestPartialRefreshMatchesFull(t *testing.T) {
+	m, power, _ := xvalModel(t, floorplan.XeonE5Package(), 38, 30)
+	steps := []struct{ dt, h float64 }{{0, 6000}, {0.25, 5000}, {0, 7000}, {0, 6500}, {0.1, 5500}, {0.1, 8000}}
+	b := make(linalg.Vector, m.n)
+	for i := range b {
+		b[i] = math.Sin(0.37*float64(i)) + 0.2
+	}
+	for _, threads := range []int{1, 2} {
+		w := m.NewWorkspace()
+		w.SetSolver(SolverMGPCG)
+		w.SetThreads(threads)
+		f := w.FieldA()
+		f.T.Fill(40)
+		for i, s := range steps {
+			bc := UniformTop(m.Cells(), s.h, 32)
+			for c := range bc.H {
+				bc.H[c] *= 1 + 0.2*math.Sin(float64(c+i))
+			}
+			var capOverDt float64
+			if s.dt == 0 {
+				if err := w.SteadySolveLayersInto(f, f, power, bc); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				capOverDt = 1 / s.dt
+				if i == 4 {
+					if err := w.StepTransientLayersInto(f, f, s.dt, [][]float64{power[0][1:]}, bc); err == nil {
+						t.Fatal("a step with a short power table was accepted")
+					}
+				}
+				if err := w.StepTransientLayersInto(f, f, s.dt, power, bc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ref := m.NewWorkspace()
+			m.fillOperator(&ref.op, bc, capOverDt, 0)
+			h, err := newHierarchy(m, &ref.op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.refresh(0)
+			name := fmt.Sprintf("threads=%d step %d (dt %g)", threads, i, s.dt)
+			vecsEqual(t, name+" fine diagonal", w.op.diag, ref.op.diag)
+			vecsEqual(t, name+" fine inverse diagonal", w.op.invDiag, ref.op.invDiag)
+			for k := 1; k < len(h.levels); k++ {
+				vecsEqual(t, fmt.Sprintf("%s level %d diagonal", name, k), w.hier.levels[k].st.diag, h.levels[k].st.diag)
+				vecsEqual(t, fmt.Sprintf("%s level %d inverse diagonal", name, k), w.hier.levels[k].st.invDiag, h.levels[k].st.invDiag)
+			}
+			got, want := make(linalg.Vector, m.n), make(linalg.Vector, m.n)
+			w.hier.mg.Cycle(b, got)
+			h.mg.Cycle(b, want)
+			vecsEqual(t, name+" V-cycle", got, want)
+		}
+		w.Close()
 	}
 }

@@ -35,7 +35,7 @@ func benchOperator(b *testing.B, n int) (*Model, *Workspace, linalg.Vector, lina
 	b.Helper()
 	m, power, bc := xvalModel(b, floorplan.XeonE5Package(), n, n)
 	w := m.NewWorkspace()
-	m.fillOperator(&w.op, bc, 0)
+	m.fillOperator(&w.op, bc, 0, 0)
 	rhs := make(linalg.Vector, m.n)
 	if err := m.rhsLayersInto(rhs, power, bc); err != nil {
 		b.Fatal(err)

@@ -207,14 +207,17 @@ func (m *Model) newStencil() stencil {
 	}
 }
 
-// fillOperator (re)assembles the diagonal for the given boundary and
-// optional capacitive term (capOverDt > 0 for transient steps) into a
-// stencil whose vectors are already sized, allocating nothing. Every
-// element is overwritten, so a reused stencil carries no state between
-// solves.
-func (m *Model) fillOperator(op *stencil, bc TopBoundary, capOverDt float64) {
+// fillOperator (re)assembles the diagonal of layers from..nl−1 for the
+// given boundary and optional capacitive term (capOverDt > 0 for
+// transient steps) into a stencil whose vectors are already sized,
+// allocating nothing. Every element of those layers is overwritten; the
+// layers below from are left as they are, which is exact when they were
+// last filled with the same capOverDt, since only the top layer's
+// diagonal depends on the boundary (Workspace.fill tracks this). A from
+// of 0 fills the whole stencil.
+func (m *Model) fillOperator(op *stencil, bc TopBoundary, capOverDt float64, from int) {
 	nx, cells := m.nx, m.cells
-	for l := 0; l < m.nl; l++ {
+	for l := from; l < m.nl; l++ {
 		base := l * cells
 		for c := 0; c < cells; c++ {
 			i := base + c

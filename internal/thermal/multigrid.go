@@ -105,6 +105,7 @@ type transferJob struct {
 	t              *transfer
 	mode           int
 	src, base, dst linalg.Vector
+	from           int // first layer a block sum covers
 }
 
 const (
@@ -123,8 +124,8 @@ func (j *transferJob) Do(worker, workers int) {
 		lo, hi := linalg.Band(j.t.nl*j.t.nyf, worker, workers)
 		j.t.prolongRows(j.src, j.dst, lo, hi)
 	case jobBlockSum:
-		lo, hi := linalg.Band(j.t.nl, worker, workers)
-		j.t.blockSumLayers(j.src, j.base, j.dst, lo, hi)
+		lo, hi := linalg.Band(j.t.nl-j.from, worker, workers)
+		j.t.blockSumLayers(j.src, j.base, j.dst, j.from+lo, j.from+hi)
 	}
 }
 
@@ -273,17 +274,18 @@ func (t *transfer) prolongRows(coarse, fine linalg.Vector, rowLo, rowHi int) {
 }
 
 // blockSum restricts an extensive per-unknown quantity (boundary
-// conductance, heat capacity) by summing each coarse cell's children.
-// With a non-nil base it sums fine − base instead, each difference
+// conductance, heat capacity) of layers from..nl−1 by summing each
+// coarse cell's children; the coarse layers below from are left as they
+// are. With a non-nil base it sums fine − base instead, each difference
 // rounded before it is added, exactly as if fine − base had been stored
 // first.
-func (t *transfer) blockSum(fine, base, coarse linalg.Vector) {
-	if t.parallel() {
-		t.job = transferJob{t: t, mode: jobBlockSum, src: fine, base: base, dst: coarse}
+func (t *transfer) blockSum(fine, base, coarse linalg.Vector, from int) {
+	if t.parallel() && t.nl-from > 1 {
+		t.job = transferJob{t: t, mode: jobBlockSum, src: fine, base: base, dst: coarse, from: from}
 		t.team.Run(&t.job)
 		return
 	}
-	t.blockSumLayers(fine, base, coarse, 0, t.nl)
+	t.blockSumLayers(fine, base, coarse, from, t.nl)
 }
 
 // blockSumLayers block-sums the layer-slab [lLo, lHi); like restriction,
@@ -511,7 +513,7 @@ func (h *hierarchy) setTeam(t *linalg.Team) {
 	}
 }
 
-// refresh rebuilds every coarse level's diagonal from the fine diagonal
+// refresh rebuilds the coarse levels' diagonals from the fine diagonal
 // fillOperator has already assembled for this solve, then refactors the
 // coarsest level. The fine external terms (boundary conductances,
 // capacitive C/dt) are recovered by subtracting the precomputed
@@ -519,21 +521,28 @@ func (h *hierarchy) setTeam(t *linalg.Team) {
 // fillOperator's accumulation order, so the subtraction is exact for
 // interior cells and, crucially, any term a future fillOperator adds
 // flows down the ladder automatically instead of silently
-// desynchronizing the coarse levels. Allocation-free.
-func (h *hierarchy) refresh() {
+// desynchronizing the coarse levels.
+//
+// Only layers from..nl−1 are rebuilt: the caller passes the first fine
+// layer whose diagonal changed since the last refresh. Layers never mix
+// in a block sum, so the coarse diagonals below from are unchanged, and
+// so are the coarsest factor's rows before that layer's first unknown
+// (Cholesky row i depends only on rows ≤ i). A steady pass changes only
+// the top layer. Allocation-free.
+func (h *hierarchy) refresh(from int) {
 	for k := 1; k < len(h.levels); k++ {
 		finer, lv := h.levels[k-1], h.levels[k]
 		if k == 1 {
-			finer.down.blockSum(finer.st.diag, h.geo.levels[0].baseDiag, lv.extDiag)
+			finer.down.blockSum(finer.st.diag, h.geo.levels[0].baseDiag, lv.extDiag, from)
 		} else {
-			finer.down.blockSum(finer.extDiag, nil, lv.extDiag)
+			finer.down.blockSum(finer.extDiag, nil, lv.extDiag, from)
 		}
 		base := h.geo.levels[k].baseDiag
-		for i := range lv.st.diag {
+		for i := from * lv.st.cells; i < len(lv.st.diag); i++ {
 			d := base[i] + lv.extDiag[i]
 			lv.st.diag[i] = d
 			lv.st.invDiag[i] = 1 / d
 		}
 	}
-	h.mg.Factor()
+	h.mg.FactorFrom(from * h.levels[len(h.levels)-1].st.cells)
 }

@@ -43,7 +43,7 @@ func solveWithTol(t testing.TB, m *Model, s Solver, power [][]float64, bc TopBou
 	t.Helper()
 	w := m.NewWorkspace()
 	w.SetSolver(s)
-	m.fillOperator(&w.op, bc, 0)
+	m.fillOperator(&w.op, bc, 0, 0)
 	if err := m.rhsLayersInto(w.rhs, power, bc); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestHierarchyCoarseOperatorConsistency(t *testing.T) {
 	fine := build(32, 32)
 	direct := build(16, 16)
 	op := fine.newStencil()
-	fine.fillOperator(&op, UniformTop(fine.Cells(), 5000, 30), 0)
+	fine.fillOperator(&op, UniformTop(fine.Cells(), 5000, 30), 0, 0)
 	h, err := newHierarchy(fine, &op)
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +231,7 @@ func TestHierarchyCoarseOperatorConsistency(t *testing.T) {
 func TestSmoothRedBlackOrderIndependence(t *testing.T) {
 	m, power, bc := workspaceFixture(t)
 	op := m.newStencil()
-	m.fillOperator(&op, bc, 0)
+	m.fillOperator(&op, bc, 0, 0)
 	b := make(linalg.Vector, m.n)
 	if err := m.rhsLayersInto(b, power, bc); err != nil {
 		t.Fatal(err)

@@ -70,7 +70,7 @@ func TestStencilKernelsByteIdenticalAcrossThreads(t *testing.T) {
 	if err := m.rhsLayersInto(b, power, bc); err != nil {
 		t.Fatal(err)
 	}
-	m.fillOperator(&ref.op, bc, 0)
+	m.fillOperator(&ref.op, bc, 0, 0)
 
 	x := parField(m.n)
 	wantY := make(linalg.Vector, m.n)
@@ -88,7 +88,7 @@ func TestStencilKernelsByteIdenticalAcrossThreads(t *testing.T) {
 	for _, threads := range []int{2, 3, 8} {
 		w := m.NewWorkspace()
 		w.SetThreads(threads)
-		m.fillOperator(&w.op, bc, 0)
+		m.fillOperator(&w.op, bc, 0, 0)
 		y := make(linalg.Vector, m.n)
 		w.op.Apply(x, y)
 		vecsEqual(t, "Apply", y, wantY)
@@ -116,7 +116,7 @@ func TestStencilKernelsByteIdenticalAcrossThreads(t *testing.T) {
 func TestFusedSmoothResidualMatchesUnfused(t *testing.T) {
 	m, power, bc := parModel(t)
 	w := m.NewWorkspace()
-	m.fillOperator(&w.op, bc, 0)
+	m.fillOperator(&w.op, bc, 0, 0)
 	b := make(linalg.Vector, m.n)
 	if err := m.rhsLayersInto(b, power, bc); err != nil {
 		t.Fatal(err)
@@ -289,7 +289,7 @@ func BenchmarkStencilApply(b *testing.B) {
 	for _, n := range []int{128, 256} {
 		m, _, bc := xvalModel(b, floorplan.XeonE5Package(), n, n)
 		w := m.NewWorkspace()
-		m.fillOperator(&w.op, bc, 0)
+		m.fillOperator(&w.op, bc, 0, 0)
 		x := parField(m.n)
 		y := make(linalg.Vector, m.n)
 		for _, threads := range []int{1, 2, 4, 8} {

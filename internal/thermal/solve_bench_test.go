@@ -103,7 +103,7 @@ func BenchmarkFusedCGIteration(b *testing.B) {
 	m, power, bc := xvalModel(b, floorplan.XeonE5Package(), 128, 128)
 	w := m.NewWorkspace()
 	defer w.Close()
-	m.fillOperator(&w.op, bc, 0)
+	m.fillOperator(&w.op, bc, 0, 0)
 	if err := m.rhsLayersInto(w.rhs, power, bc); err != nil {
 		b.Fatal(err)
 	}

@@ -11,10 +11,12 @@ import (
 // diagonal and its inverse, the right-hand side, the CG scratch vectors, a
 // reusable top-boundary buffer, and one field buffer — so that repeated
 // solves on the same model perform no allocations. The buffers are fully
-// overwritten by each solve; a reused workspace carries no numerical state
-// between calls (warm starting is the caller's choice via the init/prev
-// field arguments), so a reused workspace solves bit-identically to a
-// fresh one.
+// overwritten by each solve, except the layers of the operator diagonal
+// (and of the multigrid ladder built from it) that the solve would
+// rewrite with the same bits (see fill); a reused workspace carries no
+// numerical state between calls (warm starting is the caller's choice via
+// the init/prev field arguments), so a reused workspace solves
+// bit-identically to a fresh one.
 //
 // A workspace is bound to one model and is NOT safe for concurrent use;
 // give each goroutine (e.g. each sweep worker) its own.
@@ -30,6 +32,13 @@ type Workspace struct {
 	// path never pays for it).
 	solver Solver
 	hier   *hierarchy
+
+	// filled reports that op's diagonal has been assembled, last with the
+	// capacitive term fillCap; dirty is the first layer whose diagonal
+	// changed since hier's last refresh (see fill).
+	filled  bool
+	fillCap float64
+	dirty   int
 
 	// team is the intra-solve worker team SetThreads owns; threads is the
 	// configured width (0 = never set, serial).
@@ -60,8 +69,18 @@ func (w *Workspace) Model() *Model { return w.m }
 // SetSolver selects the linear solver for subsequent solves. The zero
 // value SolverCG is the historical Jacobi-CG path; SolverMGPCG routes
 // through the geometric multigrid hierarchy, which is built once on first
-// use and reused (allocation-free) afterwards.
-func (w *Workspace) SetSolver(s Solver) { w.solver = s }
+// use and reused (allocation-free) afterwards. Selecting SolverCG
+// releases the hierarchy, so a workspace lent to MG-PCG for a while
+// keeps no ladder it will not use.
+func (w *Workspace) SetSolver(s Solver) {
+	w.solver = s
+	if s != SolverMGPCG {
+		w.hier = nil
+	}
+}
+
+// Solver returns the linear solver the workspace solves with.
+func (w *Workspace) Solver() Solver { return w.solver }
 
 // SetThreads sets the intra-solve thread count: the stencil kernels, the
 // multigrid transfers and the fused CG vector ops of every subsequent
@@ -127,11 +146,28 @@ func (w *Workspace) ensureHierarchy() error {
 	}
 	h.setTeam(w.team)
 	w.hier = h
+	w.dirty = 0
 	return nil
 }
 
+// fill assembles the operator diagonal for bc and the capacitive term
+// capOverDt (0 for steady solves). Only the top layer's diagonal depends
+// on the boundary, and every layer's on C/dt, so a fill at the C/dt of
+// the previous one rewrites the top layer alone: a coupled steady pass
+// or a transient step at a fixed dt. dirty remembers the lowest layer
+// rewritten since the hierarchy last caught up.
+func (w *Workspace) fill(bc TopBoundary, capOverDt float64) {
+	from := 0
+	if w.filled && capOverDt == w.fillCap {
+		from = w.m.nl - 1
+	}
+	w.m.fillOperator(&w.op, bc, capOverDt, from)
+	w.filled, w.fillCap = true, capOverDt
+	w.dirty = min(w.dirty, from)
+}
+
 // solve runs the selected linear solver on the already-assembled system
-// (fillOperator and rhsLayersInto must have run), updating x in place and
+// (fill and rhsLayersInto must have run), updating x in place and
 // the workspace's solve statistics. The multigrid path re-derives its
 // coarse diagonals from whatever fillOperator assembled, so steady and
 // transient systems need no extra plumbing here. A numerical failure
@@ -142,7 +178,8 @@ func (w *Workspace) solve(x linalg.Vector, tol float64) error {
 		if err := w.ensureHierarchy(); err != nil {
 			return err
 		}
-		w.hier.refresh()
+		w.hier.refresh(w.dirty)
+		w.dirty = w.m.nl
 		pre = w.hier.mg
 	}
 	res, err := linalg.CGWith(&w.op, w.rhs, x, linalg.CGOptions{
@@ -216,7 +253,7 @@ func (w *Workspace) SteadySolveLayersTolInto(dst, init *Field, layers [][]float6
 	if err := m.checkBC(bc); err != nil {
 		return err
 	}
-	m.fillOperator(&w.op, bc, 0)
+	w.fill(bc, 0)
 	if err := m.rhsLayersInto(w.rhs, layers, bc); err != nil {
 		return err
 	}
@@ -253,7 +290,7 @@ func (w *Workspace) StepTransientLayersInto(dst, prev *Field, dt float64, layers
 	if err := w.checkDst(dst); err != nil {
 		return err
 	}
-	m.fillOperator(&w.op, bc, 1/dt)
+	w.fill(bc, 1/dt)
 	if err := m.rhsLayersInto(w.rhs, layers, bc); err != nil {
 		return err
 	}
