@@ -105,7 +105,7 @@ func TestCouplingPassBudgetExhausted(t *testing.T) {
 	// Doubling the dynamic power moves the flux by far more than the 1 %
 	// outer tolerance, so one pass cannot converge even from the carry.
 	hot := sys.Power.BlockPowers(fullLoadState(4.4))
-	_, err = ses.solveCoupled(nil, hot, op, outerTol, innerForcing, 1, nil)
+	_, err = ses.solveCoupled(nil, hot, op, outerTol, cgForcing, 1, nil)
 	if !errors.Is(err, linalg.ErrNotConverged) {
 		t.Fatalf("budget-exhausted solve returned %v, want an error wrapping ErrNotConverged", err)
 	}

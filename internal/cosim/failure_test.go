@@ -33,7 +33,7 @@ func TestSessionErrorInvalidatesWarmStart(t *testing.T) {
 	// moves the flux far more than the outer tolerance, so one pass
 	// cannot converge even from the carry.
 	hot := sys.Power.BlockPowers(fullLoadState(4.4))
-	_, err = ses.solveCoupled(nil, hot, op, outerTol, innerForcing, 1, nil)
+	_, err = ses.solveCoupled(nil, hot, op, outerTol, mgForcing, 1, nil)
 	if !errors.Is(err, linalg.ErrNotConverged) {
 		t.Fatalf("failed solve returned %v, want an error wrapping ErrNotConverged", err)
 	}

@@ -104,5 +104,5 @@ func (ses *Session) SolveSteadyLeakage(ctx context.Context, st power.PackageStat
 	if err != nil {
 		return nil, err
 	}
-	return ses.solveCoupled(ctx, bp, op, outerTol, innerForcing, maxOuter, lk)
+	return ses.solveCoupled(ctx, bp, op, outerTol, cgForcing, maxOuter, lk)
 }

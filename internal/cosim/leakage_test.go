@@ -203,7 +203,7 @@ func TestLeakageBudgetExhausted(t *testing.T) {
 	}
 	// Even from the carried field, the first pass moves the block powers
 	// off their reference-temperature values by watts, not milliwatts.
-	_, err = ses.solveCoupled(nil, bp, op, outerTol, innerForcing, 1, lk)
+	_, err = ses.solveCoupled(nil, bp, op, outerTol, cgForcing, 1, lk)
 	if !errors.Is(err, linalg.ErrNotConverged) {
 		t.Fatalf("budget-exhausted leakage solve returned %v, want an error wrapping ErrNotConverged", err)
 	}

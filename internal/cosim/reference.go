@@ -68,7 +68,7 @@ func (s *System) referenceFlux(ctx context.Context, ses *Session) ([]float64, er
 	solver := ses.ws.Solver()
 	ses.ws.SetSolver(thermal.SolverMGPCG)
 	r, err := ses.couple(ctx, &s.Design, s.referenceLoad(), thermosyphon.DefaultOperating(),
-		outerTol, innerForcing, maxOuter, nil, nil)
+		outerTol, cgForcing, maxOuter, nil, nil)
 	ses.ws.SetSolver(solver)
 	// The reference is no solve of the session's: nothing of it carries
 	// into the next one.

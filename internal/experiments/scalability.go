@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/cosim"
@@ -59,7 +60,8 @@ type ResolutionCell struct {
 	// V-cycles) and operator applications over the whole coupled solve.
 	LinIters int
 	Applies  int
-	// WallMS is the wall-clock solve time. Informational: unlike the
+	// WallMS is the wall-clock solve time, on a fresh session (its
+	// first-solve buffer allocations included). Informational: unlike the
 	// other fields it naturally varies run to run and is not part of any
 	// determinism contract.
 	WallMS float64
@@ -89,23 +91,41 @@ func ExtResolutionScaling(ctx context.Context, cfg RunConfig, sizes []int, solve
 	// solve's worker team rather than to sweep fan-out — "all cores inside
 	// one big solve".
 	cfg = cfg.SplitBudget(1)
+	// One System per size serves every solver's cell. Its first cold
+	// solve also computes the System's reference flux, the seed of every
+	// cold solve after it, so the size's first cell runs one MG-PCG solve
+	// on a session of its own before any cell prices a solve.
+	type grid struct {
+		once sync.Once
+		sys  *cosim.System
+		err  error
+	}
+	grids := make(map[int]*grid, len(sizes))
+	for _, n := range sizes {
+		grids[n] = &grid{}
+	}
+	system := func(n int) (*cosim.System, error) {
+		g := grids[n]
+		g.once.Do(func() {
+			ccfg := cosim.DefaultConfig()
+			ccfg.Stack.NX, ccfg.Stack.NY = n, n
+			if g.sys, g.err = cosim.NewSystem(ccfg); g.err != nil {
+				return
+			}
+			ses := g.sys.NewSession(cosim.WithSolver(thermal.SolverMGPCG), cosim.WithThreads(cfg.Threads))
+			defer ses.Close()
+			_, _, _, g.err = SolveMappingSession(ctx, ses, bench, mapping, thermosyphon.DefaultOperating())
+		})
+		return g.sys, g.err
+	}
 	return sweep.Run(ctx, points, func(p sweep.Pair[int, thermal.Solver]) (ResolutionCell, error) {
 		n, solver := p.A, p.B
-		ccfg := cosim.DefaultConfig()
-		ccfg.Stack.NX, ccfg.Stack.NY = n, n
-		sys, err := cosim.NewSystem(ccfg)
+		sys, err := system(n)
 		if err != nil {
 			return ResolutionCell{}, fmt.Errorf("%dx%d: %w", n, n, err)
 		}
 		ses := sys.NewSession(cosim.WithSolver(solver), cosim.WithThreads(cfg.Threads), cosim.CarryWarmStart(false))
 		defer ses.Close()
-		// The first cold solve on a System also computes the System's
-		// reference flux, the seed of every cold solve after it; the cell
-		// prices the second, which solves bit-identically.
-		if _, _, _, err := SolveMappingSession(ctx, ses, bench, mapping, thermosyphon.DefaultOperating()); err != nil {
-			return ResolutionCell{}, fmt.Errorf("%dx%d/%v: %w", n, n, solver, err)
-		}
-		before := ses.SolverStats()
 		start := time.Now()
 		die, _, r, err := SolveMappingSession(ctx, ses, bench, mapping, thermosyphon.DefaultOperating())
 		if err != nil {
@@ -119,8 +139,8 @@ func ExtResolutionScaling(ctx context.Context, cfg RunConfig, sizes []int, solve
 			Solver:     solver.String(),
 			DieMaxC:    die.MaxC,
 			OuterIters: r.Iterations,
-			LinIters:   stats.Iterations - before.Iterations,
-			Applies:    stats.Applies - before.Applies,
+			LinIters:   stats.Iterations,
+			Applies:    stats.Applies,
 			WallMS:     float64(wall.Microseconds()) / 1e3,
 		}, nil
 	}, cfg.Workers)

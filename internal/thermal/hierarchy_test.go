@@ -96,8 +96,8 @@ func TestNaNBoundaryFailsMGPCG(t *testing.T) {
 }
 
 // TestHierarchyGeometryShared: two workspaces on one Model share every
-// coarse conductance array, transfer weight and axis map (same backing
-// array), while each owns its diagonals.
+// coarse conductance array, transfer weight product and axis map (same
+// backing array), while each owns its diagonals.
 func TestHierarchyGeometryShared(t *testing.T) {
 	m, power, bc := xvalModel(t, floorplan.XeonE5Package(), 38, 30)
 	var hs [2]*hierarchy
@@ -130,8 +130,8 @@ func TestHierarchyGeometryShared(t *testing.T) {
 			}
 		}
 		if la.down != nil {
-			same(fmt.Sprintf("level %d wx", k), la.down.wx, lb.down.wx)
-			same(fmt.Sprintf("level %d wy", k), la.down.wy, lb.down.wy)
+			same(fmt.Sprintf("level %d pp", k), la.down.pp, lb.down.pp)
+			same(fmt.Sprintf("level %d oo", k), la.down.oo, lb.down.oo)
 			if &la.down.xm.parent[0] != &lb.down.xm.parent[0] || &la.down.ym.other[0] != &lb.down.ym.other[0] {
 				t.Errorf("level %d axis maps are not shared", k)
 			}
@@ -184,9 +184,13 @@ func TestConcurrentFirstSolvesShareGeometry(t *testing.T) {
 // allocated while the hierarchy is built), at the count measured on
 // amd64 with Go 1.24. The geometry is shared, so the count covers only
 // the coarse diagonals, the V-cycle scratch, the coarsest level's band
-// factor and the level shells.
+// factor and the level shells. It read 20,952 while each transfer shell
+// copied the transfer's dimensions, axis maps and weight slices; with
+// those (and the weight products that replaced the weights) in the
+// shared transferGrid, a shell is a pointer and a team, and the stencil
+// shells carry two more slice headers (gw, zero): 20,886.
 func TestHierarchyFootprint(t *testing.T) {
-	const maxFloats = 20952
+	const maxFloats = 20886
 	m, _, _ := xvalModel(t, floorplan.XeonE5Package(), 38, 30)
 	if _, err := newHierarchy(m, &m.NewWorkspace().op); err != nil { // builds the shared geometry
 		t.Fatal(err)

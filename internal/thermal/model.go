@@ -55,6 +55,11 @@ type Model struct {
 	// stored at the left cell; gy couples to (l,ix,iy+1); gz[l*cells+c]
 	// couples layer l to l+1 at cell c.
 	gx, gy, gz []float64
+	// gw is gx shifted one cell east, sharing its storage: gw[i] = gx[i−1],
+	// gw[0] = 0 (the stencils' west couplings).
+	gw []float64
+	// zero is one layer's worth of zeros, the stencils' absent coupling.
+	zero []float64
 	// capAll is per-unknown heat capacity (J/K).
 	capAll []float64
 	// gBottom couples die-layer cells to ambient.
@@ -108,8 +113,10 @@ func NewModel(stack *Stack, env Environment) (*Model, error) {
 	}
 
 	// Lateral conductances within each layer.
-	m.gx = make([]float64, m.n)
+	gxw := make([]float64, m.n+1)
+	m.gw, m.gx = gxw[:m.n], gxw[1:]
 	m.gy = make([]float64, m.n)
+	m.zero = make([]float64, m.cells)
 	for l, spec := range stack.Layers {
 		t := spec.Thickness
 		for iy := 0; iy < m.ny; iy++ {
@@ -201,7 +208,7 @@ func (m *Model) topG(bc TopBoundary, c int) float64 {
 func (m *Model) newStencil() stencil {
 	return stencil{
 		nx: m.nx, ny: m.ny, nl: m.nl, cells: m.cells, n: m.n,
-		gx: m.gx, gy: m.gy, gz: m.gz,
+		gx: m.gx, gy: m.gy, gz: m.gz, gw: m.gw, zero: m.zero,
 		diag:    make(linalg.Vector, m.n),
 		invDiag: make(linalg.Vector, m.n),
 	}

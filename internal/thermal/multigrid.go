@@ -31,11 +31,13 @@ const coarsestCells = 32
 // axisMap is the 1-D index pattern of a cell-centered 2:1 coarsening
 // along one grid direction: every fine cell has a parent coarse cell and,
 // for interpolation, the nearest coarse neighbor on the other side of the
-// fine cell's center (-1 at the domain edges, where the zero-flux lateral
-// boundary makes constant extrapolation exact).
+// fine cell's center. At the domain edges there is no such neighbor, and
+// the zero-flux lateral boundary makes constant extrapolation exact:
+// there other is the parent itself and the weight toward it is zero, so
+// the transfer kernels read both cells of every pair without a branch.
 type axisMap struct {
 	parent []int // fine index -> owning coarse index (ix/2)
-	other  []int // second coarse cell of the interpolation pair, -1 at edges
+	other  []int // second coarse cell of the interpolation pair; parent at edges
 }
 
 func newAxisMap(nFine, nCoarse int) axisMap {
@@ -51,8 +53,7 @@ func newAxisMap(nFine, nCoarse int) axisMap {
 			o = p - 1
 		}
 		if o < 0 || o >= nCoarse {
-			am.other[i] = -1
-			continue
+			o = p
 		}
 		am.other[i] = o
 	}
@@ -74,15 +75,11 @@ func newAxisMap(nFine, nCoarse int) axisMap {
 // boundary is 260:1) the weight collapses toward injection, which is what
 // keeps the V-cycle contractive — geometric weights interpolate
 // temperatures across the jump and make deep hierarchies diverge.
+//
+// The shared transferGrid holds the maps and weights; a transfer adds
+// only the worker team its kernels dispatch on.
 type transfer struct {
-	nxf, nyf, nl int
-	cellsF       int
-	nxc, nyc     int
-	cellsC       int
-	xm, ym       axisMap
-	// wx, wy hold each fine unknown's weight toward its x/y "other"
-	// coarse cell (0 where other == -1). Indexed like the fine level.
-	wx, wy []float64
+	*transferGrid
 
 	// team parallelizes the transfers (nil = serial): Prolong gathers per
 	// fine cell so it bands fine rows; Restrict and blockSum scatter into
@@ -90,6 +87,22 @@ type transfer struct {
 	// couple in a transfer, which makes the slabs write-disjoint.
 	team *linalg.Team
 	job  transferJob
+}
+
+// transferGrid is the read-only part of a transfer, built once per
+// Model. A fine cell with x weight wx toward its x-other coarse cell
+// (and 1−wx toward its x-parent) and likewise wy in y feeds its four
+// coarse cells with the bilinear products, stored per fine unknown in
+// place of wx and wy: pp = (1−wx)(1−wy) for the parent pair, op =
+// wx(1−wy), po = (1−wx)wy and oo = wx·wy. A cell whose other is its
+// parent has weight 0 toward it, so its extra products are 0.
+type transferGrid struct {
+	nxf, nyf, nl   int
+	cellsF         int
+	nxc, nyc       int
+	cellsC         int
+	xm, ym         axisMap
+	pp, op, po, oo []float64
 }
 
 // setTeam attaches the worker team the transfer kernels dispatch on.
@@ -144,21 +157,17 @@ func sideWeight(gOther, gSibling float64) float64 {
 	return 0.5 * gOther / (gOther + gSibling)
 }
 
-func newTransfer(fine, coarse *stencil) *transfer {
-	t := &transfer{
-		nxf: fine.nx, nyf: fine.ny, nl: fine.nl, cellsF: fine.cells,
-		nxc: coarse.nx, nyc: coarse.ny, cellsC: coarse.cells,
-		xm: newAxisMap(fine.nx, coarse.nx),
-		ym: newAxisMap(fine.ny, coarse.ny),
-		wx: make([]float64, fine.n),
-		wy: make([]float64, fine.n),
-	}
+// sideWeights returns every fine unknown's weight toward its x-other and
+// y-other coarse cell (0 where other is the parent).
+func sideWeights(fine *stencil, xm, ym axisMap) (wx, wy []float64) {
+	wx = make([]float64, fine.n)
+	wy = make([]float64, fine.n)
 	for l := 0; l < fine.nl; l++ {
 		base := l * fine.cells
 		for iy := 0; iy < fine.ny; iy++ {
 			for ix := 0; ix < fine.nx; ix++ {
 				i := base + iy*fine.nx + ix
-				if t.xm.other[ix] >= 0 {
+				if xm.other[ix] != xm.parent[ix] {
 					var gOther, gSibling float64
 					if ix%2 == 0 { // other parent lies west
 						gOther = fine.gx[i-1]
@@ -167,9 +176,9 @@ func newTransfer(fine, coarse *stencil) *transfer {
 						gOther = fine.gx[i]
 						gSibling = fine.gx[i-1]
 					}
-					t.wx[i] = sideWeight(gOther, gSibling)
+					wx[i] = sideWeight(gOther, gSibling)
 				}
-				if t.ym.other[iy] >= 0 {
+				if ym.other[iy] != ym.parent[iy] {
 					var gOther, gSibling float64
 					if iy%2 == 0 { // other parent lies south
 						gOther = fine.gy[i-fine.nx]
@@ -178,12 +187,34 @@ func newTransfer(fine, coarse *stencil) *transfer {
 						gOther = fine.gy[i]
 						gSibling = fine.gy[i-fine.nx]
 					}
-					t.wy[i] = sideWeight(gOther, gSibling)
+					wy[i] = sideWeight(gOther, gSibling)
 				}
 			}
 		}
 	}
-	return t
+	return wx, wy
+}
+
+func newTransfer(fine, coarse *stencil) *transfer {
+	g := &transferGrid{
+		nxf: fine.nx, nyf: fine.ny, nl: fine.nl, cellsF: fine.cells,
+		nxc: coarse.nx, nyc: coarse.ny, cellsC: coarse.cells,
+		xm: newAxisMap(fine.nx, coarse.nx),
+		ym: newAxisMap(fine.ny, coarse.ny),
+		pp: make([]float64, fine.n),
+		op: make([]float64, fine.n),
+		po: make([]float64, fine.n),
+		oo: make([]float64, fine.n),
+	}
+	wx, wy := sideWeights(fine, g.xm, g.ym)
+	for i := range wx {
+		wpx, wpy := 1-wx[i], 1-wy[i]
+		g.pp[i] = wpx * wpy
+		g.op[i] = wx[i] * wpy
+		g.po[i] = wpx * wy[i]
+		g.oo[i] = wx[i] * wy[i]
+	}
+	return &transfer{transferGrid: g}
 }
 
 // Restrict projects a fine residual onto the coarse grid by full
@@ -199,33 +230,26 @@ func (t *transfer) Restrict(fine, coarse linalg.Vector) {
 
 // restrictLayers restricts the layer-slab [lLo, lHi): the scatter into a
 // coarse layer only ever comes from the fine layer directly above it, so
-// slabs are write-disjoint across workers.
+// slabs are write-disjoint across workers. Every fine cell scatters into
+// all four cells of its pair, a zero-weight one included (see
+// transferGrid); adding 0·v leaves a coarse sum's bits as they are unless
+// it is −0, as in the stencil kernels.
 func (t *transfer) restrictLayers(fine, coarse linalg.Vector, lLo, lHi int) {
 	coarse[lLo*t.cellsC : lHi*t.cellsC].Fill(0)
 	for l := lLo; l < lHi; l++ {
-		baseF := l * t.cellsF
 		baseC := l * t.cellsC
 		for iy := 0; iy < t.nyf; iy++ {
-			py, oy := t.ym.parent[iy], t.ym.other[iy]
-			rowP := baseC + py*t.nxc
-			rowO := baseC + oy*t.nxc
-			rowF := baseF + iy*t.nxf
-			for ix := 0; ix < t.nxf; ix++ {
-				i := rowF + ix
-				px, ox := t.xm.parent[ix], t.xm.other[ix]
-				wx, wy := t.wx[i], t.wy[i]
-				wpx, wpy := 1-wx, 1-wy
-				v := fine[i]
-				coarse[rowP+px] += wpx * wpy * v
-				if ox >= 0 {
-					coarse[rowP+ox] += wx * wpy * v
-				}
-				if oy >= 0 {
-					coarse[rowO+px] += wpx * wy * v
-					if ox >= 0 {
-						coarse[rowO+ox] += wx * wy * v
-					}
-				}
+			rowP := baseC + t.ym.parent[iy]*t.nxc
+			rowO := baseC + t.ym.other[iy]*t.nxc
+			cP, cO := coarse[rowP:rowP+t.nxc], coarse[rowO:rowO+t.nxc]
+			rowF := (l*t.nyf + iy) * t.nxf
+			f := fine[rowF : rowF+t.nxf]
+			pp, op, po, oo, px, ox := t.row(rowF)
+			for ix, v := range f {
+				cP[px[ix]] += pp[ix] * v
+				cP[ox[ix]] += op[ix] * v
+				cO[px[ix]] += po[ix] * v
+				cO[ox[ix]] += oo[ix] * v
 			}
 		}
 	}
@@ -244,33 +268,35 @@ func (t *transfer) Prolong(coarse, fine linalg.Vector) {
 	t.prolongRows(coarse, fine, 0, t.nl*t.nyf)
 }
 
-// prolongRows interpolates the fine global rows [rowLo, rowHi).
+// prolongRows interpolates the fine global rows [rowLo, rowHi), each
+// fine cell gathering all four cells of its pair (see restrictLayers).
 func (t *transfer) prolongRows(coarse, fine linalg.Vector, rowLo, rowHi int) {
 	for g := rowLo; g < rowHi; g++ {
 		l, iy := g/t.nyf, g%t.nyf
 		baseC := l * t.cellsC
-		py, oy := t.ym.parent[iy], t.ym.other[iy]
-		rowP := baseC + py*t.nxc
-		rowO := baseC + oy*t.nxc
-		rowF := l*t.cellsF + iy*t.nxf
-		for ix := 0; ix < t.nxf; ix++ {
-			i := rowF + ix
-			px, ox := t.xm.parent[ix], t.xm.other[ix]
-			wx, wy := t.wx[i], t.wy[i]
-			wpx, wpy := 1-wx, 1-wy
-			v := wpx * wpy * coarse[rowP+px]
-			if ox >= 0 {
-				v += wx * wpy * coarse[rowP+ox]
-			}
-			if oy >= 0 {
-				v += wpx * wy * coarse[rowO+px]
-				if ox >= 0 {
-					v += wx * wy * coarse[rowO+ox]
-				}
-			}
-			fine[i] += v
+		rowP := baseC + t.ym.parent[iy]*t.nxc
+		rowO := baseC + t.ym.other[iy]*t.nxc
+		cP, cO := coarse[rowP:rowP+t.nxc], coarse[rowO:rowO+t.nxc]
+		rowF := g * t.nxf
+		f := fine[rowF : rowF+t.nxf]
+		pp, op, po, oo, px, ox := t.row(rowF)
+		for ix := range f {
+			v := pp[ix] * cP[px[ix]]
+			v += op[ix] * cP[ox[ix]]
+			v += po[ix] * cO[px[ix]]
+			v += oo[ix] * cO[ox[ix]]
+			f[ix] += v
 		}
 	}
+}
+
+// row returns the weight products and x maps of the fine row that starts
+// at unknown rowF, each cut to the row's length so the kernels index
+// them without bounds checks.
+func (g *transferGrid) row(rowF int) (pp, op, po, oo []float64, px, ox []int) {
+	n := g.nxf
+	return g.pp[rowF : rowF+n], g.op[rowF : rowF+n], g.po[rowF : rowF+n], g.oo[rowF : rowF+n],
+		g.xm.parent[:n], g.xm.other[:n]
 }
 
 // blockSum restricts an extensive per-unknown quantity (boundary
@@ -320,8 +346,10 @@ func coarsen(f *stencil) (*stencil, *transfer) {
 		nx: nxc, ny: nyc, nl: f.nl,
 		cells: nxc * nyc,
 		n:     nxc * nyc * f.nl,
+		zero:  f.zero[:nxc*nyc],
 	}
-	c.gx = make([]float64, c.n)
+	gxw := make([]float64, c.n+1)
+	c.gw, c.gx = gxw[:c.n], gxw[1:]
 	c.gy = make([]float64, c.n)
 	if f.nl > 1 {
 		c.gz = make([]float64, (f.nl-1)*c.cells)
@@ -433,7 +461,7 @@ type geoLevel struct {
 func newMGGeometry(m *Model) *mgGeometry {
 	cur := &stencil{
 		nx: m.nx, ny: m.ny, nl: m.nl, cells: m.cells, n: m.n,
-		gx: m.gx, gy: m.gy, gz: m.gz,
+		gx: m.gx, gy: m.gy, gz: m.gz, gw: m.gw, zero: m.zero,
 	}
 	g := &mgGeometry{levels: []geoLevel{{st: *cur}}}
 	for cur.cells > coarsestCells && cur.nx > 2 && cur.ny > 2 {

@@ -20,6 +20,21 @@ import "repro/internal/linalg"
 // result is byte-identical at any thread count. The gather order mirrors
 // the historical scatter accumulation exactly (diagonal, below, south,
 // west, east, north, above), so the parallel rewrite changed no bits.
+//
+// The kernels carry no branch per cell: every term of the gather is
+// evaluated, and a cell on the grid's edge adds g·x with g = 0 for the
+// neighbour it lacks — the zero conductance the representation stores
+// there, or the zero row where the neighbour would lie outside the
+// arrays. Apply and Residual walk a row band in spans (spanEnd) whose
+// neighbour directions are fixed for the whole span (span); the red-black
+// kernels, which write x while they read it, walk it row by row
+// (colorRows). Spans are the faster walk (an apply row by row took 1.6×
+// as long at coarse and at medium), but a span reads the x of off-grid
+// neighbours that lie in the arrays, which a concurrent half-sweep may be
+// writing. For finite x an added 0·x leaves a sum's bits as they are,
+// unless the sum is −0 (−0 + 0 = +0), so the kernels match the earlier
+// ones that skipped zero terms bit for bit on every input but an exact
+// zero's sign (FuzzStencilKernels).
 type stencil struct {
 	nx, ny, nl int
 	cells      int // per layer
@@ -28,6 +43,15 @@ type stencil struct {
 	gx, gy, gz []float64
 	diag       linalg.Vector
 	invDiag    linalg.Vector
+
+	// gw is gx seen from the east cell of each coupling: gw[i] couples i
+	// to i−1, so gw[i] = gx[i−1] and gw[0] = 0. It shares gx's storage,
+	// one leading zero ahead of it.
+	gw []float64
+
+	// zero is at least cells zeros, shared and never written: the
+	// coupling of a neighbour the grid does not have (see span).
+	zero []float64
 
 	// team is the shared worker team (nil = serial); job is the persistent
 	// dispatch adapter so parallel kernels allocate nothing per call.
@@ -74,11 +98,11 @@ func (j *stencilJob) Do(worker, workers int) {
 	case jobResidual:
 		j.s.residualRows(j.b, j.x, j.y, lo, hi)
 	case jobSmooth:
-		j.s.smoothRows(j.b, j.x, j.color, lo, hi)
+		j.s.colorRows(j.b, j.x, nil, j.color, true, lo, hi)
 	case jobSmoothResidual:
-		j.s.smoothResidualRows(j.b, j.x, j.y, j.color, lo, hi)
+		j.s.colorRows(j.b, j.x, j.y, j.color, true, lo, hi)
 	case jobResidualColor:
-		j.s.residualColorRows(j.b, j.x, j.y, j.color, lo, hi)
+		j.s.colorRows(j.b, j.x, j.y, j.color, false, lo, hi)
 	}
 }
 
@@ -126,43 +150,103 @@ func (s *stencil) Apply(x, y linalg.Vector) {
 	s.applyRows(x, y, 0, s.nl*s.ny)
 }
 
-// applyRows is the gather kernel for y = A·x over global rows [rowLo, rowHi).
-func (s *stencil) applyRows(x, y linalg.Vector, rowLo, rowHi int) {
-	nx, ny, cells := s.nx, s.ny, s.cells
-	for g := rowLo; g < rowHi; g++ {
-		l, iy := g/ny, g%ny
-		i := l*cells + iy*nx
-		for ix := 0; ix < nx; ix++ {
-			v := s.diag[i] * x[i]
-			if l > 0 {
-				if gz := s.gz[i-cells]; gz != 0 {
-					v -= gz * x[i-cells]
-				}
-			}
-			if iy > 0 {
-				if gy := s.gy[i-nx]; gy != 0 {
-					v -= gy * x[i-nx]
-				}
-			}
-			if ix > 0 {
-				if gx := s.gx[i-1]; gx != 0 {
-					v -= gx * x[i-1]
-				}
-			}
-			if gx := s.gx[i]; gx != 0 {
-				v -= gx * x[i+1]
-			}
-			if gy := s.gy[i]; gy != 0 {
-				v -= gy * x[i+nx]
-			}
-			if l < s.nl-1 {
-				if gz := s.gz[i]; gz != 0 {
-					v -= gz * x[i+cells]
-				}
-			}
-			y[i] = v
-			i++
+// nbr is one neighbour direction of a span of cells: g[k] couples cell
+// lo+k of the span to that neighbour, whose value is x[k].
+type nbr struct{ g, x []float64 }
+
+// nbrs holds a span's six neighbour directions in the gather order of
+// the Apply and Residual kernels.
+type nbrs struct{ below, south, west, east, north, above nbr }
+
+// spanEnd returns where the span of cells that starts at lo ends, at most
+// at end. Spans split the grid where a neighbour direction starts or
+// stops existing: they isolate the bottom layer and the top layer (the
+// only ones without a layer below, or above), and within those the grid's
+// first cell and the rest of its first row, and its last row and last
+// cell (the only cells whose south, west, east or north neighbour would
+// index outside the arrays). A whole pass over a grid is then at most
+// seven spans, whatever its size.
+func (s *stencil) spanEnd(lo, end int) int {
+	hi := end
+	for _, b := range [...]int{1, s.nx, s.cells, s.n - s.cells, s.n - s.nx, s.n - 1} {
+		if lo < b && b < hi {
+			hi = b
 		}
+	}
+	return hi
+}
+
+// span returns the neighbour directions of the cells [lo, hi), a span
+// from spanEnd. A direction with no neighbour cell anywhere in the span
+// gets the zero row paired with the span's own values. Everywhere else
+// the directions are read unconditionally: a neighbour that exists in the
+// arrays but not on the grid (the next row's first cell east of a row's
+// last, the layer below's last row south of a layer's first) is coupled
+// by a conductance the representation stores as zero.
+func (s *stencil) span(x linalg.Vector, lo, hi int) nbrs {
+	nx, cells, n := s.nx, s.cells, s.n
+	var v nbrs
+	if lo >= cells {
+		v.below = nbr{s.gz[lo-cells : hi-cells], x[lo-cells : hi-cells]}
+	} else {
+		v.below = s.none(x, lo, hi)
+	}
+	if lo >= nx {
+		v.south = nbr{s.gy[lo-nx : hi-nx], x[lo-nx : hi-nx]}
+	} else {
+		v.south = s.none(x, lo, hi)
+	}
+	if lo >= 1 {
+		v.west = nbr{s.gw[lo:hi], x[lo-1 : hi-1]}
+	} else {
+		v.west = s.none(x, lo, hi)
+	}
+	if hi < n {
+		v.east = nbr{s.gx[lo:hi], x[lo+1 : hi+1]}
+	} else {
+		v.east = s.none(x, lo, hi)
+	}
+	if hi+nx <= n {
+		v.north = nbr{s.gy[lo:hi], x[lo+nx : hi+nx]}
+	} else {
+		v.north = s.none(x, lo, hi)
+	}
+	if hi+cells <= n {
+		v.above = nbr{s.gz[lo:hi], x[lo+cells : hi+cells]}
+	} else {
+		v.above = s.none(x, lo, hi)
+	}
+	return v
+}
+
+// none is the direction of a span with no neighbour: the zero row paired
+// with the span's own values. Only spans within the bottom or top layer
+// lack one, so the row's cells zeros suffice.
+func (s *stencil) none(x linalg.Vector, lo, hi int) nbr {
+	return nbr{s.zero[:hi-lo], x[lo:hi]}
+}
+
+// applyRows computes y = A·x over global rows [rowLo, rowHi), span by
+// span, with no branch per cell (see the stencil comment).
+func (s *stencil) applyRows(x, y linalg.Vector, rowLo, rowHi int) {
+	for lo, end := rowLo*s.nx, rowHi*s.nx; lo < end; {
+		hi := s.spanEnd(lo, end)
+		v, n := s.span(x, lo, hi), hi-lo
+		gb, xb, gs, xs := v.below.g[:n], v.below.x[:n], v.south.g[:n], v.south.x[:n]
+		gw, xw, ge, xe := v.west.g[:n], v.west.x[:n], v.east.g[:n], v.east.x[:n]
+		gn, xn, ga, xa := v.north.g[:n], v.north.x[:n], v.above.g[:n], v.above.x[:n]
+		yc, xc, d := y[lo:hi], x[lo:hi], s.diag[lo:hi]
+		for k := 0; k < n; k++ {
+			a := d[k] * xc[k]
+			a -= gb[k] * xb[k]
+			a -= gs[k] * xs[k]
+			a -= gw[k] * xw[k]
+			a -= ge[k] * xe[k]
+			a -= gn[k] * xn[k]
+			a -= ga[k] * xa[k]
+			yc[k] = a
+		}
+		lo = hi
 	}
 }
 
@@ -178,43 +262,26 @@ func (s *stencil) Residual(b, x, r linalg.Vector) {
 	s.residualRows(b, x, r, 0, s.nl*s.ny)
 }
 
-// residualRows is the gather kernel for r = b - A·x over a row band.
+// residualRows computes r = b - A·x over a row band, like applyRows.
 func (s *stencil) residualRows(b, x, r linalg.Vector, rowLo, rowHi int) {
-	nx, ny, cells := s.nx, s.ny, s.cells
-	for g := rowLo; g < rowHi; g++ {
-		l, iy := g/ny, g%ny
-		i := l*cells + iy*nx
-		for ix := 0; ix < nx; ix++ {
-			v := s.diag[i] * x[i]
-			if l > 0 {
-				if gz := s.gz[i-cells]; gz != 0 {
-					v -= gz * x[i-cells]
-				}
-			}
-			if iy > 0 {
-				if gy := s.gy[i-nx]; gy != 0 {
-					v -= gy * x[i-nx]
-				}
-			}
-			if ix > 0 {
-				if gx := s.gx[i-1]; gx != 0 {
-					v -= gx * x[i-1]
-				}
-			}
-			if gx := s.gx[i]; gx != 0 {
-				v -= gx * x[i+1]
-			}
-			if gy := s.gy[i]; gy != 0 {
-				v -= gy * x[i+nx]
-			}
-			if l < s.nl-1 {
-				if gz := s.gz[i]; gz != 0 {
-					v -= gz * x[i+cells]
-				}
-			}
-			r[i] = b[i] - v
-			i++
+	for lo, end := rowLo*s.nx, rowHi*s.nx; lo < end; {
+		hi := s.spanEnd(lo, end)
+		v, n := s.span(x, lo, hi), hi-lo
+		gb, xb, gs, xs := v.below.g[:n], v.below.x[:n], v.south.g[:n], v.south.x[:n]
+		gw, xw, ge, xe := v.west.g[:n], v.west.x[:n], v.east.g[:n], v.east.x[:n]
+		gn, xn, ga, xa := v.north.g[:n], v.north.x[:n], v.above.g[:n], v.above.x[:n]
+		rc, bc, xc, d := r[lo:hi], b[lo:hi], x[lo:hi], s.diag[lo:hi]
+		for k := 0; k < n; k++ {
+			a := d[k] * xc[k]
+			a -= gb[k] * xb[k]
+			a -= gs[k] * xs[k]
+			a -= gw[k] * xw[k]
+			a -= ge[k] * xe[k]
+			a -= gn[k] * xn[k]
+			a -= ga[k] * xa[k]
+			rc[k] = bc[k] - a
 		}
+		lo = hi
 	}
 }
 
@@ -239,41 +306,7 @@ func (s *stencil) Smooth(b, x linalg.Vector, reverse bool) {
 		return
 	}
 	for _, color := range colors {
-		s.smoothRows(b, x, color, 0, s.nl*s.ny)
-	}
-}
-
-// smoothRows relaxes one color of a red-black sweep over a row band.
-func (s *stencil) smoothRows(b, x linalg.Vector, color, rowLo, rowHi int) {
-	nx, ny, cells := s.nx, s.ny, s.cells
-	for g := rowLo; g < rowHi; g++ {
-		l, iy := g/ny, g%ny
-		row := l*cells + iy*nx
-		for ix := (color + iy + l) & 1; ix < nx; ix += 2 {
-			i := row + ix
-			su := b[i]
-			if ix > 0 {
-				su += s.gx[i-1] * x[i-1]
-			}
-			if g := s.gx[i]; g != 0 {
-				su += g * x[i+1]
-			}
-			if iy > 0 {
-				su += s.gy[i-nx] * x[i-nx]
-			}
-			if g := s.gy[i]; g != 0 {
-				su += g * x[i+nx]
-			}
-			if l > 0 {
-				su += s.gz[i-cells] * x[i-cells]
-			}
-			if l < s.nl-1 {
-				if g := s.gz[i]; g != 0 {
-					su += g * x[i+cells]
-				}
-			}
-			x[i] = su * s.invDiag[i]
-		}
+		s.colorRows(b, x, nil, color, true, 0, s.nl*s.ny)
 	}
 }
 
@@ -299,117 +332,96 @@ func (s *stencil) SmoothResidual(b, x, r linalg.Vector) {
 		return
 	}
 	rows := s.nl * s.ny
-	s.smoothRows(b, x, 0, 0, rows)
-	s.smoothResidualRows(b, x, r, 1, 0, rows)
-	s.residualColorRows(b, x, r, 0, 0, rows)
+	s.colorRows(b, x, nil, 0, true, 0, rows)
+	s.colorRows(b, x, r, 1, true, 0, rows)
+	s.colorRows(b, x, r, 0, false, 0, rows)
 }
 
-// smoothResidualRows relaxes one color of a red-black sweep over a row
-// band and evaluates the residual at the relaxed cells in the same visit.
-// The relaxation reproduces smoothRows bit for bit; the residual
-// reproduces residualRows bit for bit (same gather expression on the
-// just-updated x), so the fused pass changes no bytes anywhere.
-func (s *stencil) smoothResidualRows(b, x, r linalg.Vector, color, rowLo, rowHi int) {
-	nx, ny, cells := s.nx, s.ny, s.cells
-	for g := rowLo; g < rowHi; g++ {
-		l, iy := g/ny, g%ny
-		row := l*cells + iy*nx
-		for ix := (color + iy + l) & 1; ix < nx; ix += 2 {
-			i := row + ix
-			su := b[i]
-			if ix > 0 {
-				su += s.gx[i-1] * x[i-1]
-			}
-			if g := s.gx[i]; g != 0 {
-				su += g * x[i+1]
-			}
-			if iy > 0 {
-				su += s.gy[i-nx] * x[i-nx]
-			}
-			if g := s.gy[i]; g != 0 {
-				su += g * x[i+nx]
-			}
-			if l > 0 {
-				su += s.gz[i-cells] * x[i-cells]
-			}
-			if l < s.nl-1 {
-				if g := s.gz[i]; g != 0 {
-					su += g * x[i+cells]
-				}
-			}
-			x[i] = su * s.invDiag[i]
-
-			// Residual of the relaxed cell, in residualRows' exact gather
-			// order — every neighbor is the opposite color and final.
-			v := s.diag[i] * x[i]
-			if l > 0 {
-				if gz := s.gz[i-cells]; gz != 0 {
-					v -= gz * x[i-cells]
-				}
-			}
-			if iy > 0 {
-				if gy := s.gy[i-nx]; gy != 0 {
-					v -= gy * x[i-nx]
-				}
-			}
-			if ix > 0 {
-				if gx := s.gx[i-1]; gx != 0 {
-					v -= gx * x[i-1]
-				}
-			}
-			if gx := s.gx[i]; gx != 0 {
-				v -= gx * x[i+1]
-			}
-			if gy := s.gy[i]; gy != 0 {
-				v -= gy * x[i+nx]
-			}
-			if l < s.nl-1 {
-				if gz := s.gz[i]; gz != 0 {
-					v -= gz * x[i+cells]
-				}
-			}
-			r[i] = b[i] - v
+// colorRows visits the cells of one color over a row band, row by row,
+// with no branch per cell. It relaxes them (relax, one red-black
+// half-sweep), evaluates the residual r = b - A·x at them (r non-nil),
+// or both: the fused pass of SmoothResidual, which relaxes a cell and
+// evaluates its residual in the same visit. The relaxation is the same
+// expression in both passes and the residual is residualRows' gather
+// on the just-updated x, so the fused pass changes no bytes.
+//
+// A half-sweep writes x while it reads it, so a row reads no x value off
+// the grid: where a neighbour is not on the grid (the row south of a
+// layer's first, the cell west of a row's first, …) the row reads the
+// cell's own value instead — written by no other worker, and only after
+// the read — against the zero conductance stored there (gw, gy's last
+// row, gx's last column) or the zero row. Every neighbour on the grid
+// has the opposite color and is frozen for the pass.
+func (s *stencil) colorRows(b, x, r linalg.Vector, color int, relax bool, rowLo, rowHi int) {
+	nx, cells, zero := s.nx, s.cells, s.zero[:s.nx]
+	for g, iy, l := rowLo, rowLo%s.ny, rowLo/s.ny; g < rowHi; g++ {
+		i := g * nx
+		xr := x[i : i+nx]
+		gw, ge, gn := s.gw[i:i+nx], s.gx[i:i+nx], s.gy[i:i+nx]
+		gs, xs, xn, gb, xb, ga, xa := zero, xr, xr, zero, xr, zero, xr
+		if iy > 0 {
+			gs, xs = s.gy[i-nx:i], x[i-nx:i]
 		}
-	}
-}
+		if iy < s.ny-1 {
+			xn = x[i+nx : i+2*nx]
+		}
+		if l > 0 {
+			gb, xb = s.gz[i-cells:i-cells+nx], x[i-cells:i-cells+nx]
+		}
+		if l < s.nl-1 {
+			ga, xa = s.gz[i:i+nx], x[i+cells:i+cells+nx]
+		}
+		bc, inv, d := b[i:i+nx], s.invDiag[i:i+nx], s.diag[i:i+nx]
+		j := (color + iy + l) & 1
+		switch {
+		case r == nil:
+			for ; j < nx; j += 2 {
+				su := bc[j]
+				su += gw[j] * xr[max(j-1, 0)]
+				su += ge[j] * xr[min(j+1, nx-1)]
+				su += gs[j] * xs[j]
+				su += gn[j] * xn[j]
+				su += gb[j] * xb[j]
+				su += ga[j] * xa[j]
+				xr[j] = su * inv[j]
+			}
+		case relax:
+			rc := r[i : i+nx]
+			for ; j < nx; j += 2 {
+				w, e := max(j-1, 0), min(j+1, nx-1)
+				su := bc[j]
+				su += gw[j] * xr[w]
+				su += ge[j] * xr[e]
+				su += gs[j] * xs[j]
+				su += gn[j] * xn[j]
+				su += gb[j] * xb[j]
+				su += ga[j] * xa[j]
+				xr[j] = su * inv[j]
 
-// residualColorRows evaluates r = b - A·x at the cells of one color over
-// a row band — the trailing half-pass of SmoothResidual.
-func (s *stencil) residualColorRows(b, x, r linalg.Vector, color, rowLo, rowHi int) {
-	nx, ny, cells := s.nx, s.ny, s.cells
-	for g := rowLo; g < rowHi; g++ {
-		l, iy := g/ny, g%ny
-		row := l*cells + iy*nx
-		for ix := (color + iy + l) & 1; ix < nx; ix += 2 {
-			i := row + ix
-			v := s.diag[i] * x[i]
-			if l > 0 {
-				if gz := s.gz[i-cells]; gz != 0 {
-					v -= gz * x[i-cells]
-				}
+				a := d[j] * xr[j]
+				a -= gb[j] * xb[j]
+				a -= gs[j] * xs[j]
+				a -= gw[j] * xr[w]
+				a -= ge[j] * xr[e]
+				a -= gn[j] * xn[j]
+				a -= ga[j] * xa[j]
+				rc[j] = bc[j] - a
 			}
-			if iy > 0 {
-				if gy := s.gy[i-nx]; gy != 0 {
-					v -= gy * x[i-nx]
-				}
+		default:
+			rc := r[i : i+nx]
+			for ; j < nx; j += 2 {
+				a := d[j] * xr[j]
+				a -= gb[j] * xb[j]
+				a -= gs[j] * xs[j]
+				a -= gw[j] * xr[max(j-1, 0)]
+				a -= ge[j] * xr[min(j+1, nx-1)]
+				a -= gn[j] * xn[j]
+				a -= ga[j] * xa[j]
+				rc[j] = bc[j] - a
 			}
-			if ix > 0 {
-				if gx := s.gx[i-1]; gx != 0 {
-					v -= gx * x[i-1]
-				}
-			}
-			if gx := s.gx[i]; gx != 0 {
-				v -= gx * x[i+1]
-			}
-			if gy := s.gy[i]; gy != 0 {
-				v -= gy * x[i+nx]
-			}
-			if l < s.nl-1 {
-				if gz := s.gz[i]; gz != 0 {
-					v -= gz * x[i+cells]
-				}
-			}
-			r[i] = b[i] - v
+		}
+		if iy++; iy == s.ny {
+			iy, l = 0, l+1
 		}
 	}
 }
